@@ -9,6 +9,7 @@ from .errors import (
     GraphFormatError,
     IncestlessError,
     SignedInfinityError,
+    WeightOverflowError,
     ZeroProbabilityActionError,
 )
 from .graph import (
@@ -29,6 +30,7 @@ from .graph import (
     topology_rng,
     transitive_closure,
     validate_dag,
+    weight_matrix,
 )
 from .learning import (
     LogBelief,
@@ -40,7 +42,6 @@ from .learning import (
     default_model,
     estimate_state,
     full_history_belief,
-    naive_aggregate,
     normalize_log,
     private_belief,
     quadratic_cost,

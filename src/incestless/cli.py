@@ -219,7 +219,7 @@ def cmd_gen_graph(kind, seed, agents, epochs, out):
     """Generate a topology and write it as an edge-list file."""
     try:
         spec = TopologySpec(kind=kind, agents=agents, epochs=epochs)
-        graph = graphmod.generate_topology(spec, np.random.default_rng(seed))
+        graph = graphmod.generate_topology(spec, graphmod.topology_rng(seed))
         graphmod.save_graph(graph, out)
     except (IncestlessError, OSError) as e:
         click.echo(f"error: {e}", err=True)
@@ -233,20 +233,20 @@ def cmd_closure(graph_file):
     """Print the transitive closure and per-node t, b, w, constraint status."""
     try:
         graph = graphmod.load_graph(graph_file)
+        weights = graphmod.weight_matrix(graph)
     except (IncestlessError, OSError, ValueError) as e:
         click.echo(f"error: {e}", err=True)
         sys.exit(1)
+    report = graphmod.violations(weights, graph.adjacency)
     click.echo("closure:")
     for row in graph.closure:
         click.echo(" ".join(str(int(v)) for v in row))
     for n in range(1, graph.size + 1):
         t_n, b_n = graph.extract_t_b(n)
-        w = graphmod.compute_weights(graph, n)
-        bad = graphmod.check_constraint(w, b_n)
-        status = "OK" if not bad else "violation at " + " ".join(map(str, bad))
+        status = "violation at " + " ".join(map(str, report[n])) if n in report else "OK"
         click.echo(
             f"node {n}: t={list(map(int, t_n))} b={list(map(int, b_n))} "
-            f"w={list(map(int, w))} constraint {status}"
+            f"w={list(map(int, weights[: n - 1, n - 1]))} constraint {status}"
         )
 
 

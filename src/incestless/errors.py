@@ -42,6 +42,14 @@ class AvailabilityError(IncestlessError):
         )
 
 
+class WeightOverflowError(IncestlessError):
+    """A true incest-removal weight lies outside the int64 range."""
+
+    def __init__(self, node, index):
+        self.node = node
+        super().__init__(f"node {node}: weight w_{node}({index}) exceeds the int64 range")
+
+
 class SignedInfinityError(IncestlessError):
     """A negative weight was applied to a -inf log-likelihood entry."""
 

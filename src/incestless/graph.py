@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, DagViolationError, GraphFormatError
+from .errors import ConfigError, DagViolationError, GraphFormatError, WeightOverflowError
 
 
 def reindex(s: int, k: int, num_agents: int) -> int:
@@ -113,11 +113,6 @@ class CommGraph:
     def size(self) -> int:
         return self.adjacency.shape[0]
 
-    def in_neighbors(self, n: int) -> list[int]:
-        """1-based nodes with a direct edge into node n."""
-        self._check_node(n)
-        return [int(i) + 1 for i in np.flatnonzero(self.adjacency[:, n - 1])]
-
     def extract_t_b(self, n: int) -> tuple[np.ndarray, np.ndarray]:
         """First n-1 entries of column n of the closure (t_n) and adjacency (b_n)."""
         self._check_node(n)
@@ -144,21 +139,36 @@ class CommGraph:
             raise ValueError(f"node {n} out of range 1..{self.size}")
 
 
-def compute_weights(graph: CommGraph, n: int) -> np.ndarray:
-    """Optimal incest-removal weights w_n (length n-1, integer valued).
+def weight_matrix(graph: CommGraph, nodes=None) -> np.ndarray:
+    """Columns of W = I - T^-1 for the given 1-based nodes (default all), rows 1..max(nodes).
 
-    w_n is the unique solution of w_n @ T'_{n-1} = t_n.  Transposed, that
-    is T_{n-1} @ w' = t_n' with T unit upper triangular, solved exactly by
-    back substitution over the integers; no matrix inverse is ever formed.
+    Column n holds w_n, the solution of T_{n-1} w_n = t_n, above zeros, from
+    one exact integer back substitution.  Each row is also computed in
+    float64 from the verified rows below it: a true weight beyond int64
+    wraps the int64 row by a multiple of 2^64 but moves the float row by far
+    less than 2^63, so the two then differ by more than 2^63.
     """
+    cols = np.unique(np.arange(1, graph.size + 1) if nodes is None else nodes) - 1
+    rows = int(cols.max(initial=-1)) + 1
+    w = np.zeros((rows, cols.size), dtype=np.int64)
+    w_float = np.zeros((rows, cols.size))
+    for j in range(rows - 2, -1, -1):
+        first = int(np.searchsorted(cols, j, side="right"))  # columns of nodes after j+1
+        reach, t_j = graph.closure[j, j + 1:rows], graph.closure[j, cols[first:]]
+        exact = t_j - reach.astype(np.int64) @ w[j + 1:, first:]
+        approx = t_j - reach.astype(np.float64) @ w_float[j + 1:, first:]
+        wrapped = np.flatnonzero(np.abs(approx - exact) > 2.0**63)
+        if wrapped.size:
+            raise WeightOverflowError(node=int(cols[first + wrapped[0]]) + 1, index=j + 1)
+        w[j, first:] = w_float[j, first:] = exact
+    return w
+
+
+def compute_weights(graph: CommGraph, n: int) -> np.ndarray:
+    """Optimal incest-removal weights w_n (length n-1, integer valued): column n of W."""
     if n < 1 or n > graph.size:
         raise ValueError(f"node {n} out of range 1..{graph.size}")
-    t_mat = graph.closure[: n - 1, : n - 1].astype(np.int64)
-    t_n = graph.closure[: n - 1, n - 1].astype(np.int64)
-    w = np.zeros(n - 1, dtype=np.int64)
-    for j in range(n - 2, -1, -1):
-        w[j] = t_n[j] - t_mat[j, j + 1 :] @ w[j + 1 :]
-    return w
+    return weight_matrix(graph, [n])[: n - 1, 0]
 
 
 def check_constraint(weights: np.ndarray, b_n: np.ndarray) -> list[int]:
@@ -167,24 +177,22 @@ def check_constraint(weights: np.ndarray, b_n: np.ndarray) -> list[int]:
     Empty list means the availability constraint holds at this node: every
     log-belief the removal weights need actually arrives over a direct edge.
     """
-    w = np.asarray(weights)
-    b = np.asarray(b_n)
+    w, b = np.asarray(weights), np.asarray(b_n)
     if w.shape != b.shape:
         raise ValueError(f"length mismatch: weights {w.shape} vs b_n {b.shape}")
-    bad = np.flatnonzero((b == 0) & (w != 0))
-    return [int(j) + 1 for j in bad]
+    return violations(w[:, None], b[:, None]).get(1, [])
+
+
+def violations(weights: np.ndarray, adjacency: np.ndarray) -> dict[int, list[int]]:
+    """Map node -> violating indices: the nonzero columns of (W != 0) & (A == 0)."""
+    bad = (weights != 0) & (adjacency == 0)
+    return {int(c) + 1: [int(j) + 1 for j in np.flatnonzero(bad[:, c])]
+            for c in np.flatnonzero(bad.any(axis=0))}
 
 
 def constraint_report(graph: CommGraph) -> dict[int, list[int]]:
     """Map node -> violating indices, for every node with a violation."""
-    report = {}
-    for n in range(2, graph.size + 1):
-        w = compute_weights(graph, n)
-        _, b_n = graph.extract_t_b(n)
-        bad = check_constraint(w, b_n)
-        if bad:
-            report[n] = bad
-    return report
+    return violations(weight_matrix(graph), graph.adjacency)
 
 
 # ---------------------------------------------------------------------------
@@ -304,15 +312,13 @@ def augment_for_constraint(graph: CommGraph) -> CommGraph:
     reachability), so the added edge j -> n is redundant for the closure and
     leaves every weight vector unchanged; one pass makes the graph clean.
     """
-    report = constraint_report(graph)
-    if not report:
+    weights = weight_matrix(graph)
+    needed = (weights != 0) & (graph.adjacency == 0)
+    if not needed.any():
         return graph
-    a = graph.adjacency.copy()
-    for n, bad in report.items():
-        for j in bad:
-            a[j - 1, n - 1] = 1
-    fixed = CommGraph(a, num_agents=graph.num_agents, num_epochs=graph.num_epochs)
-    assert not constraint_report(fixed)
+    fixed = CommGraph(graph.adjacency | needed, num_agents=graph.num_agents,
+                      num_epochs=graph.num_epochs)
+    assert (fixed.closure == graph.closure).all()
     return fixed
 
 

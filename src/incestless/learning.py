@@ -215,6 +215,28 @@ def normalize_log(theta: np.ndarray) -> np.ndarray:
     return p / p.sum()
 
 
+def fuse(coeffs: np.ndarray, evidence: np.ndarray, received: np.ndarray,
+         node: int | str = "?") -> np.ndarray:
+    """sum_i coeffs[i] * evidence[i], adding the terms one at a time in ascending i.
+
+    Entry i belongs to node i+1; received[i] (bool) says whether its evidence
+    reaches the fusing node.  Zero coefficients are skipped, so a -inf row
+    never turns into NaN.  The fixed order keeps outputs bit for bit stable.
+    """
+    terms = np.flatnonzero(coeffs)
+    missing = terms[~received[terms]]
+    if missing.size:
+        raise AvailabilityError(node=node, missing=(missing + 1).tolist())
+    c, rows = coeffs[terms], evidence[terms]
+    negative = c < 0
+    if negative.any() and np.isneginf(rows[negative]).any():
+        i = int(np.argmax(negative & np.isneginf(rows).any(axis=1)))
+        raise SignedInfinityError(
+            f"negative weight {c[i]} applied to -inf evidence from node {terms[i] + 1}"
+        )
+    return np.add.reduce(c[:, None] * rows, axis=0)
+
+
 def aggregate(received: dict[int, LogBelief], weights: np.ndarray,
               nu: np.ndarray, log_prior: np.ndarray,
               node: int | str = "?") -> LogBelief:
@@ -227,26 +249,12 @@ def aggregate(received: dict[int, LogBelief], weights: np.ndarray,
     the fused posterior.
     """
     w = np.asarray(weights, dtype=np.float64)
-    needed = {int(i) + 1 for i in np.flatnonzero(w)}
-    missing = needed - set(received)
-    if missing:
-        raise AvailabilityError(node=node, missing=missing)
-    evidence = nu.astype(np.float64).copy()
-    for node in sorted(needed):
-        coeff = w[node - 1]
-        term = received[node].evidence
-        if coeff < 0 and np.isneginf(term).any():
-            raise SignedInfinityError(
-                f"negative weight {coeff} applied to -inf evidence from node {node}"
-            )
-        evidence += coeff * term
-    return LogBelief(log_prior=log_prior, evidence=evidence)
-
-
-def naive_aggregate(received: dict[int, LogBelief], b_n: np.ndarray,
-                    nu: np.ndarray, log_prior: np.ndarray) -> LogBelief:
-    """Incest-afflicted baseline: unit weight on every received log-belief."""
-    return aggregate(received, np.asarray(b_n, dtype=np.float64), nu, log_prior)
+    evidence = np.zeros((w.size, np.size(nu)))
+    for i, belief in received.items():
+        if i <= w.size:
+            evidence[i - 1] = belief.evidence
+    has = np.isin(np.arange(1, w.size + 1), list(received))
+    return LogBelief(log_prior=log_prior, evidence=fuse(w, evidence, has, node) + nu)
 
 
 def full_history_belief(nus: dict[int, np.ndarray], t_n: np.ndarray,

@@ -1,16 +1,19 @@
 """Protocol runs over a communication graph, in up to four modes.
 
-Modes:
-  naive      constrained learning, received log-beliefs fused with unit
-             weights (data incest occurs)
-  removal    constrained learning with the optimal incest-removal weights
-  idealized  full-action-history benchmark (free of incest by construction)
-  obs_oracle observation-level oracle: posterior from the raw observations
-             of every node with a path in (comparison curve only; stronger
-             information than the action-history benchmark)
+A mode is one row of a table.  Node n fuses the rows S[i] stored by earlier
+nodes, evidence_n = sum_i F[i, n] * S[i], then adds its own increment:
 
-Within a run, all modes share the same observation sequence, so any
-difference between their traces is attributable to aggregation alone.
+  mode        F      S[n] stores     own increment
+  naive       A      after-evidence  nu   unit weights: data incest occurs
+  removal     W      after-evidence  nu   optimal incest-removal weights
+  idealized   T - I  own increment   nu   full-action-history benchmark
+  obs_oracle  T - I  own increment   obs  raw-observation posterior (for scale)
+
+A is the adjacency, T the closure, W = I - T^-1 (graph.weight_matrix; raises
+WeightOverflowError beyond int64; masked by A under `force`), nu the action
+log-likelihood.  All modes share one observation sequence, so their traces
+differ by aggregation alone.  SeedSequence(seed) child 0 draws the graph
+(graph.topology_rng, as `gen-graph --seed`); child r drives run r.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ from . import graph as graphmod
 from . import learning
 from .errors import ConfigError, ConstraintViolationError, DegenerateEvidenceError
 from .graph import CommGraph, TopologySpec
-from .learning import LogBelief, StateModel
+from .learning import StateModel
 
 MODES = ("naive", "removal", "idealized", "obs_oracle")
 
@@ -106,22 +109,22 @@ class MetricsTable:
 
 def node_weights(graph: CommGraph) -> list[np.ndarray]:
     """Incest-removal weight vector for every node (index n-1 -> w_n)."""
-    return [graphmod.compute_weights(graph, n) for n in range(1, graph.size + 1)]
+    w = graphmod.weight_matrix(graph)
+    return [w[:n, n] for n in range(graph.size)]
 
 
 def run_once(config: ScenarioConfig, graph: CommGraph, rng: np.random.Generator,
-             weights: list[np.ndarray] | None = None,
+             weights: np.ndarray | None = None,
              constraint: dict[int, list[int]] | None = None) -> RunTrace:
     """Execute one protocol run over the graph, all configured modes in lockstep."""
     model = config.model
     modes = config.modes
-    floor = config.floor_zero_likelihood
 
     if weights is None:
-        weights = node_weights(graph)
+        weights = graphmod.weight_matrix(graph)
     if "removal" in modes:
         if constraint is None:
-            constraint = graphmod.constraint_report(graph)
+            constraint = graphmod.violations(weights, graph.adjacency)
         if constraint and not config.force:
             raise ConstraintViolationError(constraint)
 
@@ -130,48 +133,37 @@ def run_once(config: ScenarioConfig, graph: CommGraph, rng: np.random.Generator,
     else:
         x = int(config.true_state)
 
+    adjacency = graph.adjacency
+    history = graph.closure - np.eye(graph.size, dtype=np.int8)
+    # mode -> (F, S[n] is the after-evidence, own increment is the observation)
+    table = {
+        "naive": (adjacency, True, False),
+        "removal": (weights * adjacency if config.force else weights, True, False),
+        "idealized": (history, False, False),
+        "obs_oracle": (history, False, True),
+    }
+    protocols = {}
+    for mode in modes:
+        coeffs, stores_after, own_is_obs = table[mode]
+        # after-evidence travels over edges, benchmarks read all history; node n reads row n-1
+        protocols[mode] = (np.ascontiguousarray(coeffs.T, dtype=np.float64),
+                           (adjacency if stores_after else history).T != 0,
+                           np.zeros((graph.size, model.num_states)), stores_after, own_is_obs)
+
     log_prior = model.log_prior
-    stored: dict[str, dict[int, LogBelief]] = {m: {} for m in modes}
-    nus_ideal: dict[int, np.ndarray] = {}
     observations: list[int] = []
     records: dict[str, list[NodeRecord]] = {m: [] for m in modes}
 
     for n in range(1, graph.size + 1):
-        t_n, b_n = graph.extract_t_b(n)
-        neighbors = graph.in_neighbors(n)
         z = learning.sample_observation(x, model, rng)
         observations.append(z)
+        obs_loglik = np.log(np.maximum(model.likelihood[:, z - 1], learning.LIKELIHOOD_FLOOR))
 
         for mode in modes:
-            if mode == "removal":
-                w = weights[n - 1].astype(np.float64)
-                if config.force:
-                    # drop coefficients whose log-belief never arrives
-                    w = w * b_n
-                received = {i: stored[mode][i] for i in neighbors}
-                agg = learning.aggregate(
-                    received, w, np.zeros(model.num_states), log_prior, node=n
-                )
-            elif mode == "naive":
-                received = {i: stored[mode][i] for i in neighbors}
-                agg = learning.naive_aggregate(
-                    received, b_n, np.zeros(model.num_states), log_prior
-                )
-            elif mode == "idealized":
-                agg = learning.full_history_belief(
-                    nus_ideal, t_n, np.zeros(model.num_states), log_prior
-                )
-            else:  # obs_oracle
-                with np.errstate(divide="ignore"):
-                    evidence = np.zeros(model.num_states)
-                    for i in np.flatnonzero(t_n):
-                        evidence += np.log(
-                            np.maximum(model.likelihood[:, observations[int(i)] - 1],
-                                       learning.LIKELIHOOD_FLOOR)
-                        )
-                agg = LogBelief(log_prior=log_prior, evidence=evidence)
-
-            pub = agg.belief()
+            coeffs, received, stored, stores_after, own_is_obs = protocols[mode]
+            evidence = learning.fuse(coeffs[n - 1, : n - 1], stored[: n - 1],
+                                     received[n - 1, : n - 1], node=n)
+            pub = learning.normalize_log(log_prior + evidence)
             try:
                 mu = learning.private_belief(pub, z, model)
             except DegenerateEvidenceError:
@@ -182,21 +174,11 @@ def run_once(config: ScenarioConfig, graph: CommGraph, rng: np.random.Generator,
                 mu = pub
             a = learning.choose_action(mu, model)
 
-            if mode == "obs_oracle":
-                after_evidence = agg.evidence + np.log(
-                    np.maximum(model.likelihood[:, z - 1], learning.LIKELIHOOD_FLOOR)
-                )
-            else:
-                nu = learning.action_likelihood(pub, a, model, floor)
-                after_evidence = agg.evidence + nu
-            after_lb = LogBelief(log_prior=log_prior, evidence=after_evidence)
-            after = after_lb.belief()
-
-            if mode in ("removal", "naive"):
-                stored[mode][n] = after_lb
-            elif mode == "idealized":
-                nus_ideal[n] = nu
-
+            own = (obs_loglik if own_is_obs else learning.action_likelihood(
+                pub, a, model, config.floor_zero_likelihood))
+            after_evidence = evidence + own
+            stored[n - 1] = after_evidence if stores_after else own
+            after = learning.normalize_log(log_prior + after_evidence)
             records[mode].append(NodeRecord(
                 node=n, observation=z, action=a, public=pub, after=after,
                 estimate=learning.estimate_state(after, config.estimate_rule),
@@ -208,27 +190,20 @@ def run_once(config: ScenarioConfig, graph: CommGraph, rng: np.random.Generator,
 
 def build_graph(config: ScenarioConfig) -> CommGraph:
     """Graph realization for a scenario; deterministic in the scenario seed."""
-    ss = np.random.SeedSequence(config.seed)
-    topo_ss = ss.spawn(1)[0]
-    return graphmod.generate_topology(config.topology, np.random.default_rng(topo_ss))
+    return graphmod.generate_topology(config.topology, graphmod.topology_rng(config.seed))
 
 
 def monte_carlo(config: ScenarioConfig, graph: CommGraph | None = None) -> MetricsTable:
     """Replicated runs with per-run seeds derived from the master seed.
 
     Seed scheme: SeedSequence(seed) spawns runs+1 children; child 0 drives
-    topology generation, child r (1-based) drives run r.  Any single run
-    is therefore reproducible standalone.
+    topology generation (build_graph), child r (1-based) drives run r.  Any
+    single run is therefore reproducible standalone.
     """
-    ss = np.random.SeedSequence(config.seed)
-    children = ss.spawn(config.runs + 1)
     if graph is None:
-        graph = graphmod.generate_topology(
-            config.topology, np.random.default_rng(children[0])
-        )
-
-    weights = node_weights(graph)
-    constraint = graphmod.constraint_report(graph)
+        graph = build_graph(config)
+    weights = graphmod.weight_matrix(graph)
+    constraint = graphmod.violations(weights, graph.adjacency)
     if "removal" in config.modes and constraint and not config.force:
         raise ConstraintViolationError(constraint)
 
@@ -237,8 +212,9 @@ def monte_carlo(config: ScenarioConfig, graph: CommGraph | None = None) -> Metri
     actions = {m: np.zeros((config.runs, n), dtype=np.int64) for m in config.modes}
     true_states = np.zeros(config.runs)
 
-    for r in range(config.runs):
-        trace = run_once(config, graph, np.random.default_rng(children[r + 1]),
+    run_seeds = np.random.SeedSequence(config.seed).spawn(config.runs + 1)[1:]
+    for r, run_seed in enumerate(run_seeds):
+        trace = run_once(config, graph, np.random.default_rng(run_seed),
                          weights=weights, constraint=constraint)
         true_states[r] = trace.true_state
         for m in config.modes:

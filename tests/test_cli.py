@@ -1,11 +1,24 @@
+import hashlib
+
 import numpy as np
 import pytest
+import yaml
 from click.testing import CliRunner
 
-from incestless import CommGraph, load_graph, save_graph
-from incestless.cli import main
+from incestless import CommGraph, graph_from_edges, load_graph, reindex, save_graph
+from incestless.cli import build_scenario, main
+from incestless.simulate import build_graph
 
 from conftest import DIAMOND_A_EDGES, DIAMOND_B_EDGES, random_dag
+
+# SHA-256 of `incestless run paper_star` at its bundled seed, recorded before
+# the fusion and weight code was rewritten; the outputs must stay byte-identical
+PAPER_STAR_DIGESTS = {
+    "actions.csv": "256ec21d9bc0e37113f4c7b7378097efa9c83e5fa478350728cf039a397cca6f",
+    "estimates.csv": "0695e3818f42cbc01e152e6acf05bbbfa486130e9b775fab9caff1e01fb8a7e8",
+    "mse.csv": "cccf6ef4bf6a4027de9890bfae077814bbad0bf5ab62ecd946140b4eb54a1631",
+    "constraint.txt": "59d9342d2604ad81c8e694a5f2b667f0482fc454eefab9eb9eef459aaa18116f",
+}
 
 
 @pytest.fixture
@@ -20,6 +33,21 @@ def write_diamond(tmp_path, edges, name):
     return path
 
 
+def overflow_graph_file(tmp_path):
+    """5 agents x 34 layers, every node linked to the whole next layer: the
+    true weights of the last nodes reach 2^64, beyond int64."""
+    agents, layers = 5, 34
+    g = graph_from_edges(agents * layers, [
+        (reindex(s, k, agents), reindex(s2, k + 1, agents))
+        for k in range(1, layers)
+        for s in range(1, agents + 1)
+        for s2 in range(1, agents + 1)
+    ])
+    path = tmp_path / "layered.txt"
+    save_graph(g, path)
+    return path
+
+
 def tiny_config(tmp_path, **overrides):
     cfg = {
         "topology": {"kind": "chain41"},
@@ -30,8 +58,6 @@ def tiny_config(tmp_path, **overrides):
         "seed": 0,
     }
     cfg.update(overrides)
-    import yaml
-
     path = tmp_path / "scenario.yaml"
     path.write_text(yaml.safe_dump(cfg))
     return path
@@ -59,6 +85,21 @@ class TestGenGraph:
             p = tmp_path / f"g{i}.txt"
             save_graph(g, p)
             assert (load_graph(p).adjacency == g.adjacency).all()
+
+    def test_seed_matches_run_graph(self, runner, tmp_path):
+        # gen-graph --seed s writes the graph that run and report-constraint
+        # build for seed s
+        topology = {"kind": "complete_delay", "agents": 4, "epochs": 3}
+        adjacencies = []
+        for seed in (3, 11):
+            out = tmp_path / f"g{seed}.txt"
+            res = runner.invoke(main, ["gen-graph", "complete_delay", "--seed", str(seed),
+                                       "--agents", "4", "--epochs", "3", "--out", str(out)])
+            assert res.exit_code == 0, res.output
+            expected = build_graph(build_scenario({"topology": topology}, seed_override=seed))
+            assert (load_graph(out).adjacency == expected.adjacency).all()
+            adjacencies.append(expected.adjacency)
+        assert (adjacencies[0] != adjacencies[1]).any()
 
     def test_bad_kind(self, runner, tmp_path):
         res = runner.invoke(main, ["gen-graph", "mystery",
@@ -95,6 +136,13 @@ class TestClosureCommand:
         res = runner.invoke(main, ["closure", str(path)])
         assert res.exit_code == 1
 
+    def test_weight_overflow_exit_1(self, runner, tmp_path):
+        res = runner.invoke(main, ["closure", str(overflow_graph_file(tmp_path))])
+        assert res.exit_code == 1
+        assert res.stdout == ""
+        assert "exceeds the int64 range" in res.stderr
+        assert "Traceback" not in res.output
+
 
 class TestRun:
     def test_bundled_chain41_row_counts(self, runner, tmp_path):
@@ -125,6 +173,25 @@ class TestRun:
         res = runner.invoke(main, ["run", str(bad), "--output-dir", str(out)])
         assert res.exit_code == 1
         assert not out.exists()
+
+    def test_weight_overflow_exit_1_no_outputs(self, runner, tmp_path):
+        cfg = tiny_config(tmp_path, topology={
+            "kind": "explicit", "path": str(overflow_graph_file(tmp_path))})
+        out = tmp_path / "out"
+        res = runner.invoke(main, ["run", str(cfg), "--output-dir", str(out)])
+        assert res.exit_code == 1
+        assert "exceeds the int64 range" in res.stderr
+        assert "Traceback" not in res.output
+        assert not out.exists()
+
+    def test_paper_star_golden_digests(self, runner, tmp_path, monkeypatch):
+        monkeypatch.delenv("INCESTLESS_SEED", raising=False)
+        out = tmp_path / "out"
+        res = runner.invoke(main, ["run", "paper_star", "--output-dir", str(out)])
+        assert res.exit_code == 0, res.output
+        digests = {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+                   for name in PAPER_STAR_DIGESTS}
+        assert digests == PAPER_STAR_DIGESTS
 
     def test_missing_config_exit_1(self, runner):
         res = runner.invoke(main, ["run", "no_such_config"])
@@ -192,3 +259,11 @@ class TestReportConstraint:
         res = runner.invoke(main, ["report-constraint", str(cfg)])
         assert res.exit_code == 2
         assert "violation" in res.output
+
+    def test_weight_overflow_exit_1(self, runner, tmp_path):
+        cfg = tiny_config(tmp_path, topology={
+            "kind": "explicit", "path": str(overflow_graph_file(tmp_path))})
+        res = runner.invoke(main, ["report-constraint", str(cfg)])
+        assert res.exit_code == 1
+        assert res.stdout == ""
+        assert "exceeds the int64 range" in res.stderr

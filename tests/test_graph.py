@@ -6,6 +6,7 @@ from incestless import (
     DagViolationError,
     GraphFormatError,
     TopologySpec,
+    WeightOverflowError,
     augment_for_constraint,
     check_constraint,
     closure_by_inversion,
@@ -19,6 +20,7 @@ from incestless import (
     save_graph,
     transitive_closure,
     validate_dag,
+    weight_matrix,
 )
 
 from conftest import bfs_closure, random_dag
@@ -160,6 +162,18 @@ class TestWeights:
         res = diamond_a.closure[:4, :4].astype(np.float64) @ w - t5
         assert np.abs(res).max() <= 1e-12
 
+    def test_matrix_solves_defining_system(self):
+        # T W = T - I, column n of which is T_{n-1} w_n = t_n
+        rng = np.random.default_rng(12)
+        for _ in range(50):
+            size = int(rng.integers(1, 30))
+            g = CommGraph(random_dag(rng, size), num_agents=size, num_epochs=1)
+            w = weight_matrix(g)
+            t = g.closure.astype(np.int64)
+            assert (t @ w == t - np.eye(size, dtype=np.int64)).all()
+            n = int(rng.integers(1, size + 1))
+            assert (w[: n - 1, n - 1] == compute_weights(g, n)).all()
+
     def test_prefix_consistency(self):
         rng = np.random.default_rng(5)
         for _ in range(30):
@@ -168,6 +182,43 @@ class TestWeights:
             n = int(rng.integers(2, size))
             sub = g.prefix(n)
             assert (compute_weights(sub, n) == compute_weights(g, n)).all()
+
+
+def layered(agents, layers):
+    """Every node links to all nodes of the next layer (epoch)."""
+    return graph_from_edges(agents * layers, [
+        (reindex(s, k, agents), reindex(s2, k + 1, agents))
+        for k in range(1, layers)
+        for s in range(1, agents + 1)
+        for s2 in range(1, agents + 1)
+    ])
+
+
+class TestWeightOverflow:
+    # with 5 agents, the largest |w| of the last node is exactly 4^(layers-2):
+    # 2^62 at 33 layers, 2^64 (beyond int64) at 34
+
+    def test_beyond_int64_raises(self):
+        g = layered(5, 34)
+        with pytest.raises(WeightOverflowError) as exc:
+            compute_weights(g, 170)
+        assert exc.value.node == 170
+        for solve in (weight_matrix, constraint_report, augment_for_constraint):
+            with pytest.raises(WeightOverflowError):
+                solve(g)
+
+    def test_just_inside_int64_exact(self):
+        g = layered(5, 33)
+        n = g.size
+        w = [int(v) for v in compute_weights(g, n)]
+        assert max(abs(v) for v in w) == 2**62
+        t = [[int(v) for v in row] for row in g.closure]
+        for j in range(n - 1):
+            assert sum(t[j][k] * w[k] for k in range(n - 1)) == t[j][n - 1]
+        # every column: T W = T - I in Python ints
+        t_obj = g.closure.astype(object)
+        identity = np.eye(n, dtype=np.int8).astype(object)
+        assert (t_obj.dot(weight_matrix(g).astype(object)) == t_obj - identity).all()
 
 
 class TestConstraint:

@@ -16,7 +16,6 @@ from incestless import (
     default_model,
     estimate_state,
     full_history_belief,
-    naive_aggregate,
     normalize_log,
     private_belief,
     quadratic_cost,
@@ -267,16 +266,6 @@ class TestAggregation:
         theta = LogBelief(log_prior=lp, evidence=np.array([-np.inf, 0.0]))
         out = aggregate({1: theta}, np.array([2.0]), np.zeros(2), lp)
         assert np.isneginf(out.evidence[0])
-
-    def test_naive_is_unit_weights(self):
-        lp = self.log_prior(2)
-        rng = np.random.default_rng(8)
-        thetas = {i: LogBelief(log_prior=lp, evidence=rng.normal(size=2))
-                  for i in (1, 3)}
-        b = np.array([1, 0, 1])
-        nu = rng.normal(size=2)
-        out = naive_aggregate(thetas, b, nu, lp)
-        assert np.allclose(out.evidence, thetas[1].evidence + thetas[3].evidence + nu)
 
 
 class TestFullHistory:

@@ -7,6 +7,7 @@ from incestless import (
     TopologySpec,
     default_model,
     graph_from_edges,
+    normalize_log,
 )
 from incestless.simulate import ScenarioConfig, monte_carlo, run_once
 
@@ -59,6 +60,20 @@ class TestRunOnce:
             for ri, rr in zip(trace.records["idealized"], trace.records["removal"]):
                 assert ri.action == rr.action
                 assert np.abs(ri.after - rr.after).max() <= 1e-10
+
+    def test_naive_fuses_in_neighbours_with_unit_weights(self, model, diamond_b):
+        # uniform prior: the public log-belief is the sum of the in-neighbours'
+        # after-action log-beliefs, up to a constant.  Node 2 reaches node 5
+        # but sends it nothing, so it must not count there.
+        cfg = scenario(model, modes=("naive",))
+        for seed in range(5):
+            recs = run_once(cfg, diamond_b, np.random.default_rng(seed)).records["naive"]
+            for n in range(1, 6):
+                with np.errstate(divide="ignore"):
+                    logs = [np.log(recs[i].after)
+                            for i in np.flatnonzero(diamond_b.adjacency[:, n - 1])]
+                expected = normalize_log(np.sum(logs, axis=0)) if logs else model.prior
+                assert np.allclose(recs[n - 1].public, expected, atol=1e-12)
 
     def test_diamond_naive_differs_somewhere(self, model, diamond_a):
         # existence check: data incest changes at least one node-5 belief
