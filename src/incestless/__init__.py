@@ -17,7 +17,6 @@ from .graph import (
     TopologySpec,
     augment_for_constraint,
     check_constraint,
-    closure_by_inversion,
     compute_weights,
     constraint_report,
     deindex,
@@ -36,7 +35,7 @@ from .learning import (
     LogBelief,
     StateModel,
     action_likelihood,
-    after_action_update,
+    action_table,
     aggregate,
     choose_action,
     default_model,

@@ -55,36 +55,22 @@ def validate_dag(adjacency: np.ndarray) -> list[tuple[int, int]]:
 def transitive_closure(adjacency: np.ndarray) -> np.ndarray:
     """Reachability matrix of a strictly upper-triangular adjacency.
 
-    Computed column by column in causal order: a node's reach-from set is
-    itself plus the union of its in-neighbours' reach-from sets.  This
-    avoids the path-counting overflow of the (I - A)^-1 formula (see
-    closure_by_inversion) while producing the same 0/1 matrix.
+    Computed node by node in causal order: a node's reach-from set is
+    itself plus the union of its in-neighbours' reach-from sets, which all
+    lie before it.  This avoids the path-counting overflow of the
+    (I - A)^-1 formula while producing the same 0/1 matrix.
     """
     violations = validate_dag(adjacency)
     if violations:
         raise DagViolationError(violations)
     a = np.asarray(adjacency, dtype=bool)
-    n = a.shape[0]
-    t = np.eye(n, dtype=bool)
-    for j in range(n):
-        preds = np.flatnonzero(a[:, j])
-        for p in preds:
-            t[:, j] |= t[:, p]
-    return t.astype(np.int8)
-
-
-def closure_by_inversion(adjacency: np.ndarray) -> np.ndarray:
-    """Closure via quantizing (I - A)^-1, whose entries count paths.
-
-    Path counts grow combinatorially, so this is only reliable for small
-    graphs; it exists as an independent cross-check of transitive_closure.
-    """
-    violations = validate_dag(adjacency)
-    if violations:
-        raise DagViolationError(violations)
-    a = np.asarray(adjacency, dtype=np.float64)
-    counts = np.linalg.inv(np.eye(a.shape[0]) - a)
-    return (np.abs(counts) > 0.5).astype(np.int8)
+    # row j of the transpose is the reach-from set of node j+1
+    reached_from = np.eye(a.shape[0], dtype=bool)
+    for j, into in enumerate(a.T):
+        preds = np.flatnonzero(into[:j])
+        if preds.size:
+            reached_from[j, :j] = reached_from[preds, :j].any(axis=0)
+    return reached_from.T.astype(np.int8, order="C")
 
 
 @dataclass(frozen=True)
@@ -119,14 +105,6 @@ class CommGraph:
         t_n = self.closure[: n - 1, n - 1].copy()
         b_n = self.adjacency[: n - 1, n - 1].copy()
         return t_n, b_n
-
-    def prefix(self, n: int) -> "CommGraph":
-        """Sub-graph on the first n nodes (the graph family is nested)."""
-        self._check_node(n)
-        sub = self.adjacency[:n, :n].copy()
-        # agent/epoch bookkeeping is only meaningful for full epochs; keep
-        # a single-epoch view for arbitrary prefixes
-        return CommGraph(sub, num_agents=n, num_epochs=1)
 
     def digest(self) -> str:
         """Short stable identifier of the edge set, for trace provenance."""

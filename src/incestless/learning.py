@@ -142,31 +142,43 @@ def choose_action(mu: np.ndarray, model: StateModel) -> int:
     return int(np.argmax(costs <= cmin + tol)) + 1
 
 
+def action_table(pub: np.ndarray, model: StateModel) -> np.ndarray:
+    """Action (1..A) that each observation would induce under the public belief.
+
+    pub is one belief (X,) or beliefs stacked over modes (M, X); the result
+    is (Z,) or (M, Z), entry j-1 the action of an agent observing j.  Each
+    private belief is normalised as in private_belief; an observation
+    impossible under pub leaves the public belief itself (the limit of the
+    private belief).  The argmin and its tie rule are those of
+    choose_action, row by row.  The agent's action and the administrator's
+    likelihood of it are both read from this table.
+    """
+    unnorm = pub[..., None, :] * model.likelihood.T
+    total = unnorm.sum(axis=-1, keepdims=True)
+    impossible = total == 0
+    if impossible.any():
+        unnorm = np.where(impossible, pub[..., None, :], unnorm)
+        total = np.where(impossible, 1.0, total)
+    costs = (unnorm / total) @ model.cost
+    cmin = costs.min(axis=-1, keepdims=True)
+    tol = 1e-9 * np.maximum(1.0, np.abs(cmin))
+    return np.argmax(costs <= cmin + tol, axis=-1) + 1
+
+
 def action_likelihood(pub: np.ndarray, a: int, model: StateModel,
-                      floor_zero_likelihood: bool = True) -> np.ndarray:
+                      floor_zero_likelihood: bool = True,
+                      table: np.ndarray | None = None) -> np.ndarray:
     """Per-state log-likelihood of action a given the public belief.
 
-    p(a | x=m, pub) = sum_j 1[agent observing j would pick a] * B(m, j).
-    The indicator reuses the same expected-cost argmin (and tie rule) the
-    simulated agents use, evaluated on the same normalized private belief.
+    p(a | x=m, pub) = sum_j 1[table[j-1] == a] * B(m, j), with the action
+    table of pub (computed here unless the caller already has it), added
+    one observation at a time in ascending j.
     """
     if not 1 <= a <= model.num_actions:
         raise ValueError(f"action {a} out of range 1..{model.num_actions}")
-    lik = np.zeros(model.num_states)
-    for j in range(model.num_obs):
-        unnorm = pub * model.likelihood[:, j]
-        total = unnorm.sum()
-        if total == 0:
-            # observation impossible under the public belief: the private
-            # belief limit is the public belief itself (prior dominance)
-            mu = pub
-        else:
-            # same arithmetic as private_belief, so the indicator sees the
-            # exact floats the simulated agent acted on (the tie tolerance
-            # in choose_action is not scale invariant)
-            mu = unnorm / total
-        if choose_action(mu, model) == a:
-            lik += model.likelihood[:, j]
+    if table is None:
+        table = action_table(pub, model)
+    lik = np.add.reduce(model.likelihood.T[table == a], axis=0)
     if not lik.any():
         raise ZeroProbabilityActionError(
             f"action {a} is not selectable under any observation"
@@ -175,14 +187,6 @@ def action_likelihood(pub: np.ndarray, a: int, model: StateModel,
         return np.log(np.maximum(lik, LIKELIHOOD_FLOOR))
     with np.errstate(divide="ignore"):
         return np.log(lik)
-
-
-def after_action_update(pub: np.ndarray, a: int, model: StateModel,
-                        floor_zero_likelihood: bool = True) -> np.ndarray:
-    """Public belief updated with the evidence carried by action a."""
-    nu = action_likelihood(pub, a, model, floor_zero_likelihood)
-    with np.errstate(divide="ignore"):
-        return normalize_log(np.log(pub) + nu)
 
 
 # ---------------------------------------------------------------------------
@@ -207,12 +211,12 @@ class LogBelief:
 
 
 def normalize_log(theta: np.ndarray) -> np.ndarray:
-    """exp-normalize an unnormalized log-probability vector."""
-    m = np.max(theta)
-    if not np.isfinite(m):
+    """exp-normalize unnormalized log-probability vectors along the last axis."""
+    m = np.max(theta, axis=-1, keepdims=True)
+    if not np.isfinite(m).all():
         raise ValueError("log-belief has no finite entry")
     p = np.exp(theta - m)
-    return p / p.sum()
+    return p / p.sum(axis=-1, keepdims=True)
 
 
 def fuse(coeffs: np.ndarray, evidence: np.ndarray, received: np.ndarray,

@@ -11,9 +11,12 @@ nodes, evidence_n = sum_i F[i, n] * S[i], then adds its own increment:
 
 A is the adjacency, T the closure, W = I - T^-1 (graph.weight_matrix; raises
 WeightOverflowError beyond int64; masked by A under `force`), nu the action
-log-likelihood.  All modes share one observation sequence, so their traces
-differ by aggregation alone.  SeedSequence(seed) child 0 draws the graph
-(graph.topology_rng, as `gen-graph --seed`); child r drives run r.
+log-likelihood.  At each node the public beliefs of all modes are stacked,
+and one action table (learning.action_table) gives both the agent's action
+and the observations its nu sums over.  All modes share one observation
+sequence, so their traces differ by aggregation alone.  SeedSequence(seed)
+child 0 draws the graph (graph.topology_rng, as `gen-graph --seed`); child r
+drives run r.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ import numpy as np
 
 from . import graph as graphmod
 from . import learning
-from .errors import ConfigError, ConstraintViolationError, DegenerateEvidenceError
+from .errors import ConfigError, ConstraintViolationError
 from .graph import CommGraph, TopologySpec
 from .learning import StateModel
 
@@ -142,13 +145,12 @@ def run_once(config: ScenarioConfig, graph: CommGraph, rng: np.random.Generator,
         "idealized": (history, False, False),
         "obs_oracle": (history, False, True),
     }
-    protocols = {}
-    for mode in modes:
-        coeffs, stores_after, own_is_obs = table[mode]
-        # after-evidence travels over edges, benchmarks read all history; node n reads row n-1
-        protocols[mode] = (np.ascontiguousarray(coeffs.T, dtype=np.float64),
-                           (adjacency if stores_after else history).T != 0,
-                           np.zeros((graph.size, model.num_states)), stores_after, own_is_obs)
+    fs, stores_after, own_is_obs = zip(*(table[mode] for mode in modes))
+    # node n reads row n-1; after-evidence travels over edges, benchmarks read all history
+    coeffs = [np.ascontiguousarray(f.T, dtype=np.float64) for f in fs]
+    received = [(adjacency if after else history).T != 0 for after in stores_after]
+    stores_after = np.array(stores_after)[:, None]  # one row per mode, broadcast over states
+    stored = np.zeros((len(modes), graph.size, model.num_states))
 
     log_prior = model.log_prior
     observations: list[int] = []
@@ -159,29 +161,26 @@ def run_once(config: ScenarioConfig, graph: CommGraph, rng: np.random.Generator,
         observations.append(z)
         obs_loglik = np.log(np.maximum(model.likelihood[:, z - 1], learning.LIKELIHOOD_FLOOR))
 
-        for mode in modes:
-            coeffs, received, stored, stores_after, own_is_obs = protocols[mode]
-            evidence = learning.fuse(coeffs[n - 1, : n - 1], stored[: n - 1],
-                                     received[n - 1, : n - 1], node=n)
-            pub = learning.normalize_log(log_prior + evidence)
-            try:
-                mu = learning.private_belief(pub, z, model)
-            except DegenerateEvidenceError:
-                # far-from-truth beliefs can underflow to exact zeros and
-                # make the drawn observation "impossible"; fall back to the
-                # public belief, matching the indicator inside
-                # action_likelihood so agent and administrator agree
-                mu = pub
-            a = learning.choose_action(mu, model)
+        # one row per mode from here on
+        evidence = np.stack([
+            learning.fuse(coeffs[k][n - 1, : n - 1], stored[k, : n - 1],
+                          received[k][n - 1, : n - 1], node=n)
+            for k in range(len(modes))])
+        pub = learning.normalize_log(log_prior + evidence)
+        acts = learning.action_table(pub, model)  # action each observation induces
+        a = acts[:, z - 1].tolist()
+        own = np.stack([
+            obs_loglik if own_is_obs[k] else learning.action_likelihood(
+                pub[k], a[k], model, config.floor_zero_likelihood, table=acts[k])
+            for k in range(len(modes))])
+        after_evidence = evidence + own
+        stored[:, n - 1] = np.where(stores_after, after_evidence, own)
+        after = learning.normalize_log(log_prior + after_evidence)
 
-            own = (obs_loglik if own_is_obs else learning.action_likelihood(
-                pub, a, model, config.floor_zero_likelihood))
-            after_evidence = evidence + own
-            stored[n - 1] = after_evidence if stores_after else own
-            after = learning.normalize_log(log_prior + after_evidence)
+        for k, mode in enumerate(modes):
             records[mode].append(NodeRecord(
-                node=n, observation=z, action=a, public=pub, after=after,
-                estimate=learning.estimate_state(after, config.estimate_rule),
+                node=n, observation=z, action=a[k], public=pub[k], after=after[k],
+                estimate=learning.estimate_state(after[k], config.estimate_rule),
             ))
 
     return RunTrace(true_state=x, graph_digest=graph.digest(),

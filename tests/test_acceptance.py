@@ -13,7 +13,6 @@ from incestless import (
     StateModel,
     TopologySpec,
     augment_for_constraint,
-    closure_by_inversion,
     compute_weights,
     constraint_report,
     graph_from_edges,
@@ -23,7 +22,13 @@ from incestless.cli import main as cli_main
 from incestless.learning import action_likelihood
 from incestless.simulate import ScenarioConfig, monte_carlo, run_once
 
-from conftest import DIAMOND_A_EDGES, DIAMOND_B_EDGES, bfs_closure, random_dag
+from conftest import (
+    DIAMOND_A_EDGES,
+    DIAMOND_B_EDGES,
+    bfs_closure,
+    closure_by_inversion,
+    random_dag,
+)
 
 
 def report(name, detail=""):

@@ -9,7 +9,6 @@ from incestless import (
     WeightOverflowError,
     augment_for_constraint,
     check_constraint,
-    closure_by_inversion,
     compute_weights,
     constraint_report,
     deindex,
@@ -23,7 +22,7 @@ from incestless import (
     weight_matrix,
 )
 
-from conftest import bfs_closure, random_dag
+from conftest import bfs_closure, closure_by_edges, closure_by_inversion, prefix, random_dag
 
 
 class TestReindex:
@@ -115,6 +114,13 @@ class TestClosure:
             saturated = np.triu(np.maximum(a, t), k=1)
             assert (transitive_closure(saturated) == t).all()
 
+    def test_matches_per_edge_reference_on_random4(self):
+        spec = TopologySpec(kind="random4", agents=10, epochs=20)
+        a = generate_topology(spec, np.random.default_rng(4)).adjacency
+        t = transitive_closure(a)
+        assert t.dtype == np.int8 and t.shape == (200, 200)
+        assert (t == closure_by_edges(a)).all()
+
 
 class TestExtract:
     def test_first_node_empty(self, diamond_a):
@@ -180,7 +186,7 @@ class TestWeights:
             size = int(rng.integers(3, 25))
             g = CommGraph(random_dag(rng, size), num_agents=size, num_epochs=1)
             n = int(rng.integers(2, size))
-            sub = g.prefix(n)
+            sub = prefix(g, n)
             assert (compute_weights(sub, n) == compute_weights(g, n)).all()
 
 

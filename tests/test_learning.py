@@ -9,8 +9,9 @@ from incestless import (
     LogBelief,
     SignedInfinityError,
     StateModel,
+    ZeroProbabilityActionError,
     action_likelihood,
-    after_action_update,
+    action_table,
     aggregate,
     choose_action,
     default_model,
@@ -22,6 +23,8 @@ from incestless import (
     sample_observation,
     triangular_likelihood,
 )
+
+from conftest import after_action_update
 
 
 def identity_model(num_states):
@@ -185,6 +188,93 @@ class TestActionLikelihood:
                 except Exception:
                     pass  # zero-probability actions contribute nothing
             assert np.allclose(total, 1.0, atol=1e-12)
+
+
+def reference_action_likelihood(pub, a, model, floor_zero_likelihood=True):
+    """p(a | x, pub) by one choose_action call per observation, in ascending j."""
+    lik = np.zeros(model.num_states)
+    for j in range(1, model.num_obs + 1):
+        try:
+            mu = private_belief(pub, j, model)
+        except DegenerateEvidenceError:
+            mu = pub  # impossible observation: the private belief is pub itself
+        if choose_action(mu, model) == a:
+            lik += model.likelihood[:, j - 1]
+    if not lik.any():
+        raise ZeroProbabilityActionError(f"action {a}")
+    if floor_zero_likelihood:
+        return np.log(np.maximum(lik, 1e-300))
+    with np.errstate(divide="ignore"):
+        return np.log(lik)
+
+
+def table_cases(rng, count=300):
+    """(model, public belief) pairs: plain, with zero entries (some observations
+    impossible), mirror-symmetric (exact cost ties), and tied cost columns."""
+    default = default_model()
+    x = default.num_states
+    for i in range(count):
+        kind = i % 4
+        if kind == 0:
+            yield default, random_belief(rng, x)
+        elif kind == 1:
+            pub = random_belief(rng, x) * (rng.random(x) < 0.3)
+            pub[rng.integers(x)] += 0.1
+            yield default, pub / pub.sum()
+        elif kind == 2:
+            half = random_belief(rng, x // 2) * (rng.random(x // 2) < 0.6)
+            half[rng.integers(x // 2)] += 0.1
+            pub = np.concatenate([half, half[::-1]])
+            yield default, pub / pub.sum()
+        else:
+            m = small_random_model(rng)
+            cost = np.repeat(m.cost, 2, axis=1)
+            tied = StateModel(prior=m.prior, likelihood=m.likelihood, cost=cost)
+            yield tied, random_belief(rng, tied.num_states)
+
+
+class TestActionTable:
+    def test_matches_choose_action_per_observation(self):
+        impossible = ties = 0
+        for m, pub in table_cases(np.random.default_rng(11)):
+            table = action_table(pub, m)
+            assert table.shape == (m.num_obs,)
+            for j in range(1, m.num_obs + 1):
+                try:
+                    mu = private_belief(pub, j, m)
+                except DegenerateEvidenceError:
+                    mu, impossible = pub, impossible + 1
+                costs = mu @ m.cost
+                ties += int(np.count_nonzero(costs == costs.min()) > 1)
+                assert table[j - 1] == choose_action(mu, m)
+        # the cases do reach both fallbacks
+        assert impossible > 0 and ties > 0
+
+    def test_likelihood_equals_per_observation_loop(self):
+        for m, pub in table_cases(np.random.default_rng(12)):
+            table = action_table(pub, m)
+            for a in range(1, m.num_actions + 1):
+                for floor in (True, False):
+                    try:
+                        expected = reference_action_likelihood(pub, a, m, floor)
+                    except ZeroProbabilityActionError:
+                        with pytest.raises(ZeroProbabilityActionError):
+                            action_likelihood(pub, a, m, floor)
+                        with pytest.raises(ZeroProbabilityActionError):
+                            action_likelihood(pub, a, m, floor, table=table)
+                        continue
+                    assert np.array_equal(action_likelihood(pub, a, m, floor), expected)
+                    assert np.array_equal(
+                        action_likelihood(pub, a, m, floor, table=table), expected)
+
+    def test_stacked_equals_single_calls(self):
+        m = default_model()
+        pubs = np.stack([pub for case, pub in table_cases(np.random.default_rng(13))
+                         if case.num_states == m.num_states])
+        for group in np.array_split(pubs, len(pubs) // 4):
+            table = action_table(group, m)
+            assert table.shape == (len(group), m.num_obs)
+            assert np.array_equal(table, np.stack([action_table(p, m) for p in group]))
 
 
 class TestAfterActionUpdate:
