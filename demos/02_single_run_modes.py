@@ -31,21 +31,22 @@ cfg = ScenarioConfig(
     seed=0,
 )
 trace = run_once(cfg, g, np.random.default_rng(7))
+records = trace.records  # mode -> one NodeRecord per node
 
 print(f"true state: {trace.true_state}")
-print(f"observations: {list(trace.observations)}\n")
+print(f"observations: {trace.observations.tolist()}\n")
 print(f"{'node':>4} {'z':>3} | " +
       " | ".join(f"{m:>22}" for m in cfg.modes))
 for n in range(g.size):
     cells = []
     for m in cfg.modes:
-        r = trace.records[m][n]
+        r = records[m][n]
         cells.append(f"a={r.action:2d}  p(x=10)={r.after[9]:.6f}")
     print(f"{n + 1:>4} {trace.observations[n]:>3} | " + " | ".join(cells))
 
-r5r = trace.records["removal"][4]
-r5i = trace.records["idealized"][4]
-r5n = trace.records["naive"][4]
+r5r = records["removal"][4]
+r5i = records["idealized"][4]
+r5n = records["naive"][4]
 print(f"\nnode 5 |removal - idealized|_max = "
       f"{np.abs(r5r.after - r5i.after).max():.2e}")
 print(f"node 5 |naive   - idealized|_max = "

@@ -46,7 +46,7 @@ def validate_dag(adjacency: np.ndarray) -> list[tuple[int, int]]:
     a = np.asarray(adjacency)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise GraphFormatError(f"adjacency must be square, got shape {a.shape}")
-    if not np.isin(a, (0, 1)).all():
+    if not ((a == 0) | (a == 1)).all():
         raise GraphFormatError("adjacency entries must be 0 or 1")
     bad = np.argwhere(np.tril(a) != 0)
     return [(int(i) + 1, int(j) + 1) for i, j in bad]

@@ -107,11 +107,17 @@ def default_model(num_states: int = 20, num_actions: int = 10,
 # ---------------------------------------------------------------------------
 # single-node operations
 
-def sample_observation(x: int, model: StateModel, rng: np.random.Generator) -> int:
-    """Draw observation z in 1..Z from the likelihood row of true state x."""
+def sample_observation(x: int, model: StateModel, rng: np.random.Generator,
+                       size: int | None = None) -> int | np.ndarray:
+    """Draw observation z in 1..Z from the likelihood row of true state x.
+
+    With size=N, one call draws N observations (an int array); they are the
+    ones N calls with size=None would draw, and leave rng in the same state.
+    """
     if not 1 <= x <= model.num_states:
         raise ValueError(f"state {x} out of range 1..{model.num_states}")
-    return int(rng.choice(model.num_obs, p=model.likelihood[x - 1])) + 1
+    z = rng.choice(model.num_obs, p=model.likelihood[x - 1], size=size) + 1
+    return int(z) if size is None else z
 
 
 def private_belief(pub: np.ndarray, z: int, model: StateModel) -> np.ndarray:
@@ -165,23 +171,33 @@ def action_table(pub: np.ndarray, model: StateModel) -> np.ndarray:
     return np.argmax(costs <= cmin + tol, axis=-1) + 1
 
 
-def action_likelihood(pub: np.ndarray, a: int, model: StateModel,
+def action_likelihood(pub: np.ndarray, a: int | np.ndarray, model: StateModel,
                       floor_zero_likelihood: bool = True,
                       table: np.ndarray | None = None) -> np.ndarray:
     """Per-state log-likelihood of action a given the public belief.
 
     p(a | x=m, pub) = sum_j 1[table[j-1] == a] * B(m, j), with the action
     table of pub (computed here unless the caller already has it), added
-    one observation at a time in ascending j.
+    one observation at a time in ascending j.  pub may be one belief (X,)
+    with one action, or beliefs stacked over modes (M, X) with one action
+    per row (M,); the table and the result follow, (Z,) or (M, Z) and (X,)
+    or (M, X).
     """
-    if not 1 <= a <= model.num_actions:
-        raise ValueError(f"action {a} out of range 1..{model.num_actions}")
+    a = np.asarray(a)
+    if not ((1 <= a) & (a <= model.num_actions)).all():
+        bad = int(a.flat[np.argmax((a < 1) | (a > model.num_actions))])
+        raise ValueError(f"action {bad} out of range 1..{model.num_actions}")
     if table is None:
         table = action_table(pub, model)
-    lik = np.add.reduce(model.likelihood.T[table == a], axis=0)
-    if not lik.any():
+    # the masked terms are +0.0 and leave the sum unchanged; a C-ordered
+    # likelihood keeps j the reduced (outer) axis, summed in ascending order
+    picked = (table == a[..., None])[..., None] * np.ascontiguousarray(model.likelihood.T)
+    lik = np.add.reduce(picked, axis=-2)
+    selectable = lik.any(axis=-1)
+    if not selectable.all():
+        bad = int(a.flat[np.argmin(selectable)])
         raise ZeroProbabilityActionError(
-            f"action {a} is not selectable under any observation"
+            f"action {bad} is not selectable under any observation"
         )
     if floor_zero_likelihood:
         return np.log(np.maximum(lik, LIKELIHOOD_FLOOR))
@@ -212,16 +228,44 @@ class LogBelief:
 
 def normalize_log(theta: np.ndarray) -> np.ndarray:
     """exp-normalize unnormalized log-probability vectors along the last axis."""
-    m = np.max(theta, axis=-1, keepdims=True)
+    m = theta.max(axis=-1, keepdims=True)
     if not np.isfinite(m).all():
         raise ValueError("log-belief has no finite entry")
     p = np.exp(theta - m)
     return p / p.sum(axis=-1, keepdims=True)
 
 
-def fuse(coeffs: np.ndarray, evidence: np.ndarray, received: np.ndarray,
+def fuse(coeffs: np.ndarray, evidence: np.ndarray, received: np.ndarray | None = None,
          node: int | str = "?") -> np.ndarray:
-    """sum_i coeffs[i] * evidence[i], adding the terms one at a time in ascending i.
+    """Row k is sum_i coeffs[k, i] * evidence[k, i], for rows stacked over modes.
+
+    coeffs is (M, K), evidence (M, K, X), the result (M, X): one product and
+    one reduction over i, which adds the terms in ascending i.  Entry i
+    belongs to node i+1.  received[k, i] (bool) says whether that evidence
+    reaches the fusing node; None means the caller has checked that every
+    nonzero coefficient's does.  A zero coefficient adds +-0.0, which leaves
+    the sum unchanged, except on -inf evidence, where 0 * -inf is NaN.  A row
+    that is not < inf, or that needs evidence it does not receive, is
+    recomputed by fuse_terms, which skips zero terms and raises the
+    AvailabilityError or SignedInfinityError the row calls for.
+    """
+    with np.errstate(invalid="ignore"):
+        total = np.add.reduce(coeffs[..., None] * evidence, axis=1)
+    if received is None and total.max() < np.inf:
+        return total
+    redo = ~(total < np.inf).all(axis=1)
+    if received is None:
+        received = coeffs != 0
+    else:
+        redo |= ((coeffs != 0) & ~received).any(axis=1)
+    for k in np.flatnonzero(redo):
+        total[k] = fuse_terms(coeffs[k], evidence[k], received[k], node)
+    return total
+
+
+def fuse_terms(coeffs: np.ndarray, evidence: np.ndarray, received: np.ndarray,
+               node: int | str = "?") -> np.ndarray:
+    """sum_i coeffs[i] * evidence[i], adding the nonzero terms one at a time in ascending i.
 
     Entry i belongs to node i+1; received[i] (bool) says whether its evidence
     reaches the fusing node.  Zero coefficients are skipped, so a -inf row
@@ -258,7 +302,8 @@ def aggregate(received: dict[int, LogBelief], weights: np.ndarray,
         if i <= w.size:
             evidence[i - 1] = belief.evidence
     has = np.isin(np.arange(1, w.size + 1), list(received))
-    return LogBelief(log_prior=log_prior, evidence=fuse(w, evidence, has, node) + nu)
+    return LogBelief(log_prior=log_prior,
+                     evidence=fuse_terms(w, evidence, has, node) + nu)
 
 
 def full_history_belief(nus: dict[int, np.ndarray], t_n: np.ndarray,
@@ -274,10 +319,19 @@ def full_history_belief(nus: dict[int, np.ndarray], t_n: np.ndarray,
     return LogBelief(log_prior=log_prior, evidence=evidence)
 
 
-def estimate_state(belief: np.ndarray, rule: str = "mean") -> float:
-    """Scalar state estimate from a belief; states carry labels 1..X."""
+def estimate_state(belief: np.ndarray, rule: str = "mean") -> float | np.ndarray:
+    """Scalar state estimate from a belief; states carry labels 1..X.
+
+    belief may also be beliefs stacked along leading axes (..., X); the
+    result then has their shape, each entry the estimate of one belief.
+    """
     if rule == "map":
-        return float(np.argmax(belief) + 1)
-    if rule == "mean":
-        return float(belief @ np.arange(1, belief.shape[0] + 1))
-    raise ValueError(f"unknown estimate rule {rule!r}")
+        est = np.argmax(belief, axis=-1) + 1.0
+    elif rule == "mean":
+        labels = np.arange(1, belief.shape[-1] + 1)
+        # one dot product per belief: a batched matmul sums in another order
+        est = np.array([b @ labels for b in belief.reshape(-1, belief.shape[-1])])
+        est = est.reshape(belief.shape[:-1])
+    else:
+        raise ValueError(f"unknown estimate rule {rule!r}")
+    return float(est) if belief.ndim == 1 else est

@@ -11,12 +11,20 @@ nodes, evidence_n = sum_i F[i, n] * S[i], then adds its own increment:
 
 A is the adjacency, T the closure, W = I - T^-1 (graph.weight_matrix; raises
 WeightOverflowError beyond int64; masked by A under `force`), nu the action
-log-likelihood.  At each node the public beliefs of all modes are stacked,
-and one action table (learning.action_table) gives both the agent's action
-and the observations its nu sums over.  All modes share one observation
-sequence, so their traces differ by aggregation alone.  SeedSequence(seed)
-child 0 draws the graph (graph.topology_rng, as `gen-graph --seed`); child r
-drives run r.
+log-likelihood.
+
+A node's belief update is one step over arrays stacked by mode (M modes x X
+states): one learning.fuse call sums the stored rows with the node's row of
+a per-run coefficient table (M x N x N) for every mode at once, one
+normalize_log gives the public beliefs, one action table
+(learning.action_table) both the agents' actions and the observations each
+nu sums over, and one action_likelihood call the nu of every mode.  The
+stacked step is bit for bit the per-mode one.  A run draws its N
+observations in one call, and all modes share them, so their traces differ
+by aggregation alone.  RunTrace keeps the run as (M x N) and (M x N x X)
+arrays; its `records` is a per-node view of them, built on demand.
+SeedSequence(seed) child 0 draws the graph (graph.topology_rng, as
+`gen-graph --seed`); child r drives run r.
 """
 
 from __future__ import annotations
@@ -62,7 +70,7 @@ class ScenarioConfig:
             raise ConfigError(f"unknown estimate rule {self.estimate_rule!r}")
 
 
-@dataclass
+@dataclass(frozen=True)
 class NodeRecord:
     node: int
     observation: int
@@ -74,10 +82,31 @@ class NodeRecord:
 
 @dataclass
 class RunTrace:
+    """One run in every mode: row k of each per-mode array is modes[k], and
+    entry n-1 along the node axis is node n."""
+
     true_state: int
     graph_digest: str
-    observations: list[int]
-    records: dict[str, list[NodeRecord]]
+    modes: tuple[str, ...]
+    observations: np.ndarray  # (N,) int, shared by every mode
+    actions: np.ndarray       # (M, N) int
+    public: np.ndarray        # (M, N, X) public belief, before the node acts
+    after: np.ndarray         # (M, N, X) belief after the node's own increment
+    estimates: np.ndarray     # (M, N)
+
+    @property
+    def records(self) -> dict[str, list[NodeRecord]]:
+        """mode -> one NodeRecord per node, built from the arrays on each access;
+        the beliefs in it are read-only views."""
+        public, after = self.public.view(), self.after.view()
+        public.flags.writeable = after.flags.writeable = False
+        return {
+            mode: [NodeRecord(node=n + 1, observation=int(z), action=int(self.actions[k, n]),
+                              public=public[k, n], after=after[k, n],
+                              estimate=float(self.estimates[k, n]))
+                   for n, z in enumerate(self.observations)]
+            for k, mode in enumerate(self.modes)
+        }
 
 
 @dataclass
@@ -100,14 +129,13 @@ class MetricsTable:
             m: ((e - self.true_states[:, None]) ** 2).mean(axis=0)
             for m, e in self.estimates.items()
         }
+        # one bincount per mode: node n's count of action a sits at n * amax + a - 1
         self.action_hist = {}
         for m, acts in self.actions.items():
             amax = int(acts.max())
-            hist = np.zeros((self.num_nodes, amax), dtype=np.int64)
-            for n in range(self.num_nodes):
-                counts = np.bincount(acts[:, n], minlength=amax + 1)
-                hist[n] = counts[1:]
-            self.action_hist[m] = hist
+            index = np.arange(self.num_nodes) * amax + acts - 1
+            self.action_hist[m] = np.bincount(
+                index.ravel(), minlength=self.num_nodes * amax).reshape(self.num_nodes, amax)
 
 
 def node_weights(graph: CommGraph) -> list[np.ndarray]:
@@ -146,45 +174,46 @@ def run_once(config: ScenarioConfig, graph: CommGraph, rng: np.random.Generator,
         "obs_oracle": (history, False, True),
     }
     fs, stores_after, own_is_obs = zip(*(table[mode] for mode in modes))
-    # node n reads row n-1; after-evidence travels over edges, benchmarks read all history
-    coeffs = [np.ascontiguousarray(f.T, dtype=np.float64) for f in fs]
-    received = [(adjacency if after else history).T != 0 for after in stores_after]
+    # coeffs[k, n-1, i] weighs node i+1's stored row in node n's fusion under mode k;
+    # after-evidence travels over edges, benchmarks read all history
+    coeffs = np.stack([f.T for f in fs]).astype(np.float64)
+    received = np.stack([(adjacency if after else history).T != 0 for after in stores_after])
+    # a node that needs evidence it never receives: fuse raises AvailabilityError there
+    unavailable = ((coeffs != 0) & ~received).any(axis=(0, 2)).tolist()
     stores_after = np.array(stores_after)[:, None]  # one row per mode, broadcast over states
-    stored = np.zeros((len(modes), graph.size, model.num_states))
+    oracle = [k for k, is_obs in enumerate(own_is_obs) if is_obs]
 
+    shape = (len(modes), graph.size, model.num_states)
+    observations = learning.sample_observation(x, model, rng, size=graph.size)
+    obs_loglik = np.log(np.maximum(model.likelihood.T[observations - 1],
+                                   learning.LIKELIHOOD_FLOOR))
     log_prior = model.log_prior
-    observations: list[int] = []
-    records: dict[str, list[NodeRecord]] = {m: [] for m in modes}
+    stored, public, after = np.zeros(shape), np.empty(shape), np.empty(shape)
+    actions = np.empty(shape[:2], dtype=np.int64)
 
-    for n in range(1, graph.size + 1):
-        z = learning.sample_observation(x, model, rng)
-        observations.append(z)
-        obs_loglik = np.log(np.maximum(model.likelihood[:, z - 1], learning.LIKELIHOOD_FLOOR))
-
-        # one row per mode from here on
-        evidence = np.stack([
-            learning.fuse(coeffs[k][n - 1, : n - 1], stored[k, : n - 1],
-                          received[k][n - 1, : n - 1], node=n)
-            for k in range(len(modes))])
+    # one row per mode throughout
+    for n, z in enumerate(observations.tolist(), start=1):
+        evidence = learning.fuse(coeffs[:, n - 1, : n - 1], stored[:, : n - 1],
+                                 received[:, n - 1, : n - 1] if unavailable[n - 1] else None,
+                                 node=n)
         pub = learning.normalize_log(log_prior + evidence)
         acts = learning.action_table(pub, model)  # action each observation induces
-        a = acts[:, z - 1].tolist()
-        own = np.stack([
-            obs_loglik if own_is_obs[k] else learning.action_likelihood(
-                pub[k], a[k], model, config.floor_zero_likelihood, table=acts[k])
-            for k in range(len(modes))])
+        a = acts[:, z - 1]
+        # every row's action is induced by the drawn z, so no row (obs_oracle's,
+        # replaced below, included) can raise ZeroProbabilityActionError
+        own = learning.action_likelihood(pub, a, model, config.floor_zero_likelihood,
+                                         table=acts)
+        if oracle:
+            own[oracle] = obs_loglik[n - 1]
         after_evidence = evidence + own
         stored[:, n - 1] = np.where(stores_after, after_evidence, own)
-        after = learning.normalize_log(log_prior + after_evidence)
+        public[:, n - 1] = pub
+        after[:, n - 1] = learning.normalize_log(log_prior + after_evidence)
+        actions[:, n - 1] = a
 
-        for k, mode in enumerate(modes):
-            records[mode].append(NodeRecord(
-                node=n, observation=z, action=a[k], public=pub[k], after=after[k],
-                estimate=learning.estimate_state(after[k], config.estimate_rule),
-            ))
-
-    return RunTrace(true_state=x, graph_digest=graph.digest(),
-                    observations=observations, records=records)
+    return RunTrace(true_state=x, graph_digest=graph.digest(), modes=modes,
+                    observations=observations, actions=actions, public=public, after=after,
+                    estimates=learning.estimate_state(after, config.estimate_rule))
 
 
 def build_graph(config: ScenarioConfig) -> CommGraph:
@@ -206,9 +235,9 @@ def monte_carlo(config: ScenarioConfig, graph: CommGraph | None = None) -> Metri
     if "removal" in config.modes and constraint and not config.force:
         raise ConstraintViolationError(constraint)
 
-    n = graph.size
-    estimates = {m: np.zeros((config.runs, n)) for m in config.modes}
-    actions = {m: np.zeros((config.runs, n), dtype=np.int64) for m in config.modes}
+    shape = (len(config.modes), config.runs, graph.size)
+    estimates = np.zeros(shape)
+    actions = np.zeros(shape, dtype=np.int64)
     true_states = np.zeros(config.runs)
 
     run_seeds = np.random.SeedSequence(config.seed).spawn(config.runs + 1)[1:]
@@ -216,9 +245,9 @@ def monte_carlo(config: ScenarioConfig, graph: CommGraph | None = None) -> Metri
         trace = run_once(config, graph, np.random.default_rng(run_seed),
                          weights=weights, constraint=constraint)
         true_states[r] = trace.true_state
-        for m in config.modes:
-            estimates[m][r] = [rec.estimate for rec in trace.records[m]]
-            actions[m][r] = [rec.action for rec in trace.records[m]]
+        estimates[:, r] = trace.estimates
+        actions[:, r] = trace.actions
 
-    return MetricsTable(num_nodes=n, modes=config.modes, true_states=true_states,
-                        estimates=estimates, actions=actions, constraint=constraint)
+    return MetricsTable(num_nodes=graph.size, modes=config.modes, true_states=true_states,
+                        estimates=dict(zip(config.modes, estimates)),
+                        actions=dict(zip(config.modes, actions)), constraint=constraint)

@@ -72,6 +72,13 @@ class TestValidateDag:
         with pytest.raises(GraphFormatError):
             validate_dag(np.full((3, 3), 0.5))
 
+    @pytest.mark.parametrize("value", [2, -1, 0.5])
+    def test_one_non_binary_entry(self, value):
+        a = np.zeros((4, 4), dtype=type(value))
+        a[0, 2] = value
+        with pytest.raises(GraphFormatError):
+            validate_dag(a)
+
 
 class TestClosure:
     def test_empty_graph_identity(self):

@@ -23,6 +23,7 @@ from incestless import (
     sample_observation,
     triangular_likelihood,
 )
+from incestless.learning import fuse, fuse_terms
 
 from conftest import after_action_update
 
@@ -97,6 +98,15 @@ class TestSampleObservation:
     def test_out_of_range_state(self):
         with pytest.raises(ValueError):
             sample_observation(0, default_model(), np.random.default_rng(0))
+
+    def test_size_draws_the_scalar_stream(self):
+        m = default_model()
+        for seed in range(20):
+            for x in (1, 10, 20):
+                batch, single = np.random.default_rng(seed), np.random.default_rng(seed)
+                drawn = sample_observation(x, m, batch, size=50)
+                assert drawn.tolist() == [sample_observation(x, m, single) for _ in range(50)]
+                assert batch.bit_generator.state == single.bit_generator.state
 
 
 class TestPrivateBelief:
@@ -277,6 +287,34 @@ class TestActionTable:
             assert np.array_equal(table, np.stack([action_table(p, m) for p in group]))
 
 
+    def test_stacked_likelihood_equals_single_calls(self):
+        m = default_model()
+        pubs = np.stack([pub for case, pub in table_cases(np.random.default_rng(14))
+                         if case.num_states == m.num_states])
+        rng = np.random.default_rng(15)
+        for group in np.array_split(pubs, len(pubs) // 4):
+            table = action_table(group, m)
+            # actions some observation induces, so no row raises
+            a = table[np.arange(len(group)), rng.integers(m.num_obs, size=len(group))]
+            for floor in (True, False):
+                expected = np.stack([action_likelihood(p, int(ak), m, floor)
+                                     for p, ak in zip(group, a)])
+                assert np.array_equal(action_likelihood(group, a, m, floor), expected)
+                assert np.array_equal(
+                    action_likelihood(group, a, m, floor, table=table), expected)
+
+    def test_stacked_likelihood_raises_for_an_unselectable_row(self):
+        m = default_model()
+        pubs = np.stack([np.eye(m.num_states)[0], np.eye(m.num_states)[-1]])
+        table = action_table(pubs, m)
+        # row 1 takes action 1, which no observation induces under its point mass
+        assert 1 not in table[1]
+        with pytest.raises(ZeroProbabilityActionError, match="action 1 "):
+            action_likelihood(pubs, np.array([table[0, 0], 1]), m, table=table)
+        with pytest.raises(ValueError, match="action 11 out of range"):
+            action_likelihood(pubs, np.array([1, 11]), m)
+
+
 class TestAfterActionUpdate:
     def test_uninformative_action_no_change(self):
         # single action: its likelihood sums every observation column, = 1
@@ -358,6 +396,42 @@ class TestAggregation:
         assert np.isneginf(out.evidence[0])
 
 
+class TestFuse:
+    def cases(self, rng, count=50):
+        """Stacked (M, K) coefficients with zeros, and evidence with -inf entries."""
+        for _ in range(count):
+            m, k, x = 3, int(rng.integers(0, 8)), 4
+            coeffs = rng.integers(-2, 3, size=(m, k)).astype(np.float64)
+            evidence = rng.normal(size=(m, k, x))
+            evidence[rng.random((m, k, x)) < 0.15] = -np.inf
+            yield coeffs, evidence
+
+    def test_equals_fuse_terms_row_by_row(self):
+        raised = 0
+        for coeffs, evidence in self.cases(np.random.default_rng(20)):
+            received = coeffs != 0
+            try:
+                expected = np.stack([fuse_terms(c, e, r, node=9)
+                                     for c, e, r in zip(coeffs, evidence, received)])
+            except SignedInfinityError as exc:
+                raised += 1
+                for passed in (None, received):
+                    with pytest.raises(SignedInfinityError) as got:
+                        fuse(coeffs, evidence, passed, node=9)
+                    assert str(got.value) == str(exc)
+                continue
+            assert np.array_equal(fuse(coeffs, evidence, node=9), expected)
+            assert np.array_equal(fuse(coeffs, evidence, received, node=9), expected)
+        assert raised > 0
+
+    def test_unavailable_row_raises(self):
+        coeffs = np.array([[1.0, 0.0], [0.0, 2.0]])
+        received = np.array([[True, False], [True, False]])
+        with pytest.raises(AvailabilityError) as exc:
+            fuse(coeffs, np.zeros((2, 2, 3)), received, node=4)
+        assert exc.value.node == 4 and exc.value.missing == [2]
+
+
 class TestFullHistory:
     def test_edgeless(self):
         lp = np.log(np.full(3, 1 / 3))
@@ -418,6 +492,14 @@ class TestEstimate:
     def test_unknown_rule(self):
         with pytest.raises(ValueError):
             estimate_state(np.array([1.0]), "median")
+
+    def test_stacked_equals_single_calls(self):
+        beliefs = np.random.default_rng(21).dirichlet(np.ones(20), size=(3, 7))
+        for rule in ("mean", "map"):
+            stacked = estimate_state(beliefs, rule)
+            assert stacked.shape == (3, 7)
+            assert stacked.tolist() == [[estimate_state(b, rule) for b in row]
+                                        for row in beliefs]
 
 
 @settings(max_examples=100, deadline=None)

@@ -1,17 +1,27 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from incestless import (
+    AvailabilityError,
     CommGraph,
     ConstraintViolationError,
+    IncestlessError,
+    SignedInfinityError,
     TopologySpec,
+    augment_for_constraint,
+    cli,
     default_model,
     graph_from_edges,
     normalize_log,
 )
-from incestless.simulate import ScenarioConfig, monte_carlo, run_once
+from incestless.simulate import ScenarioConfig, build_graph, monte_carlo, run_once
 
-from conftest import DIAMOND_A_EDGES
+from conftest import DIAMOND_A_EDGES, reference_run_once
+
+ALL_MODES = ("naive", "removal", "idealized", "obs_oracle")
+BUNDLED = ("paper_chain41", "paper_complete", "paper_star", "paper_random4")
 
 
 def scenario(model, **kw):
@@ -123,6 +133,79 @@ class TestRunOnce:
         assert all(1 <= x <= 20 for x in states)
 
 
+def assert_same_as_reference(config, graph, seed, **kwargs):
+    """run_once equals reference_run_once bit for bit, or raises the same error.
+    Returns the error the reference raised, or None."""
+    try:
+        expected = reference_run_once(config, graph, np.random.default_rng(seed), **kwargs)
+    except IncestlessError as exc:
+        with pytest.raises(type(exc)) as got:
+            run_once(config, graph, np.random.default_rng(seed), **kwargs)
+        assert str(got.value) == str(exc)
+        return exc
+    trace = run_once(config, graph, np.random.default_rng(seed), **kwargs)
+    assert trace.true_state == expected.true_state
+    assert trace.modes == config.modes
+    for name in ("observations", "actions", "public", "after", "estimates"):
+        assert np.array_equal(getattr(trace, name), getattr(expected, name)), name
+    return None
+
+
+class TestStackedRunMatchesReference:
+    """The stacked belief update reproduces the per-node, per-mode loop exactly."""
+
+    @pytest.mark.parametrize("name", BUNDLED)
+    def test_bundled(self, name):
+        base = cli.build_scenario(cli.load_config_file(name), runs=1)
+        graph = build_graph(base)
+        errors = {True: [], False: []}  # floor_zero_likelihood -> errors raised
+        for force in (False, True):
+            for floor in (True, False):
+                for rule in ("mean", "map"):
+                    config = dataclasses.replace(base, modes=ALL_MODES, force=force,
+                                                 floor_zero_likelihood=floor,
+                                                 estimate_rule=rule)
+                    for seed in range(3):
+                        errors[floor].append(assert_same_as_reference(config, graph, seed))
+        # the floor never raises; without it the graphs with negative weights do
+        assert not any(errors[True])
+        if name in ("paper_complete", "paper_random4"):
+            assert all(isinstance(e, SignedInfinityError) for e in errors[False])
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_dense_augmented_complete_delay(self, seed):
+        raw = {"topology": {"kind": "complete_delay", "agents": 10, "epochs": 20},
+               "true_state": "random", "modes": list(ALL_MODES), "seed": seed}
+        config = cli.build_scenario(raw, runs=1)
+        graph = build_graph(config)
+        augmented = augment_for_constraint(graph)
+        assert augmented.size == 200
+        for floor in (True, False):
+            assert_same_as_reference(
+                dataclasses.replace(config, floor_zero_likelihood=floor), augmented, seed)
+        assert_same_as_reference(dataclasses.replace(config, force=True), graph, seed)
+
+    def test_unavailable_evidence_raises_at_the_same_node(self, model, diamond_b):
+        # a constraint report that misses the violation lets the run reach node 5
+        config = scenario(model, modes=ALL_MODES)
+        exc = assert_same_as_reference(config, diamond_b, 0, constraint={})
+        assert isinstance(exc, AvailabilityError)
+        assert exc.node == 5 and exc.missing == [2]
+
+    def test_records_view_the_arrays(self, model, diamond_a):
+        config = scenario(model, modes=ALL_MODES)
+        trace = run_once(config, diamond_a, np.random.default_rng(4))
+        for k, mode in enumerate(config.modes):
+            recs = trace.records[mode]
+            assert [r.node for r in recs] == [1, 2, 3, 4, 5]
+            assert [r.observation for r in recs] == trace.observations.tolist()
+            assert [r.action for r in recs] == trace.actions[k].tolist()
+            assert [r.estimate for r in recs] == trace.estimates[k].tolist()
+            assert np.array_equal([r.public for r in recs], trace.public[k])
+            assert np.array_equal([r.after for r in recs], trace.after[k])
+            assert not recs[0].after.flags.writeable
+
+
 class TestMonteCarlo:
     def test_runs_one_wraps_run_once(self, model):
         cfg = scenario(model, topology=TopologySpec(kind="chain41"), runs=1)
@@ -188,3 +271,13 @@ class TestMonteCarlo:
             assert mt.mse[m].shape == (5,)
             assert (mt.mse[m] >= 0).all()
             assert mt.action_hist[m].sum(axis=1).tolist() == [4] * 5
+
+    def test_action_hist_matches_per_node_bincount(self):
+        mt = monte_carlo(cli.build_scenario(cli.load_config_file("paper_random4")))
+        for m, acts in mt.actions.items():
+            amax = int(acts.max())
+            expected = np.zeros((mt.num_nodes, amax), dtype=np.int64)
+            for n in range(mt.num_nodes):
+                expected[n] = np.bincount(acts[:, n], minlength=amax + 1)[1:]
+            assert mt.action_hist[m].dtype == expected.dtype
+            assert np.array_equal(mt.action_hist[m], expected)
