@@ -23,6 +23,7 @@ from .graph import (
     find_clean_seed,
     generate_topology,
     graph_from_edges,
+    independent_blocks,
     load_graph,
     reindex,
     save_graph,
@@ -50,10 +51,12 @@ from .learning import (
 from .simulate import (
     MetricsTable,
     NodeRecord,
+    RunTables,
     RunTrace,
     ScenarioConfig,
     monte_carlo,
     run_once,
+    run_tables,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -12,11 +12,13 @@ arrays are 0-based.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, DagViolationError, GraphFormatError, WeightOverflowError
+from .errors import (ConfigError, DagViolationError, GraphFormatError, IncestlessError,
+                     WeightOverflowError)
 
 
 def reindex(s: int, k: int, num_agents: int) -> int:
@@ -140,6 +142,26 @@ def weight_matrix(graph: CommGraph, nodes=None) -> np.ndarray:
             raise WeightOverflowError(node=int(cols[first + wrapped[0]]) + 1, index=j + 1)
         w[j, first:] = w_float[j, first:] = exact
     return w
+
+
+def independent_blocks(graph: CommGraph) -> list[tuple[int, int]]:
+    """The nodes 1..N cut into maximal runs lo+1..hi, as (lo, hi), in which
+    no node reaches another.
+
+    Every node of a block hears only nodes before the block, so the whole
+    block can update at once.  The runs are contiguous in node order, not
+    topological levels, so a node's block precedes every later node's.
+    """
+    if graph.size == 0:
+        return []
+    reach = np.triu(graph.closure, 1)[::-1]
+    # latest[m-1]: the last node before m that reaches m, 0 if none
+    latest = np.where(reach.any(axis=0), graph.size - np.argmax(reach, axis=0), 0)
+    bounds = [0]
+    for m, last in enumerate(latest.tolist(), start=1):
+        if last > bounds[-1]:
+            bounds.append(m - 1)
+    return list(zip(bounds, bounds[1:] + [graph.size]))
 
 
 def compute_weights(graph: CommGraph, n: int) -> np.ndarray:
@@ -289,14 +311,20 @@ def augment_for_constraint(graph: CommGraph) -> CommGraph:
     Every violation (n, j) has t_n(j) = 1 already (a nonzero weight implies
     reachability), so the added edge j -> n is redundant for the closure and
     leaves every weight vector unchanged; one pass makes the graph clean.
+    The new graph shares the input's closure: that every added edge is
+    already in it is checked, and proves the closure unchanged.
     """
     weights = weight_matrix(graph)
     needed = (weights != 0) & (graph.adjacency == 0)
     if not needed.any():
         return graph
-    fixed = CommGraph(graph.adjacency | needed, num_agents=graph.num_agents,
-                      num_epochs=graph.num_epochs)
-    assert (fixed.closure == graph.closure).all()
+    if not graph.closure[needed].all():
+        j, n = np.argwhere(needed & (graph.closure == 0))[0] + 1
+        raise IncestlessError(f"added edge {j}->{n} would change the transitive closure")
+    adjacency = graph.adjacency | needed.astype(np.int8)
+    adjacency.flags.writeable = False
+    fixed = copy.copy(graph)
+    object.__setattr__(fixed, "adjacency", adjacency)
     return fixed
 
 

@@ -151,8 +151,10 @@ def choose_action(mu: np.ndarray, model: StateModel) -> int:
 def action_table(pub: np.ndarray, model: StateModel) -> np.ndarray:
     """Action (1..A) that each observation would induce under the public belief.
 
-    pub is one belief (X,) or beliefs stacked over modes (M, X); the result
-    is (Z,) or (M, Z), entry j-1 the action of an agent observing j.  Each
+    pub is one belief (X,) or beliefs stacked along leading axes, such as
+    (M, X) over modes or (M, L, X) over modes and the nodes of a block; the
+    result is (Z,) or (M, Z) or (M, L, Z), entry j-1 of a row the action of
+    an agent observing j.  Each
     private belief is normalised as in private_belief; an observation
     impossible under pub leaves the public belief itself (the limit of the
     private belief).  The argmin and its tie rule are those of
@@ -179,9 +181,9 @@ def action_likelihood(pub: np.ndarray, a: int | np.ndarray, model: StateModel,
     p(a | x=m, pub) = sum_j 1[table[j-1] == a] * B(m, j), with the action
     table of pub (computed here unless the caller already has it), added
     one observation at a time in ascending j.  pub may be one belief (X,)
-    with one action, or beliefs stacked over modes (M, X) with one action
-    per row (M,); the table and the result follow, (Z,) or (M, Z) and (X,)
-    or (M, X).
+    with one action, or beliefs stacked along leading axes, (M, X) or
+    (M, L, X), with one action per belief, (M,) or (M, L); the table and the
+    result follow, (..., Z) and (..., X).
     """
     a = np.asarray(a)
     if not ((1 <= a) & (a <= model.num_actions)).all():
@@ -241,26 +243,36 @@ def fuse(coeffs: np.ndarray, evidence: np.ndarray, received: np.ndarray | None =
 
     coeffs is (M, K), evidence (M, K, X), the result (M, X): one product and
     one reduction over i, which adds the terms in ascending i.  Entry i
-    belongs to node i+1.  received[k, i] (bool) says whether that evidence
-    reaches the fusing node; None means the caller has checked that every
-    nonzero coefficient's does.  A zero coefficient adds +-0.0, which leaves
-    the sum unchanged, except on -inf evidence, where 0 * -inf is NaN.  A row
-    that is not < inf, or that needs evidence it does not receive, is
+    belongs to node i+1.  In the block form coeffs is (M, L, K), one row per
+    mode for each of the L nodes node, node+1, ... that fuse the same
+    evidence, and the result is (M, L, X); each row is the one the (M, K)
+    form gives.  received[k, i] or received[k, l, i] (bool) says whether that
+    evidence reaches the fusing node; None means the caller has checked that
+    every nonzero coefficient's does.  A zero coefficient adds +-0.0, which
+    leaves the sum unchanged, except on -inf evidence, where 0 * -inf is NaN.
+    A row that is not < inf, or that needs evidence it does not receive, is
     recomputed by fuse_terms, which skips zero terms and raises the
-    AvailabilityError or SignedInfinityError the row calls for.
+    AvailabilityError or SignedInfinityError the row calls for.  Rows are
+    recomputed node by node, and modes in order within a node, so the error
+    is the one the lowest failing node raises.
     """
+    block = coeffs.ndim == 3
+    if not block:
+        coeffs = coeffs[:, None]
+        if received is not None:
+            received = received[:, None]
     with np.errstate(invalid="ignore"):
-        total = np.add.reduce(coeffs[..., None] * evidence, axis=1)
-    if received is None and total.max() < np.inf:
-        return total
-    redo = ~(total < np.inf).all(axis=1)
-    if received is None:
-        received = coeffs != 0
-    else:
-        redo |= ((coeffs != 0) & ~received).any(axis=1)
-    for k in np.flatnonzero(redo):
-        total[k] = fuse_terms(coeffs[k], evidence[k], received[k], node)
-    return total
+        total = np.add.reduce(coeffs[..., None] * evidence[:, None], axis=2)
+    if received is not None or not total.max() < np.inf:
+        redo = ~(total < np.inf).all(axis=-1)
+        if received is None:
+            received = coeffs != 0
+        else:
+            redo |= ((coeffs != 0) & ~received).any(axis=-1)
+        for l, k in np.argwhere(redo.T).tolist():
+            total[k, l] = fuse_terms(coeffs[k, l], evidence[k], received[k, l],
+                                     node + l if l else node)
+    return total if block else total[:, 0]
 
 
 def fuse_terms(coeffs: np.ndarray, evidence: np.ndarray, received: np.ndarray,

@@ -13,16 +13,24 @@ A is the adjacency, T the closure, W = I - T^-1 (graph.weight_matrix; raises
 WeightOverflowError beyond int64; masked by A under `force`), nu the action
 log-likelihood.
 
-A node's belief update is one step over arrays stacked by mode (M modes x X
-states): one learning.fuse call sums the stored rows with the node's row of
-a per-run coefficient table (M x N x N) for every mode at once, one
-normalize_log gives the public beliefs, one action table
-(learning.action_table) both the agents' actions and the observations each
-nu sums over, and one action_likelihood call the nu of every mode.  The
-stacked step is bit for bit the per-mode one.  A run draws its N
-observations in one call, and all modes share them, so their traces differ
-by aggregation alone.  RunTrace keeps the run as (M x N) and (M x N x X)
-arrays; its `records` is a per-node view of them, built on demand.
+Nodes update block by block (graph.independent_blocks).  A block is a
+maximal run of consecutive nodes none of which hears another, such as the
+agents of one epoch, so all of it updates in one step over arrays stacked
+by mode and node (M modes x L nodes x X states): one learning.fuse call
+sums the rows stored before the block with the block's rows of the
+coefficient table, for every mode at once; one normalize_log gives the
+public beliefs, one action table (learning.action_table) both the agents'
+actions and the observations each nu sums over, one action_likelihood call
+the nu of every (mode, node), and one normalize_log the after-beliefs.  The
+block step is bit for bit the per-node, per-mode loop, and a block that
+raises is stepped again node by node, so a run raises what that loop
+raises.  What a run reads that depends on the graph and the config alone
+(the M x N x N coefficient table, which rows each node receives, the blocks,
+the graph digest) is built once per study by run_tables, and monte_carlo
+passes it to every run_once.  A run draws its N observations in one call,
+and all modes share them, so their traces differ by aggregation alone.
+RunTrace keeps the run as (M x N) and (M x N x X) arrays; its `records` is
+a per-node view of them, built on demand.
 SeedSequence(seed) child 0 draws the graph (graph.topology_rng, as
 `gen-graph --seed`); child r drives run r.
 """
@@ -35,7 +43,7 @@ import numpy as np
 
 from . import graph as graphmod
 from . import learning
-from .errors import ConfigError, ConstraintViolationError
+from .errors import ConfigError, ConstraintViolationError, IncestlessError
 from .graph import CommGraph, TopologySpec
 from .learning import StateModel
 
@@ -144,25 +152,36 @@ def node_weights(graph: CommGraph) -> list[np.ndarray]:
     return [w[:n, n] for n in range(graph.size)]
 
 
-def run_once(config: ScenarioConfig, graph: CommGraph, rng: np.random.Generator,
-             weights: np.ndarray | None = None,
-             constraint: dict[int, list[int]] | None = None) -> RunTrace:
-    """Execute one protocol run over the graph, all configured modes in lockstep."""
-    model = config.model
-    modes = config.modes
+@dataclass(frozen=True)
+class RunTables:
+    """What every run of a study shares; it depends on the graph and the config alone.
 
-    if weights is None:
-        weights = graphmod.weight_matrix(graph)
-    if "removal" in modes:
-        if constraint is None:
-            constraint = graphmod.violations(weights, graph.adjacency)
-        if constraint and not config.force:
-            raise ConstraintViolationError(constraint)
+    Row k of each per-mode table is config.modes[k].  coeffs[k, n-1, i]
+    weighs node i+1's stored row in node n's fusion, and received[k, n-1, i]
+    says whether that row reaches node n: after-evidence travels over edges,
+    the benchmarks read all history.
+    """
 
-    if config.true_state == "random":
-        x = int(rng.choice(model.num_states, p=model.prior)) + 1
-    else:
-        x = int(config.true_state)
+    coeffs: np.ndarray              # (M, N, N) float
+    received: np.ndarray            # (M, N, N) bool
+    unavailable: list[bool]         # entry n-1: node n needs evidence it never receives
+    stores_after: np.ndarray        # (M, 1, 1) bool: S[n] is the after-evidence, not the increment
+    oracle: list[int]               # rows whose own increment is the observation's
+    blocks: list[tuple[int, int]]   # graph.independent_blocks
+    digest: str
+    constraint: dict[int, list[int]]
+
+
+def run_tables(config: ScenarioConfig, graph: CommGraph) -> RunTables:
+    """Solve W once and build the tables every run over the graph reads.
+
+    A removal run on a graph that violates the constraint raises
+    ConstraintViolationError unless config.force.
+    """
+    weights = graphmod.weight_matrix(graph)
+    constraint = graphmod.violations(weights, graph.adjacency)
+    if "removal" in config.modes and constraint and not config.force:
+        raise ConstraintViolationError(constraint)
 
     adjacency = graph.adjacency
     history = graph.closure - np.eye(graph.size, dtype=np.int8)
@@ -173,45 +192,76 @@ def run_once(config: ScenarioConfig, graph: CommGraph, rng: np.random.Generator,
         "idealized": (history, False, False),
         "obs_oracle": (history, False, True),
     }
-    fs, stores_after, own_is_obs = zip(*(table[mode] for mode in modes))
-    # coeffs[k, n-1, i] weighs node i+1's stored row in node n's fusion under mode k;
-    # after-evidence travels over edges, benchmarks read all history
+    fs, stores_after, own_is_obs = zip(*(table[mode] for mode in config.modes))
     coeffs = np.stack([f.T for f in fs]).astype(np.float64)
     received = np.stack([(adjacency if after else history).T != 0 for after in stores_after])
-    # a node that needs evidence it never receives: fuse raises AvailabilityError there
-    unavailable = ((coeffs != 0) & ~received).any(axis=(0, 2)).tolist()
-    stores_after = np.array(stores_after)[:, None]  # one row per mode, broadcast over states
-    oracle = [k for k, is_obs in enumerate(own_is_obs) if is_obs]
+    return RunTables(
+        coeffs=coeffs, received=received,
+        unavailable=((coeffs != 0) & ~received).any(axis=(0, 2)).tolist(),
+        stores_after=np.array(stores_after)[:, None, None],
+        oracle=[k for k, is_obs in enumerate(own_is_obs) if is_obs],
+        blocks=graphmod.independent_blocks(graph), digest=graph.digest(),
+        constraint=constraint)
 
-    shape = (len(modes), graph.size, model.num_states)
+
+def run_once(config: ScenarioConfig, graph: CommGraph, rng: np.random.Generator,
+             tables: RunTables | None = None) -> RunTrace:
+    """Execute one protocol run over the graph, all configured modes in lockstep.
+
+    tables are run_tables(config, graph), built here unless given.
+    """
+    model = config.model
+    if tables is None:
+        tables = run_tables(config, graph)
+
+    if config.true_state == "random":
+        x = int(rng.choice(model.num_states, p=model.prior)) + 1
+    else:
+        x = int(config.true_state)
+
+    shape = (len(config.modes), graph.size, model.num_states)
     observations = learning.sample_observation(x, model, rng, size=graph.size)
     obs_loglik = np.log(np.maximum(model.likelihood.T[observations - 1],
                                    learning.LIKELIHOOD_FLOOR))
     log_prior = model.log_prior
+    coeffs, received, unavailable = tables.coeffs, tables.received, tables.unavailable
     stored, public, after = np.zeros(shape), np.empty(shape), np.empty(shape)
     actions = np.empty(shape[:2], dtype=np.int64)
 
-    # one row per mode throughout
-    for n, z in enumerate(observations.tolist(), start=1):
-        evidence = learning.fuse(coeffs[:, n - 1, : n - 1], stored[:, : n - 1],
-                                 received[:, n - 1, : n - 1] if unavailable[n - 1] else None,
-                                 node=n)
+    def step(lo, hi):
+        """Update nodes lo+1..hi, none of which hears another, in one row per (mode, node)."""
+        evidence = learning.fuse(coeffs[:, lo:hi, :lo], stored[:, :lo],
+                                 received[:, lo:hi, :lo] if any(unavailable[lo:hi]) else None,
+                                 node=lo + 1)
         pub = learning.normalize_log(log_prior + evidence)
         acts = learning.action_table(pub, model)  # action each observation induces
-        a = acts[:, z - 1]
+        a = acts[:, np.arange(hi - lo), observations[lo:hi] - 1]
         # every row's action is induced by the drawn z, so no row (obs_oracle's,
         # replaced below, included) can raise ZeroProbabilityActionError
         own = learning.action_likelihood(pub, a, model, config.floor_zero_likelihood,
                                          table=acts)
-        if oracle:
-            own[oracle] = obs_loglik[n - 1]
+        if tables.oracle:
+            own[tables.oracle] = obs_loglik[lo:hi]
         after_evidence = evidence + own
-        stored[:, n - 1] = np.where(stores_after, after_evidence, own)
-        public[:, n - 1] = pub
-        after[:, n - 1] = learning.normalize_log(log_prior + after_evidence)
-        actions[:, n - 1] = a
+        # every call that can raise precedes the first write
+        after[:, lo:hi] = learning.normalize_log(log_prior + after_evidence)
+        stored[:, lo:hi] = np.where(tables.stores_after, after_evidence, own)
+        public[:, lo:hi] = pub
+        actions[:, lo:hi] = a
 
-    return RunTrace(true_state=x, graph_digest=graph.digest(), modes=modes,
+    for lo, hi in tables.blocks:
+        try:
+            step(lo, hi)
+            continue
+        except (IncestlessError, ValueError):
+            if hi - lo == 1:
+                raise
+        # the block's nodes do not depend on each other, so stepping through
+        # them one at a time raises what the first failing node raises
+        for n in range(lo, hi):
+            step(n, n + 1)
+
+    return RunTrace(true_state=x, graph_digest=tables.digest, modes=config.modes,
                     observations=observations, actions=actions, public=public, after=after,
                     estimates=learning.estimate_state(after, config.estimate_rule))
 
@@ -226,14 +276,12 @@ def monte_carlo(config: ScenarioConfig, graph: CommGraph | None = None) -> Metri
 
     Seed scheme: SeedSequence(seed) spawns runs+1 children; child 0 drives
     topology generation (build_graph), child r (1-based) drives run r.  Any
-    single run is therefore reproducible standalone.
+    single run is therefore reproducible standalone.  The run tables, W
+    included, are built once for the whole study.
     """
     if graph is None:
         graph = build_graph(config)
-    weights = graphmod.weight_matrix(graph)
-    constraint = graphmod.violations(weights, graph.adjacency)
-    if "removal" in config.modes and constraint and not config.force:
-        raise ConstraintViolationError(constraint)
+    tables = run_tables(config, graph)
 
     shape = (len(config.modes), config.runs, graph.size)
     estimates = np.zeros(shape)
@@ -242,12 +290,11 @@ def monte_carlo(config: ScenarioConfig, graph: CommGraph | None = None) -> Metri
 
     run_seeds = np.random.SeedSequence(config.seed).spawn(config.runs + 1)[1:]
     for r, run_seed in enumerate(run_seeds):
-        trace = run_once(config, graph, np.random.default_rng(run_seed),
-                         weights=weights, constraint=constraint)
+        trace = run_once(config, graph, np.random.default_rng(run_seed), tables=tables)
         true_states[r] = trace.true_state
         estimates[:, r] = trace.estimates
         actions[:, r] = trace.actions
 
     return MetricsTable(num_nodes=graph.size, modes=config.modes, true_states=true_states,
                         estimates=dict(zip(config.modes, estimates)),
-                        actions=dict(zip(config.modes, actions)), constraint=constraint)
+                        actions=dict(zip(config.modes, actions)), constraint=tables.constraint)

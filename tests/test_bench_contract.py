@@ -32,15 +32,17 @@ def test_wrapped_attribute_resolves(module, attr):
 
 
 def test_monte_carlo_calls_run_once_once_per_run(monkeypatch):
+    # the benchmark counts a run's node updates from run_once's first two
+    # positional arguments, config and graph (tracer._run_nodes)
     calls = []
     run_once = simulate.run_once
 
     def counting(*args, **kwargs):
-        calls.append(args[1].size)
+        calls.append((args[0].modes, args[1].size))
         return run_once(*args, **kwargs)
 
     monkeypatch.setattr(simulate, "run_once", counting)
     config = cli.build_scenario(cli.load_config_file("paper_star"), runs=3)
     metrics = simulate.monte_carlo(config)
     assert len(calls) == config.runs == 3
-    assert calls == [metrics.num_nodes] * 3
+    assert calls == [(config.modes, metrics.num_nodes)] * 3

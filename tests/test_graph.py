@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from incestless import graph as graphmod
+
 from incestless import (
     CommGraph,
     DagViolationError,
@@ -9,14 +11,17 @@ from incestless import (
     WeightOverflowError,
     augment_for_constraint,
     check_constraint,
+    IncestlessError,
     compute_weights,
     constraint_report,
     deindex,
     generate_topology,
     graph_from_edges,
+    independent_blocks,
     load_graph,
     reindex,
     save_graph,
+    topology_rng,
     transitive_closure,
     validate_dag,
     weight_matrix,
@@ -302,6 +307,64 @@ class TestConstraint:
             assert constraint_report(fixed) == {}
             # augmentation only adds redundant edges: closure is unchanged
             assert (fixed.closure == g.closure).all()
+
+
+    def test_augment_shares_the_closure(self):
+        rng = np.random.default_rng(29)
+        for _ in range(30):
+            size = int(rng.integers(3, 25))
+            g = CommGraph(random_dag(rng, size), num_agents=size, num_epochs=1)
+            fixed = augment_for_constraint(g)
+            rebuilt = CommGraph(fixed.adjacency, num_agents=size, num_epochs=1)
+            assert fixed.closure is g.closure
+            assert np.array_equal(rebuilt.closure, fixed.closure)
+            assert fixed.adjacency.dtype == np.int8 and not fixed.adjacency.flags.writeable
+            assert fixed.digest() == rebuilt.digest()
+
+    def test_augment_rejects_an_edge_that_changes_the_closure(self, monkeypatch):
+        # weights claiming that node 5 needs node 4 of a graph where 4 does not reach 5
+        g = graph_from_edges(5, [(1, 3), (2, 3), (3, 5), (1, 4)])
+        weights = weight_matrix(g)
+        weights[3, 4] = 1
+        monkeypatch.setattr(graphmod, "weight_matrix", lambda graph: weights)
+        with pytest.raises(IncestlessError, match="4->5"):
+            augment_for_constraint(g)
+
+
+class TestIndependentBlocks:
+    def assert_schedule(self, g):
+        blocks = independent_blocks(g)
+        assert [lo for lo, _ in blocks] == [0] + [hi for _, hi in blocks[:-1]]
+        assert blocks[-1][1] == g.size
+        assert all(hi > lo for lo, hi in blocks)
+        for lo, hi in blocks:
+            # no node of a block reaches another ...
+            assert not np.triu(g.closure[lo:hi, lo:hi], 1).any()
+            # ... and the next node is reached from the block, so it is maximal
+            if hi < g.size:
+                assert g.closure[lo:hi, hi].any()
+        return blocks
+
+    def test_random_dags(self):
+        rng = np.random.default_rng(31)
+        for _ in range(100):
+            size = int(rng.integers(1, 30))
+            a = random_dag(rng, size, edge_prob=float(rng.uniform(0.0, 0.4)))
+            self.assert_schedule(CommGraph(a, num_agents=size, num_epochs=1))
+
+    def test_edgeless_and_empty(self):
+        assert independent_blocks(graph_from_edges(4, [])) == [(0, 4)]
+        assert independent_blocks(graph_from_edges(0, [])) == []
+
+    def test_chain41_is_sequential(self):
+        g = generate_topology(TopologySpec(kind="chain41"), np.random.default_rng(0))
+        assert self.assert_schedule(g) == [(n, n + 1) for n in range(41)]
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_augmented_complete_delay_one_block_per_epoch(self, seed):
+        spec = TopologySpec(kind="complete_delay", agents=10, epochs=20)
+        g = augment_for_constraint(generate_topology(spec, topology_rng(seed)))
+        assert self.assert_schedule(g) == [(10 * k, 10 * k + 10) for k in range(20)]
 
 
 class TestTopologies:

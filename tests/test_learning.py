@@ -432,6 +432,49 @@ class TestFuse:
         assert exc.value.node == 4 and exc.value.missing == [2]
 
 
+class TestFuseBlock:
+    """The (M, L, K) block form: one row per (mode, node) over shared evidence."""
+
+    def test_equals_fuse_terms_per_mode_and_node(self):
+        rng = np.random.default_rng(21)
+        raised = 0
+        for _ in range(50):
+            m, l, k, x = 3, int(rng.integers(1, 5)), int(rng.integers(0, 8)), 4
+            coeffs = rng.integers(-2, 3, size=(m, l, k)).astype(np.float64)
+            evidence = rng.normal(size=(m, k, x))
+            evidence[rng.random((m, k, x)) < 0.15] = -np.inf
+            received = coeffs != 0
+            try:  # node by node, modes in order within a node
+                expected = np.stack([
+                    np.stack([fuse_terms(coeffs[i, j], evidence[i], received[i, j], node=7 + j)
+                              for i in range(m)])
+                    for j in range(l)], axis=1)
+            except SignedInfinityError as exc:
+                raised += 1
+                for passed in (None, received):
+                    with pytest.raises(SignedInfinityError) as got:
+                        fuse(coeffs, evidence, passed, node=7)
+                    assert str(got.value) == str(exc)
+                continue
+            assert expected.shape == (m, l, x)
+            assert np.array_equal(fuse(coeffs, evidence, node=7), expected)
+            assert np.array_equal(fuse(coeffs, evidence, received, node=7), expected)
+            # each node's rows are what the (M, K) form gives
+            for j in range(l):
+                assert np.array_equal(fuse(coeffs[:, j], evidence, node=7 + j), expected[:, j])
+        assert raised > 0
+
+    def test_lowest_unavailable_node_raises(self):
+        # nodes 4 and 5 of the block both miss evidence, node 5 in an earlier mode
+        coeffs = np.zeros((2, 3, 2))
+        coeffs[1, 1, 0] = 1.0  # mode 1, node 4 needs node 1
+        coeffs[0, 2, 1] = 1.0  # mode 0, node 5 needs node 2
+        received = np.zeros((2, 3, 2), dtype=bool)
+        with pytest.raises(AvailabilityError) as exc:
+            fuse(coeffs, np.zeros((2, 2, 3)), received, node=3)
+        assert exc.value.node == 4 and exc.value.missing == [1]
+
+
 class TestFullHistory:
     def test_edgeless(self):
         lp = np.log(np.full(3, 1 / 3))

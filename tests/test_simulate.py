@@ -2,6 +2,8 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from incestless import (
     AvailabilityError,
@@ -9,13 +11,16 @@ from incestless import (
     ConstraintViolationError,
     IncestlessError,
     SignedInfinityError,
+    StateModel,
     TopologySpec,
     augment_for_constraint,
     cli,
     default_model,
     graph_from_edges,
+    independent_blocks,
     normalize_log,
 )
+from incestless import graph as graphmod
 from incestless.simulate import ScenarioConfig, build_graph, monte_carlo, run_once
 
 from conftest import DIAMOND_A_EDGES, reference_run_once
@@ -134,16 +139,16 @@ class TestRunOnce:
 
 
 def assert_same_as_reference(config, graph, seed, **kwargs):
-    """run_once equals reference_run_once bit for bit, or raises the same error.
-    Returns the error the reference raised, or None."""
+    """run_once equals reference_run_once (given kwargs) bit for bit, or raises
+    the same error.  Returns the error the reference raised, or None."""
     try:
         expected = reference_run_once(config, graph, np.random.default_rng(seed), **kwargs)
-    except IncestlessError as exc:
+    except (IncestlessError, ValueError) as exc:
         with pytest.raises(type(exc)) as got:
-            run_once(config, graph, np.random.default_rng(seed), **kwargs)
+            run_once(config, graph, np.random.default_rng(seed))
         assert str(got.value) == str(exc)
         return exc
-    trace = run_once(config, graph, np.random.default_rng(seed), **kwargs)
+    trace = run_once(config, graph, np.random.default_rng(seed))
     assert trace.true_state == expected.true_state
     assert trace.modes == config.modes
     for name in ("observations", "actions", "public", "after", "estimates"):
@@ -185,12 +190,47 @@ class TestStackedRunMatchesReference:
                 dataclasses.replace(config, floor_zero_likelihood=floor), augmented, seed)
         assert_same_as_reference(dataclasses.replace(config, force=True), graph, seed)
 
-    def test_unavailable_evidence_raises_at_the_same_node(self, model, diamond_b):
+    def test_unavailable_evidence_raises_at_the_same_node(self, model, diamond_b, monkeypatch):
         # a constraint report that misses the violation lets the run reach node 5
+        monkeypatch.setattr(graphmod, "violations", lambda weights, adjacency: {})
         config = scenario(model, modes=ALL_MODES)
         exc = assert_same_as_reference(config, diamond_b, 0, constraint={})
         assert isinstance(exc, AvailabilityError)
         assert exc.node == 5 and exc.missing == [2]
+
+    def test_block_raises_what_the_first_failing_node_raises(self):
+        # Node 6 fails in normalize_log, a step after fusion; node 7, in the
+        # same block, fails in fusion.  The node loop raises node 6's error.
+        # Truth 3 has prior 0, and observation 1 rules out state 2, 2 state 1,
+        # so node 6's naive evidence from roots 1 and 2 is -inf everywhere
+        # when they observe differently; node 7 is a diamond over root 3 with
+        # weight -1 on its -inf entry.
+        model = StateModel(prior=np.array([0.5, 0.5, 0.0]),
+                           likelihood=np.array([[1.0, 0.0], [0.0, 1.0], [0.5, 0.5]]),
+                           cost=1.0 - np.eye(3))
+        graph = graph_from_edges(7, [(3, 4), (3, 5), (1, 6), (2, 6), (4, 6),
+                                     (3, 7), (4, 7), (5, 7)])
+        assert independent_blocks(graph)[-1] == (5, 7)
+        config = scenario(model, true_state=3, modes=ALL_MODES, floor_zero_likelihood=False)
+        raised = {type(assert_same_as_reference(config, graph, seed)) for seed in range(6)}
+        assert raised == {ValueError, SignedInfinityError}
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_random_dags(self, model, data):
+        size = data.draw(st.integers(1, 14), label="size")
+        bits = data.draw(st.lists(st.booleans(), min_size=size * (size - 1) // 2,
+                                  max_size=size * (size - 1) // 2), label="edges")
+        a = np.zeros((size, size), dtype=np.int8)
+        a[np.triu_indices(size, 1)] = bits
+        graph = CommGraph(a, num_agents=size, num_epochs=1)
+        if data.draw(st.booleans(), label="augment"):
+            graph = augment_for_constraint(graph)
+        config = scenario(model, modes=ALL_MODES, true_state="random",
+                          force=data.draw(st.booleans(), label="force"),
+                          floor_zero_likelihood=data.draw(st.booleans(), label="floor"),
+                          estimate_rule=data.draw(st.sampled_from(["mean", "map"]), label="rule"))
+        assert_same_as_reference(config, graph, data.draw(st.integers(0, 2**16), label="seed"))
 
     def test_records_view_the_arrays(self, model, diamond_a):
         config = scenario(model, modes=ALL_MODES)
