@@ -14,9 +14,12 @@ The environment variable INCESTLESS_SEED overrides the config seed; the
 
 from __future__ import annotations
 
+import contextlib
+import errno
 import importlib.resources
 import os
 import sys
+from collections.abc import Iterator
 
 import click
 import numpy as np
@@ -119,37 +122,61 @@ def _fmt(v: float) -> str:
     return f"{v:.12g}"
 
 
-def write_outputs(metrics: simulate.MetricsTable, out_dir: str) -> None:
-    """Emit the long-format CSVs and the constraint report (LF line endings)."""
-    os.makedirs(out_dir, exist_ok=True)
+def _output_chunks(metrics: simulate.MetricsTable) -> dict[str, Iterator[str]]:
+    """File name -> the text of the long-format CSVs and the constraint report,
+    in chunks of one node's rows (actions) or one mode's rows (the rest), so
+    that no file is ever held in memory whole."""
+    nodes = range(1, metrics.num_nodes + 1)
 
-    with open(os.path.join(out_dir, "actions.csv"), "w", newline="\n") as f:
-        f.write("node,mode,run,action\n")
+    def actions():
+        yield "node,mode,run,action\n"
         for mode in metrics.modes:
-            acts = metrics.actions[mode]
-            for n in range(metrics.num_nodes):
-                for r in range(acts.shape[0]):
-                    f.write(f"{n + 1},{mode},{r + 1},{acts[r, n]}\n")
+            for n, acts in zip(nodes, metrics.actions[mode].T.tolist()):
+                yield "".join(f"{n},{mode},{r},{a}\n" for r, a in enumerate(acts, start=1))
 
-    with open(os.path.join(out_dir, "estimates.csv"), "w", newline="\n") as f:
-        f.write("node,mode,mean_estimate\n")
+    def per_node(header, values):
+        yield header
         for mode in metrics.modes:
-            for n in range(metrics.num_nodes):
-                f.write(f"{n + 1},{mode},{_fmt(metrics.mean_estimate[mode][n])}\n")
+            yield "".join(f"{n},{mode},{_fmt(v)}\n" for n, v in zip(nodes, values[mode].tolist()))
 
-    with open(os.path.join(out_dir, "mse.csv"), "w", newline="\n") as f:
-        f.write("node,mode,mse\n")
-        for mode in metrics.modes:
-            for n in range(metrics.num_nodes):
-                f.write(f"{n + 1},{mode},{_fmt(metrics.mse[mode][n])}\n")
-
-    with open(os.path.join(out_dir, "constraint.txt"), "w", newline="\n") as f:
+    def constraint():
         if not metrics.constraint:
-            f.write("all nodes satisfy the topological constraint\n")
-        else:
-            for n in sorted(metrics.constraint):
-                idx = " ".join(str(j) for j in metrics.constraint[n])
-                f.write(f"node {n}: violation at {idx}\n")
+            yield "all nodes satisfy the topological constraint\n"
+        for n in sorted(metrics.constraint):
+            yield f"node {n}: violation at {' '.join(map(str, metrics.constraint[n]))}\n"
+
+    return {"actions.csv": actions(),
+            "estimates.csv": per_node("node,mode,mean_estimate\n", metrics.mean_estimate),
+            "mse.csv": per_node("node,mode,mse\n", metrics.mse),
+            "constraint.txt": constraint()}
+
+
+def write_outputs(metrics: simulate.MetricsTable, out_dir: str) -> None:
+    """Emit the long-format CSVs and the constraint report (LF line endings).
+
+    Each file is written under a temporary name and renamed once all four
+    are written, so an OSError while writing leaves none of them behind.  A
+    directory in the way of one of the names is refused before anything is
+    written, since its rename would fail after the others had been made.
+    """
+    chunks = _output_chunks(metrics)
+    os.makedirs(out_dir, exist_ok=True)
+    final = {name: os.path.join(out_dir, name) for name in chunks}
+    for path in final.values():
+        if os.path.isdir(path):
+            raise IsADirectoryError(errno.EISDIR, "Is a directory", path)
+    temp = {name: os.path.join(out_dir, f".{name}.{os.getpid()}.tmp") for name in chunks}
+    try:
+        for name, text in chunks.items():
+            with open(temp[name], "w", newline="\n") as f:
+                f.writelines(text)
+        for name in chunks:
+            os.replace(temp[name], final[name])
+    except OSError:
+        for path in temp.values():
+            with contextlib.suppress(OSError):
+                os.remove(path)
+        raise
 
 
 @click.group()
@@ -182,7 +209,11 @@ def cmd_run(config, seed, runs, modes, output_dir, force):
     except (IncestlessError, yaml.YAMLError, TypeError, ValueError) as e:
         click.echo(f"error: {e}", err=True)
         sys.exit(1)
-    write_outputs(metrics, out_dir)
+    try:
+        write_outputs(metrics, out_dir)
+    except OSError as e:
+        click.echo(f"error: {e}", err=True)
+        sys.exit(1)
     click.echo(f"wrote {out_dir}/actions.csv, estimates.csv, mse.csv, constraint.txt")
 
 

@@ -12,7 +12,7 @@ never be double counted no matter what the weights telescope to.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -30,14 +30,17 @@ LIKELIHOOD_FLOOR = 1e-300
 class StateModel:
     """Prior, observation likelihood and action cost for one scenario.
 
-    prior:      length-X probability vector over states
-    likelihood: X x Z matrix, row i = p(z | x = i)
-    cost:       X x A matrix, cost[i, a-1] = C(x=i, a)
+    prior:        length-X probability vector over states
+    likelihood:   X x Z matrix, row i = p(z | x = i)
+    cost:         X x A matrix, cost[i, a-1] = C(x=i, a)
+    likelihood_t: Z x X, the likelihood's transpose in C order; derived at
+                  construction, not a parameter
     """
 
     prior: np.ndarray
     likelihood: np.ndarray
     cost: np.ndarray
+    likelihood_t: np.ndarray = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         p = np.asarray(self.prior, dtype=np.float64)
@@ -51,11 +54,13 @@ class StateModel:
             raise ValueError("likelihood rows must be distributions")
         if (p < 0).any() or not np.isclose(p.sum(), 1.0, atol=1e-12):
             raise ValueError("prior must be a distribution")
-        for arr in (p, b, c):
+        b_t = np.ascontiguousarray(b.T)
+        for arr in (p, b, c, b_t):
             arr.flags.writeable = False
         object.__setattr__(self, "prior", p)
         object.__setattr__(self, "likelihood", b)
         object.__setattr__(self, "cost", c)
+        object.__setattr__(self, "likelihood_t", b_t)
 
     @property
     def num_states(self) -> int:
@@ -161,6 +166,8 @@ def action_table(pub: np.ndarray, model: StateModel) -> np.ndarray:
     choose_action, row by row.  The agent's action and the administrator's
     likelihood of it are both read from this table.
     """
+    # the transposed view, not likelihood_t: the layout fixes the order in
+    # which total sums over states
     unnorm = pub[..., None, :] * model.likelihood.T
     total = unnorm.sum(axis=-1, keepdims=True)
     impossible = total == 0
@@ -191,9 +198,9 @@ def action_likelihood(pub: np.ndarray, a: int | np.ndarray, model: StateModel,
         raise ValueError(f"action {bad} out of range 1..{model.num_actions}")
     if table is None:
         table = action_table(pub, model)
-    # the masked terms are +0.0 and leave the sum unchanged; a C-ordered
-    # likelihood keeps j the reduced (outer) axis, summed in ascending order
-    picked = (table == a[..., None])[..., None] * np.ascontiguousarray(model.likelihood.T)
+    # the masked terms are +0.0 and leave the sum unchanged; the C-ordered
+    # transpose keeps j the reduced (outer) axis, summed in ascending order
+    picked = (table == a[..., None])[..., None] * model.likelihood_t
     lik = np.add.reduce(picked, axis=-2)
     selectable = lik.any(axis=-1)
     if not selectable.all():
@@ -228,11 +235,18 @@ class LogBelief:
         return normalize_log(self.log_posterior())
 
 
-def normalize_log(theta: np.ndarray) -> np.ndarray:
-    """exp-normalize unnormalized log-probability vectors along the last axis."""
+def checked_max(theta: np.ndarray) -> np.ndarray:
+    """Maxima of unnormalized log-probability vectors along the last axis
+    (kept as a length-1 axis); ValueError unless every one is finite."""
     m = theta.max(axis=-1, keepdims=True)
     if not np.isfinite(m).all():
         raise ValueError("log-belief has no finite entry")
+    return m
+
+
+def normalize_log(theta: np.ndarray) -> np.ndarray:
+    """exp-normalize unnormalized log-probability vectors along the last axis."""
+    m = checked_max(theta)
     p = np.exp(theta - m)
     return p / p.sum(axis=-1, keepdims=True)
 
@@ -340,10 +354,10 @@ def estimate_state(belief: np.ndarray, rule: str = "mean") -> float | np.ndarray
     if rule == "map":
         est = np.argmax(belief, axis=-1) + 1.0
     elif rule == "mean":
-        labels = np.arange(1, belief.shape[-1] + 1)
-        # one dot product per belief: a batched matmul sums in another order
-        est = np.array([b @ labels for b in belief.reshape(-1, belief.shape[-1])])
-        est = est.reshape(belief.shape[:-1])
+        labels = np.arange(1.0, belief.shape[-1] + 1)
+        # a stack of (1, X) @ (X, 1) products sums each belief as b @ labels
+        # does; a stack of matrix-vector products sums in another order
+        est = (belief[..., None, :] @ labels[:, None])[..., 0, 0]
     else:
         raise ValueError(f"unknown estimate rule {rule!r}")
     return float(est) if belief.ndim == 1 else est

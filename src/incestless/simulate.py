@@ -20,15 +20,19 @@ by mode and node (M modes x L nodes x X states): one learning.fuse call
 sums the rows stored before the block with the block's rows of the
 coefficient table, for every mode at once; one normalize_log gives the
 public beliefs, one action table (learning.action_table) both the agents'
-actions and the observations each nu sums over, one action_likelihood call
-the nu of every (mode, node), and one normalize_log the after-beliefs.  The
-block step is bit for bit the per-node, per-mode loop, and a block that
-raises is stepped again node by node, so a run raises what that loop
-raises.  What a run reads that depends on the graph and the config alone
-(the M x N x N coefficient table, which rows each node receives, the blocks,
-the graph digest) is built once per study by run_tables, and monte_carlo
-passes it to every run_once.  A run draws its N observations in one call,
-and all modes share them, so their traces differ by aggregation alone.
+actions and the observations each nu sums over, and one action_likelihood
+call the nu of every (mode, node).  A block stores its after log-posteriors
+(log prior + after-evidence), and one normalize_log per run turns them into
+after-beliefs once every block is done; each block checks its row maxima
+first (learning.checked_max), so a log-posterior with no finite entry
+raises normalize_log's ValueError at its block.  The block step is bit for
+bit the per-node, per-mode loop, and a block that raises is stepped again
+node by node, so a run raises what that loop raises.  What a run reads that
+depends on the graph and the config alone (the M x N x N coefficient table,
+which rows each node receives, the blocks, the graph digest) is built once
+per study by run_tables, and monte_carlo passes it to every run_once.  A
+run draws its N observations in one call, and all modes share them, so
+their traces differ by aggregation alone.
 RunTrace keeps the run as (M x N) and (M x N x X) arrays; its `records` is
 a per-node view of them, built on demand.
 SeedSequence(seed) child 0 draws the graph (graph.topology_rng, as
@@ -221,12 +225,13 @@ def run_once(config: ScenarioConfig, graph: CommGraph, rng: np.random.Generator,
 
     shape = (len(config.modes), graph.size, model.num_states)
     observations = learning.sample_observation(x, model, rng, size=graph.size)
-    obs_loglik = np.log(np.maximum(model.likelihood.T[observations - 1],
-                                   learning.LIKELIHOOD_FLOOR))
+    obs_index = observations - 1
+    obs_loglik = np.log(np.maximum(model.likelihood_t[obs_index], learning.LIKELIHOOD_FLOOR))
     log_prior = model.log_prior
     coeffs, received, unavailable = tables.coeffs, tables.received, tables.unavailable
     stored, public, after = np.zeros(shape), np.empty(shape), np.empty(shape)
     actions = np.empty(shape[:2], dtype=np.int64)
+    node_index = np.arange(graph.size)
 
     def step(lo, hi):
         """Update nodes lo+1..hi, none of which hears another, in one row per (mode, node)."""
@@ -235,7 +240,7 @@ def run_once(config: ScenarioConfig, graph: CommGraph, rng: np.random.Generator,
                                  node=lo + 1)
         pub = learning.normalize_log(log_prior + evidence)
         acts = learning.action_table(pub, model)  # action each observation induces
-        a = acts[:, np.arange(hi - lo), observations[lo:hi] - 1]
+        a = acts[:, node_index[:hi - lo], obs_index[lo:hi]]
         # every row's action is induced by the drawn z, so no row (obs_oracle's,
         # replaced below, included) can raise ZeroProbabilityActionError
         own = learning.action_likelihood(pub, a, model, config.floor_zero_likelihood,
@@ -243,8 +248,10 @@ def run_once(config: ScenarioConfig, graph: CommGraph, rng: np.random.Generator,
         if tables.oracle:
             own[tables.oracle] = obs_loglik[lo:hi]
         after_evidence = evidence + own
-        # every call that can raise precedes the first write
-        after[:, lo:hi] = learning.normalize_log(log_prior + after_evidence)
+        log_after = log_prior + after_evidence
+        # normalize_log's check; every call that can raise precedes the first write
+        learning.checked_max(log_after)
+        after[:, lo:hi] = log_after  # normalised once the run is done
         stored[:, lo:hi] = np.where(tables.stores_after, after_evidence, own)
         public[:, lo:hi] = pub
         actions[:, lo:hi] = a
@@ -261,6 +268,7 @@ def run_once(config: ScenarioConfig, graph: CommGraph, rng: np.random.Generator,
         for n in range(lo, hi):
             step(n, n + 1)
 
+    after = learning.normalize_log(after)
     return RunTrace(true_state=x, graph_digest=tables.digest, modes=config.modes,
                     observations=observations, actions=actions, public=public, after=after,
                     estimates=learning.estimate_state(after, config.estimate_rule))

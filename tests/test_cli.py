@@ -1,4 +1,5 @@
 import hashlib
+import os
 
 import numpy as np
 import pytest
@@ -6,19 +7,42 @@ import yaml
 from click.testing import CliRunner
 
 from incestless import CommGraph, graph_from_edges, load_graph, reindex, save_graph
+from incestless import cli
 from incestless.cli import build_scenario, main
 from incestless.simulate import build_graph
 
 from conftest import DIAMOND_A_EDGES, DIAMOND_B_EDGES, random_dag
 
-# SHA-256 of `incestless run paper_star` at its bundled seed, recorded before
-# the fusion and weight code was rewritten; the outputs must stay byte-identical
-PAPER_STAR_DIGESTS = {
-    "actions.csv": "256ec21d9bc0e37113f4c7b7378097efa9c83e5fa478350728cf039a397cca6f",
-    "estimates.csv": "0695e3818f42cbc01e152e6acf05bbbfa486130e9b775fab9caff1e01fb8a7e8",
-    "mse.csv": "cccf6ef4bf6a4027de9890bfae077814bbad0bf5ab62ecd946140b4eb54a1631",
-    "constraint.txt": "59d9342d2604ad81c8e694a5f2b667f0482fc454eefab9eb9eef459aaa18116f",
+# SHA-256 of `incestless run <scenario>` at each bundled seed, the digests in
+# bench/golden.json; the outputs must stay byte-identical
+_CONSTRAINT_OK = "59d9342d2604ad81c8e694a5f2b667f0482fc454eefab9eb9eef459aaa18116f"
+BUNDLED_DIGESTS = {
+    "paper_chain41": {
+        "actions.csv": "347baff2a732a2dc6c475090486be29b4b43e555085d0ef6bb2bbc93eaedd028",
+        "estimates.csv": "4431b043e610af3ace037c979207f244dfefa9be6422a0ececd77f1ee48d7150",
+        "mse.csv": "e036fbc30f3ba1d920c72599390ae5b41a8efff532fc84b3b7b42c26bb68e826",
+        "constraint.txt": _CONSTRAINT_OK,
+    },
+    "paper_complete": {
+        "actions.csv": "3ab45dd9a530895a2a6c1c3fb2944d6ef2aee9b1784ef0595d43805eea572a85",
+        "estimates.csv": "a970369573e5026a1b2848884dbeadadafff3800db13292dc8a70d253cca793f",
+        "mse.csv": "5f47681b917a14f57958c8f3ec6e814fa33725168c21a9a12e466b35d046f70d",
+        "constraint.txt": _CONSTRAINT_OK,
+    },
+    "paper_star": {
+        "actions.csv": "256ec21d9bc0e37113f4c7b7378097efa9c83e5fa478350728cf039a397cca6f",
+        "estimates.csv": "0695e3818f42cbc01e152e6acf05bbbfa486130e9b775fab9caff1e01fb8a7e8",
+        "mse.csv": "cccf6ef4bf6a4027de9890bfae077814bbad0bf5ab62ecd946140b4eb54a1631",
+        "constraint.txt": _CONSTRAINT_OK,
+    },
+    "paper_random4": {
+        "actions.csv": "e53019f14802920cd8dce0a04703cb025826827c38bf49872ae2b015399490d7",
+        "estimates.csv": "cac4fbd33b051871228d4655d490b335e2ff437ce14290f3cb16146ff54a445f",
+        "mse.csv": "5c270b8c28bb5232d89e640fbe79e6c36bacc16476ede46a5fc655afc0c84459",
+        "constraint.txt": _CONSTRAINT_OK,
+    },
 }
+OUTPUT_FILES = ("actions.csv", "estimates.csv", "mse.csv", "constraint.txt")
 
 
 @pytest.fixture
@@ -184,14 +208,54 @@ class TestRun:
         assert "Traceback" not in res.output
         assert not out.exists()
 
-    def test_paper_star_golden_digests(self, runner, tmp_path, monkeypatch):
+    @pytest.mark.parametrize("scenario", sorted(BUNDLED_DIGESTS))
+    def test_bundled_golden_digests(self, runner, tmp_path, monkeypatch, scenario):
         monkeypatch.delenv("INCESTLESS_SEED", raising=False)
         out = tmp_path / "out"
-        res = runner.invoke(main, ["run", "paper_star", "--output-dir", str(out)])
+        res = runner.invoke(main, ["run", scenario, "--output-dir", str(out)])
         assert res.exit_code == 0, res.output
         digests = {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
-                   for name in PAPER_STAR_DIGESTS}
-        assert digests == PAPER_STAR_DIGESTS
+                   for name in OUTPUT_FILES}
+        assert digests == BUNDLED_DIGESTS[scenario]
+        assert sorted(os.listdir(out)) == sorted(OUTPUT_FILES)
+
+    def test_unwritable_output_dir_exit_1(self, runner, tmp_path):
+        cfg = tiny_config(tmp_path, runs=2)
+        blocker = tmp_path / "a_file"
+        blocker.write_text("")
+        for out in (blocker / "out", blocker):
+            res = runner.invoke(main, ["run", str(cfg), "--output-dir", str(out)])
+            assert res.exit_code == 1
+            assert res.stderr.startswith("error: ")
+            assert "Traceback" not in res.output
+            assert blocker.read_text() == ""
+
+    def test_directory_in_the_way_writes_nothing(self, runner, tmp_path):
+        cfg = tiny_config(tmp_path, runs=2)
+        out = tmp_path / "out"
+        (out / "mse.csv").mkdir(parents=True)
+        res = runner.invoke(main, ["run", str(cfg), "--output-dir", str(out)])
+        assert res.exit_code == 1
+        assert res.stderr.startswith("error: ")
+        assert os.listdir(out) == ["mse.csv"]
+
+    def test_failed_write_leaves_no_outputs(self, runner, tmp_path, monkeypatch):
+        cfg = tiny_config(tmp_path, runs=2)
+        out = tmp_path / "out"
+        opened = []
+
+        def failing_open(path, *args, **kwargs):
+            opened.append(path)
+            if len(opened) == 3:
+                raise OSError(28, "No space left on device")
+            return open(path, *args, **kwargs)
+
+        monkeypatch.setattr(cli, "open", failing_open, raising=False)
+        res = runner.invoke(main, ["run", str(cfg), "--output-dir", str(out)])
+        assert res.exit_code == 1
+        assert "No space left on device" in res.stderr
+        assert len(opened) == 3
+        assert os.listdir(out) == []
 
     def test_missing_config_exit_1(self, runner):
         res = runner.invoke(main, ["run", "no_such_config"])

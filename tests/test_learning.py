@@ -243,6 +243,31 @@ def table_cases(rng, count=300):
             yield tied, random_belief(rng, tied.num_states)
 
 
+def subnormal_cases(rng):
+    """(model, public belief) pairs whose private normalisers pub . B[:, j] are
+    subnormal but nonzero for some observations j, the range where a table
+    built as pub @ (B * C) / pub @ B loses the costs: the default model with
+    costs scaled by 1e-3 and beliefs e_1 plus k * 5e-324 at states 18-20, and
+    random models with zeros in the likelihood and log-belief entries down
+    to -745."""
+    default = default_model()
+    small = StateModel(prior=default.prior, likelihood=default.likelihood,
+                       cost=default.cost * 1e-3)
+    for _ in range(60):
+        pub = np.eye(small.num_states)[0]
+        pub[17:20] = rng.integers(0, 200, size=3) * 5e-324
+        yield small, pub
+    for _ in range(200):
+        m = small_random_model(rng, num_states=int(rng.integers(3, 9)))
+        lik = m.likelihood * (rng.random(m.likelihood.shape) < 0.5)
+        lik[np.arange(lik.shape[0]), rng.integers(lik.shape[1], size=lik.shape[0])] += 0.1
+        m = StateModel(prior=m.prior, likelihood=lik / lik.sum(axis=1, keepdims=True),
+                       cost=m.cost * 10.0 ** rng.integers(-6, 1))
+        theta = rng.uniform(-745, -700, m.num_states)
+        theta[rng.integers(m.num_states)] = 0.0
+        yield m, normalize_log(theta)
+
+
 class TestActionTable:
     def test_matches_choose_action_per_observation(self):
         impossible = ties = 0
@@ -259,6 +284,20 @@ class TestActionTable:
                 assert table[j - 1] == choose_action(mu, m)
         # the cases do reach both fallbacks
         assert impossible > 0 and ties > 0
+
+    def test_subnormal_normalisers_match_choose_action(self):
+        subnormal = 0
+        for m, pub in subnormal_cases(np.random.default_rng(16)):
+            table = action_table(pub, m)
+            for j in range(1, m.num_obs + 1):
+                total = (pub * m.likelihood[:, j - 1]).sum()
+                subnormal += int(0 < total < np.finfo(np.float64).tiny)
+                try:
+                    mu = private_belief(pub, j, m)
+                except DegenerateEvidenceError:
+                    mu = pub
+                assert table[j - 1] == choose_action(mu, m)
+        assert subnormal > 100
 
     def test_likelihood_equals_per_observation_loop(self):
         for m, pub in table_cases(np.random.default_rng(12)):
@@ -535,6 +574,14 @@ class TestEstimate:
     def test_unknown_rule(self):
         with pytest.raises(ValueError):
             estimate_state(np.array([1.0]), "median")
+
+    def test_mean_equals_a_dot_product_per_belief(self):
+        rng = np.random.default_rng(22)
+        for x in (5, 20, 21, 37):
+            beliefs = rng.dirichlet(np.full(x, 0.3), size=(3, 41))
+            expected = np.array([[b @ np.arange(1, x + 1) for b in row] for row in beliefs])
+            assert np.array_equal(estimate_state(beliefs, "mean"), expected)
+            assert estimate_state(beliefs[0, 0], "mean") == expected[0, 0]
 
     def test_stacked_equals_single_calls(self):
         beliefs = np.random.default_rng(21).dirichlet(np.ones(20), size=(3, 7))

@@ -19,6 +19,7 @@ from incestless import (
     graph_from_edges,
     independent_blocks,
     normalize_log,
+    sample_observation,
 )
 from incestless import graph as graphmod
 from incestless.simulate import ScenarioConfig, build_graph, monte_carlo, run_once
@@ -214,6 +215,26 @@ class TestStackedRunMatchesReference:
         config = scenario(model, true_state=3, modes=ALL_MODES, floor_zero_likelihood=False)
         raised = {type(assert_same_as_reference(config, graph, seed)) for seed in range(6)}
         assert raised == {ValueError, SignedInfinityError}
+
+    def test_after_belief_without_support_raises_before_later_nodes_run(self):
+        # Node 1's after-belief has no finite entry: observation 3 is impossible
+        # under the prior, so the agent takes action 3, which no possible
+        # observation induces.  No node hears node 1, so only a check before
+        # node 1's writes raises its ValueError; otherwise node 5, a diamond
+        # over root 2 (weight -1) that observed 1, raises SignedInfinityError.
+        model = StateModel(prior=np.array([0.5, 0.5, 0.0]),
+                           likelihood=np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0],
+                                                [0.5, 0.0, 0.5]]),
+                           cost=np.array([[0.0, 10.0, 4.0], [10.0, 0.0, 4.0],
+                                          [10.0, 10.0, 10.0]]))
+        graph = graph_from_edges(5, [(2, 3), (2, 4), (2, 5), (3, 5), (4, 5)])
+        config = scenario(model, true_state=3, modes=ALL_MODES, floor_zero_likelihood=False)
+        raised = {}
+        for seed in range(12):
+            z = sample_observation(3, model, np.random.default_rng(seed), size=5)
+            raised[tuple(z[:2])] = type(assert_same_as_reference(config, graph, seed))
+        assert raised[3, 1] is ValueError
+        assert raised[1, 1] is SignedInfinityError
 
     @settings(max_examples=150, deadline=None)
     @given(data=st.data())
