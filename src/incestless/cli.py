@@ -155,11 +155,13 @@ def write_outputs(metrics: simulate.MetricsTable, out_dir: str) -> None:
     """Emit the long-format CSVs and the constraint report (LF line endings).
 
     Each file is written under a temporary name and renamed once all four
-    are written, so an OSError while writing leaves none of them behind.  A
-    directory in the way of one of the names is refused before anything is
-    written, since its rename would fail after the others had been made.
+    are written, so an OSError while writing leaves none of them behind, nor
+    the output directory if this call created it.  A directory in the way of
+    one of the names is refused before anything is written, since its rename
+    would fail after the others had been made.
     """
     chunks = _output_chunks(metrics)
+    created = not os.path.isdir(out_dir)
     os.makedirs(out_dir, exist_ok=True)
     final = {name: os.path.join(out_dir, name) for name in chunks}
     for path in final.values():
@@ -176,6 +178,9 @@ def write_outputs(metrics: simulate.MetricsTable, out_dir: str) -> None:
         for path in temp.values():
             with contextlib.suppress(OSError):
                 os.remove(path)
+        if created:
+            with contextlib.suppress(OSError):
+                os.rmdir(out_dir)
         raise
 
 

@@ -43,9 +43,10 @@ class StateModel:
     likelihood_t: np.ndarray = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        p = np.asarray(self.prior, dtype=np.float64)
-        b = np.asarray(self.likelihood, dtype=np.float64)
-        c = np.asarray(self.cost, dtype=np.float64)
+        # copies, so freezing them leaves the caller's arrays writeable
+        p = np.array(self.prior, dtype=np.float64)
+        b = np.array(self.likelihood, dtype=np.float64)
+        c = np.array(self.cost, dtype=np.float64)
         if b.ndim != 2 or b.shape[0] != p.shape[0]:
             raise ValueError("likelihood must have one row per state")
         if c.ndim != 2 or c.shape[0] != p.shape[0]:
@@ -251,42 +252,28 @@ def normalize_log(theta: np.ndarray) -> np.ndarray:
     return p / p.sum(axis=-1, keepdims=True)
 
 
-def fuse(coeffs: np.ndarray, evidence: np.ndarray, received: np.ndarray | None = None,
-         node: int | str = "?") -> np.ndarray:
-    """Row k is sum_i coeffs[k, i] * evidence[k, i], for rows stacked over modes.
+def fuse(coeffs: np.ndarray, evidence: np.ndarray, node: int) -> np.ndarray:
+    """Row (k, l) is sum_i coeffs[k, l, i] * evidence[k, i], for one block of nodes.
 
-    coeffs is (M, K), evidence (M, K, X), the result (M, X): one product and
-    one reduction over i, which adds the terms in ascending i.  Entry i
-    belongs to node i+1.  In the block form coeffs is (M, L, K), one row per
-    mode for each of the L nodes node, node+1, ... that fuse the same
-    evidence, and the result is (M, L, X); each row is the one the (M, K)
-    form gives.  received[k, i] or received[k, l, i] (bool) says whether that
-    evidence reaches the fusing node; None means the caller has checked that
-    every nonzero coefficient's does.  A zero coefficient adds +-0.0, which
-    leaves the sum unchanged, except on -inf evidence, where 0 * -inf is NaN.
-    A row that is not < inf, or that needs evidence it does not receive, is
+    coeffs is (M, L, K), one row per mode for each of the L nodes node,
+    node+1, ... that fuse the same evidence (M, K, X); the result is
+    (M, L, X), from one product and one reduction over i, which adds the
+    terms in ascending i.  Entry i belongs to node i+1, and the caller has
+    checked that every nonzero coefficient's evidence reaches its node.  A
+    zero coefficient adds +-0.0, which leaves the sum unchanged, except on
+    -inf evidence, where 0 * -inf is NaN.  A row that is not < inf is
     recomputed by fuse_terms, which skips zero terms and raises the
-    AvailabilityError or SignedInfinityError the row calls for.  Rows are
-    recomputed node by node, and modes in order within a node, so the error
-    is the one the lowest failing node raises.
+    SignedInfinityError the row calls for.  Rows are recomputed node by
+    node, and modes in order within a node, so the error is the one the
+    lowest failing node raises.
     """
-    block = coeffs.ndim == 3
-    if not block:
-        coeffs = coeffs[:, None]
-        if received is not None:
-            received = received[:, None]
     with np.errstate(invalid="ignore"):
         total = np.add.reduce(coeffs[..., None] * evidence[:, None], axis=2)
-    if received is not None or not total.max() < np.inf:
+    if not total.max() < np.inf:
         redo = ~(total < np.inf).all(axis=-1)
-        if received is None:
-            received = coeffs != 0
-        else:
-            redo |= ((coeffs != 0) & ~received).any(axis=-1)
         for l, k in np.argwhere(redo.T).tolist():
-            total[k, l] = fuse_terms(coeffs[k, l], evidence[k], received[k, l],
-                                     node + l if l else node)
-    return total if block else total[:, 0]
+            total[k, l] = fuse_terms(coeffs[k, l], evidence[k], coeffs[k, l] != 0, node + l)
+    return total
 
 
 def fuse_terms(coeffs: np.ndarray, evidence: np.ndarray, received: np.ndarray,

@@ -29,10 +29,13 @@ raises normalize_log's ValueError at its block.  The block step is bit for
 bit the per-node, per-mode loop, and a block that raises is stepped again
 node by node, so a run raises what that loop raises.  What a run reads that
 depends on the graph and the config alone (the M x N x N coefficient table,
-which rows each node receives, the blocks, the graph digest) is built once
-per study by run_tables, and monte_carlo passes it to every run_once.  A
-run draws its N observations in one call, and all modes share them, so
-their traces differ by aggregation alone.
+the blocks, the graph digest) is built once per study by run_tables, and
+monte_carlo passes it to every run_once.  run_tables also checks, once per
+study, that every nonzero coefficient's row reaches its node (after-evidence
+travels over edges, the benchmarks read all history) and raises
+AvailabilityError for the lowest node that misses one.  A run draws its N
+observations in one call, and all modes share them, so their traces differ
+by aggregation alone.
 RunTrace keeps the run as (M x N) and (M x N x X) arrays; its `records` is
 a per-node view of them, built on demand.
 SeedSequence(seed) child 0 draws the graph (graph.topology_rng, as
@@ -47,7 +50,7 @@ import numpy as np
 
 from . import graph as graphmod
 from . import learning
-from .errors import ConfigError, ConstraintViolationError, IncestlessError
+from .errors import AvailabilityError, ConfigError, ConstraintViolationError, IncestlessError
 from .graph import CommGraph, TopologySpec
 from .learning import StateModel
 
@@ -133,7 +136,6 @@ class MetricsTable:
     constraint: dict[int, list[int]]
     mean_estimate: dict[str, np.ndarray] = field(init=False)
     mse: dict[str, np.ndarray] = field(init=False)
-    action_hist: dict[str, np.ndarray] = field(init=False)
 
     def __post_init__(self):
         self.mean_estimate = {m: e.mean(axis=0) for m, e in self.estimates.items()}
@@ -141,13 +143,6 @@ class MetricsTable:
             m: ((e - self.true_states[:, None]) ** 2).mean(axis=0)
             for m, e in self.estimates.items()
         }
-        # one bincount per mode: node n's count of action a sits at n * amax + a - 1
-        self.action_hist = {}
-        for m, acts in self.actions.items():
-            amax = int(acts.max())
-            index = np.arange(self.num_nodes) * amax + acts - 1
-            self.action_hist[m] = np.bincount(
-                index.ravel(), minlength=self.num_nodes * amax).reshape(self.num_nodes, amax)
 
 
 def node_weights(graph: CommGraph) -> list[np.ndarray]:
@@ -161,14 +156,11 @@ class RunTables:
     """What every run of a study shares; it depends on the graph and the config alone.
 
     Row k of each per-mode table is config.modes[k].  coeffs[k, n-1, i]
-    weighs node i+1's stored row in node n's fusion, and received[k, n-1, i]
-    says whether that row reaches node n: after-evidence travels over edges,
-    the benchmarks read all history.
+    weighs node i+1's stored row in node n's fusion; run_tables has checked
+    that every row with a nonzero coefficient reaches its node.
     """
 
     coeffs: np.ndarray              # (M, N, N) float
-    received: np.ndarray            # (M, N, N) bool
-    unavailable: list[bool]         # entry n-1: node n needs evidence it never receives
     stores_after: np.ndarray        # (M, 1, 1) bool: S[n] is the after-evidence, not the increment
     oracle: list[int]               # rows whose own increment is the observation's
     blocks: list[tuple[int, int]]   # graph.independent_blocks
@@ -180,7 +172,10 @@ def run_tables(config: ScenarioConfig, graph: CommGraph) -> RunTables:
     """Solve W once and build the tables every run over the graph reads.
 
     A removal run on a graph that violates the constraint raises
-    ConstraintViolationError unless config.force.
+    ConstraintViolationError unless config.force.  A nonzero coefficient on
+    a row its node does not receive raises AvailabilityError, before any
+    run: for the lowest such node, the first mode in config.modes order and
+    that mode's missing senders, as the node-by-node loop would.
     """
     weights = graphmod.weight_matrix(graph)
     constraint = graphmod.violations(weights, graph.adjacency)
@@ -199,10 +194,13 @@ def run_tables(config: ScenarioConfig, graph: CommGraph) -> RunTables:
     fs, stores_after, own_is_obs = zip(*(table[mode] for mode in config.modes))
     coeffs = np.stack([f.T for f in fs]).astype(np.float64)
     received = np.stack([(adjacency if after else history).T != 0 for after in stores_after])
+    missing = (coeffs != 0) & ~received
+    if missing.any():
+        n, k = np.argwhere(missing.any(axis=2).T)[0]
+        raise AvailabilityError(node=int(n) + 1,
+                                missing=(np.flatnonzero(missing[k, n]) + 1).tolist())
     return RunTables(
-        coeffs=coeffs, received=received,
-        unavailable=((coeffs != 0) & ~received).any(axis=(0, 2)).tolist(),
-        stores_after=np.array(stores_after)[:, None, None],
+        coeffs=coeffs, stores_after=np.array(stores_after)[:, None, None],
         oracle=[k for k, is_obs in enumerate(own_is_obs) if is_obs],
         blocks=graphmod.independent_blocks(graph), digest=graph.digest(),
         constraint=constraint)
@@ -228,16 +226,13 @@ def run_once(config: ScenarioConfig, graph: CommGraph, rng: np.random.Generator,
     obs_index = observations - 1
     obs_loglik = np.log(np.maximum(model.likelihood_t[obs_index], learning.LIKELIHOOD_FLOOR))
     log_prior = model.log_prior
-    coeffs, received, unavailable = tables.coeffs, tables.received, tables.unavailable
     stored, public, after = np.zeros(shape), np.empty(shape), np.empty(shape)
     actions = np.empty(shape[:2], dtype=np.int64)
     node_index = np.arange(graph.size)
 
     def step(lo, hi):
         """Update nodes lo+1..hi, none of which hears another, in one row per (mode, node)."""
-        evidence = learning.fuse(coeffs[:, lo:hi, :lo], stored[:, :lo],
-                                 received[:, lo:hi, :lo] if any(unavailable[lo:hi]) else None,
-                                 node=lo + 1)
+        evidence = learning.fuse(tables.coeffs[:, lo:hi, :lo], stored[:, :lo], node=lo + 1)
         pub = learning.normalize_log(log_prior + evidence)
         acts = learning.action_table(pub, model)  # action each observation induces
         a = acts[:, node_index[:hi - lo], obs_index[lo:hi]]

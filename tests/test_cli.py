@@ -239,9 +239,10 @@ class TestRun:
         assert res.stderr.startswith("error: ")
         assert os.listdir(out) == ["mse.csv"]
 
-    def test_failed_write_leaves_no_outputs(self, runner, tmp_path, monkeypatch):
+    @staticmethod
+    def run_with_failing_write(runner, tmp_path, monkeypatch, out):
+        """Run a tiny config whose third file open fails with ENOSPC."""
         cfg = tiny_config(tmp_path, runs=2)
-        out = tmp_path / "out"
         opened = []
 
         def failing_open(path, *args, **kwargs):
@@ -255,6 +256,17 @@ class TestRun:
         assert res.exit_code == 1
         assert "No space left on device" in res.stderr
         assert len(opened) == 3
+
+    def test_failed_write_leaves_no_outputs(self, runner, tmp_path, monkeypatch):
+        # the run created the directory, so it goes with the files
+        out = tmp_path / "out"
+        self.run_with_failing_write(runner, tmp_path, monkeypatch, out)
+        assert not out.exists()
+
+    def test_failed_write_keeps_an_existing_directory(self, runner, tmp_path, monkeypatch):
+        out = tmp_path / "out"
+        out.mkdir()
+        self.run_with_failing_write(runner, tmp_path, monkeypatch, out)
         assert os.listdir(out) == []
 
     def test_missing_config_exit_1(self, runner):

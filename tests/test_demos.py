@@ -1,7 +1,4 @@
-"""The quick demos run to completion against the current package.
-
-demos/03 is left out: it is a Monte Carlo study that takes tens of seconds.
-"""
+"""The demos run to completion against the current package."""
 
 import os
 import subprocess
@@ -15,6 +12,7 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 @pytest.mark.parametrize("demo", [
     "01_weights_and_constraint.py",
     "02_single_run_modes.py",
+    "03_monte_carlo_benchmarks.py",
     "04_constraint_repair.py",
 ])
 def test_demo_runs(demo):

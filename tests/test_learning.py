@@ -73,6 +73,15 @@ class TestModelConstruction:
         with pytest.raises(ValueError):
             StateModel(prior=[0.7, 0.7], likelihood=np.eye(2), cost=np.eye(2))
 
+    def test_caller_arrays_stay_writeable(self):
+        prior, lik, cost = np.full(3, 1 / 3), np.eye(3), 1.0 - np.eye(3)
+        m = StateModel(prior, lik, cost)
+        for arr in (m.prior, m.likelihood, m.cost, m.likelihood_t):
+            assert not arr.flags.writeable
+        lik[0, 0] = 0.5
+        prior[0] = cost[0, 1] = 0.0
+        assert m.likelihood[0, 0] == 1.0 and m.prior[0] == 1 / 3 and m.cost[0, 1] == 1.0
+
 
 class TestSampleObservation:
     def test_noiseless(self):
@@ -435,44 +444,8 @@ class TestAggregation:
         assert np.isneginf(out.evidence[0])
 
 
-class TestFuse:
-    def cases(self, rng, count=50):
-        """Stacked (M, K) coefficients with zeros, and evidence with -inf entries."""
-        for _ in range(count):
-            m, k, x = 3, int(rng.integers(0, 8)), 4
-            coeffs = rng.integers(-2, 3, size=(m, k)).astype(np.float64)
-            evidence = rng.normal(size=(m, k, x))
-            evidence[rng.random((m, k, x)) < 0.15] = -np.inf
-            yield coeffs, evidence
-
-    def test_equals_fuse_terms_row_by_row(self):
-        raised = 0
-        for coeffs, evidence in self.cases(np.random.default_rng(20)):
-            received = coeffs != 0
-            try:
-                expected = np.stack([fuse_terms(c, e, r, node=9)
-                                     for c, e, r in zip(coeffs, evidence, received)])
-            except SignedInfinityError as exc:
-                raised += 1
-                for passed in (None, received):
-                    with pytest.raises(SignedInfinityError) as got:
-                        fuse(coeffs, evidence, passed, node=9)
-                    assert str(got.value) == str(exc)
-                continue
-            assert np.array_equal(fuse(coeffs, evidence, node=9), expected)
-            assert np.array_equal(fuse(coeffs, evidence, received, node=9), expected)
-        assert raised > 0
-
-    def test_unavailable_row_raises(self):
-        coeffs = np.array([[1.0, 0.0], [0.0, 2.0]])
-        received = np.array([[True, False], [True, False]])
-        with pytest.raises(AvailabilityError) as exc:
-            fuse(coeffs, np.zeros((2, 2, 3)), received, node=4)
-        assert exc.value.node == 4 and exc.value.missing == [2]
-
-
 class TestFuseBlock:
-    """The (M, L, K) block form: one row per (mode, node) over shared evidence."""
+    """One row per (mode, node) of a block over shared evidence."""
 
     def test_equals_fuse_terms_per_mode_and_node(self):
         rng = np.random.default_rng(21)
@@ -490,28 +463,17 @@ class TestFuseBlock:
                     for j in range(l)], axis=1)
             except SignedInfinityError as exc:
                 raised += 1
-                for passed in (None, received):
-                    with pytest.raises(SignedInfinityError) as got:
-                        fuse(coeffs, evidence, passed, node=7)
-                    assert str(got.value) == str(exc)
+                with pytest.raises(SignedInfinityError) as got:
+                    fuse(coeffs, evidence, node=7)
+                assert str(got.value) == str(exc)
                 continue
             assert expected.shape == (m, l, x)
             assert np.array_equal(fuse(coeffs, evidence, node=7), expected)
-            assert np.array_equal(fuse(coeffs, evidence, received, node=7), expected)
-            # each node's rows are what the (M, K) form gives
+            # each node's rows are what a one-node block gives
             for j in range(l):
-                assert np.array_equal(fuse(coeffs[:, j], evidence, node=7 + j), expected[:, j])
+                assert np.array_equal(fuse(coeffs[:, j:j + 1], evidence, node=7 + j),
+                                      expected[:, j:j + 1])
         assert raised > 0
-
-    def test_lowest_unavailable_node_raises(self):
-        # nodes 4 and 5 of the block both miss evidence, node 5 in an earlier mode
-        coeffs = np.zeros((2, 3, 2))
-        coeffs[1, 1, 0] = 1.0  # mode 1, node 4 needs node 1
-        coeffs[0, 2, 1] = 1.0  # mode 0, node 5 needs node 2
-        received = np.zeros((2, 3, 2), dtype=bool)
-        with pytest.raises(AvailabilityError) as exc:
-            fuse(coeffs, np.zeros((2, 2, 3)), received, node=3)
-        assert exc.value.node == 4 and exc.value.missing == [1]
 
 
 class TestFullHistory:

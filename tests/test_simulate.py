@@ -22,6 +22,7 @@ from incestless import (
     sample_observation,
 )
 from incestless import graph as graphmod
+from incestless import simulate
 from incestless.simulate import ScenarioConfig, build_graph, monte_carlo, run_once
 
 from conftest import DIAMOND_A_EDGES, reference_run_once
@@ -253,6 +254,27 @@ class TestStackedRunMatchesReference:
                           estimate_rule=data.draw(st.sampled_from(["mean", "map"]), label="rule"))
         assert_same_as_reference(config, graph, data.draw(st.integers(0, 2**16), label="seed"))
 
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_random_topologies(self, model, data):
+        kind = data.draw(st.sampled_from(["complete_delay", "star_delay", "random4", "chain41"]),
+                         label="kind")
+        spec = TopologySpec(
+            kind=kind,
+            agents=data.draw(st.integers(2 if kind == "star_delay" else 1, 5), label="agents"),
+            epochs=data.draw(st.integers(1, 4), label="epochs"),
+            delays=tuple(data.draw(st.sets(st.sampled_from([1, 2, 3]), min_size=1),
+                                   label="delays")))
+        config = scenario(model, topology=spec, modes=ALL_MODES, true_state="random",
+                          seed=data.draw(st.integers(0, 2**16), label="seed"),
+                          force=data.draw(st.booleans(), label="force"),
+                          floor_zero_likelihood=data.draw(st.booleans(), label="floor"),
+                          estimate_rule=data.draw(st.sampled_from(["mean", "map"]), label="rule"))
+        graph = build_graph(config)
+        if data.draw(st.booleans(), label="augment"):
+            graph = augment_for_constraint(graph)
+        assert_same_as_reference(config, graph, config.seed)
+
     def test_records_view_the_arrays(self, model, diamond_a):
         config = scenario(model, modes=ALL_MODES)
         trace = run_once(config, diamond_a, np.random.default_rng(4))
@@ -265,6 +287,30 @@ class TestStackedRunMatchesReference:
             assert np.array_equal([r.public for r in recs], trace.public[k])
             assert np.array_equal([r.after for r in recs], trace.after[k])
             assert not recs[0].after.flags.writeable
+
+
+class TestRunTables:
+    def test_missing_evidence_raises_for_the_lowest_node_before_any_run(
+            self, model, monkeypatch):
+        # Nodes 5 and 6 form one block, and each misses a removal row: node 5
+        # hears 1, 3, 4 but not 2, node 6 hears 2, 3, 4 but not 1.  A
+        # constraint report that misses both lets the study reach run_tables.
+        graph = graph_from_edges(6, [(1, 3), (1, 4), (2, 3), (2, 4), (3, 5), (4, 5), (1, 5),
+                                     (3, 6), (4, 6), (2, 6)])
+        assert independent_blocks(graph)[-1] == (4, 6)
+        assert graphmod.violations(graphmod.weight_matrix(graph), graph.adjacency) == {
+            5: [2], 6: [1]}
+        monkeypatch.setattr(graphmod, "violations", lambda weights, adjacency: {})
+        calls = []
+        monkeypatch.setattr(simulate, "run_once", lambda *args, **kw: calls.append(args))
+        config = scenario(model, modes=ALL_MODES, runs=3)
+        with pytest.raises(AvailabilityError) as exc:
+            simulate.run_tables(config, graph)
+        assert exc.value.node == 5 and exc.value.missing == [2]
+        with pytest.raises(AvailabilityError) as again:
+            monte_carlo(config, graph=graph)
+        assert str(again.value) == str(exc.value)
+        assert calls == []
 
 
 class TestMonteCarlo:
@@ -331,14 +377,3 @@ class TestMonteCarlo:
             assert mt.mean_estimate[m].shape == (5,)
             assert mt.mse[m].shape == (5,)
             assert (mt.mse[m] >= 0).all()
-            assert mt.action_hist[m].sum(axis=1).tolist() == [4] * 5
-
-    def test_action_hist_matches_per_node_bincount(self):
-        mt = monte_carlo(cli.build_scenario(cli.load_config_file("paper_random4")))
-        for m, acts in mt.actions.items():
-            amax = int(acts.max())
-            expected = np.zeros((mt.num_nodes, amax), dtype=np.int64)
-            for n in range(mt.num_nodes):
-                expected[n] = np.bincount(acts[:, n], minlength=amax + 1)[1:]
-            assert mt.action_hist[m].dtype == expected.dtype
-            assert np.array_equal(mt.action_hist[m], expected)
