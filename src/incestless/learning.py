@@ -276,6 +276,21 @@ def fuse(coeffs: np.ndarray, evidence: np.ndarray, node: int) -> np.ndarray:
     return total
 
 
+def require_received(coeffs: np.ndarray, received: np.ndarray, node: int) -> None:
+    """Raise AvailabilityError unless every nonzero coefficient's evidence reaches its node.
+
+    coeffs and received are (M, L, K) blocks as fuse takes them, for nodes
+    node, node+1, ...; entry i belongs to node i+1.  The error names the
+    lowest node that misses a row, the first mode in which it does, and that
+    mode's missing senders, as fusing node by node would.
+    """
+    missing = (coeffs != 0) & ~received
+    if missing.any():
+        l, k = np.argwhere(missing.any(axis=2).T)[0]
+        raise AvailabilityError(node=node + int(l),
+                                missing=(np.flatnonzero(missing[k, l]) + 1).tolist())
+
+
 def fuse_terms(coeffs: np.ndarray, evidence: np.ndarray, received: np.ndarray,
                node: int | str = "?") -> np.ndarray:
     """sum_i coeffs[i] * evidence[i], adding the nonzero terms one at a time in ascending i.

@@ -50,7 +50,7 @@ import numpy as np
 
 from . import graph as graphmod
 from . import learning
-from .errors import AvailabilityError, ConfigError, ConstraintViolationError, IncestlessError
+from .errors import ConfigError, ConstraintViolationError, IncestlessError
 from .graph import CommGraph, TopologySpec
 from .learning import StateModel
 
@@ -173,8 +173,8 @@ def run_tables(config: ScenarioConfig, graph: CommGraph) -> RunTables:
 
     A removal run on a graph that violates the constraint raises
     ConstraintViolationError unless config.force.  A nonzero coefficient on
-    a row its node does not receive raises AvailabilityError, before any
-    run: for the lowest such node, the first mode in config.modes order and
+    a row its node does not receive raises AvailabilityError
+    (learning.require_received), before any run: for the lowest such node, the first mode in config.modes order and
     that mode's missing senders, as the node-by-node loop would.
     """
     weights = graphmod.weight_matrix(graph)
@@ -194,11 +194,7 @@ def run_tables(config: ScenarioConfig, graph: CommGraph) -> RunTables:
     fs, stores_after, own_is_obs = zip(*(table[mode] for mode in config.modes))
     coeffs = np.stack([f.T for f in fs]).astype(np.float64)
     received = np.stack([(adjacency if after else history).T != 0 for after in stores_after])
-    missing = (coeffs != 0) & ~received
-    if missing.any():
-        n, k = np.argwhere(missing.any(axis=2).T)[0]
-        raise AvailabilityError(node=int(n) + 1,
-                                missing=(np.flatnonzero(missing[k, n]) + 1).tolist())
+    learning.require_received(coeffs, received, node=1)
     return RunTables(
         coeffs=coeffs, stores_after=np.array(stores_after)[:, None, None],
         oracle=[k for k, is_obs in enumerate(own_is_obs) if is_obs],

@@ -23,7 +23,7 @@ from incestless import (
     sample_observation,
     triangular_likelihood,
 )
-from incestless.learning import fuse, fuse_terms
+from incestless.learning import fuse, fuse_terms, require_received
 
 from conftest import after_action_update
 
@@ -444,6 +444,44 @@ class TestAggregation:
         assert np.isneginf(out.evidence[0])
 
 
+class TestFuse:
+    """One node's rows, one per mode, fused as a one-node block."""
+
+    def cases(self, rng, count=50):
+        """Stacked (M, K) coefficients with zeros, and evidence with -inf entries."""
+        for _ in range(count):
+            m, k, x = 3, int(rng.integers(0, 8)), 4
+            coeffs = rng.integers(-2, 3, size=(m, k)).astype(np.float64)
+            evidence = rng.normal(size=(m, k, x))
+            evidence[rng.random((m, k, x)) < 0.15] = -np.inf
+            yield coeffs, evidence
+
+    def test_equals_fuse_terms_row_by_row(self):
+        raised = 0
+        for coeffs, evidence in self.cases(np.random.default_rng(20)):
+            received = coeffs != 0
+            try:
+                expected = np.stack([fuse_terms(c, e, r, node=9)
+                                     for c, e, r in zip(coeffs, evidence, received)])
+            except SignedInfinityError as exc:
+                raised += 1
+                with pytest.raises(SignedInfinityError) as got:
+                    fuse(coeffs[:, None], evidence, node=9)
+                assert str(got.value) == str(exc)
+                continue
+            assert np.array_equal(fuse(coeffs[:, None], evidence, node=9)[:, 0], expected)
+        assert raised > 0
+
+    def test_unavailable_row_raises(self):
+        # mode 0 needs only node 1, which it receives; mode 1 needs node 2
+        coeffs = np.array([[1.0, 0.0], [0.0, 2.0]])
+        received = np.array([[True, False], [True, False]])
+        with pytest.raises(AvailabilityError) as exc:
+            require_received(coeffs[:, None], received[:, None], node=4)
+        assert exc.value.node == 4 and exc.value.missing == [2]
+        require_received(coeffs[:1, None], received[:1, None], node=4)
+
+
 class TestFuseBlock:
     """One row per (mode, node) of a block over shared evidence."""
 
@@ -474,6 +512,16 @@ class TestFuseBlock:
                 assert np.array_equal(fuse(coeffs[:, j:j + 1], evidence, node=7 + j),
                                       expected[:, j:j + 1])
         assert raised > 0
+
+    def test_lowest_unavailable_node_raises(self):
+        # nodes 4 and 5 of the block both miss evidence, node 5 in an earlier mode
+        coeffs = np.zeros((2, 3, 2))
+        coeffs[1, 1, 0] = 1.0  # mode 1, node 4 needs node 1
+        coeffs[0, 2, 1] = 1.0  # mode 0, node 5 needs node 2
+        received = np.zeros((2, 3, 2), dtype=bool)
+        with pytest.raises(AvailabilityError) as exc:
+            require_received(coeffs, received, node=3)
+        assert exc.value.node == 4 and exc.value.missing == [1]
 
 
 class TestFullHistory:
