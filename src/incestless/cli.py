@@ -156,12 +156,12 @@ def write_outputs(metrics: simulate.MetricsTable, out_dir: str) -> None:
 
     Each file is written under a temporary name and renamed once all four
     are written, so an OSError while writing leaves none of them behind, nor
-    the output directory if this call created it.  A directory in the way of
-    one of the names is refused before anything is written, since its rename
-    would fail after the others had been made.
+    any of the directories this call created for them.  A directory in the
+    way of one of the names is refused before anything is written, since its
+    rename would fail after the others had been made.
     """
     chunks = _output_chunks(metrics)
-    created = not os.path.isdir(out_dir)
+    created = _missing_dirs(out_dir)
     os.makedirs(out_dir, exist_ok=True)
     final = {name: os.path.join(out_dir, name) for name in chunks}
     for path in final.values():
@@ -178,10 +178,20 @@ def write_outputs(metrics: simulate.MetricsTable, out_dir: str) -> None:
         for path in temp.values():
             with contextlib.suppress(OSError):
                 os.remove(path)
-        if created:
+        for path in created:
             with contextlib.suppress(OSError):
-                os.rmdir(out_dir)
+                os.rmdir(path)
         raise
+
+
+def _missing_dirs(path: str) -> list[str]:
+    """The directories os.makedirs(path) would create, deepest first."""
+    missing = []
+    path = os.path.abspath(path)
+    while not os.path.isdir(path) and path != os.path.dirname(path):
+        missing.append(path)
+        path = os.path.dirname(path)
+    return missing
 
 
 @click.group()

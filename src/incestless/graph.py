@@ -122,19 +122,75 @@ class CommGraph:
 def weight_matrix(graph: CommGraph, nodes=None) -> np.ndarray:
     """Columns of W = I - T^-1 for the given 1-based nodes (default all), rows 1..max(nodes).
 
-    Column n holds w_n, the solution of T_{n-1} w_n = t_n, above zeros, from
-    one exact integer back substitution.  Each row is also computed in
-    float64 from the verified rows below it: a true weight beyond int64
-    wraps the int64 row by a multiple of 2^64 but moves the float row by far
-    less than 2^63, so the two then differ by more than 2^63.
+    Column n holds w_n, the solution of T_{n-1} w_n = t_n, above zeros.
+    X = T^-1 is solved in float64 (`_float_inverse`) and used only when a
+    bound on its partial sums proves every operation exact; the graphs whose
+    weights are too large for that proof go through the int64 back
+    substitution (`_int64_weights`), which raises WeightOverflowError for a
+    weight beyond int64.  Both give the same integers.
     """
     cols = np.unique(np.arange(1, graph.size + 1) if nodes is None else nodes) - 1
+    x = _float_inverse(graph.closure, cols)
+    if x is None:
+        return _int64_weights(graph.closure, cols)
+    # W = I - X in place: the diagonal of X is 1, so it becomes 0
+    np.negative(x, out=x)
+    x[cols, np.arange(cols.size)] = 0
+    return x.astype(np.int64)
+
+
+# rows per float64 block; within a block the rows are solved one at a time
+_BLOCK = 64
+
+
+def _float_inverse(closure: np.ndarray, cols: np.ndarray) -> np.ndarray | None:
+    """Columns `cols` of X = T^-1, rows 0..max(cols), or None if float64 cannot prove them exact.
+
+    Solved bottom-up in blocks of rows: the rows below a block enter by one
+    GEMM, then the block's own rows are solved one at a time.  Each entry is
+    x[j, c] = delta_jc - (sum of a subset of the x[k, c], k > j), as T is
+    0/1, and every partial sum on the way is a signed subset sum of the
+    same terms.  So while each column's sum of |x| stays below 2^53, all of
+    them are integers that float64 holds exactly: the first wrong entry in
+    solve order would have read only exact entries of its column, and so
+    could not be wrong.  The column sums are themselves sums of integers,
+    and one below 2^53 is exact, whatever the order of its additions.  The
+    solve stops at the first block whose sums break the bound; a block at
+    most doubles its sum of |x| per row, so no value gets near inf first.
+    """
+    rows = int(cols.max(initial=-1)) + 1
+    x = np.zeros((rows, cols.size))
+    x[cols, np.arange(cols.size)] = 1.0
+    sums = np.zeros(cols.size)
+    for r0 in range(((rows - 1) // _BLOCK) * _BLOCK, -1, -_BLOCK):
+        r1 = min(r0 + _BLOCK, rows)
+        t = closure[r0:r1, r0:rows].astype(np.float64)  # the block's rows, from column r0
+        # columns of nodes before the block are zero on its rows and below
+        first = int(np.searchsorted(cols, r0))
+        block = x[r0:r1, first:]
+        block -= t[:, r1 - r0:] @ x[r1:, first:]
+        for j in range(r1 - r0 - 2, -1, -1):
+            block[j] -= t[j, j + 1:r1 - r0] @ block[j + 1:]
+        sums[first:] += np.abs(block).sum(axis=0)
+        if sums.max(initial=0.0) >= 2.0**53:
+            return None
+    return x
+
+
+def _int64_weights(closure: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """W's columns `cols` by one exact int64 back substitution.
+
+    Each row is also computed in float64 from the verified rows below it: a
+    true weight beyond int64 wraps the int64 row by a multiple of 2^64 but
+    moves the float row by far less than 2^63, so the two then differ by
+    more than 2^63, and WeightOverflowError names the node and index.
+    """
     rows = int(cols.max(initial=-1)) + 1
     w = np.zeros((rows, cols.size), dtype=np.int64)
     w_float = np.zeros((rows, cols.size))
     for j in range(rows - 2, -1, -1):
         first = int(np.searchsorted(cols, j, side="right"))  # columns of nodes after j+1
-        reach, t_j = graph.closure[j, j + 1:rows], graph.closure[j, cols[first:]]
+        reach, t_j = closure[j, j + 1:rows], closure[j, cols[first:]]
         exact = t_j - reach.astype(np.int64) @ w[j + 1:, first:]
         approx = t_j - reach.astype(np.float64) @ w_float[j + 1:, first:]
         wrapped = np.flatnonzero(np.abs(approx - exact) > 2.0**63)
@@ -186,8 +242,10 @@ def check_constraint(weights: np.ndarray, b_n: np.ndarray) -> list[int]:
 def violations(weights: np.ndarray, adjacency: np.ndarray) -> dict[int, list[int]]:
     """Map node -> violating indices: the nonzero columns of (W != 0) & (A == 0)."""
     bad = (weights != 0) & (adjacency == 0)
-    return {int(c) + 1: [int(j) + 1 for j in np.flatnonzero(bad[:, c])]
-            for c in np.flatnonzero(bad.any(axis=0))}
+    col, row = np.nonzero(bad.T)  # sorted by column, then row
+    starts = np.flatnonzero(np.diff(col, prepend=-1)).tolist()
+    row = (row + 1).tolist()
+    return {int(col[i]) + 1: row[i:j] for i, j in zip(starts, starts[1:] + [len(row)])}
 
 
 def constraint_report(graph: CommGraph) -> dict[int, list[int]]:
@@ -241,7 +299,11 @@ def generate_topology(spec: TopologySpec, rng: np.random.Generator) -> CommGraph
 
     A delay tau from (s, k) to s' becomes the edge
     reindex(s, k) -> reindex(s', k + tau) when k + tau <= K; messages that
-    would arrive after the horizon are dropped.
+    would arrive after the horizon are dropped.  A graph's draws (a delay,
+    or random4's link state, per pair) are made in one call, in the order
+    of one draw per pair: epoch, then sender, then receiver, and on the
+    star each spoke -> hub draw just before its hub -> spoke one.  So the
+    stream, and the graph, are those of one call per pair.
     """
     if spec.kind == "chain41":
         n = 41
@@ -256,34 +318,27 @@ def generate_topology(spec: TopologySpec, rng: np.random.Generator) -> CommGraph
         return load_graph(spec.path)
 
     s_cnt, k_cnt = spec.agents, spec.epochs
-    n = s_cnt * k_cnt
-    a = np.zeros((n, n), dtype=np.int8)
-
-    def connect(s_from, s_to, k, tau):
-        if k + tau <= k_cnt:
-            a[reindex(s_from, k, s_cnt) - 1, reindex(s_to, k + tau, s_cnt) - 1] = 1
-
-    if spec.kind == "complete_delay":
-        for k in range(1, k_cnt + 1):
-            for s1 in range(1, s_cnt + 1):
-                for s2 in range(1, s_cnt + 1):
-                    if s1 != s2:
-                        connect(s1, s2, k, int(rng.choice(spec.delays)))
-    elif spec.kind == "star_delay":
-        hub = 1
-        for k in range(1, k_cnt + 1):
-            for s in range(2, s_cnt + 1):
-                connect(s, hub, k, int(rng.choice(spec.delays)))
-                connect(hub, s, k, int(rng.choice(spec.delays)))
-    elif spec.kind == "random4":
-        for k in range(1, k_cnt + 1):
-            for s1 in range(1, s_cnt + 1):
-                for s2 in range(1, s_cnt + 1):
-                    if s1 == s2:
-                        continue
-                    status = int(rng.integers(4))  # delay 1, 2, 3, or no link
-                    if status < 3:
-                        connect(s1, s2, k, status + 1)
+    # 0-based (epoch, sender, receiver) of every pair of the kind, in draw order
+    if spec.kind == "star_delay":
+        # per epoch and spoke: the spoke -> hub draw, then the hub -> spoke one
+        k, spoke, back = np.indices((k_cnt, s_cnt - 1, 2)).reshape(3, -1)
+        s_from, s_to = np.where(back, 0, spoke + 1), np.where(back, spoke + 1, 0)
+    else:
+        k, s_from, s_to = np.indices((k_cnt, s_cnt, s_cnt)).reshape(3, -1)
+        off = s_from != s_to
+        k, s_from, s_to = k[off], s_from[off], s_to[off]
+    if spec.kind == "random4":
+        status = rng.integers(4, size=k.size)  # delay 1, 2, 3, or no link
+        link, tau = status < 3, status + 1
+    else:
+        delays = np.asarray(spec.delays, dtype=np.int64)
+        link, tau = True, delays[rng.integers(0, delays.size, size=k.size)]
+    keep = link & (k + tau < k_cnt)  # messages that would arrive after the horizon are dropped
+    k, s_from, s_to, arrive = k[keep], s_from[keep], s_to[keep], (k + tau)[keep]
+    if arrive.min(initial=0) < 0:
+        raise ValueError(f"epoch index {arrive[arrive < 0][0] + 1} must be positive")
+    a = np.zeros((s_cnt * k_cnt,) * 2, dtype=np.int8)
+    a[s_from + s_cnt * k, s_to + s_cnt * arrive] = 1
     return CommGraph(a, num_agents=s_cnt, num_epochs=k_cnt)
 
 

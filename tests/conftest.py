@@ -5,6 +5,7 @@ import pytest
 
 from incestless import (
     CommGraph,
+    reindex,
     ConstraintViolationError,
     DagViolationError,
     ZeroProbabilityActionError,
@@ -88,6 +89,68 @@ def closure_by_edges(adjacency):
         for p in np.flatnonzero(a[:, j]):
             t[:, j] |= t[:, p]
     return t.astype(np.int8)
+
+
+def exact_weight_matrix(graph, nodes=None):
+    """Reference W = I - T^-1 columns (same selection as weight_matrix), in Python ints.
+
+    One back substitution per row over object arrays: it cannot overflow
+    or round, so weight_matrix must equal it wherever it returns.
+    """
+    cols = np.unique(np.arange(1, graph.size + 1) if nodes is None else nodes) - 1
+    rows = int(cols.max(initial=-1)) + 1
+    t = graph.closure[:rows, :rows].astype(object)
+    w = np.zeros((rows, cols.size), dtype=object)
+    for j in range(rows - 2, -1, -1):
+        w[j] = np.where(cols > j, t[j, cols] - t[j, j + 1:].dot(w[j + 1:]), 0)
+    return w
+
+
+def generate_topology_by_pairs(spec, rng):
+    """The random topology kinds built with one draw per pair, in a Python loop.
+
+    generate_topology draws all of a graph's pairs in one call; it must
+    give this adjacency and leave rng in this state.
+    """
+    s_cnt, k_cnt = spec.agents, spec.epochs
+    n = s_cnt * k_cnt
+    a = np.zeros((n, n), dtype=np.int8)
+
+    def connect(s_from, s_to, k, tau):
+        if k + tau <= k_cnt:
+            a[reindex(s_from, k, s_cnt) - 1, reindex(s_to, k + tau, s_cnt) - 1] = 1
+
+    if spec.kind == "complete_delay":
+        for k in range(1, k_cnt + 1):
+            for s1 in range(1, s_cnt + 1):
+                for s2 in range(1, s_cnt + 1):
+                    if s1 != s2:
+                        connect(s1, s2, k, int(rng.choice(spec.delays)))
+    elif spec.kind == "star_delay":
+        hub = 1
+        for k in range(1, k_cnt + 1):
+            for s in range(2, s_cnt + 1):
+                connect(s, hub, k, int(rng.choice(spec.delays)))
+                connect(hub, s, k, int(rng.choice(spec.delays)))
+    elif spec.kind == "random4":
+        for k in range(1, k_cnt + 1):
+            for s1 in range(1, s_cnt + 1):
+                for s2 in range(1, s_cnt + 1):
+                    if s1 == s2:
+                        continue
+                    status = int(rng.integers(4))  # delay 1, 2, 3, or no link
+                    if status < 3:
+                        connect(s1, s2, k, status + 1)
+    else:
+        raise ValueError(f"{spec.kind!r} is not a random topology kind")
+    return a
+
+
+def violations_by_column(weights, adjacency):
+    """Reference constraint report: one list per violating column."""
+    bad = (weights != 0) & (adjacency == 0)
+    return {int(c) + 1: [int(j) + 1 for j in np.flatnonzero(bad[:, c])]
+            for c in np.flatnonzero(bad.any(axis=0))}
 
 
 def prefix(graph, n):

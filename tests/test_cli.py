@@ -262,6 +262,11 @@ class TestRun:
         out = tmp_path / "out"
         self.run_with_failing_write(runner, tmp_path, monkeypatch, out)
         assert not out.exists()
+        # and so do the parents it had to create for it
+        (tmp_path / "kept").mkdir()
+        self.run_with_failing_write(runner, tmp_path, monkeypatch,
+                                    tmp_path / "kept" / "new" / "a" / "b")
+        assert os.listdir(tmp_path / "kept") == []
 
     def test_failed_write_keeps_an_existing_directory(self, runner, tmp_path, monkeypatch):
         out = tmp_path / "out"

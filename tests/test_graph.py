@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from incestless import graph as graphmod
 
@@ -27,7 +29,16 @@ from incestless import (
     weight_matrix,
 )
 
-from conftest import bfs_closure, closure_by_edges, closure_by_inversion, prefix, random_dag
+from conftest import (
+    bfs_closure,
+    closure_by_edges,
+    closure_by_inversion,
+    exact_weight_matrix,
+    generate_topology_by_pairs,
+    prefix,
+    random_dag,
+    violations_by_column,
+)
 
 
 class TestReindex:
@@ -192,6 +203,29 @@ class TestWeights:
             n = int(rng.integers(1, size + 1))
             assert (w[: n - 1, n - 1] == compute_weights(g, n)).all()
 
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_equals_exact_solve_on_random_dags(self, data):
+        size = data.draw(st.integers(0, 40), label="size")
+        bits = data.draw(st.lists(st.booleans(), min_size=size * (size - 1) // 2,
+                                  max_size=size * (size - 1) // 2), label="edges")
+        a = np.zeros((size, size), dtype=np.int8)
+        a[np.triu_indices(size, 1)] = bits
+        g = CommGraph(a, num_agents=size, num_epochs=1)
+        nodes = None
+        if size and data.draw(st.booleans(), label="subset"):
+            nodes = data.draw(st.lists(st.integers(1, size), min_size=1), label="nodes")
+        assert np.array_equal(weight_matrix(g, nodes), exact_weight_matrix(g, nodes))
+
+    @pytest.mark.parametrize("kind", ["random4", "complete_delay", "star_delay"])
+    def test_float_solve_equals_int64_solve(self, kind):
+        # the N = 400 graphs of these kinds pass the float64 proof check
+        spec = TopologySpec(kind=kind, agents=10, epochs=40)
+        g = generate_topology(spec, topology_rng(0))
+        cols = np.arange(g.size)
+        assert graphmod._float_inverse(g.closure, cols) is not None
+        assert np.array_equal(weight_matrix(g), graphmod._int64_weights(g.closure, cols))
+
     def test_prefix_consistency(self):
         rng = np.random.default_rng(5)
         for _ in range(30):
@@ -237,6 +271,23 @@ class TestWeightOverflow:
         t_obj = g.closure.astype(object)
         identity = np.eye(n, dtype=np.int8).astype(object)
         assert (t_obj.dot(weight_matrix(g).astype(object)) == t_obj - identity).all()
+
+
+class TestWeightProofCheck:
+    # with 5 agents, each column's sum of |x| (X = T^-1) stays below 2^53
+    # up to 27 layers (0.83 * 2^53) and exceeds it at 28 (3.3 * 2^53)
+
+    @pytest.mark.parametrize("layers, proven", [(27, True), (28, False)])
+    def test_boundary(self, layers, proven, monkeypatch):
+        g = layered(5, layers)
+        assert (graphmod._float_inverse(g.closure, np.arange(g.size)) is not None) == proven
+        fallback = []
+        int64_weights = graphmod._int64_weights
+        monkeypatch.setattr(graphmod, "_int64_weights",
+                            lambda *args: fallback.append(1) or int64_weights(*args))
+        w = weight_matrix(g)
+        assert fallback == ([] if proven else [1])
+        assert np.array_equal(w, exact_weight_matrix(g))
 
 
 class TestConstraint:
@@ -297,6 +348,22 @@ class TestConstraint:
         assert constraint_report(g) == {}
         g2 = graph_from_edges(5, [(1, 2), (1, 4), (4, 5), (2, 5)])
         assert constraint_report(g2) == {5: [1]}
+
+    def test_violations_equal_the_per_column_report(self):
+        rng = np.random.default_rng(37)
+        for _ in range(50):
+            size = int(rng.integers(0, 30))
+            g = CommGraph(random_dag(rng, size, edge_prob=float(rng.uniform(0.0, 0.5))),
+                          num_agents=size, num_epochs=1)
+            w = weight_matrix(g)
+            report = graphmod.violations(w, g.adjacency)
+            assert list(report.items()) == list(violations_by_column(w, g.adjacency).items())
+        # many violations: hundreds of nodes, tens of thousands of indices
+        g = generate_topology(TopologySpec(kind="random4", agents=10, epochs=60), topology_rng(0))
+        w = weight_matrix(g)
+        report = graphmod.violations(w, g.adjacency)
+        assert len(report) > 500
+        assert list(report.items()) == list(violations_by_column(w, g.adjacency).items())
 
     def test_augment_makes_clean(self):
         rng = np.random.default_rng(23)
@@ -406,6 +473,26 @@ class TestTopologies:
             )
             assert g.size == 20
             assert validate_dag(g.adjacency) == []
+
+    @pytest.mark.parametrize("kind, agents, epochs, delays", [
+        (kind, agents, epochs, delays)
+        for kind in ("complete_delay", "star_delay", "random4")
+        for agents, epochs in ((1, 3), (2, 1), (2, 4), (3, 3), (6, 5))
+        for delays in ((1,), (1, 2), (1, 3, 5))
+        if agents > 1 or kind != "star_delay"  # a star needs a hub and a spoke
+    ])
+    def test_one_draw_call_equals_one_draw_per_pair(self, kind, agents, epochs, delays):
+        spec = TopologySpec(kind=kind, agents=agents, epochs=epochs, delays=delays)
+        for seed in range(20):
+            rng, by_pairs = np.random.default_rng(seed), np.random.default_rng(seed)
+            g = generate_topology(spec, rng)
+            assert np.array_equal(g.adjacency, generate_topology_by_pairs(spec, by_pairs))
+            assert rng.bit_generator.state == by_pairs.bit_generator.state
+
+    def test_delay_before_the_first_epoch_raises(self):
+        spec = TopologySpec(kind="complete_delay", agents=2, epochs=3, delays=(-1,))
+        with pytest.raises(ValueError, match="epoch index 0"):
+            generate_topology(spec, np.random.default_rng(0))
 
     def test_bad_spec(self):
         from incestless import ConfigError
