@@ -221,7 +221,7 @@ def cmd_run(config, seed, runs, modes, output_dir, force):
     except ConstraintViolationError as e:
         click.echo(f"error: {e} (use --force to run anyway)", err=True)
         sys.exit(2)
-    except (IncestlessError, yaml.YAMLError, TypeError, ValueError) as e:
+    except (IncestlessError, OSError, yaml.YAMLError, TypeError, ValueError) as e:
         click.echo(f"error: {e}", err=True)
         sys.exit(1)
     try:
@@ -242,7 +242,7 @@ def cmd_report_constraint(config, seed):
         scenario = build_scenario(raw, seed_override=seed)
         graph = simulate.build_graph(scenario)
         report = graphmod.constraint_report(graph)
-    except (IncestlessError, yaml.YAMLError, TypeError, ValueError) as e:
+    except (IncestlessError, OSError, yaml.YAMLError, TypeError, ValueError) as e:
         click.echo(f"error: {e}", err=True)
         sys.exit(1)
     for n in range(2, graph.size + 1):
@@ -279,11 +279,10 @@ def cmd_closure(graph_file):
     """Print the transitive closure and per-node t, b, w, constraint status."""
     try:
         graph = graphmod.load_graph(graph_file)
-        weights = graphmod.weight_matrix(graph)
+        report = graphmod.constraint_report(graph)
     except (IncestlessError, OSError, ValueError) as e:
         click.echo(f"error: {e}", err=True)
         sys.exit(1)
-    report = graphmod.violations(weights, graph.adjacency)
     click.echo("closure:")
     for row in graph.closure:
         click.echo(" ".join(str(int(v)) for v in row))
@@ -292,7 +291,7 @@ def cmd_closure(graph_file):
         status = "violation at " + " ".join(map(str, report[n])) if n in report else "OK"
         click.echo(
             f"node {n}: t={list(map(int, t_n))} b={list(map(int, b_n))} "
-            f"w={list(map(int, weights[: n - 1, n - 1]))} constraint {status}"
+            f"w={list(map(int, graph.weights[: n - 1, n - 1]))} constraint {status}"
         )
 
 

@@ -13,7 +13,9 @@ arrays are 0-based.
 from __future__ import annotations
 
 import copy
+import numbers
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -77,7 +79,7 @@ def transitive_closure(adjacency: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class CommGraph:
-    """Immutable communication graph with cached transitive closure."""
+    """Immutable communication graph with cached transitive closure and weights."""
 
     adjacency: np.ndarray
     num_agents: int
@@ -101,6 +103,17 @@ class CommGraph:
     def size(self) -> int:
         return self.adjacency.shape[0]
 
+    @cached_property
+    def weights(self) -> np.ndarray:
+        """W = I - T^-1, read-only, solved by weight_matrix on first use.
+
+        A solve that raises WeightOverflowError is not kept, so every access
+        raises again.
+        """
+        w = weight_matrix(self)
+        w.flags.writeable = False
+        return w
+
     def extract_t_b(self, n: int) -> tuple[np.ndarray, np.ndarray]:
         """First n-1 entries of column n of the closure (t_n) and adjacency (b_n)."""
         self._check_node(n)
@@ -119,8 +132,8 @@ class CommGraph:
             raise ValueError(f"node {n} out of range 1..{self.size}")
 
 
-def weight_matrix(graph: CommGraph, nodes=None) -> np.ndarray:
-    """Columns of W = I - T^-1 for the given 1-based nodes (default all), rows 1..max(nodes).
+def weight_matrix(graph: CommGraph) -> np.ndarray:
+    """W = I - T^-1, as int64; read it as graph.weights, which solves it once.
 
     Column n holds w_n, the solution of T_{n-1} w_n = t_n, above zeros.
     X = T^-1 is solved in float64 (`_float_inverse`) and used only when a
@@ -129,13 +142,12 @@ def weight_matrix(graph: CommGraph, nodes=None) -> np.ndarray:
     substitution (`_int64_weights`), which raises WeightOverflowError for a
     weight beyond int64.  Both give the same integers.
     """
-    cols = np.unique(np.arange(1, graph.size + 1) if nodes is None else nodes) - 1
-    x = _float_inverse(graph.closure, cols)
+    x = _float_inverse(graph.closure)
     if x is None:
-        return _int64_weights(graph.closure, cols)
+        return _int64_weights(graph.closure)
     # W = I - X in place: the diagonal of X is 1, so it becomes 0
     np.negative(x, out=x)
-    x[cols, np.arange(cols.size)] = 0
+    np.fill_diagonal(x, 0)
     return x.astype(np.int64)
 
 
@@ -143,8 +155,8 @@ def weight_matrix(graph: CommGraph, nodes=None) -> np.ndarray:
 _BLOCK = 64
 
 
-def _float_inverse(closure: np.ndarray, cols: np.ndarray) -> np.ndarray | None:
-    """Columns `cols` of X = T^-1, rows 0..max(cols), or None if float64 cannot prove them exact.
+def _float_inverse(closure: np.ndarray) -> np.ndarray | None:
+    """X = T^-1, or None if float64 cannot prove it exact.
 
     Solved bottom-up in blocks of rows: the rows below a block enter by one
     GEMM, then the block's own rows are solved one at a time.  Each entry is
@@ -158,45 +170,44 @@ def _float_inverse(closure: np.ndarray, cols: np.ndarray) -> np.ndarray | None:
     solve stops at the first block whose sums break the bound; a block at
     most doubles its sum of |x| per row, so no value gets near inf first.
     """
-    rows = int(cols.max(initial=-1)) + 1
-    x = np.zeros((rows, cols.size))
-    x[cols, np.arange(cols.size)] = 1.0
-    sums = np.zeros(cols.size)
+    rows = closure.shape[0]
+    x = np.eye(rows)
+    sums = np.zeros(rows)
     for r0 in range(((rows - 1) // _BLOCK) * _BLOCK, -1, -_BLOCK):
         r1 = min(r0 + _BLOCK, rows)
-        t = closure[r0:r1, r0:rows].astype(np.float64)  # the block's rows, from column r0
+        t = closure[r0:r1, r0:].astype(np.float64)  # the block's rows, from column r0
         # columns of nodes before the block are zero on its rows and below
-        first = int(np.searchsorted(cols, r0))
-        block = x[r0:r1, first:]
-        block -= t[:, r1 - r0:] @ x[r1:, first:]
+        block = x[r0:r1, r0:]
+        block -= t[:, r1 - r0:] @ x[r1:, r0:]
         for j in range(r1 - r0 - 2, -1, -1):
             block[j] -= t[j, j + 1:r1 - r0] @ block[j + 1:]
-        sums[first:] += np.abs(block).sum(axis=0)
+        sums[r0:] += np.abs(block).sum(axis=0)
         if sums.max(initial=0.0) >= 2.0**53:
             return None
     return x
 
 
-def _int64_weights(closure: np.ndarray, cols: np.ndarray) -> np.ndarray:
-    """W's columns `cols` by one exact int64 back substitution.
+def _int64_weights(closure: np.ndarray) -> np.ndarray:
+    """W by one exact int64 back substitution.
 
-    Each row is also computed in float64 from the verified rows below it: a
+    Row j (0-based) reads closure[j, j+1:], what node j+1 reaches past
+    itself: it is both that node's row of each T_{n-1} and its entry t_n(j+1)
+    of each later column.  Each row is also computed in float64 from the verified rows below it: a
     true weight beyond int64 wraps the int64 row by a multiple of 2^64 but
     moves the float row by far less than 2^63, so the two then differ by
     more than 2^63, and WeightOverflowError names the node and index.
     """
-    rows = int(cols.max(initial=-1)) + 1
-    w = np.zeros((rows, cols.size), dtype=np.int64)
-    w_float = np.zeros((rows, cols.size))
+    rows = closure.shape[0]
+    w = np.zeros((rows, rows), dtype=np.int64)
+    w_float = np.zeros((rows, rows))
     for j in range(rows - 2, -1, -1):
-        first = int(np.searchsorted(cols, j, side="right"))  # columns of nodes after j+1
-        reach, t_j = closure[j, j + 1:rows], closure[j, cols[first:]]
-        exact = t_j - reach.astype(np.int64) @ w[j + 1:, first:]
-        approx = t_j - reach.astype(np.float64) @ w_float[j + 1:, first:]
+        t_j = closure[j, j + 1:]
+        exact = t_j - t_j.astype(np.int64) @ w[j + 1:, j + 1:]
+        approx = t_j - t_j.astype(np.float64) @ w_float[j + 1:, j + 1:]
         wrapped = np.flatnonzero(np.abs(approx - exact) > 2.0**63)
         if wrapped.size:
-            raise WeightOverflowError(node=int(cols[first + wrapped[0]]) + 1, index=j + 1)
-        w[j, first:] = w_float[j, first:] = exact
+            raise WeightOverflowError(node=j + 2 + int(wrapped[0]), index=j + 1)
+        w[j, j + 1:] = w_float[j, j + 1:] = exact
     return w
 
 
@@ -221,10 +232,14 @@ def independent_blocks(graph: CommGraph) -> list[tuple[int, int]]:
 
 
 def compute_weights(graph: CommGraph, n: int) -> np.ndarray:
-    """Optimal incest-removal weights w_n (length n-1, integer valued): column n of W."""
-    if n < 1 or n > graph.size:
-        raise ValueError(f"node {n} out of range 1..{graph.size}")
-    return weight_matrix(graph, [n])[: n - 1, 0]
+    """Optimal incest-removal weights w_n (length n-1, integer valued): a
+    writable copy of column n of graph.weights.
+
+    Raises WeightOverflowError if any weight of the graph, not only one of
+    w_n, lies beyond int64.
+    """
+    graph._check_node(n)
+    return graph.weights[: n - 1, n - 1].copy()
 
 
 def check_constraint(weights: np.ndarray, b_n: np.ndarray) -> list[int]:
@@ -250,7 +265,7 @@ def violations(weights: np.ndarray, adjacency: np.ndarray) -> dict[int, list[int
 
 def constraint_report(graph: CommGraph) -> dict[int, list[int]]:
     """Map node -> violating indices, for every node with a violation."""
-    return violations(weight_matrix(graph), graph.adjacency)
+    return violations(graph.weights, graph.adjacency)
 
 
 # ---------------------------------------------------------------------------
@@ -292,6 +307,9 @@ class TopologySpec:
             raise ConfigError("star topology needs at least 2 agents")
         if self.kind in ("complete_delay", "star_delay") and not self.delays:
             raise ConfigError("delay set must be non-empty")
+        if not all(isinstance(d, numbers.Integral) and not isinstance(d, bool) and d >= 1
+                   for d in self.delays):
+            raise ConfigError(f"delays must be positive integers, got {self.delays!r}")
 
 
 def generate_topology(spec: TopologySpec, rng: np.random.Generator) -> CommGraph:
@@ -335,8 +353,6 @@ def generate_topology(spec: TopologySpec, rng: np.random.Generator) -> CommGraph
         link, tau = True, delays[rng.integers(0, delays.size, size=k.size)]
     keep = link & (k + tau < k_cnt)  # messages that would arrive after the horizon are dropped
     k, s_from, s_to, arrive = k[keep], s_from[keep], s_to[keep], (k + tau)[keep]
-    if arrive.min(initial=0) < 0:
-        raise ValueError(f"epoch index {arrive[arrive < 0][0] + 1} must be positive")
     a = np.zeros((s_cnt * k_cnt,) * 2, dtype=np.int8)
     a[s_from + s_cnt * k, s_to + s_cnt * arrive] = 1
     return CommGraph(a, num_agents=s_cnt, num_epochs=k_cnt)
@@ -366,11 +382,10 @@ def augment_for_constraint(graph: CommGraph) -> CommGraph:
     Every violation (n, j) has t_n(j) = 1 already (a nonzero weight implies
     reachability), so the added edge j -> n is redundant for the closure and
     leaves every weight vector unchanged; one pass makes the graph clean.
-    The new graph shares the input's closure: that every added edge is
-    already in it is checked, and proves the closure unchanged.
+    The new graph shares the input's closure and weights: that every added
+    edge is already in the closure is checked, and proves it unchanged.
     """
-    weights = weight_matrix(graph)
-    needed = (weights != 0) & (graph.adjacency == 0)
+    needed = (graph.weights != 0) & (graph.adjacency == 0)
     if not needed.any():
         return graph
     if not graph.closure[needed].all():
@@ -402,12 +417,14 @@ def load_graph(path) -> CommGraph:
         size = int(lines[0].split()[1])
     except (IndexError, ValueError):
         raise GraphFormatError(f"{path}: bad header {lines[0]!r}")
+    if size < 0:
+        raise GraphFormatError(f"{path}: bad header {lines[0]!r}: negative size")
     a = np.zeros((size, size), dtype=np.int8)
     for ln in lines[1:]:
-        parts = ln.split()
-        if len(parts) != 2:
+        try:
+            i, j = map(int, ln.split())
+        except ValueError:
             raise GraphFormatError(f"{path}: bad edge line {ln!r}")
-        i, j = int(parts[0]), int(parts[1])
         if not (1 <= i < j <= size):
             raise GraphFormatError(f"{path}: edge {i}->{j} requires 1 <= i < j <= {size}")
         a[i - 1, j - 1] = 1

@@ -9,9 +9,9 @@ nodes, evidence_n = sum_i F[i, n] * S[i], then adds its own increment:
   idealized   T - I  own increment   nu   full-action-history benchmark
   obs_oracle  T - I  own increment   obs  raw-observation posterior (for scale)
 
-A is the adjacency, T the closure, W = I - T^-1 (graph.weight_matrix; raises
-WeightOverflowError beyond int64; masked by A under `force`), nu the action
-log-likelihood.
+A is the adjacency, T the closure, W = I - T^-1 (CommGraph.weights, solved
+once per graph on first use; raises WeightOverflowError beyond int64; masked
+by A under `force`), nu the action log-likelihood.
 
 Nodes update block by block (graph.independent_blocks).  A block is a
 maximal run of consecutive nodes none of which hears another, such as the
@@ -147,8 +147,7 @@ class MetricsTable:
 
 def node_weights(graph: CommGraph) -> list[np.ndarray]:
     """Incest-removal weight vector for every node (index n-1 -> w_n)."""
-    w = graphmod.weight_matrix(graph)
-    return [w[:n, n] for n in range(graph.size)]
+    return [graph.weights[:n, n] for n in range(graph.size)]
 
 
 @dataclass(frozen=True)
@@ -169,7 +168,7 @@ class RunTables:
 
 
 def run_tables(config: ScenarioConfig, graph: CommGraph) -> RunTables:
-    """Solve W once and build the tables every run over the graph reads.
+    """Build the tables every run over the graph reads.
 
     A removal run on a graph that violates the constraint raises
     ConstraintViolationError unless config.force.  A nonzero coefficient on
@@ -177,8 +176,7 @@ def run_tables(config: ScenarioConfig, graph: CommGraph) -> RunTables:
     (learning.require_received), before any run: for the lowest such node, the first mode in config.modes order and
     that mode's missing senders, as the node-by-node loop would.
     """
-    weights = graphmod.weight_matrix(graph)
-    constraint = graphmod.violations(weights, graph.adjacency)
+    constraint = graphmod.violations(graph.weights, graph.adjacency)
     if "removal" in config.modes and constraint and not config.force:
         raise ConstraintViolationError(constraint)
 
@@ -187,7 +185,7 @@ def run_tables(config: ScenarioConfig, graph: CommGraph) -> RunTables:
     # mode -> (F, S[n] is the after-evidence, own increment is the observation)
     table = {
         "naive": (adjacency, True, False),
-        "removal": (weights * adjacency if config.force else weights, True, False),
+        "removal": (graph.weights * adjacency if config.force else graph.weights, True, False),
         "idealized": (history, False, False),
         "obs_oracle": (history, False, True),
     }

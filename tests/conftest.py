@@ -18,6 +18,7 @@ from incestless import (
     validate_dag,
     weight_matrix,
 )
+from incestless import graph as graphmod
 from incestless.graph import violations
 from incestless.learning import LIKELIHOOD_FLOOR, fuse_terms
 
@@ -40,6 +41,20 @@ def diamond_b():
 @pytest.fixture(scope="session")
 def model():
     return default_model()
+
+
+@pytest.fixture
+def weight_solves(monkeypatch):
+    """The graphs graph.weight_matrix is called on during the test, one entry per call."""
+    solved = []
+    solve = graphmod.weight_matrix
+
+    def counted(graph):
+        solved.append(graph)
+        return solve(graph)
+
+    monkeypatch.setattr(graphmod, "weight_matrix", counted)
+    return solved
 
 
 def random_dag(rng, size, edge_prob=0.25):
@@ -91,18 +106,16 @@ def closure_by_edges(adjacency):
     return t.astype(np.int8)
 
 
-def exact_weight_matrix(graph, nodes=None):
-    """Reference W = I - T^-1 columns (same selection as weight_matrix), in Python ints.
+def exact_weight_matrix(graph):
+    """Reference W = I - T^-1, in Python ints.
 
     One back substitution per row over object arrays: it cannot overflow
     or round, so weight_matrix must equal it wherever it returns.
     """
-    cols = np.unique(np.arange(1, graph.size + 1) if nodes is None else nodes) - 1
-    rows = int(cols.max(initial=-1)) + 1
-    t = graph.closure[:rows, :rows].astype(object)
-    w = np.zeros((rows, cols.size), dtype=object)
-    for j in range(rows - 2, -1, -1):
-        w[j] = np.where(cols > j, t[j, cols] - t[j, j + 1:].dot(w[j + 1:]), 0)
+    t = graph.closure.astype(object)
+    w = np.zeros(t.shape, dtype=object)
+    for j in range(graph.size - 2, -1, -1):
+        w[j, j + 1:] = t[j, j + 1:] - t[j, j + 1:].dot(w[j + 1:, j + 1:])
     return w
 
 

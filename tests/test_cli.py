@@ -87,6 +87,19 @@ def tiny_config(tmp_path, **overrides):
     return path
 
 
+def assert_input_error(res, message):
+    """Exit 1 with a one-line error on stderr, not an uncaught exception."""
+    assert res.exit_code == 1
+    assert isinstance(res.exception, SystemExit), res.exception
+    assert res.stdout == ""
+    assert res.stderr.startswith("error: ") and message in res.stderr
+
+
+def missing_graph_config(tmp_path):
+    return tiny_config(tmp_path, topology={"kind": "explicit",
+                                           "path": str(tmp_path / "no_such_graph.txt")})
+
+
 class TestGenGraph:
     def test_chain41_header(self, runner, tmp_path):
         out = tmp_path / "g.txt"
@@ -154,11 +167,17 @@ class TestClosureCommand:
         assert res.exit_code == 0
         assert res.output.splitlines()[1:4] == ["1 0 0", "0 1 0", "0 0 1"]
 
-    def test_malformed_file(self, runner, tmp_path):
+    @pytest.mark.parametrize("text, line", [
+        ("N 3\n3 1\n", "3->1"),
+        ("N 3\n1 x\n", "'1 x'"),
+        ("N -3\n", "'N -3'"),
+    ])
+    def test_malformed_file(self, runner, tmp_path, text, line):
         path = tmp_path / "bad.txt"
-        path.write_text("N 3\n3 1\n")
+        path.write_text(text)
         res = runner.invoke(main, ["closure", str(path)])
-        assert res.exit_code == 1
+        assert_input_error(res, f"{path}: ")
+        assert line in res.stderr
 
     def test_weight_overflow_exit_1(self, runner, tmp_path):
         res = runner.invoke(main, ["closure", str(overflow_graph_file(tmp_path))])
@@ -196,6 +215,28 @@ class TestRun:
         out = tmp_path / "out"
         res = runner.invoke(main, ["run", str(bad), "--output-dir", str(out)])
         assert res.exit_code == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize("delays", [[-1], [0], [1.5, 2]])
+    def test_bad_delays_exit_1_no_outputs(self, runner, tmp_path, delays):
+        cfg = tiny_config(tmp_path, topology={
+            "kind": "complete_delay", "agents": 2, "epochs": 3, "delays": delays})
+        out = tmp_path / "out"
+        res = runner.invoke(main, ["run", str(cfg), "--output-dir", str(out)])
+        assert_input_error(res, "delays must be positive integers")
+        assert not out.exists()
+
+    def test_config_is_a_directory_exit_1_no_outputs(self, runner, tmp_path):
+        out = tmp_path / "out"
+        res = runner.invoke(main, ["run", str(tmp_path), "--output-dir", str(out)])
+        assert_input_error(res, "Is a directory")
+        assert not out.exists()
+
+    def test_missing_graph_file_exit_1_no_outputs(self, runner, tmp_path):
+        out = tmp_path / "out"
+        res = runner.invoke(main, ["run", str(missing_graph_config(tmp_path)),
+                                   "--output-dir", str(out)])
+        assert_input_error(res, "no_such_graph.txt")
         assert not out.exists()
 
     def test_weight_overflow_exit_1_no_outputs(self, runner, tmp_path):
@@ -348,3 +389,11 @@ class TestReportConstraint:
         assert res.exit_code == 1
         assert res.stdout == ""
         assert "exceeds the int64 range" in res.stderr
+
+    def test_config_is_a_directory_exit_1(self, runner, tmp_path):
+        res = runner.invoke(main, ["report-constraint", str(tmp_path)])
+        assert_input_error(res, "Is a directory")
+
+    def test_missing_graph_file_exit_1(self, runner, tmp_path):
+        res = runner.invoke(main, ["report-constraint", str(missing_graph_config(tmp_path))])
+        assert_input_error(res, "no_such_graph.txt")

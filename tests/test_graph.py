@@ -212,19 +212,15 @@ class TestWeights:
         a = np.zeros((size, size), dtype=np.int8)
         a[np.triu_indices(size, 1)] = bits
         g = CommGraph(a, num_agents=size, num_epochs=1)
-        nodes = None
-        if size and data.draw(st.booleans(), label="subset"):
-            nodes = data.draw(st.lists(st.integers(1, size), min_size=1), label="nodes")
-        assert np.array_equal(weight_matrix(g, nodes), exact_weight_matrix(g, nodes))
+        assert np.array_equal(weight_matrix(g), exact_weight_matrix(g))
 
     @pytest.mark.parametrize("kind", ["random4", "complete_delay", "star_delay"])
     def test_float_solve_equals_int64_solve(self, kind):
         # the N = 400 graphs of these kinds pass the float64 proof check
         spec = TopologySpec(kind=kind, agents=10, epochs=40)
         g = generate_topology(spec, topology_rng(0))
-        cols = np.arange(g.size)
-        assert graphmod._float_inverse(g.closure, cols) is not None
-        assert np.array_equal(weight_matrix(g), graphmod._int64_weights(g.closure, cols))
+        assert graphmod._float_inverse(g.closure) is not None
+        assert np.array_equal(weight_matrix(g), graphmod._int64_weights(g.closure))
 
     def test_prefix_consistency(self):
         rng = np.random.default_rng(5)
@@ -251,11 +247,17 @@ class TestWeightOverflow:
     # 2^62 at 33 layers, 2^64 (beyond int64) at 34
 
     def test_beyond_int64_raises(self):
+        # the whole graph is solved, so compute_weights(g, 170) names the
+        # first weight beyond int64 in solve order, not one of w_170
         g = layered(5, 34)
         with pytest.raises(WeightOverflowError) as exc:
+            weight_matrix(g)
+        assert exc.value.node == 166
+        assert str(exc.value) == "node 166: weight w_166(5) exceeds the int64 range"
+        with pytest.raises(WeightOverflowError) as column:
             compute_weights(g, 170)
-        assert exc.value.node == 170
-        for solve in (weight_matrix, constraint_report, augment_for_constraint):
+        assert column.value.node == exc.value.node and str(column.value) == str(exc.value)
+        for solve in (constraint_report, augment_for_constraint):
             with pytest.raises(WeightOverflowError):
                 solve(g)
 
@@ -273,6 +275,31 @@ class TestWeightOverflow:
         assert (t_obj.dot(weight_matrix(g).astype(object)) == t_obj - identity).all()
 
 
+class TestGraphWeights:
+    def test_solved_once_and_read_only(self, diamond_a, weight_solves):
+        w = diamond_a.weights
+        assert diamond_a.weights is w and weight_solves == [diamond_a]
+        assert not w.flags.writeable
+        with pytest.raises(ValueError):
+            w[0, 4] = 5
+        assert np.array_equal(w, exact_weight_matrix(diamond_a))
+
+    def test_compute_weights_returns_a_writable_copy(self, diamond_a):
+        w5 = compute_weights(diamond_a, 5)
+        assert w5.flags.writeable
+        w5[:] = 0
+        assert list(diamond_a.weights[:4, 4]) == [-1, -1, 1, 1]
+
+    def test_overflow_raises_on_every_access(self, weight_solves):
+        g = layered(5, 34)
+        for _ in range(2):
+            with pytest.raises(WeightOverflowError, match="node 166"):
+                g.weights
+        with pytest.raises(WeightOverflowError, match="node 166"):
+            compute_weights(g, 2)
+        assert weight_solves == [g] * 3
+
+
 class TestWeightProofCheck:
     # with 5 agents, each column's sum of |x| (X = T^-1) stays below 2^53
     # up to 27 layers (0.83 * 2^53) and exceeds it at 28 (3.3 * 2^53)
@@ -280,7 +307,7 @@ class TestWeightProofCheck:
     @pytest.mark.parametrize("layers, proven", [(27, True), (28, False)])
     def test_boundary(self, layers, proven, monkeypatch):
         g = layered(5, layers)
-        assert (graphmod._float_inverse(g.closure, np.arange(g.size)) is not None) == proven
+        assert (graphmod._float_inverse(g.closure) is not None) == proven
         fallback = []
         int64_weights = graphmod._int64_weights
         monkeypatch.setattr(graphmod, "_int64_weights",
@@ -489,10 +516,16 @@ class TestTopologies:
             assert np.array_equal(g.adjacency, generate_topology_by_pairs(spec, by_pairs))
             assert rng.bit_generator.state == by_pairs.bit_generator.state
 
-    def test_delay_before_the_first_epoch_raises(self):
-        spec = TopologySpec(kind="complete_delay", agents=2, epochs=3, delays=(-1,))
-        with pytest.raises(ValueError, match="epoch index 0"):
-            generate_topology(spec, np.random.default_rng(0))
+    @pytest.mark.parametrize("delays", [(-1,), (0,), (1.5, 2), (True,)])
+    def test_delay_that_is_not_a_positive_integer_raises(self, delays):
+        from incestless import ConfigError
+
+        with pytest.raises(ConfigError, match="delays must be positive integers"):
+            TopologySpec(kind="complete_delay", agents=2, epochs=3, delays=delays)
+
+    def test_numpy_integer_delays_accepted(self):
+        spec = TopologySpec(kind="complete_delay", agents=2, epochs=3, delays=(np.int64(1), 2))
+        assert generate_topology(spec, np.random.default_rng(0)).size == 6
 
     def test_bad_spec(self):
         from incestless import ConfigError
@@ -527,3 +560,15 @@ class TestGraphFile:
         p.write_text("N 3\n3 2\n")
         with pytest.raises(GraphFormatError):
             load_graph(p)
+
+    @pytest.mark.parametrize("text, line", [
+        ("N 3\n1 x\n", "'1 x'"),
+        ("N 3\n1 2 3\n", "'1 2 3'"),
+        ("N -3\n", "'N -3'"),
+    ])
+    def test_bad_line_names_the_file_and_the_line(self, tmp_path, text, line):
+        p = tmp_path / "bad.txt"
+        p.write_text(text)
+        with pytest.raises(GraphFormatError) as exc:
+            load_graph(p)
+        assert str(exc.value).startswith(f"{p}: ") and line in str(exc.value)

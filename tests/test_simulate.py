@@ -313,6 +313,27 @@ class TestRunTables:
         assert calls == []
 
 
+class TestWeightsSolvedOnce:
+    # seed 0 of complete 6x4 violates the constraint, so augmenting it adds edges
+    TOPOLOGY = TopologySpec(kind="complete_delay", agents=6, epochs=4)
+
+    def test_report_augment_and_node_weights(self, weight_solves):
+        g = graphmod.generate_topology(self.TOPOLOGY, graphmod.topology_rng(0))
+        report = graphmod.constraint_report(g)
+        fixed = augment_for_constraint(g)
+        weights = simulate.node_weights(fixed)
+        assert report and fixed is not g
+        assert fixed.weights is g.weights
+        assert all(np.array_equal(w, g.weights[:n, n]) for n, w in enumerate(weights))
+        assert weight_solves == [g]
+
+    def test_augmented_study(self, model, weight_solves):
+        config = scenario(model, topology=self.TOPOLOGY, runs=2)
+        fixed = augment_for_constraint(build_graph(config))
+        monte_carlo(config, graph=fixed)
+        assert len(weight_solves) == 1
+
+
 class TestMonteCarlo:
     def test_runs_one_wraps_run_once(self, model):
         cfg = scenario(model, topology=TopologySpec(kind="chain41"), runs=1)
