@@ -89,8 +89,6 @@ def build_scenario(raw: dict, seed_override: int | None = None,
     _reject_unknown(raw, _TOP_KEYS, "config")
     topo_raw = dict(raw.get("topology", {}))
     _reject_unknown(topo_raw, _TOPOLOGY_KEYS, "topology")
-    if "delays" in topo_raw:
-        topo_raw["delays"] = tuple(topo_raw["delays"])
     if "kind" not in topo_raw:
         raise ConfigError("topology.kind is required")
     topology = TopologySpec(**topo_raw)

@@ -50,30 +50,50 @@ def validate_dag(adjacency: np.ndarray) -> list[tuple[int, int]]:
     a = np.asarray(adjacency)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise GraphFormatError(f"adjacency must be square, got shape {a.shape}")
-    if not ((a == 0) | (a == 1)).all():
+    if not (a == a.astype(bool)).all():
         raise GraphFormatError("adjacency entries must be 0 or 1")
-    bad = np.argwhere(np.tril(a) != 0)
-    return [(int(i) + 1, int(j) + 1) for i, j in bad]
+    lower = np.tril(a)
+    if not lower.any():
+        return []
+    return [(int(i) + 1, int(j) + 1) for i, j in np.argwhere(lower)]
+
+
+# nodes per block of the closure, and rows per block of the weight solves,
+# which solve a block's own rows one at a time
+_BLOCK = 64
 
 
 def transitive_closure(adjacency: np.ndarray) -> np.ndarray:
     """Reachability matrix of a strictly upper-triangular adjacency.
 
-    Computed node by node in causal order: a node's reach-from set is
-    itself plus the union of its in-neighbours' reach-from sets, which all
-    lie before it.  This avoids the path-counting overflow of the
-    (I - A)^-1 formula while producing the same 0/1 matrix.
+    Built in float32 by blocks of _BLOCK nodes in causal order, on R, the
+    transpose of T (row j of R is the reach-from set of node j+1).  A
+    block's rows first take the union of the rows of its in-neighbours
+    before the block, by one GEMM; then the block is closed inside itself
+    by ceil(log2 B) squarings of I + A_block, clipped to 1, and each node
+    takes the union over the block nodes that reach it.  Every entry on the
+    way is a sum of at most N values that are 0 or 1, and N < 2^24, so
+    float32 holds it exactly; clipping each product to 1 keeps the path
+    counts of the (I - A)^-1 formula, which overflow, out of it.
     """
     violations = validate_dag(adjacency)
     if violations:
         raise DagViolationError(violations)
-    a = np.asarray(adjacency, dtype=bool)
-    # row j of the transpose is the reach-from set of node j+1
-    reached_from = np.eye(a.shape[0], dtype=bool)
-    for j, into in enumerate(a.T):
-        preds = np.flatnonzero(into[:j])
-        if preds.size:
-            reached_from[j, :j] = reached_from[preds, :j].any(axis=0)
+    a_t = np.asarray(adjacency, dtype=np.float32).T
+    size = a_t.shape[0]
+    reached_from = np.zeros((size, size), dtype=np.float32)
+    for c0 in range(0, size, _BLOCK):
+        c1 = min(c0 + _BLOCK, size)
+        rows = reached_from[c0:c1, :c1]
+        # through in-neighbours before the block, then each node itself
+        np.matmul(a_t[c0:c1, :c0], reached_from[:c0, :c0], out=rows[:, :c0])
+        np.minimum(rows, 1, out=rows)
+        np.fill_diagonal(rows[:, c0:], 1)
+        # inside[j, m] = 1 iff block node m reaches block node j
+        inside = a_t[c0:c1, c0:c1] + np.eye(c1 - c0, dtype=np.float32)
+        for _ in range((c1 - c0 - 1).bit_length()):
+            inside = np.minimum(inside @ inside, 1)
+        rows[:] = np.minimum(inside @ rows, 1)
     return reached_from.T.astype(np.int8, order="C")
 
 
@@ -138,9 +158,10 @@ def weight_matrix(graph: CommGraph) -> np.ndarray:
     Column n holds w_n, the solution of T_{n-1} w_n = t_n, above zeros.
     X = T^-1 is solved in float64 (`_float_inverse`) and used only when a
     bound on its partial sums proves every operation exact; the graphs whose
-    weights are too large for that proof go through the int64 back
-    substitution (`_int64_weights`), which raises WeightOverflowError for a
-    weight beyond int64.  Both give the same integers.
+    weights are too large for that proof go through the exact back
+    substitution modulo 2^64 in float64 limbs (`_int64_weights`), which
+    raises WeightOverflowError for a weight beyond int64.  Both give the
+    same integers.
     """
     x = _float_inverse(graph.closure)
     if x is None:
@@ -149,10 +170,6 @@ def weight_matrix(graph: CommGraph) -> np.ndarray:
     np.negative(x, out=x)
     np.fill_diagonal(x, 0)
     return x.astype(np.int64)
-
-
-# rows per float64 block; within a block the rows are solved one at a time
-_BLOCK = 64
 
 
 def _float_inverse(closure: np.ndarray) -> np.ndarray | None:
@@ -188,26 +205,45 @@ def _float_inverse(closure: np.ndarray) -> np.ndarray | None:
 
 
 def _int64_weights(closure: np.ndarray) -> np.ndarray:
-    """W by one exact int64 back substitution.
+    """W by one exact back substitution modulo 2^64, in float64 limbs.
 
-    Row j (0-based) reads closure[j, j+1:], what node j+1 reaches past
-    itself: it is both that node's row of each T_{n-1} and its entry t_n(j+1)
-    of each later column.  Each row is also computed in float64 from the verified rows below it: a
-    true weight beyond int64 wraps the int64 row by a multiple of 2^64 but
-    moves the float row by far less than 2^63, so the two then differ by
-    more than 2^63, and WeightOverflowError names the node and index.
+    Row j (0-based) is w_j = t_j - t_j @ W[j+1:], where t_j = closure[j, j+1:]
+    is what node j+1 reaches past itself: it is both that node's row of
+    each T_{n-1} and its entry t_n(j+1) of each later column.  The solved
+    rows are held as three float64 planes: their low 32 bits (unsigned),
+    their high 32 bits (signed) and a float shadow.  The rows are solved
+    bottom-up in blocks of _BLOCK, as in _float_inverse: the rows below a
+    block enter by one stacked GEMM, then the block's rows are solved one
+    at a time, each with one stacked product over the block rows below it.
+    A 0/1 row times a limb plane sums to less than N * 2^32 in magnitude,
+    below 2^53 for N < 2^21, so each limb sum, and every partial sum of it
+    in any order, is an exact integer in float64, and so is the sum of the
+    GEMM part and the in-block part.  The limb sums recombine to t_j @ W mod
+    2^64, so each row equals, bit for bit, an int64 back substitution that
+    wraps.  A true weight beyond int64 wraps its row by a multiple of 2^64
+    but moves the shadow row by far less than 2^63, so the two then differ
+    by more than 2^63, and WeightOverflowError names the node and index.
     """
     rows = closure.shape[0]
     w = np.zeros((rows, rows), dtype=np.int64)
-    w_float = np.zeros((rows, rows))
-    for j in range(rows - 2, -1, -1):
-        t_j = closure[j, j + 1:]
-        exact = t_j - t_j.astype(np.int64) @ w[j + 1:, j + 1:]
-        approx = t_j - t_j.astype(np.float64) @ w_float[j + 1:, j + 1:]
-        wrapped = np.flatnonzero(np.abs(approx - exact) > 2.0**63)
-        if wrapped.size:
-            raise WeightOverflowError(node=j + 2 + int(wrapped[0]), index=j + 1)
-        w[j, j + 1:] = w_float[j, j + 1:] = exact
+    limbs = np.zeros((3, rows, rows))  # low 32 bits, high 32 bits, float shadow
+    for r0 in range(((rows - 1) // _BLOCK) * _BLOCK, -1, -_BLOCK):
+        r1 = min(r0 + _BLOCK, rows)
+        t = closure[r0:r1, r0:].astype(np.float64)  # the block's rows, from column r0
+        sums = t[:, r1 - r0:] @ limbs[:, r1:, r0:]
+        for j in range(r1 - 1, r0 - 1, -1):
+            i = j - r0
+            row = sums[:, i, i + 1:]
+            row += t[i, i + 1:r1 - r0] @ limbs[:, j + 1:r1, j + 1:]
+            t_j = closure[j, j + 1:]
+            exact = t_j - ((row[1].astype(np.int64) << 32) + row[0].astype(np.int64))
+            approx = t_j - row[2]
+            wrapped = np.flatnonzero(np.abs(approx - exact) > 2.0**63)
+            if wrapped.size:
+                raise WeightOverflowError(node=j + 2 + int(wrapped[0]), index=j + 1)
+            w[j, j + 1:] = limbs[2, j, j + 1:] = exact
+            limbs[0, j, j + 1:] = exact & 0xFFFFFFFF
+            limbs[1, j, j + 1:] = exact >> 32
     return w
 
 
@@ -301,8 +337,15 @@ class TopologySpec:
             raise ConfigError(f"unknown topology kind {self.kind!r}")
         if self.kind == "explicit" and not self.path:
             raise ConfigError("explicit topology requires a graph file path")
+        for name in ("agents", "epochs"):
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Integral) or isinstance(value, bool):
+                raise ConfigError(f"{name} must be an integer, got {value!r}")
         if self.agents < 1 or self.epochs < 1:
             raise ConfigError("agents and epochs must be positive")
+        if not isinstance(self.delays, (list, tuple)):
+            raise ConfigError(f"delays must be a list, got {self.delays!r}")
+        object.__setattr__(self, "delays", tuple(self.delays))
         if self.kind == "star_delay" and self.agents < 2:
             raise ConfigError("star topology needs at least 2 agents")
         if self.kind in ("complete_delay", "star_delay") and not self.delays:
@@ -414,8 +457,9 @@ def load_graph(path) -> CommGraph:
     if not lines or not lines[0].startswith("N "):
         raise GraphFormatError(f"{path}: missing 'N <size>' header")
     try:
-        size = int(lines[0].split()[1])
-    except (IndexError, ValueError):
+        _, size = lines[0].split()  # exactly "N <size>"
+        size = int(size)
+    except ValueError:
         raise GraphFormatError(f"{path}: bad header {lines[0]!r}")
     if size < 0:
         raise GraphFormatError(f"{path}: bad header {lines[0]!r}: negative size")

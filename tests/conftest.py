@@ -8,6 +8,7 @@ from incestless import (
     reindex,
     ConstraintViolationError,
     DagViolationError,
+    WeightOverflowError,
     ZeroProbabilityActionError,
     action_likelihood,
     action_table,
@@ -116,6 +117,29 @@ def exact_weight_matrix(graph):
     w = np.zeros(t.shape, dtype=object)
     for j in range(graph.size - 2, -1, -1):
         w[j, j + 1:] = t[j, j + 1:] - t[j, j + 1:].dot(w[j + 1:, j + 1:])
+    return w
+
+
+def int64_weights_by_rows(closure):
+    """Reference for graph._int64_weights: W by an int64 back substitution,
+    one row at a time, with a float shadow.
+
+    Row j (0-based) reads closure[j, j+1:], what node j+1 reaches past
+    itself.  The int64 row wraps modulo 2^64 when a true weight leaves
+    int64, while the float row, computed from the verified rows below, moves
+    by far less than 2^63; a difference beyond 2^63 names the node and index.
+    """
+    rows = closure.shape[0]
+    w = np.zeros((rows, rows), dtype=np.int64)
+    w_float = np.zeros((rows, rows))
+    for j in range(rows - 2, -1, -1):
+        t_j = closure[j, j + 1:]
+        exact = t_j - t_j.astype(np.int64) @ w[j + 1:, j + 1:]
+        approx = t_j - t_j.astype(np.float64) @ w_float[j + 1:, j + 1:]
+        wrapped = np.flatnonzero(np.abs(approx - exact) > 2.0**63)
+        if wrapped.size:
+            raise WeightOverflowError(node=j + 2 + int(wrapped[0]), index=j + 1)
+        w[j, j + 1:] = w_float[j, j + 1:] = exact
     return w
 
 

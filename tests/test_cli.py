@@ -171,6 +171,7 @@ class TestClosureCommand:
         ("N 3\n3 1\n", "3->1"),
         ("N 3\n1 x\n", "'1 x'"),
         ("N -3\n", "'N -3'"),
+        ("N 3 7\n1 2\n", "'N 3 7'"),
     ])
     def test_malformed_file(self, runner, tmp_path, text, line):
         path = tmp_path / "bad.txt"
@@ -185,6 +186,30 @@ class TestClosureCommand:
         assert res.stdout == ""
         assert "exceeds the int64 range" in res.stderr
         assert "Traceback" not in res.output
+
+
+BAD_TOPOLOGIES = [
+    ({"agents": 2.5}, "agents must be an integer"),
+    ({"agents": "3"}, "agents must be an integer"),
+    ({"epochs": True}, "epochs must be an integer"),
+    ({"epochs": 4.0}, "epochs must be an integer"),
+    ({"delays": 5}, "delays must be a list"),
+    ({"delays": "12"}, "delays must be a list"),
+]
+
+
+class TestBuildScenario:
+    @pytest.mark.parametrize("fields, message", BAD_TOPOLOGIES)
+    def test_bad_topology_field_raises_config_error(self, fields, message):
+        from incestless import ConfigError
+
+        topology = {"kind": "complete_delay", "agents": 2, "epochs": 3, **fields}
+        with pytest.raises(ConfigError, match=message):
+            build_scenario({"topology": topology})
+
+    def test_delays_list_becomes_a_tuple(self):
+        scenario = build_scenario({"topology": {"kind": "complete_delay", "delays": [1, 3]}})
+        assert scenario.topology.delays == (1, 3)
 
 
 class TestRun:
@@ -224,6 +249,15 @@ class TestRun:
         out = tmp_path / "out"
         res = runner.invoke(main, ["run", str(cfg), "--output-dir", str(out)])
         assert_input_error(res, "delays must be positive integers")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("fields, message", BAD_TOPOLOGIES)
+    def test_bad_topology_field_exit_1_no_outputs(self, runner, tmp_path, fields, message):
+        cfg = tiny_config(tmp_path, topology={
+            "kind": "complete_delay", "agents": 2, "epochs": 3, **fields})
+        out = tmp_path / "out"
+        res = runner.invoke(main, ["run", str(cfg), "--output-dir", str(out)])
+        assert_input_error(res, message)
         assert not out.exists()
 
     def test_config_is_a_directory_exit_1_no_outputs(self, runner, tmp_path):

@@ -35,6 +35,7 @@ from conftest import (
     closure_by_inversion,
     exact_weight_matrix,
     generate_topology_by_pairs,
+    int64_weights_by_rows,
     prefix,
     random_dag,
     violations_by_column,
@@ -143,6 +144,22 @@ class TestClosure:
         t = transitive_closure(a)
         assert t.dtype == np.int8 and t.shape == (200, 200)
         assert (t == closure_by_edges(a)).all()
+
+    @pytest.mark.parametrize("size", [63, 64, 65, 127, 128, 129, 150, 200])
+    @pytest.mark.parametrize("edge_prob", [0.01, 0.05, 0.5])
+    def test_matches_per_edge_reference_across_blocks(self, size, edge_prob):
+        # blocks of 64 nodes: sizes on, just before and just after a boundary
+        rng = np.random.default_rng(size)
+        for _ in range(3):
+            a = random_dag(rng, size, edge_prob)
+            t = transitive_closure(a)
+            assert t.dtype == np.int8 and t.flags.c_contiguous
+            assert np.array_equal(t, closure_by_edges(a))
+
+    def test_long_chain(self):
+        # every path crosses many blocks; within a block it needs all squarings
+        a = np.eye(700, k=1, dtype=np.int8)
+        assert np.array_equal(transitive_closure(a), np.triu(np.ones((700, 700), dtype=np.int8)))
 
 
 class TestExtract:
@@ -315,6 +332,62 @@ class TestWeightProofCheck:
         w = weight_matrix(g)
         assert fallback == ([] if proven else [1])
         assert np.array_equal(w, exact_weight_matrix(g))
+
+
+class TestInt64Weights:
+    # the limb solve must give the row-by-row int64 solve's arrays and errors
+
+    @pytest.mark.parametrize("layers", range(28, 34))
+    def test_equals_row_loop_on_layered(self, layers):
+        closure = layered(5, layers).closure
+        assert np.array_equal(graphmod._int64_weights(closure), int64_weights_by_rows(closure))
+
+    def test_carry_between_limbs(self):
+        # past the float64 proof check, with weights above 2^53 that are odd
+        # or negative, so the low limbs carry into the high ones
+        spec = TopologySpec(kind="complete_delay", agents=10, epochs=46)
+        g = generate_topology(spec, topology_rng(1))
+        assert graphmod._float_inverse(g.closure) is None
+        w = graphmod._int64_weights(g.closure)
+        assert np.array_equal(w, int64_weights_by_rows(g.closure))
+        big = np.abs(w) > 2**53
+        assert (big & (w % 2 == 1)).sum() == 19 and (big & (w < 0)).sum() == 29
+        t = g.closure.astype(np.int64)
+        assert np.array_equal(t @ w, t - np.eye(g.size, dtype=np.int64))
+
+    @pytest.mark.parametrize("kind, arg, message", [
+        ("layered", 34, "w_166(5)"),
+        ("layered", 35, "w_171(10)"),
+        ("layered", 40, "w_196(35)"),
+        ("complete_delay", 0, "w_581(58)"),
+        ("complete_delay", 1, "w_591(62)"),
+        ("complete_delay", 2, "w_593(28)"),
+        ("complete_delay", 3, "w_596(20)"),
+    ])
+    def test_same_overflow_error_as_row_loop(self, kind, arg, message):
+        # arg: the layer count of a 5-agent layered graph, or the seed of a
+        # complete_delay graph of 10 agents x 60 epochs
+        if kind == "layered":
+            closure = layered(5, arg).closure
+        else:
+            spec = TopologySpec(kind=kind, agents=10, epochs=60)
+            closure = generate_topology(spec, topology_rng(arg)).closure
+        with pytest.raises(WeightOverflowError) as rows:
+            int64_weights_by_rows(closure)
+        with pytest.raises(WeightOverflowError) as limbs:
+            graphmod._int64_weights(closure)
+        assert message in str(rows.value)
+        assert str(limbs.value) == str(rows.value) and limbs.value.node == rows.value.node
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_equals_exact_solve_on_random_dags(self, data):
+        size = data.draw(st.integers(0, 150), label="size")
+        edge_prob = data.draw(st.sampled_from([0.02, 0.1, 0.3, 0.7]), label="edge_prob")
+        seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
+        a = random_dag(np.random.default_rng(seed), size, edge_prob)
+        g = CommGraph(a, num_agents=size, num_epochs=1)
+        assert np.array_equal(graphmod._int64_weights(g.closure), exact_weight_matrix(g))
 
 
 class TestConstraint:
@@ -527,6 +600,22 @@ class TestTopologies:
         spec = TopologySpec(kind="complete_delay", agents=2, epochs=3, delays=(np.int64(1), 2))
         assert generate_topology(spec, np.random.default_rng(0)).size == 6
 
+    @pytest.mark.parametrize("field, value", [
+        ("agents", 2.5), ("agents", "3"), ("agents", True), ("epochs", 3.0), ("epochs", None),
+    ])
+    def test_agents_and_epochs_must_be_integers(self, field, value):
+        from incestless import ConfigError
+
+        with pytest.raises(ConfigError, match=f"{field} must be an integer"):
+            TopologySpec(kind="complete_delay", **{field: value})
+
+    @pytest.mark.parametrize("delays", [5, "12", None])
+    def test_delays_must_be_a_list(self, delays):
+        from incestless import ConfigError
+
+        with pytest.raises(ConfigError, match="delays must be a list"):
+            TopologySpec(kind="complete_delay", delays=delays)
+
     def test_bad_spec(self):
         from incestless import ConfigError
 
@@ -565,6 +654,7 @@ class TestGraphFile:
         ("N 3\n1 x\n", "'1 x'"),
         ("N 3\n1 2 3\n", "'1 2 3'"),
         ("N -3\n", "'N -3'"),
+        ("N 3 7\n1 2\n", "'N 3 7'"),
     ])
     def test_bad_line_names_the_file_and_the_line(self, tmp_path, text, line):
         p = tmp_path / "bad.txt"
