@@ -42,6 +42,20 @@ def _reject_unknown(mapping, allowed, where):
         raise ConfigError(f"unknown key(s) in {where}: {sorted(unknown)}")
 
 
+def _mapping(raw: dict, key: str) -> dict:
+    value = raw.get(key, {})
+    if not isinstance(value, dict):
+        raise ConfigError(f"{key} must be a mapping, got {value!r}")
+    return dict(value)
+
+
+def _integer(value, name: str) -> int:
+    try:
+        return int(value)
+    except (TypeError, ValueError, OverflowError):
+        raise ConfigError(f"{name} must be an integer, got {value!r}") from None
+
+
 def load_config_file(name_or_path: str) -> dict:
     """Load a YAML config from a path, or a bundled config by name."""
     if os.path.exists(name_or_path):
@@ -59,55 +73,60 @@ def load_config_file(name_or_path: str) -> dict:
 
 def build_model(raw: dict) -> learning.StateModel:
     _reject_unknown(raw, _MODEL_KEYS, "model")
-    states = int(raw.get("states", 20))
-    actions = int(raw.get("actions", 10))
-    width = int(raw.get("kernel_width", 3))
+    states = _integer(raw.get("states", 20), "model.states")
+    actions = _integer(raw.get("actions", 10), "model.actions")
+    width = _integer(raw.get("kernel_width", 3), "model.kernel_width")
+    if states < 1 or actions < 1:
+        raise ConfigError("model.states and model.actions must be positive")
 
-    prior = raw.get("prior", "uniform")
-    if prior == "uniform":
-        prior = np.full(states, 1.0 / states)
-    else:
-        prior = np.asarray(prior, dtype=np.float64)
-    likelihood = raw.get("likelihood")
-    if likelihood is None:
-        likelihood = learning.triangular_likelihood(states, width)
-    else:
-        likelihood = np.asarray(likelihood, dtype=np.float64)
-    cost = raw.get("cost")
-    if cost is None:
-        cost = learning.quadratic_cost(states, actions)
-    else:
-        cost = np.asarray(cost, dtype=np.float64)
     try:
+        prior = raw.get("prior", "uniform")
+        if prior == "uniform":
+            prior = np.full(states, 1.0 / states)
+        else:
+            prior = np.asarray(prior, dtype=np.float64)
+        likelihood = raw.get("likelihood")
+        if likelihood is None:
+            likelihood = learning.triangular_likelihood(states, width)
+        else:
+            likelihood = np.asarray(likelihood, dtype=np.float64)
+        cost = raw.get("cost")
+        if cost is None:
+            cost = learning.quadratic_cost(states, actions)
+        else:
+            cost = np.asarray(cost, dtype=np.float64)
         return learning.StateModel(prior=prior, likelihood=likelihood, cost=cost)
-    except ValueError as e:
-        raise ConfigError(f"invalid model: {e}")
+    except (TypeError, ValueError) as e:
+        raise ConfigError(f"invalid model: {e}") from None
 
 
 def build_scenario(raw: dict, seed_override: int | None = None,
                    **overrides) -> simulate.ScenarioConfig:
     _reject_unknown(raw, _TOP_KEYS, "config")
-    topo_raw = dict(raw.get("topology", {}))
+    topo_raw = _mapping(raw, "topology")
     _reject_unknown(topo_raw, _TOPOLOGY_KEYS, "topology")
     if "kind" not in topo_raw:
         raise ConfigError("topology.kind is required")
     topology = TopologySpec(**topo_raw)
-    model = build_model(dict(raw.get("model", {})))
+    model = build_model(_mapping(raw, "model"))
 
-    seed = raw.get("seed", 0)
+    seed = _integer(raw.get("seed", 0), "seed")
     env_seed = os.environ.get("INCESTLESS_SEED")
     if env_seed is not None:
-        seed = int(env_seed)
+        seed = _integer(env_seed, "INCESTLESS_SEED")
     if seed_override is not None:
         seed = seed_override
+    modes = raw.get("modes", ("naive", "removal", "idealized"))
+    if not isinstance(modes, (list, tuple)) or not all(isinstance(m, str) for m in modes):
+        raise ConfigError(f"modes must be a list of mode names, got {modes!r}")
 
     kwargs = dict(
         model=model,
         topology=topology,
         true_state=raw.get("true_state", "random"),
-        modes=tuple(raw.get("modes", ("naive", "removal", "idealized"))),
-        runs=int(raw.get("runs", 100)),
-        seed=int(seed),
+        modes=tuple(modes),
+        runs=_integer(raw.get("runs", 100), "runs"),
+        seed=seed,
         estimate_rule=raw.get("estimate_rule", "mean"),
         force=bool(raw.get("force", False)),
         floor_zero_likelihood=bool(raw.get("floor_zero_likelihood", True)),

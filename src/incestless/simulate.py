@@ -33,7 +33,24 @@ the blocks, the graph digest) is built once per study by run_tables, and
 monte_carlo passes it to every run_once.  run_tables also checks, once per
 study, that every nonzero coefficient's row reaches its node (after-evidence
 travels over edges, the benchmarks read all history) and raises
-AvailabilityError for the lowest node that misses one.  A run draws its N
+AvailabilityError for the lowest node that misses one.
+Runs that herd hear the same actions, so the tables also hold a StepTrie,
+which reuses block steps across the runs of the study.  A trie node is the
+state after some blocks along one path of keys, and holds the next block's
+(evidence, pub, acts); an edge is keyed by that block's joint actions
+(M x L, as bytes, plus the block's observations when obs_oracle is among
+the modes, whose own increment is the observation's) and holds the block's
+after log-posteriors and stored rows.  A block reads only the rows stored
+before it, and those follow from the key path alone (by induction over the
+blocks: a block's stored rows follow from its pub and its key), so a
+cached array is the one the block step would compute, bit for bit.  A run
+walks the trie: on a hit it copies the cached rows; on a miss it steps the
+block as above and, once checked_max has passed, inserts the result.
+Inserts stop at TRIE_BUDGET (512 KiB of arrays and keys per study, a
+constant), after which the run leaves the trie, as does a run whose block
+raises.  The trie is bound to the config that run_tables was given, and
+lives as long as the tables: monte_carlo builds them per study, so no
+state outlives the call.  A run draws its N
 observations in one call, and all modes share them, so their traces differ
 by aggregation alone.
 RunTrace keeps the run as (M x N) and (M x N x X) arrays; its `records` is
@@ -72,11 +89,18 @@ class ScenarioConfig:
     def __post_init__(self):
         if self.runs < 1:
             raise ConfigError("runs must be >= 1")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be non-negative, got {self.seed}")
         unknown = set(self.modes) - set(MODES)
         if unknown:
             raise ConfigError(f"unknown modes: {sorted(unknown)}")
         if self.true_state != "random":
-            if not 1 <= int(self.true_state) <= self.model.num_states:
+            try:
+                state = int(self.true_state)
+            except (TypeError, ValueError):
+                raise ConfigError(f"true_state must be 'random' or an integer, "
+                                  f"got {self.true_state!r}") from None
+            if not 1 <= state <= self.model.num_states:
                 raise ConfigError(
                     f"true_state {self.true_state} out of range "
                     f"1..{self.model.num_states}"
@@ -150,13 +174,59 @@ def node_weights(graph: CommGraph) -> list[np.ndarray]:
     return [graph.weights[:n, n] for n in range(graph.size)]
 
 
+# Bytes of array data (and keys) one study's StepTrie may hold.  Without a
+# bound, a study whose runs rarely share a prefix fills megabytes it never reads.
+TRIE_BUDGET = 512 * 1024
+
+
+class TrieNode:
+    """The state after the blocks along one key path.
+
+    step is the next block's (evidence, pub, acts), once a run has stepped
+    it; edges maps a key to the block's (log_after, stored rows, next node).
+    """
+
+    __slots__ = ("step", "edges")
+
+    def __init__(self):
+        self.step: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
+        self.edges: dict[bytes, tuple[np.ndarray, np.ndarray, TrieNode]] = {}
+
+
+class StepTrie:
+    """Block steps of the runs of one study, keyed by the action histories they heard.
+
+    Bound to the config that fills it: run_once reads and fills it only for
+    that very config object.  Every array in it is read-only; nbytes never
+    exceeds TRIE_BUDGET.  hits counts the block steps served from it.
+    """
+
+    def __init__(self, config: ScenarioConfig):
+        self.config = config
+        self.root = TrieNode()
+        self.nbytes = 0
+        self.hits = 0
+
+    def reserve(self, key: bytes, arrays: tuple[np.ndarray, ...]) -> bool:
+        """Count key and arrays against the budget and freeze the arrays;
+        False, with nothing counted, if they do not fit."""
+        size = len(key) + sum(a.nbytes for a in arrays)
+        if self.nbytes + size > TRIE_BUDGET:
+            return False
+        self.nbytes += size
+        for a in arrays:
+            a.flags.writeable = False
+        return True
+
+
 @dataclass(frozen=True)
 class RunTables:
     """What every run of a study shares; it depends on the graph and the config alone.
 
     Row k of each per-mode table is config.modes[k].  coeffs[k, n-1, i]
     weighs node i+1's stored row in node n's fusion; run_tables has checked
-    that every row with a nonzero coefficient reaches its node.
+    that every row with a nonzero coefficient reaches its node.  trie caches
+    the block steps of the study's runs.
     """
 
     coeffs: np.ndarray              # (M, N, N) float
@@ -165,6 +235,7 @@ class RunTables:
     blocks: list[tuple[int, int]]   # graph.independent_blocks
     digest: str
     constraint: dict[int, list[int]]
+    trie: StepTrie = field(compare=False, repr=False)
 
 
 def run_tables(config: ScenarioConfig, graph: CommGraph) -> RunTables:
@@ -197,7 +268,7 @@ def run_tables(config: ScenarioConfig, graph: CommGraph) -> RunTables:
         coeffs=coeffs, stores_after=np.array(stores_after)[:, None, None],
         oracle=[k for k, is_obs in enumerate(own_is_obs) if is_obs],
         blocks=graphmod.independent_blocks(graph), digest=graph.digest(),
-        constraint=constraint)
+        constraint=constraint, trie=StepTrie(config))
 
 
 def run_once(config: ScenarioConfig, graph: CommGraph, rng: np.random.Generator,
@@ -224,36 +295,69 @@ def run_once(config: ScenarioConfig, graph: CommGraph, rng: np.random.Generator,
     actions = np.empty(shape[:2], dtype=np.int64)
     node_index = np.arange(graph.size)
 
-    def step(lo, hi):
-        """Update nodes lo+1..hi, none of which hears another, in one row per (mode, node)."""
-        evidence = learning.fuse(tables.coeffs[:, lo:hi, :lo], stored[:, :lo], node=lo + 1)
-        pub = learning.normalize_log(log_prior + evidence)
-        acts = learning.action_table(pub, model)  # action each observation induces
+    def step(lo, hi, node=None):
+        """Update nodes lo+1..hi, none of which hears another, in one row per (mode, node).
+
+        node is the trie node the block starts from, or None outside the
+        trie; returns the node after the block, or None once the run leaves
+        the trie.
+        """
+        if node is not None and node.step is not None:
+            evidence, pub, acts = node.step
+        else:
+            evidence = learning.fuse(tables.coeffs[:, lo:hi, :lo], stored[:, :lo], node=lo + 1)
+            pub = learning.normalize_log(log_prior + evidence)
+            acts = learning.action_table(pub, model)  # action each observation induces
         a = acts[:, node_index[:hi - lo], obs_index[lo:hi]]
-        # every row's action is induced by the drawn z, so no row (obs_oracle's,
-        # replaced below, included) can raise ZeroProbabilityActionError
-        own = learning.action_likelihood(pub, a, model, config.floor_zero_likelihood,
-                                         table=acts)
-        if tables.oracle:
-            own[tables.oracle] = obs_loglik[lo:hi]
-        after_evidence = evidence + own
-        log_after = log_prior + after_evidence
-        # normalize_log's check; every call that can raise precedes the first write
-        learning.checked_max(log_after)
+        edge = None
+        if node is not None:
+            key = a.tobytes()
+            if tables.oracle:
+                key += observations[lo:hi].tobytes()
+            edge = node.edges.get(key)
+        if edge is not None:
+            log_after, rows, child = edge
+            tables.trie.hits += 1
+        else:
+            # every row's action is induced by the drawn z, so no row (obs_oracle's,
+            # replaced below, included) can raise ZeroProbabilityActionError
+            own = learning.action_likelihood(pub, a, model, config.floor_zero_likelihood,
+                                             table=acts)
+            if tables.oracle:
+                own[tables.oracle] = obs_loglik[lo:hi]
+            after_evidence = evidence + own
+            log_after = log_prior + after_evidence
+            # normalize_log's check; every call that can raise precedes the first
+            # write, to the run's arrays or to the trie
+            learning.checked_max(log_after)
+            rows = np.where(tables.stores_after, after_evidence, own)
+            child = None
+            if node is not None:
+                new = (log_after, rows)
+                if node.step is None:
+                    new += (evidence, pub, acts)
+                if tables.trie.reserve(key, new):
+                    node.step = evidence, pub, acts
+                    child = TrieNode()
+                    node.edges[key] = log_after, rows, child
         after[:, lo:hi] = log_after  # normalised once the run is done
-        stored[:, lo:hi] = np.where(tables.stores_after, after_evidence, own)
+        stored[:, lo:hi] = rows
         public[:, lo:hi] = pub
         actions[:, lo:hi] = a
+        return child
 
+    node = tables.trie.root if tables.trie.config is config else None
     for lo, hi in tables.blocks:
         try:
-            step(lo, hi)
+            node = step(lo, hi, node)
             continue
         except (IncestlessError, ValueError):
             if hi - lo == 1:
                 raise
         # the block's nodes do not depend on each other, so stepping through
-        # them one at a time raises what the first failing node raises
+        # them one at a time, outside the trie, raises what the first failing
+        # node raises
+        node = None
         for n in range(lo, hi):
             step(n, n + 1)
 

@@ -197,8 +197,36 @@ BAD_TOPOLOGIES = [
     ({"delays": "12"}, "delays must be a list"),
 ]
 
+# malformed scenario fields, each with the ConfigError message it raises
+BAD_FIELDS = [
+    ({"topology": 5}, "topology must be a mapping"),
+    ({"model": [1]}, "model must be a mapping"),
+    ({"runs": "x"}, "runs must be an integer"),
+    ({"seed": "x"}, "seed must be an integer"),
+    ({"seed": -1}, "seed must be non-negative"),
+    ({"model": {"states": "x"}}, "model.states must be an integer"),
+    ({"model": {"actions": 0}}, "model.states and model.actions must be positive"),
+    ({"model": {"prior": "x"}}, "invalid model"),
+    ({"modes": "naive"}, "modes must be a list of mode names"),
+    ({"true_state": "x"}, "true_state must be 'random' or an integer"),
+]
+
 
 class TestBuildScenario:
+    @pytest.mark.parametrize("fields, message", BAD_FIELDS)
+    def test_malformed_field_raises_config_error(self, fields, message):
+        from incestless import ConfigError
+
+        with pytest.raises(ConfigError, match=message):
+            build_scenario({"topology": {"kind": "chain41"}, **fields})
+
+    def test_malformed_env_seed_raises_config_error(self, monkeypatch):
+        from incestless import ConfigError
+
+        monkeypatch.setenv("INCESTLESS_SEED", "abc")
+        with pytest.raises(ConfigError, match="INCESTLESS_SEED must be an integer"):
+            build_scenario({"topology": {"kind": "chain41"}})
+
     @pytest.mark.parametrize("fields, message", BAD_TOPOLOGIES)
     def test_bad_topology_field_raises_config_error(self, fields, message):
         from incestless import ConfigError
@@ -255,6 +283,14 @@ class TestRun:
     def test_bad_topology_field_exit_1_no_outputs(self, runner, tmp_path, fields, message):
         cfg = tiny_config(tmp_path, topology={
             "kind": "complete_delay", "agents": 2, "epochs": 3, **fields})
+        out = tmp_path / "out"
+        res = runner.invoke(main, ["run", str(cfg), "--output-dir", str(out)])
+        assert_input_error(res, message)
+        assert not out.exists()
+
+    @pytest.mark.parametrize("fields, message", BAD_FIELDS)
+    def test_malformed_field_exit_1_no_outputs(self, runner, tmp_path, fields, message):
+        cfg = tiny_config(tmp_path, **fields)
         out = tmp_path / "out"
         res = runner.invoke(main, ["run", str(cfg), "--output-dir", str(out)])
         assert_input_error(res, message)

@@ -29,6 +29,7 @@ from conftest import DIAMOND_A_EDGES, reference_run_once
 
 ALL_MODES = ("naive", "removal", "idealized", "obs_oracle")
 BUNDLED = ("paper_chain41", "paper_complete", "paper_star", "paper_random4")
+TRACE_ARRAYS = ("observations", "actions", "public", "after", "estimates")
 
 
 def scenario(model, **kw):
@@ -311,6 +312,165 @@ class TestRunTables:
             monte_carlo(config, graph=graph)
         assert str(again.value) == str(exc.value)
         assert calls == []
+
+
+def uncached_study(config, graph):
+    """The runs of monte_carlo(config, graph), each with tables of its own."""
+    seeds = np.random.SeedSequence(config.seed).spawn(config.runs + 1)[1:]
+    return [run_once(config, graph, np.random.default_rng(s)) for s in seeds]
+
+
+def shared_study(config, graph, tables, clobber=False):
+    """The runs of monte_carlo(config, graph) over the given tables, as
+    monte_carlo steps them.  With clobber, the arrays of each trace
+    run_once returns are overwritten before the next run; a copy is kept."""
+    traces = []
+    for s in np.random.SeedSequence(config.seed).spawn(config.runs + 1)[1:]:
+        trace = run_once(config, graph, np.random.default_rng(s), tables=tables)
+        if clobber:
+            kept = dataclasses.replace(trace, **{n: getattr(trace, n).copy() for n in TRACE_ARRAYS})
+            for name in TRACE_ARRAYS:
+                getattr(trace, name)[...] = -7
+            trace = kept
+        traces.append(trace)
+    return traces
+
+
+def assert_same_runs(got, expected):
+    assert len(got) == len(expected)
+    for g, e in zip(got, expected):
+        assert g.true_state == e.true_state
+        for name in TRACE_ARRAYS:
+            assert np.array_equal(getattr(g, name), getattr(e, name)), name
+
+
+def trie_contents(trie):
+    """(keys, arrays) held by a StepTrie."""
+    keys, arrays, nodes = [], [], [trie.root]
+    while nodes:
+        node = nodes.pop()
+        if node.step is not None:
+            arrays.extend(node.step)
+        for key, (log_after, rows, child) in node.edges.items():
+            keys.append(key)
+            arrays.extend((log_after, rows))
+            nodes.append(child)
+    return keys, arrays
+
+
+@pytest.fixture
+def built_tables(monkeypatch):
+    """The RunTables run_tables builds during the test, in order."""
+    built = []
+    build = simulate.run_tables
+
+    def recorded(config, graph):
+        built.append(build(config, graph))
+        return built[-1]
+
+    monkeypatch.setattr(simulate, "run_tables", recorded)
+    return built
+
+
+class TestStepTrie:
+    """Block steps reused across the runs of a study give the uncached runs bit for bit."""
+
+    @pytest.mark.parametrize("name", BUNDLED)
+    def test_bundled_study_equals_uncached_runs(self, name, built_tables):
+        base = cli.build_scenario(cli.load_config_file(name), runs=20)
+        graph = build_graph(base)
+        hits = 0
+        for modes in (ALL_MODES, base.modes):
+            for floor in (True, False):
+                for rule in ("mean", "map"):
+                    config = dataclasses.replace(base, modes=modes, floor_zero_likelihood=floor,
+                                                 estimate_rule=rule)
+                    try:
+                        expected = uncached_study(config, graph)
+                    except (IncestlessError, ValueError) as exc:
+                        with pytest.raises(type(exc)) as got:
+                            monte_carlo(config, graph=graph)
+                        assert str(got.value) == str(exc)
+                        continue
+                    metrics = monte_carlo(config, graph=graph)
+                    hits += built_tables[-1].trie.hits
+                    for k, mode in enumerate(modes):
+                        assert np.array_equal(metrics.actions[mode],
+                                              [t.actions[k] for t in expected])
+                        assert np.array_equal(metrics.estimates[mode],
+                                              [t.estimates[k] for t in expected])
+                    # every run's beliefs, through the same calls monte_carlo makes
+                    tables = simulate.run_tables(config, graph)
+                    assert_same_runs(shared_study(config, graph, tables), expected)
+                    assert tables.trie.hits == built_tables[-2].trie.hits
+        if name == "paper_chain41":
+            assert hits > 0
+
+    def test_study_that_raises_in_a_later_run(self, diamond_a):
+        # the runs before the failing one fill the trie, and one of them hits it
+        config = scenario(default_model(6, 6, 5), modes=ALL_MODES, true_state="random",
+                          runs=40, floor_zero_likelihood=False)
+        seeds = np.random.SeedSequence(config.seed).spawn(config.runs + 1)[1:]
+        tables = simulate.run_tables(config, diamond_a)
+        for k, seed in enumerate(seeds):
+            try:
+                reference = run_once(config, diamond_a, np.random.default_rng(seed))
+            except SignedInfinityError as exc:
+                expected = exc
+                break
+            assert_same_runs([run_once(config, diamond_a, np.random.default_rng(seed),
+                                       tables=tables)], [reference])
+        assert k > 1 and tables.trie.hits > 0
+        with pytest.raises(SignedInfinityError) as got:
+            run_once(config, diamond_a, np.random.default_rng(seeds[k]), tables=tables)
+        assert str(got.value) == str(expected)
+        with pytest.raises(SignedInfinityError) as got:
+            monte_carlo(config, graph=diamond_a)
+        assert str(got.value) == str(expected)
+
+    @pytest.mark.parametrize("change", [
+        {"floor_zero_likelihood": False},
+        {"model": default_model(kernel_width=5)},
+    ])
+    def test_tables_shared_by_two_configs(self, change):
+        base = cli.build_scenario(cli.load_config_file("paper_chain41"), runs=15)
+        other = dataclasses.replace(base, **change)
+        graph = build_graph(base)
+        for first, second in ((base, other), (other, base)):
+            tables = simulate.run_tables(first, graph)
+            assert_same_runs(shared_study(first, graph, tables), uncached_study(first, graph))
+            hits = tables.trie.hits
+            assert hits > 0
+            assert_same_runs(shared_study(second, graph, tables), uncached_study(second, graph))
+            assert tables.trie.hits == hits
+
+    def test_budget_and_read_only_arrays(self, built_tables):
+        # complete_delay's blocks of six nodes fill the budget within a few runs
+        config = cli.build_scenario(cli.load_config_file("paper_complete"), runs=30)
+        monte_carlo(config)
+        trie = built_tables[-1].trie
+        keys, arrays = trie_contents(trie)
+        assert trie.nbytes == sum(map(len, keys)) + sum(a.nbytes for a in arrays)
+        # one more block step (six nodes, three modes, five arrays) would not fit
+        assert simulate.TRIE_BUDGET - 5 * 3 * 6 * 20 * 8 < trie.nbytes <= simulate.TRIE_BUDGET
+        assert arrays and not any(a.flags.writeable for a in arrays)
+        assert all(a.base is None for a in arrays)
+
+    def test_each_study_starts_from_an_empty_trie(self, built_tables):
+        config = cli.build_scenario(cli.load_config_file("paper_chain41"), runs=10)
+        first, second = monte_carlo(config), monte_carlo(config)
+        assert len(built_tables) == 2 and built_tables[0].trie is not built_tables[1].trie
+        assert built_tables[0].trie.hits == built_tables[1].trie.hits > 0
+        for mode in config.modes:
+            assert np.array_equal(first.estimates[mode], second.estimates[mode])
+
+    def test_writing_into_a_trace_leaves_later_runs_unchanged(self):
+        config = cli.build_scenario(cli.load_config_file("paper_chain41"), runs=15)
+        graph = build_graph(config)
+        tables = simulate.run_tables(config, graph)
+        assert_same_runs(shared_study(config, graph, tables, clobber=True),
+                         uncached_study(config, graph))
+        assert tables.trie.hits > 0
 
 
 class TestWeightsSolvedOnce:
