@@ -15,6 +15,7 @@ The environment variable INCESTLESS_SEED overrides the config seed; the
 from __future__ import annotations
 
 import contextlib
+import dataclasses
 import errno
 import importlib.resources
 import os
@@ -27,13 +28,10 @@ import yaml
 
 from . import graph as graphmod
 from . import learning, simulate
-from .errors import ConfigError, ConstraintViolationError, IncestlessError
+from .errors import ConfigError, ConstraintViolationError, IncestlessError, require_integer
 from .graph import TopologySpec
 
-_TOPOLOGY_KEYS = {"kind", "agents", "epochs", "delays", "path"}
 _MODEL_KEYS = {"states", "actions", "kernel_width", "prior", "likelihood", "cost"}
-_TOP_KEYS = {"topology", "model", "true_state", "modes", "runs", "seed",
-             "estimate_rule", "force", "floor_zero_likelihood", "output_dir"}
 
 
 def _reject_unknown(mapping, allowed, where):
@@ -47,13 +45,6 @@ def _mapping(raw: dict, key: str) -> dict:
     if not isinstance(value, dict):
         raise ConfigError(f"{key} must be a mapping, got {value!r}")
     return dict(value)
-
-
-def _integer(value, name: str) -> int:
-    try:
-        return int(value)
-    except (TypeError, ValueError, OverflowError):
-        raise ConfigError(f"{name} must be an integer, got {value!r}") from None
 
 
 def load_config_file(name_or_path: str) -> dict:
@@ -73,9 +64,9 @@ def load_config_file(name_or_path: str) -> dict:
 
 def build_model(raw: dict) -> learning.StateModel:
     _reject_unknown(raw, _MODEL_KEYS, "model")
-    states = _integer(raw.get("states", 20), "model.states")
-    actions = _integer(raw.get("actions", 10), "model.actions")
-    width = _integer(raw.get("kernel_width", 3), "model.kernel_width")
+    states = require_integer(raw.get("states", 20), "model.states")
+    actions = require_integer(raw.get("actions", 10), "model.actions")
+    width = require_integer(raw.get("kernel_width", 3), "model.kernel_width")
     if states < 1 or actions < 1:
         raise ConfigError("model.states and model.actions must be positive")
 
@@ -102,37 +93,32 @@ def build_model(raw: dict) -> learning.StateModel:
 
 def build_scenario(raw: dict, seed_override: int | None = None,
                    **overrides) -> simulate.ScenarioConfig:
-    _reject_unknown(raw, _TOP_KEYS, "config")
+    """ScenarioConfig of the keys present in raw (it holds the defaults and
+    the checks), then the overrides that are not None; INCESTLESS_SEED, then
+    seed_override, replace the seed.  An overridden file value is still checked."""
+    fields = dict(raw)
+    if "output_dir" in fields:  # cmd_run's to read; checked here, before any run
+        out_dir = fields.pop("output_dir")
+        if not isinstance(out_dir, str) or not out_dir:
+            raise ConfigError(f"output_dir must be a non-empty string, got {out_dir!r}")
+    _reject_unknown(fields, {f.name for f in dataclasses.fields(simulate.ScenarioConfig)}, "config")
     topo_raw = _mapping(raw, "topology")
-    _reject_unknown(topo_raw, _TOPOLOGY_KEYS, "topology")
+    _reject_unknown(topo_raw, {f.name for f in dataclasses.fields(TopologySpec)}, "topology")
     if "kind" not in topo_raw:
         raise ConfigError("topology.kind is required")
-    topology = TopologySpec(**topo_raw)
-    model = build_model(_mapping(raw, "model"))
+    fields.update(topology=TopologySpec(**topo_raw), model=build_model(_mapping(raw, "model")))
+    scenario = simulate.ScenarioConfig(**fields)
 
-    seed = _integer(raw.get("seed", 0), "seed")
+    overrides = {k: v for k, v in overrides.items() if v is not None}
     env_seed = os.environ.get("INCESTLESS_SEED")
     if env_seed is not None:
-        seed = _integer(env_seed, "INCESTLESS_SEED")
+        try:
+            overrides["seed"] = int(env_seed)
+        except ValueError:
+            raise ConfigError(f"INCESTLESS_SEED must be an integer, got {env_seed!r}") from None
     if seed_override is not None:
-        seed = seed_override
-    modes = raw.get("modes", ("naive", "removal", "idealized"))
-    if not isinstance(modes, (list, tuple)) or not all(isinstance(m, str) for m in modes):
-        raise ConfigError(f"modes must be a list of mode names, got {modes!r}")
-
-    kwargs = dict(
-        model=model,
-        topology=topology,
-        true_state=raw.get("true_state", "random"),
-        modes=tuple(modes),
-        runs=_integer(raw.get("runs", 100), "runs"),
-        seed=seed,
-        estimate_rule=raw.get("estimate_rule", "mean"),
-        force=bool(raw.get("force", False)),
-        floor_zero_likelihood=bool(raw.get("floor_zero_likelihood", True)),
-    )
-    kwargs.update({k: v for k, v in overrides.items() if v is not None})
-    return simulate.ScenarioConfig(**kwargs)
+        overrides["seed"] = seed_override
+    return dataclasses.replace(scenario, **overrides) if overrides else scenario
 
 
 def _fmt(v: float) -> str:
@@ -211,6 +197,20 @@ def _missing_dirs(path: str) -> list[str]:
     return missing
 
 
+@contextlib.contextmanager
+def _exit_on_error() -> Iterator[None]:
+    """Report an error as one `error:` line on stderr, without a traceback:
+    exit 2 on a constraint violation, 1 on any other."""
+    try:
+        yield
+    except ConstraintViolationError as e:
+        click.echo(f"error: {e} (use --force to run anyway)", err=True)
+        sys.exit(2)
+    except (IncestlessError, OSError, yaml.YAMLError, TypeError, ValueError) as e:
+        click.echo(f"error: {e}", err=True)
+        sys.exit(1)
+
+
 @click.group()
 def main():
     """Bayesian social learning with optimal data-incest removal."""
@@ -227,25 +227,13 @@ def main():
               help="Run removal mode even if the topological constraint is violated.")
 def cmd_run(config, seed, runs, modes, output_dir, force):
     """Run a scenario and write actions.csv, estimates.csv, mse.csv, constraint.txt."""
-    try:
+    with _exit_on_error():
         raw = load_config_file(config)
+        scenario = build_scenario(raw, seed_override=seed, runs=runs,
+                                  force=True if force else None,
+                                  modes=tuple(modes.split(",")) if modes else None)
         out_dir = output_dir or raw.get("output_dir", "out")
-        overrides = {"runs": runs, "force": True if force else None}
-        if modes:
-            overrides["modes"] = tuple(modes.split(","))
-        scenario = build_scenario(raw, seed_override=seed, **overrides)
-        metrics = simulate.monte_carlo(scenario)
-    except ConstraintViolationError as e:
-        click.echo(f"error: {e} (use --force to run anyway)", err=True)
-        sys.exit(2)
-    except (IncestlessError, OSError, yaml.YAMLError, TypeError, ValueError) as e:
-        click.echo(f"error: {e}", err=True)
-        sys.exit(1)
-    try:
-        write_outputs(metrics, out_dir)
-    except OSError as e:
-        click.echo(f"error: {e}", err=True)
-        sys.exit(1)
+        write_outputs(simulate.monte_carlo(scenario), out_dir)
     click.echo(f"wrote {out_dir}/actions.csv, estimates.csv, mse.csv, constraint.txt")
 
 
@@ -254,14 +242,10 @@ def cmd_run(config, seed, runs, modes, output_dir, force):
 @click.option("--seed", type=int, default=None, help="Override the config seed.")
 def cmd_report_constraint(config, seed):
     """Print the per-node topological constraint status for a config's graph."""
-    try:
-        raw = load_config_file(config)
-        scenario = build_scenario(raw, seed_override=seed)
-        graph = simulate.build_graph(scenario)
+    with _exit_on_error():
+        graph = simulate.build_graph(build_scenario(load_config_file(config),
+                                                    seed_override=seed))
         report = graphmod.constraint_report(graph)
-    except (IncestlessError, OSError, yaml.YAMLError, TypeError, ValueError) as e:
-        click.echo(f"error: {e}", err=True)
-        sys.exit(1)
     for n in range(2, graph.size + 1):
         if n in report:
             idx = " ".join(str(j) for j in report[n])
@@ -280,13 +264,10 @@ def cmd_report_constraint(config, seed):
 @click.option("--out", required=True, type=click.Path())
 def cmd_gen_graph(kind, seed, agents, epochs, out):
     """Generate a topology and write it as an edge-list file."""
-    try:
+    with _exit_on_error():
         spec = TopologySpec(kind=kind, agents=agents, epochs=epochs)
         graph = graphmod.generate_topology(spec, graphmod.topology_rng(seed))
         graphmod.save_graph(graph, out)
-    except (IncestlessError, OSError) as e:
-        click.echo(f"error: {e}", err=True)
-        sys.exit(1)
     click.echo(f"wrote {out} ({graph.size} nodes)")
 
 
@@ -294,12 +275,9 @@ def cmd_gen_graph(kind, seed, agents, epochs, out):
 @click.argument("graph_file", type=click.Path())
 def cmd_closure(graph_file):
     """Print the transitive closure and per-node t, b, w, constraint status."""
-    try:
+    with _exit_on_error():
         graph = graphmod.load_graph(graph_file)
         report = graphmod.constraint_report(graph)
-    except (IncestlessError, OSError, ValueError) as e:
-        click.echo(f"error: {e}", err=True)
-        sys.exit(1)
     click.echo("closure:")
     for row in graph.closure:
         click.echo(" ".join(str(int(v)) for v in row))

@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the integer rule for config values."""
+
+import numbers
 
 
 class IncestlessError(Exception):
@@ -20,6 +22,18 @@ class DagViolationError(IncestlessError):
 
 class ConfigError(IncestlessError):
     """Scenario or topology configuration is inconsistent."""
+
+
+def is_integer(value) -> bool:
+    """An integer, numpy's included, but not a bool: 2.5, "3" and True are not."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def require_integer(value, name: str):
+    """value, if it is an integer; otherwise a ConfigError naming the field."""
+    if not is_integer(value):
+        raise ConfigError(f"{name} must be an integer, got {value!r}")
+    return value
 
 
 class DegenerateEvidenceError(IncestlessError):

@@ -13,14 +13,13 @@ arrays are 0-based.
 from __future__ import annotations
 
 import copy
-import numbers
 from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
 
 from .errors import (ConfigError, DagViolationError, GraphFormatError, IncestlessError,
-                     WeightOverflowError)
+                     WeightOverflowError, is_integer, require_integer)
 
 
 def reindex(s: int, k: int, num_agents: int) -> int:
@@ -335,12 +334,12 @@ class TopologySpec:
     def __post_init__(self):
         if self.kind not in TOPOLOGY_KINDS:
             raise ConfigError(f"unknown topology kind {self.kind!r}")
+        if self.path is not None and not isinstance(self.path, str):
+            raise ConfigError(f"path must be a string, got {self.path!r}")
         if self.kind == "explicit" and not self.path:
             raise ConfigError("explicit topology requires a graph file path")
-        for name in ("agents", "epochs"):
-            value = getattr(self, name)
-            if not isinstance(value, numbers.Integral) or isinstance(value, bool):
-                raise ConfigError(f"{name} must be an integer, got {value!r}")
+        require_integer(self.agents, "agents")
+        require_integer(self.epochs, "epochs")
         if self.agents < 1 or self.epochs < 1:
             raise ConfigError("agents and epochs must be positive")
         if not isinstance(self.delays, (list, tuple)):
@@ -350,8 +349,7 @@ class TopologySpec:
             raise ConfigError("star topology needs at least 2 agents")
         if self.kind in ("complete_delay", "star_delay") and not self.delays:
             raise ConfigError("delay set must be non-empty")
-        if not all(isinstance(d, numbers.Integral) and not isinstance(d, bool) and d >= 1
-                   for d in self.delays):
+        if not all(is_integer(d) and d >= 1 for d in self.delays):
             raise ConfigError(f"delays must be positive integers, got {self.delays!r}")
 
 

@@ -67,7 +67,8 @@ import numpy as np
 
 from . import graph as graphmod
 from . import learning
-from .errors import ConfigError, ConstraintViolationError, IncestlessError
+from .errors import (ConfigError, ConstraintViolationError, IncestlessError, is_integer,
+                     require_integer)
 from .graph import CommGraph, TopologySpec
 from .learning import StateModel
 
@@ -87,26 +88,34 @@ class ScenarioConfig:
     floor_zero_likelihood: bool = True
 
     def __post_init__(self):
-        if self.runs < 1:
+        if require_integer(self.runs, "runs") < 1:
             raise ConfigError("runs must be >= 1")
-        if self.seed < 0:
+        if require_integer(self.seed, "seed") < 0:
             raise ConfigError(f"seed must be non-negative, got {self.seed}")
+        if (not isinstance(self.modes, (list, tuple))
+                or not all(isinstance(m, str) for m in self.modes)):
+            raise ConfigError(f"modes must be a list of mode names, got {self.modes!r}")
+        object.__setattr__(self, "modes", tuple(self.modes))
+        if not self.modes:
+            raise ConfigError("modes must name at least one mode")
         unknown = set(self.modes) - set(MODES)
         if unknown:
             raise ConfigError(f"unknown modes: {sorted(unknown)}")
-        if self.true_state != "random":
-            try:
-                state = int(self.true_state)
-            except (TypeError, ValueError):
-                raise ConfigError(f"true_state must be 'random' or an integer, "
-                                  f"got {self.true_state!r}") from None
-            if not 1 <= state <= self.model.num_states:
-                raise ConfigError(
-                    f"true_state {self.true_state} out of range "
-                    f"1..{self.model.num_states}"
-                )
+        if len(set(self.modes)) < len(self.modes):
+            raise ConfigError(f"modes must be unique, got {list(self.modes)}")
+        if is_integer(self.true_state):
+            if not 1 <= self.true_state <= self.model.num_states:
+                raise ConfigError(f"true_state {self.true_state} out of range "
+                                  f"1..{self.model.num_states}")
+        elif not isinstance(self.true_state, str) or self.true_state != "random":
+            raise ConfigError(f"true_state must be 'random' or an integer, "
+                              f"got {self.true_state!r}")
         if self.estimate_rule not in ("map", "mean"):
             raise ConfigError(f"unknown estimate rule {self.estimate_rule!r}")
+        for name in ("force", "floor_zero_likelihood"):
+            value = getattr(self, name)
+            if not isinstance(value, (bool, np.bool_)):
+                raise ConfigError(f"{name} must be true or false, got {value!r}")
 
 
 @dataclass(frozen=True)

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import os
 
@@ -9,7 +10,7 @@ from click.testing import CliRunner
 from incestless import CommGraph, graph_from_edges, load_graph, reindex, save_graph
 from incestless import cli
 from incestless.cli import build_scenario, main
-from incestless.simulate import build_graph
+from incestless.simulate import ScenarioConfig, build_graph
 
 from conftest import DIAMOND_A_EDGES, DIAMOND_B_EDGES, random_dag
 
@@ -195,6 +196,7 @@ BAD_TOPOLOGIES = [
     ({"epochs": 4.0}, "epochs must be an integer"),
     ({"delays": 5}, "delays must be a list"),
     ({"delays": "12"}, "delays must be a list"),
+    ({"path": 3}, "path must be a string"),
 ]
 
 # malformed scenario fields, each with the ConfigError message it raises
@@ -209,6 +211,23 @@ BAD_FIELDS = [
     ({"model": {"prior": "x"}}, "invalid model"),
     ({"modes": "naive"}, "modes must be a list of mode names"),
     ({"true_state": "x"}, "true_state must be 'random' or an integer"),
+    # a number that is not an integer, a quoted number or a bool is not truncated
+    ({"runs": 2.5}, "runs must be an integer"),
+    ({"runs": "3"}, "runs must be an integer"),
+    ({"runs": True}, "runs must be an integer"),
+    ({"seed": 1.9}, "seed must be an integer"),
+    ({"model": {"states": 20.7}}, "model.states must be an integer"),
+    ({"true_state": 2.5}, "true_state must be 'random' or an integer"),
+    ({"true_state": True}, "true_state must be 'random' or an integer"),
+    # a string is not a flag, whatever it says
+    ({"force": "no"}, "force must be true or false"),
+    ({"floor_zero_likelihood": "false"}, "floor_zero_likelihood must be true or false"),
+    ({"modes": []}, "modes must name at least one mode"),
+    ({"modes": ["naive", "naive"]}, "modes must be unique"),
+    # paths are checked before any run
+    ({"output_dir": 5}, "output_dir must be a non-empty string"),
+    ({"output_dir": None}, "output_dir must be a non-empty string"),
+    ({"topology": {"kind": "explicit", "path": 3}}, "path must be a string"),
 ]
 
 
@@ -234,6 +253,24 @@ class TestBuildScenario:
         topology = {"kind": "complete_delay", "agents": 2, "epochs": 3, **fields}
         with pytest.raises(ConfigError, match=message):
             build_scenario({"topology": topology})
+
+    @pytest.mark.parametrize("env_seed, seed_override", [(None, 3), ("3", None)])
+    def test_overridden_file_seed_is_still_checked(self, monkeypatch, env_seed, seed_override):
+        from incestless import ConfigError
+
+        monkeypatch.delenv("INCESTLESS_SEED", raising=False)
+        if env_seed is not None:
+            monkeypatch.setenv("INCESTLESS_SEED", env_seed)
+        with pytest.raises(ConfigError, match="seed must be an integer, got 1.9"):
+            build_scenario({"topology": {"kind": "chain41"}, "seed": 1.9},
+                           seed_override=seed_override)
+
+    def test_defaults_come_from_scenario_config(self, monkeypatch):
+        monkeypatch.delenv("INCESTLESS_SEED", raising=False)
+        scenario = build_scenario({"topology": {"kind": "chain41"}})
+        for field in dataclasses.fields(ScenarioConfig):
+            if field.name not in ("model", "topology"):
+                assert getattr(scenario, field.name) == field.default, field.name
 
     def test_delays_list_becomes_a_tuple(self):
         scenario = build_scenario({"topology": {"kind": "complete_delay", "delays": [1, 3]}})
@@ -294,6 +331,19 @@ class TestRun:
         out = tmp_path / "out"
         res = runner.invoke(main, ["run", str(cfg), "--output-dir", str(out)])
         assert_input_error(res, message)
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flag", ["--seed", "INCESTLESS_SEED"])
+    def test_overridden_file_seed_exit_1_no_outputs(self, runner, tmp_path, monkeypatch, flag):
+        monkeypatch.delenv("INCESTLESS_SEED", raising=False)
+        cfg = tiny_config(tmp_path, seed=1.9)
+        out = tmp_path / "out"
+        args = ["run", str(cfg), "--output-dir", str(out)]
+        if flag == "--seed":
+            args += ["--seed", "3"]
+        else:
+            monkeypatch.setenv("INCESTLESS_SEED", "3")
+        assert_input_error(runner.invoke(main, args), "seed must be an integer")
         assert not out.exists()
 
     def test_config_is_a_directory_exit_1_no_outputs(self, runner, tmp_path):

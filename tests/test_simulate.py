@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from incestless import (
     AvailabilityError,
     CommGraph,
+    ConfigError,
     ConstraintViolationError,
     IncestlessError,
     SignedInfinityError,
@@ -51,6 +52,33 @@ def random_tree(rng, size):
     for j in range(1, size):
         a[int(rng.integers(j)), j] = 1
     return CommGraph(a, num_agents=size, num_epochs=1)
+
+
+class TestScenarioConfig:
+    @pytest.mark.parametrize("field, value, message", [
+        ("runs", 2.5, "runs must be an integer"),
+        ("runs", "3", "runs must be an integer"),
+        ("runs", True, "runs must be an integer"),
+        ("seed", 1.9, "seed must be an integer"),
+        ("true_state", 2.5, "true_state must be 'random' or an integer"),
+        ("true_state", True, "true_state must be 'random' or an integer"),
+        ("true_state", np.array([1, 2]), "true_state must be 'random' or an integer"),
+        ("force", "no", "force must be true or false"),
+        ("floor_zero_likelihood", "false", "floor_zero_likelihood must be true or false"),
+        ("modes", [], "modes must name at least one mode"),
+        ("modes", ["naive", "naive"], "modes must be unique"),
+        ("modes", "naive", "modes must be a list of mode names"),
+    ])
+    def test_rejects_malformed_field(self, model, field, value, message):
+        with pytest.raises(ConfigError, match=message):
+            scenario(model, **{field: value})
+
+    def test_accepts_numpy_integers_and_bools(self, model):
+        config = scenario(model, runs=np.int32(2), seed=np.uint64(5), true_state=np.int64(3),
+                          force=np.bool_(True), floor_zero_likelihood=np.False_,
+                          modes=["naive", "removal"])
+        assert (config.runs, config.seed, config.true_state) == (2, 5, 3)
+        assert config.modes == ("naive", "removal")
 
 
 class TestRunOnce:
