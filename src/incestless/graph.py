@@ -154,41 +154,60 @@ class CommGraph:
 def weight_matrix(graph: CommGraph) -> np.ndarray:
     """W = I - T^-1, as int64; read it as graph.weights, which solves it once.
 
-    Column n holds w_n, the solution of T_{n-1} w_n = t_n, above zeros.
-    X = T^-1 is solved in float64 (`_float_inverse`) and used only when a
-    bound on its partial sums proves every operation exact; the graphs whose
-    weights are too large for that proof go through the exact back
-    substitution modulo 2^64 in float64 limbs (`_int64_weights`), which
-    raises WeightOverflowError for a weight beyond int64.  Both give the
-    same integers.
+    Column n holds w_n, the solution of T_{n-1} w_n = t_n.  X = T^-1 is
+    solved in float64 (`_float_inverse`), which proves column by column that
+    the solve was exact: every proven column is used as it is.  The columns
+    it cannot prove go through the exact back substitution modulo 2^64 in
+    float64 limbs (`_int64_weights`), which resumes from the float solve's
+    rows at and past `start`, exact in every column, and raises
+    WeightOverflowError for a weight beyond int64.  Both give the integers
+    of one back substitution over all of W, and the same error: a proven
+    column has every |entry| below 2^53, so it never wraps, and the limb
+    solve checks the other columns in the same order, rows bottom-up and
+    columns ascending, so the first weight it finds beyond int64 is the
+    first one of the whole matrix.
     """
-    x = _float_inverse(graph.closure)
-    if x is None:
-        return _int64_weights(graph.closure)
+    x, unproven, start = _float_inverse(graph.closure)
     # W = I - X in place: the diagonal of X is 1, so it becomes 0
     np.negative(x, out=x)
     np.fill_diagonal(x, 0)
-    return x.astype(np.int64)
+    # the limb solve runs before the cast, so its planes and W never coexist
+    if unproven.size:
+        solved = _int64_weights(graph.closure, unproven, x[start:, unproven].astype(np.int64))
+    w = x.astype(np.int64)
+    if unproven.size:
+        w[:, unproven] = solved
+    return w
 
 
-def _float_inverse(closure: np.ndarray) -> np.ndarray | None:
-    """X = T^-1, or None if float64 cannot prove it exact.
+def _float_inverse(closure: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
+    """(X, unproven, start): X = T^-1 in float64, the columns of X that
+    float64 cannot prove exact, and the first row from which every column
+    is exact.
 
     Solved bottom-up in blocks of rows: the rows below a block enter by one
     GEMM, then the block's own rows are solved one at a time.  Each entry is
     x[j, c] = delta_jc - (sum of a subset of the x[k, c], k > j), as T is
     0/1, and every partial sum on the way is a signed subset sum of the
-    same terms.  So while each column's sum of |x| stays below 2^53, all of
+    same terms.  So while a column's sum of |x| stays below 2^53, all of
     them are integers that float64 holds exactly: the first wrong entry in
     solve order would have read only exact entries of its column, and so
     could not be wrong.  The column sums are themselves sums of integers,
-    and one below 2^53 is exact, whatever the order of its additions.  The
-    solve stops at the first block whose sums break the bound; a block at
-    most doubles its sum of |x| per row, so no value gets near inf first.
+    and one below 2^53 is exact, whatever the order of its additions.
+
+    A column reads only itself, so the proof holds column by column.  A
+    column whose sum reaches 2^53 in a block is unproven: its rows in that
+    block and in every block above it are zeroed once solved, which keeps
+    it finite and changes no other column.  `start` is the first row of the
+    block solved before the first one in which a column failed (0 if none
+    did): up to that block every column was proven, so rows >= start are
+    exact in every column.
     """
     rows = closure.shape[0]
     x = np.eye(rows)
     sums = np.zeros(rows)
+    unproven = np.zeros(rows, dtype=bool)
+    start = 0
     for r0 in range(((rows - 1) // _BLOCK) * _BLOCK, -1, -_BLOCK):
         r1 = min(r0 + _BLOCK, rows)
         t = closure[r0:r1, r0:].astype(np.float64)  # the block's rows, from column r0
@@ -198,51 +217,80 @@ def _float_inverse(closure: np.ndarray) -> np.ndarray | None:
         for j in range(r1 - r0 - 2, -1, -1):
             block[j] -= t[j, j + 1:r1 - r0] @ block[j + 1:]
         sums[r0:] += np.abs(block).sum(axis=0)
-        if sums.max(initial=0.0) >= 2.0**53:
-            return None
-    return x
+        failed = sums[r0:] >= 2.0**53
+        if failed.any():
+            if not unproven.any():
+                start = r1
+            unproven[r0:] = failed
+            block[:, failed] = 0
+    return x, np.flatnonzero(unproven), start
 
 
-def _int64_weights(closure: np.ndarray) -> np.ndarray:
-    """W by one exact back substitution modulo 2^64, in float64 limbs.
+def _int64_weights(closure: np.ndarray, columns: np.ndarray | None = None,
+                   known: np.ndarray | None = None) -> np.ndarray:
+    """W[:, columns] (every column by default) by one exact back
+    substitution modulo 2^64, in float64 limbs, resumed below `known`.
 
-    Row j (0-based) is w_j = t_j - t_j @ W[j+1:], where t_j = closure[j, j+1:]
-    is what node j+1 reaches past itself: it is both that node's row of
-    each T_{n-1} and its entry t_n(j+1) of each later column.  The solved
-    rows are held as three float64 planes: their low 32 bits (unsigned),
-    their high 32 bits (signed) and a float shadow.  The rows are solved
-    bottom-up in blocks of _BLOCK, as in _float_inverse: the rows below a
-    block enter by one stacked GEMM, then the block's rows are solved one
-    at a time, each with one stacked product over the block rows below it.
-    A 0/1 row times a limb plane sums to less than N * 2^32 in magnitude,
-    below 2^53 for N < 2^21, so each limb sum, and every partial sum of it
-    in any order, is an exact integer in float64, and so is the sum of the
-    GEMM part and the in-block part.  The limb sums recombine to t_j @ W mod
-    2^64, so each row equals, bit for bit, an int64 back substitution that
-    wraps.  A true weight beyond int64 wraps its row by a multiple of 2^64
-    but moves the shadow row by far less than 2^63, so the two then differ
-    by more than 2^63, and WeightOverflowError names the node and index.
+    `known` holds rows start.. of W[:, columns], exact and in int64 (none by
+    default, so start = N), and rows start-1 .. 0 are solved.  Row j
+    (0-based) is w_j = t_j - t_j @ W[j+1:], where t_j = closure[j, j+1:] is
+    what node j+1 reaches past itself: it is both that node's row of each
+    T_{n-1} and its entry t_n(j+1) of each later column.  A column of W
+    reads only itself, so any subset of columns can be solved alone.
+
+    The solved rows are held as two float64 planes, their low 32 bits
+    (unsigned) and their high 32 bits (signed).  The rows are solved
+    bottom-up in the blocks of _float_inverse (start is a block boundary):
+    the rows below a block enter by one stacked GEMM, then the block's rows
+    are solved one at a time, each with one stacked product over the block
+    rows below it.  A 0/1 row times a limb plane sums to less than N * 2^32
+    in magnitude, below 2^53 for N < 2^21, so each limb sum, and every
+    partial sum of it in any order, is an exact integer in float64, and so
+    is the sum of the GEMM part and the in-block part.  The limb sums
+    recombine to t_j @ W mod 2^64, so each row equals, bit for bit, an
+    int64 back substitution that wraps.
+
+    The same limb sums, recombined in float64 instead, give t_j @ W with a
+    relative error below 2^-51, so far less than 2^63 off.  Where the true
+    weight lies in int64 the two rows agree to that error; where it does
+    not, the int64 row wrapped by a multiple of 2^64.  A difference beyond
+    2^63 therefore marks a weight beyond int64, and WeightOverflowError
+    names the first one, rows bottom-up and columns ascending; a row's
+    check reads only its columns c > j.  The check is made once per block:
+    the rows solved before the first wrapped one are exact, so its row is
+    the last one in the block to show a wrap.
     """
     rows = closure.shape[0]
-    w = np.zeros((rows, rows), dtype=np.int64)
-    limbs = np.zeros((3, rows, rows))  # low 32 bits, high 32 bits, float shadow
-    for r0 in range(((rows - 1) // _BLOCK) * _BLOCK, -1, -_BLOCK):
-        r1 = min(r0 + _BLOCK, rows)
+    cols = np.arange(rows) if columns is None else np.asarray(columns)
+    start = rows if known is None else rows - known.shape[0]
+    w = np.zeros((rows, cols.size), dtype=np.int64)
+    limbs = np.zeros((2, rows, cols.size))  # low 32 bits, high 32 bits
+    if known is not None:
+        w[start:] = known
+        limbs[:, start:] = known & 0xFFFFFFFF, known >> 32
+    t_cols = closure[:, cols]
+    # past[j]: the first of the columns after node j+1, the ones row j solves
+    past = np.searchsorted(cols, np.arange(rows), side="right").tolist()
+    for r0 in range(((start - 1) // _BLOCK) * _BLOCK, -1, -_BLOCK):
+        r1 = min(r0 + _BLOCK, start)
         t = closure[r0:r1, r0:].astype(np.float64)  # the block's rows, from column r0
-        sums = t[:, r1 - r0:] @ limbs[:, r1:, r0:]
+        k0 = past[r0]
+        sums = t[:, r1 - r0:] @ limbs[:, r1:, k0:]
         for j in range(r1 - 1, r0 - 1, -1):
-            i = j - r0
-            row = sums[:, i, i + 1:]
-            row += t[i, i + 1:r1 - r0] @ limbs[:, j + 1:r1, j + 1:]
-            t_j = closure[j, j + 1:]
-            exact = t_j - ((row[1].astype(np.int64) << 32) + row[0].astype(np.int64))
-            approx = t_j - row[2]
-            wrapped = np.flatnonzero(np.abs(approx - exact) > 2.0**63)
-            if wrapped.size:
-                raise WeightOverflowError(node=j + 2 + int(wrapped[0]), index=j + 1)
-            w[j, j + 1:] = limbs[2, j, j + 1:] = exact
-            limbs[0, j, j + 1:] = exact & 0xFFFFFFFF
-            limbs[1, j, j + 1:] = exact >> 32
+            i, k = j - r0, past[j]
+            row = sums[:, i, k - k0:]
+            row += t[i, i + 1:r1 - r0] @ limbs[:, j + 1:r1, k:]
+            exact = t_cols[j, k:] - ((row[1].astype(np.int64) << 32) + row[0].astype(np.int64))
+            w[j, k:] = exact
+            limbs[0, j, k:] = exact & 0xFFFFFFFF
+            limbs[1, j, k:] = exact >> 32
+        approx = t_cols[r0:r1, k0:] - (sums[1] * 2.0**32 + sums[0])
+        wrapped = np.abs(approx - w[r0:r1, k0:]) > 2.0**63
+        wrapped &= cols[k0:] > np.arange(r0, r1)[:, None]
+        if wrapped.any():
+            i = np.flatnonzero(wrapped.any(axis=1))[-1]
+            c = k0 + np.flatnonzero(wrapped[i])[0]
+            raise WeightOverflowError(node=int(cols[c]) + 1, index=r0 + int(i) + 1)
     return w
 
 

@@ -82,7 +82,12 @@ class StateModel:
 
 
 def triangular_likelihood(num_states: int, width: int = 3) -> np.ndarray:
-    """Row-normalized triangular kernel B(m, j) ~ max(0, width - |m - j|), Z = X."""
+    """Row-normalized triangular kernel B(m, j) ~ max(0, width - |m - j|), Z = X.
+
+    A width below 1 leaves every row zero, so it raises ValueError.
+    """
+    if width < 1:
+        raise ValueError(f"kernel width must be at least 1, got {width}")
     idx = np.arange(num_states)
     b = np.maximum(0.0, width - np.abs(idx[:, None] - idx[None, :]))
     return b / b.sum(axis=1, keepdims=True)

@@ -58,6 +58,20 @@ def weight_solves(monkeypatch):
     return solved
 
 
+@pytest.fixture
+def limb_solves(monkeypatch):
+    """(columns, known) of each call of graph._int64_weights during the test."""
+    calls = []
+    solve = graphmod._int64_weights
+
+    def counted(closure, columns=None, known=None):
+        calls.append((columns, known))
+        return solve(closure, columns, known)
+
+    monkeypatch.setattr(graphmod, "_int64_weights", counted)
+    return calls
+
+
 def random_dag(rng, size, edge_prob=0.25):
     """Random strictly upper-triangular adjacency matrix."""
     a = (rng.random((size, size)) < edge_prob).astype(np.int8)

@@ -272,6 +272,14 @@ class TestBuildScenario:
             if field.name not in ("model", "topology"):
                 assert getattr(scenario, field.name) == field.default, field.name
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("width", [0, -2])
+    def test_kernel_width_below_one_raises_config_error(self, width):
+        from incestless import ConfigError
+
+        with pytest.raises(ConfigError, match="kernel width must be at least 1"):
+            build_scenario({"topology": {"kind": "chain41"}, "model": {"kernel_width": width}})
+
     def test_delays_list_becomes_a_tuple(self):
         scenario = build_scenario({"topology": {"kind": "complete_delay", "delays": [1, 3]}})
         assert scenario.topology.delays == (1, 3)
@@ -344,6 +352,16 @@ class TestRun:
         else:
             monkeypatch.setenv("INCESTLESS_SEED", "3")
         assert_input_error(runner.invoke(main, args), "seed must be an integer")
+        assert not out.exists()
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("width", [0, -2])
+    def test_kernel_width_below_one_exit_1_no_outputs(self, runner, tmp_path, width):
+        cfg = tiny_config(tmp_path, model={"states": 20, "actions": 10, "kernel_width": width})
+        out = tmp_path / "out"
+        res = runner.invoke(main, ["run", str(cfg), "--output-dir", str(out)])
+        assert_input_error(res, "kernel width must be at least 1")
+        assert len(res.stderr.splitlines()) == 1 and "RuntimeWarning" not in res.stderr
         assert not out.exists()
 
     def test_config_is_a_directory_exit_1_no_outputs(self, runner, tmp_path):

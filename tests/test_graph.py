@@ -232,12 +232,16 @@ class TestWeights:
         assert np.array_equal(weight_matrix(g), exact_weight_matrix(g))
 
     @pytest.mark.parametrize("kind", ["random4", "complete_delay", "star_delay"])
-    def test_float_solve_equals_int64_solve(self, kind):
-        # the N = 400 graphs of these kinds pass the float64 proof check
+    def test_float_solve_equals_int64_solve(self, kind, limb_solves):
+        # the N = 400 graphs of these kinds pass the float64 proof check in
+        # every column, so the limb solve is never called
         spec = TopologySpec(kind=kind, agents=10, epochs=40)
         g = generate_topology(spec, topology_rng(0))
-        assert graphmod._float_inverse(g.closure) is not None
-        assert np.array_equal(weight_matrix(g), graphmod._int64_weights(g.closure))
+        _, unproven, start = graphmod._float_inverse(g.closure)
+        assert unproven.size == 0 and start == 0
+        w = weight_matrix(g)
+        assert limb_solves == []
+        assert np.array_equal(w, graphmod._int64_weights(g.closure))
 
     def test_prefix_consistency(self):
         rng = np.random.default_rng(5)
@@ -322,15 +326,12 @@ class TestWeightProofCheck:
     # up to 27 layers (0.83 * 2^53) and exceeds it at 28 (3.3 * 2^53)
 
     @pytest.mark.parametrize("layers, proven", [(27, True), (28, False)])
-    def test_boundary(self, layers, proven, monkeypatch):
+    def test_boundary(self, layers, proven, limb_solves):
         g = layered(5, layers)
-        assert (graphmod._float_inverse(g.closure) is not None) == proven
-        fallback = []
-        int64_weights = graphmod._int64_weights
-        monkeypatch.setattr(graphmod, "_int64_weights",
-                            lambda *args: fallback.append(1) or int64_weights(*args))
+        _, unproven, _ = graphmod._float_inverse(g.closure)
+        assert (unproven.size == 0) == proven
         w = weight_matrix(g)
-        assert fallback == ([] if proven else [1])
+        assert len(limb_solves) == (0 if proven else 1)
         assert np.array_equal(w, exact_weight_matrix(g))
 
 
@@ -347,9 +348,10 @@ class TestInt64Weights:
         # or negative, so the low limbs carry into the high ones
         spec = TopologySpec(kind="complete_delay", agents=10, epochs=46)
         g = generate_topology(spec, topology_rng(1))
-        assert graphmod._float_inverse(g.closure) is None
+        assert graphmod._float_inverse(g.closure)[1].size > 0
         w = graphmod._int64_weights(g.closure)
         assert np.array_equal(w, int64_weights_by_rows(g.closure))
+        assert np.array_equal(weight_matrix(g), w)
         big = np.abs(w) > 2**53
         assert (big & (w % 2 == 1)).sum() == 19 and (big & (w < 0)).sum() == 29
         t = g.closure.astype(np.int64)
@@ -368,16 +370,21 @@ class TestInt64Weights:
         # arg: the layer count of a 5-agent layered graph, or the seed of a
         # complete_delay graph of 10 agents x 60 epochs
         if kind == "layered":
-            closure = layered(5, arg).closure
+            g = layered(5, arg)
         else:
             spec = TopologySpec(kind=kind, agents=10, epochs=60)
-            closure = generate_topology(spec, topology_rng(arg)).closure
+            g = generate_topology(spec, topology_rng(arg))
+        closure = g.closure
         with pytest.raises(WeightOverflowError) as rows:
             int64_weights_by_rows(closure)
         with pytest.raises(WeightOverflowError) as limbs:
             graphmod._int64_weights(closure)
         assert message in str(rows.value)
         assert str(limbs.value) == str(rows.value) and limbs.value.node == rows.value.node
+        # the limb solve resumed where the float solve's proof stops
+        with pytest.raises(WeightOverflowError) as resumed:
+            weight_matrix(g)
+        assert str(resumed.value) == str(rows.value) and resumed.value.node == rows.value.node
 
     @settings(max_examples=100, deadline=None)
     @given(data=st.data())
@@ -388,6 +395,67 @@ class TestInt64Weights:
         a = random_dag(np.random.default_rng(seed), size, edge_prob)
         g = CommGraph(a, num_agents=size, num_epochs=1)
         assert np.array_equal(graphmod._int64_weights(g.closure), exact_weight_matrix(g))
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_resumed_solve_equals_exact_solve(self, data):
+        # any block boundary as the first solved row, any subset of columns
+        size = data.draw(st.integers(0, 150), label="size")
+        edge_prob = data.draw(st.sampled_from([0.02, 0.1, 0.3, 0.7]), label="edge_prob")
+        seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
+        start = data.draw(st.sampled_from(sorted({*range(0, size, 64), size})), label="start")
+        columns = np.flatnonzero(data.draw(
+            st.lists(st.booleans(), min_size=size, max_size=size), label="columns"))
+        g = CommGraph(random_dag(np.random.default_rng(seed), size, edge_prob),
+                      num_agents=size, num_epochs=1)
+        exact = exact_weight_matrix(g)[:, columns]
+        known = exact[start:].astype(np.int64)
+        assert np.array_equal(graphmod._int64_weights(g.closure, columns, known), exact)
+
+
+class TestResumedWeights:
+    # weight_matrix takes the float solve's proven columns and resumes the
+    # limb solve on the others: it must give the row-by-row int64 solve's
+    # arrays and errors.  On layered(a, L) the float64 proof first fails at
+    # L = 53, 34, 28, 24 and int64 first overflows at L = 66, 42, 34, 30 for
+    # a = 3, 4, 5, 6; each L below sits on one side of one boundary.
+
+    @pytest.mark.parametrize("kind, a, b", [
+        ("layered", agents, layers)
+        for agents, proof, over in [(3, 53, 66), (4, 34, 42), (5, 28, 34), (6, 24, 30)]
+        for layers in (proof - 1, proof, over - 1, over)
+    ] + [("complete_delay", epochs, seed) for epochs in range(44, 49) for seed in range(3)])
+    def test_equals_row_loop(self, kind, a, b):
+        # layered(a agents, b layers), or complete_delay with 10 agents x
+        # a epochs at topology_rng(b)
+        if kind == "layered":
+            g = layered(a, b)
+        else:
+            spec = TopologySpec(kind=kind, agents=10, epochs=a)
+            g = generate_topology(spec, topology_rng(b))
+        try:
+            expected = int64_weights_by_rows(g.closure)
+        except WeightOverflowError as rows:
+            with pytest.raises(WeightOverflowError) as resumed:
+                weight_matrix(g)
+            assert str(resumed.value) == str(rows) and resumed.value.node == rows.node
+        else:
+            assert np.array_equal(weight_matrix(g), expected)
+
+    @pytest.mark.parametrize("graph", ["complete_delay", "layered"])
+    def test_limb_solve_only_on_unproven_columns(self, graph, limb_solves):
+        if graph == "complete_delay":
+            spec = TopologySpec(kind="complete_delay", agents=10, epochs=46)
+            g = generate_topology(spec, topology_rng(1))
+        else:
+            g = layered(5, 28)
+        _, unproven, start = graphmod._float_inverse(g.closure)
+        w = weight_matrix(g)
+        [(columns, known)] = limb_solves
+        assert np.array_equal(columns, unproven) and 0 < columns.size < g.size
+        assert known.shape == (g.size - start, columns.size) and start < g.size
+        assert start % graphmod._BLOCK == 0
+        assert np.array_equal(w, int64_weights_by_rows(g.closure))
 
 
 class TestConstraint:
