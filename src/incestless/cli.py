@@ -143,10 +143,13 @@ def _output_chunks(metrics: simulate.MetricsTable) -> dict[str, Iterator[str]]:
             yield "".join(f"{n},{mode},{_fmt(v)}\n" for n, v in zip(nodes, values[mode].tolist()))
 
     def constraint():
-        if not metrics.constraint:
+        if metrics.constraint is None:
+            yield "constraint not checked: the incest-removal weights leave the int64 range\n"
+        elif not metrics.constraint:
             yield "all nodes satisfy the topological constraint\n"
-        for n in sorted(metrics.constraint):
-            yield f"node {n}: violation at {' '.join(map(str, metrics.constraint[n]))}\n"
+        else:
+            for n in sorted(metrics.constraint):
+                yield f"node {n}: violation at {' '.join(map(str, metrics.constraint[n]))}\n"
 
     return {"actions.csv": actions(),
             "estimates.csv": per_node("node,mode,mean_estimate\n", metrics.mean_estimate),
@@ -211,7 +214,27 @@ def _exit_on_error() -> Iterator[None]:
         sys.exit(1)
 
 
-@click.group()
+class _Group(click.Group):
+    """click's group, but a usage error (a bad option value, an unknown
+    option or command) exits 1 with click's message, not click's 2: exit 2
+    is a constraint violation."""
+
+    def make_context(self, *args, **kwargs):
+        return _usage_exits_1(super().make_context, *args, **kwargs)
+
+    def invoke(self, ctx):
+        return _usage_exits_1(super().invoke, ctx)
+
+
+def _usage_exits_1(call, *args, **kwargs):
+    try:
+        return call(*args, **kwargs)
+    except click.UsageError as e:
+        e.exit_code = 1
+        raise
+
+
+@click.group(cls=_Group)
 def main():
     """Bayesian social learning with optimal data-incest removal."""
 

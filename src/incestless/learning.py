@@ -12,6 +12,7 @@ never be double counted no matter what the weights telescope to.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -24,6 +25,14 @@ from .errors import (
 )
 
 LIKELIHOOD_FLOOR = 1e-300
+"""Floor under every likelihood before its log (floored_log), so every log-likelihood
+is finite.  Not optional: removal subtracts evidence with negative weights, which is
+defined only on finite rows."""
+
+
+def floored_log(p: np.ndarray) -> np.ndarray:
+    """log(max(p, LIKELIHOOD_FLOOR)), entry by entry: the one likelihood floor."""
+    return np.log(np.maximum(p, LIKELIHOOD_FLOOR))
 
 
 @dataclass(frozen=True)
@@ -187,7 +196,6 @@ def action_table(pub: np.ndarray, model: StateModel) -> np.ndarray:
 
 
 def action_likelihood(pub: np.ndarray, a: int | np.ndarray, model: StateModel,
-                      floor_zero_likelihood: bool = True,
                       table: np.ndarray | None = None) -> np.ndarray:
     """Per-state log-likelihood of action a given the public belief.
 
@@ -196,7 +204,7 @@ def action_likelihood(pub: np.ndarray, a: int | np.ndarray, model: StateModel,
     one observation at a time in ascending j.  pub may be one belief (X,)
     with one action, or beliefs stacked along leading axes, (M, X) or
     (M, L, X), with one action per belief, (M,) or (M, L); the table and the
-    result follow, (..., Z) and (..., X).
+    result follow, (..., Z) and (..., X).  The log is floored_log's, never -inf.
     """
     a = np.asarray(a)
     if not ((1 <= a) & (a <= model.num_actions)).all():
@@ -214,10 +222,7 @@ def action_likelihood(pub: np.ndarray, a: int | np.ndarray, model: StateModel,
         raise ZeroProbabilityActionError(
             f"action {bad} is not selectable under any observation"
         )
-    if floor_zero_likelihood:
-        return np.log(np.maximum(lik, LIKELIHOOD_FLOOR))
-    with np.errstate(divide="ignore"):
-        return np.log(lik)
+    return floored_log(lik)
 
 
 # ---------------------------------------------------------------------------
@@ -241,18 +246,12 @@ class LogBelief:
         return normalize_log(self.log_posterior())
 
 
-def checked_max(theta: np.ndarray) -> np.ndarray:
-    """Maxima of unnormalized log-probability vectors along the last axis
-    (kept as a length-1 axis); ValueError unless every one is finite."""
+def normalize_log(theta: np.ndarray) -> np.ndarray:
+    """exp-normalize unnormalized log-probability vectors along the last axis;
+    ValueError if one of them has no finite maximum."""
     m = theta.max(axis=-1, keepdims=True)
     if not np.isfinite(m).all():
         raise ValueError("log-belief has no finite entry")
-    return m
-
-
-def normalize_log(theta: np.ndarray) -> np.ndarray:
-    """exp-normalize unnormalized log-probability vectors along the last axis."""
-    m = checked_max(theta)
     p = np.exp(theta - m)
     return p / p.sum(axis=-1, keepdims=True)
 
@@ -264,20 +263,21 @@ def fuse(coeffs: np.ndarray, evidence: np.ndarray, node: int) -> np.ndarray:
     node+1, ... that fuse the same evidence (M, K, X); the result is
     (M, L, X), from one product and one reduction over i, which adds the
     terms in ascending i.  Entry i belongs to node i+1, and the caller has
-    checked that every nonzero coefficient's evidence reaches its node.  A
-    zero coefficient adds +-0.0, which leaves the sum unchanged, except on
-    -inf evidence, where 0 * -inf is NaN.  A row that is not < inf is
-    recomputed by fuse_terms, which skips zero terms and raises the
-    SignedInfinityError the row calls for.  Rows are recomputed node by
-    node, and modes in order within a node, so the error is the one the
-    lowest failing node raises.
+    checked that every nonzero coefficient's evidence reaches its node.
+    The evidence is finite, as every floored log-likelihood is, so a zero
+    coefficient adds +-0.0, which leaves the sum unchanged.  A sum can still
+    leave the float64 range (naive evidence counts paths, which pass about
+    1e305 on large dense graphs): a row that is not finite raises
+    ValueError naming the lowest such node.
     """
-    with np.errstate(invalid="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):
         total = np.add.reduce(coeffs[..., None] * evidence[:, None], axis=2)
-    if not total.max() < np.inf:
-        redo = ~(total < np.inf).all(axis=-1)
-        for l, k in np.argwhere(redo.T).tolist():
-            total[k, l] = fuse_terms(coeffs[k, l], evidence[k], coeffs[k, l] != 0, node + l)
+        # a sum that is not finite may come from finite rows: test them only then
+        if not math.isfinite(total.sum()):
+            bad = ~np.isfinite(total).all(axis=(0, 2))
+            if bad.any():
+                raise ValueError(f"node {node + int(np.argmax(bad))}: "
+                                 "fused evidence left the float64 range")
     return total
 
 

@@ -11,7 +11,12 @@ nodes, evidence_n = sum_i F[i, n] * S[i], then adds its own increment:
 
 A is the adjacency, T the closure, W = I - T^-1 (CommGraph.weights, solved
 once per graph on first use; raises WeightOverflowError beyond int64; masked
-by A under `force`), nu the action log-likelihood.
+by A under `force`), nu the action log-likelihood.  Only removal reads W: a
+study without it runs on a graph whose W leaves int64, and its constraint
+report is None (not checked).
+
+Every likelihood is floored before its log (learning.floored_log), so every
+stored row is finite, as removal's negative weights need.
 
 Nodes update block by block (graph.independent_blocks).  A block is a
 maximal run of consecutive nodes none of which hears another, such as the
@@ -23,11 +28,12 @@ public beliefs, one action table (learning.action_table) both the agents'
 actions and the observations each nu sums over, and one action_likelihood
 call the nu of every (mode, node).  A block stores its after log-posteriors
 (log prior + after-evidence), and one normalize_log per run turns them into
-after-beliefs once every block is done; each block checks its row maxima
-first (learning.checked_max), so a log-posterior with no finite entry
-raises normalize_log's ValueError at its block.  The block step is bit for
-bit the per-node, per-mode loop, and a block that raises is stepped again
-node by node, so a run raises what that loop raises.  What a run reads that
+after-beliefs once every block is done.  The one call in a block step that
+can raise is fuse's check: naive evidence counts paths, which pass the
+float64 range on large dense graphs, and fuse raises ValueError for the
+lowest node whose fused evidence is not finite, before the block writes
+anything.  The block step is bit for bit the per-node, per-mode loop, and
+raises what that loop raises.  What a run reads that
 depends on the graph and the config alone (the M x N x N coefficient table,
 the blocks, the graph digest) is built once per study by run_tables, and
 monte_carlo passes it to every run_once.  run_tables also checks, once per
@@ -45,10 +51,9 @@ before it, and those follow from the key path alone (by induction over the
 blocks: a block's stored rows follow from its pub and its key), so a
 cached array is the one the block step would compute, bit for bit.  A run
 walks the trie: on a hit it copies the cached rows; on a miss it steps the
-block as above and, once checked_max has passed, inserts the result.
-Inserts stop at TRIE_BUDGET (512 KiB of arrays and keys per study, a
-constant), after which the run leaves the trie, as does a run whose block
-raises.  The trie is bound to the config that run_tables was given, and
+block as above and inserts the result.  Inserts stop at TRIE_BUDGET
+(512 KiB of arrays and keys per study, a constant), after which the run
+leaves the trie.  The trie is bound to the config that run_tables was given, and
 lives as long as the tables: monte_carlo builds them per study, so no
 state outlives the call.  A run draws its N
 observations in one call, and all modes share them, so their traces differ
@@ -67,7 +72,7 @@ import numpy as np
 
 from . import graph as graphmod
 from . import learning
-from .errors import (ConfigError, ConstraintViolationError, IncestlessError, is_integer,
+from .errors import (ConfigError, ConstraintViolationError, WeightOverflowError, is_integer,
                      require_integer)
 from .graph import CommGraph, TopologySpec
 from .learning import StateModel
@@ -85,7 +90,6 @@ class ScenarioConfig:
     seed: int = 0
     estimate_rule: str = "mean"
     force: bool = False
-    floor_zero_likelihood: bool = True
 
     def __post_init__(self):
         if require_integer(self.runs, "runs") < 1:
@@ -112,10 +116,8 @@ class ScenarioConfig:
                               f"got {self.true_state!r}")
         if self.estimate_rule not in ("map", "mean"):
             raise ConfigError(f"unknown estimate rule {self.estimate_rule!r}")
-        for name in ("force", "floor_zero_likelihood"):
-            value = getattr(self, name)
-            if not isinstance(value, (bool, np.bool_)):
-                raise ConfigError(f"{name} must be true or false, got {value!r}")
+        if not isinstance(self.force, (bool, np.bool_)):
+            raise ConfigError(f"force must be true or false, got {self.force!r}")
 
 
 @dataclass(frozen=True)
@@ -166,7 +168,7 @@ class MetricsTable:
     true_states: np.ndarray                 # (runs,)
     estimates: dict[str, np.ndarray]        # mode -> (runs, N)
     actions: dict[str, np.ndarray]          # mode -> (runs, N) int
-    constraint: dict[int, list[int]]
+    constraint: dict[int, list[int]] | None  # None: W leaves int64, not checked
     mean_estimate: dict[str, np.ndarray] = field(init=False)
     mse: dict[str, np.ndarray] = field(init=False)
 
@@ -243,32 +245,43 @@ class RunTables:
     oracle: list[int]               # rows whose own increment is the observation's
     blocks: list[tuple[int, int]]   # graph.independent_blocks
     digest: str
-    constraint: dict[int, list[int]]
+    constraint: dict[int, list[int]] | None  # None: W leaves int64, not checked
     trie: StepTrie = field(compare=False, repr=False)
 
 
 def run_tables(config: ScenarioConfig, graph: CommGraph) -> RunTables:
     """Build the tables every run over the graph reads.
 
-    A removal run on a graph that violates the constraint raises
-    ConstraintViolationError unless config.force.  A nonzero coefficient on
-    a row its node does not receive raises AvailabilityError
-    (learning.require_received), before any run: for the lowest such node, the first mode in config.modes order and
-    that mode's missing senders, as the node-by-node loop would.
+    Only removal reads W: with removal among the modes, a W beyond int64
+    raises WeightOverflowError, and a graph that violates the constraint
+    raises ConstraintViolationError unless config.force.  Without removal,
+    a W beyond int64 leaves the constraint unchecked (None).  A nonzero
+    coefficient on a row its node does not receive raises AvailabilityError
+    (learning.require_received), before any run: for the lowest such node,
+    the first mode in config.modes order and that mode's missing senders,
+    as the node-by-node loop would.
     """
-    constraint = graphmod.violations(graph.weights, graph.adjacency)
-    if "removal" in config.modes and constraint and not config.force:
+    removal = "removal" in config.modes
+    adjacency = graph.adjacency
+    try:
+        constraint = graphmod.violations(graph.weights, adjacency)
+    except WeightOverflowError:
+        if removal:
+            raise
+        constraint = None
+    if removal and constraint and not config.force:
         raise ConstraintViolationError(constraint)
 
-    adjacency = graph.adjacency
     history = graph.closure - np.eye(graph.size, dtype=np.int8)
     # mode -> (F, S[n] is the after-evidence, own increment is the observation)
     table = {
         "naive": (adjacency, True, False),
-        "removal": (graph.weights * adjacency if config.force else graph.weights, True, False),
         "idealized": (history, False, False),
         "obs_oracle": (history, False, True),
     }
+    if removal:
+        table["removal"] = (graph.weights * adjacency if config.force else graph.weights,
+                            True, False)
     fs, stores_after, own_is_obs = zip(*(table[mode] for mode in config.modes))
     coeffs = np.stack([f.T for f in fs]).astype(np.float64)
     received = np.stack([(adjacency if after else history).T != 0 for after in stores_after])
@@ -298,13 +311,13 @@ def run_once(config: ScenarioConfig, graph: CommGraph, rng: np.random.Generator,
     shape = (len(config.modes), graph.size, model.num_states)
     observations = learning.sample_observation(x, model, rng, size=graph.size)
     obs_index = observations - 1
-    obs_loglik = np.log(np.maximum(model.likelihood_t[obs_index], learning.LIKELIHOOD_FLOOR))
+    obs_loglik = learning.floored_log(model.likelihood_t[obs_index])
     log_prior = model.log_prior
     stored, public, after = np.zeros(shape), np.empty(shape), np.empty(shape)
     actions = np.empty(shape[:2], dtype=np.int64)
     node_index = np.arange(graph.size)
 
-    def step(lo, hi, node=None):
+    def step(lo, hi, node):
         """Update nodes lo+1..hi, none of which hears another, in one row per (mode, node).
 
         node is the trie node the block starts from, or None outside the
@@ -314,6 +327,8 @@ def run_once(config: ScenarioConfig, graph: CommGraph, rng: np.random.Generator,
         if node is not None and node.step is not None:
             evidence, pub, acts = node.step
         else:
+            # the one call in a step that can raise, before any write: with
+            # every row finite, no later call can
             evidence = learning.fuse(tables.coeffs[:, lo:hi, :lo], stored[:, :lo], node=lo + 1)
             pub = learning.normalize_log(log_prior + evidence)
             acts = learning.action_table(pub, model)  # action each observation induces
@@ -330,15 +345,11 @@ def run_once(config: ScenarioConfig, graph: CommGraph, rng: np.random.Generator,
         else:
             # every row's action is induced by the drawn z, so no row (obs_oracle's,
             # replaced below, included) can raise ZeroProbabilityActionError
-            own = learning.action_likelihood(pub, a, model, config.floor_zero_likelihood,
-                                             table=acts)
+            own = learning.action_likelihood(pub, a, model, table=acts)
             if tables.oracle:
                 own[tables.oracle] = obs_loglik[lo:hi]
             after_evidence = evidence + own
             log_after = log_prior + after_evidence
-            # normalize_log's check; every call that can raise precedes the first
-            # write, to the run's arrays or to the trie
-            learning.checked_max(log_after)
             rows = np.where(tables.stores_after, after_evidence, own)
             child = None
             if node is not None:
@@ -357,18 +368,7 @@ def run_once(config: ScenarioConfig, graph: CommGraph, rng: np.random.Generator,
 
     node = tables.trie.root if tables.trie.config is config else None
     for lo, hi in tables.blocks:
-        try:
-            node = step(lo, hi, node)
-            continue
-        except (IncestlessError, ValueError):
-            if hi - lo == 1:
-                raise
-        # the block's nodes do not depend on each other, so stepping through
-        # them one at a time, outside the trie, raises what the first failing
-        # node raises
-        node = None
-        for n in range(lo, hi):
-            step(n, n + 1)
+        node = step(lo, hi, node)
 
     after = learning.normalize_log(after)
     return RunTrace(true_state=x, graph_digest=tables.digest, modes=config.modes,

@@ -211,9 +211,9 @@ def prefix(graph, n):
     return CommGraph(graph.adjacency[:n, :n].copy(), num_agents=n, num_epochs=1)
 
 
-def after_action_update(pub, a, model, floor_zero_likelihood=True):
+def after_action_update(pub, a, model):
     """Public belief updated with the evidence carried by action a."""
-    nu = action_likelihood(pub, a, model, floor_zero_likelihood)
+    nu = action_likelihood(pub, a, model)
     with np.errstate(divide="ignore"):
         return normalize_log(np.log(pub) + nu)
 
@@ -223,7 +223,8 @@ def reference_run_once(config, graph, rng, weights=None, constraint=None):
 
     Each node draws its own observation, and each mode fuses its received
     rows with fuse_terms, takes its action likelihood from its row of the
-    action table and its estimate from one dot product.  Returns the
+    action table and its estimate from one dot product.  A node whose fused
+    evidence is not finite in some mode raises ValueError.  Returns the
     arrays a RunTrace holds, as a namespace.
     """
     model, modes = config.model, config.modes
@@ -264,18 +265,18 @@ def reference_run_once(config, graph, rng, weights=None, constraint=None):
         if not lik.any():
             raise ZeroProbabilityActionError(
                 f"action {a} is not selectable under any observation")
-        if config.floor_zero_likelihood:
-            return np.log(np.maximum(lik, LIKELIHOOD_FLOOR))
-        with np.errstate(divide="ignore"):
-            return np.log(lik)
+        return np.log(np.maximum(lik, LIKELIHOOD_FLOOR))
 
     for n in range(1, size + 1):
         z = sample_observation(x, model, rng)
         obs_loglik = np.log(np.maximum(model.likelihood[:, z - 1], LIKELIHOOD_FLOOR))
-        evidence = np.stack([
-            fuse_terms(coeffs[k][n - 1, : n - 1], stored[k, : n - 1],
-                       received[k][n - 1, : n - 1], node=n)
-            for k in range(m)])
+        with np.errstate(over="ignore", invalid="ignore"):
+            evidence = np.stack([
+                fuse_terms(coeffs[k][n - 1, : n - 1], stored[k, : n - 1],
+                           received[k][n - 1, : n - 1], node=n)
+                for k in range(m)])
+        if not np.isfinite(evidence).all():
+            raise ValueError(f"node {n}: fused evidence left the float64 range")
         pub = normalize_log(log_prior + evidence)
         acts = action_table(pub, model)
         a = acts[:, z - 1].tolist()

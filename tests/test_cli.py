@@ -221,7 +221,8 @@ BAD_FIELDS = [
     ({"true_state": True}, "true_state must be 'random' or an integer"),
     # a string is not a flag, whatever it says
     ({"force": "no"}, "force must be true or false"),
-    ({"floor_zero_likelihood": "false"}, "floor_zero_likelihood must be true or false"),
+    # a removed key is refused as an unknown key: zero likelihoods are always floored
+    ({"floor_zero_likelihood": True}, "floor_zero_likelihood"),
     ({"modes": []}, "modes must name at least one mode"),
     ({"modes": ["naive", "naive"]}, "modes must be unique"),
     # paths are checked before any run
@@ -387,6 +388,23 @@ class TestRun:
         assert "Traceback" not in res.output
         assert not out.exists()
 
+    def test_study_without_removal_runs_where_weights_leave_int64(self, runner, tmp_path):
+        # seed 3 of complete 10x60 has a weight beyond int64, which only removal reads
+        cfg = tiny_config(tmp_path, topology={"kind": "complete_delay", "agents": 10,
+                                              "epochs": 60},
+                          seed=3, runs=2, modes=["naive", "idealized"])
+        out = tmp_path / "out"
+        res = runner.invoke(main, ["run", str(cfg), "--output-dir", str(out)])
+        assert res.exit_code == 0, res.output
+        assert sorted(os.listdir(out)) == sorted(OUTPUT_FILES)
+        assert (out / "constraint.txt").read_text() == (
+            "constraint not checked: the incest-removal weights leave the int64 range\n")
+        assert len((out / "estimates.csv").read_text().splitlines()) == 1 + 600 * 2
+        res = runner.invoke(main, ["run", str(cfg), "--output-dir", str(tmp_path / "removal"),
+                                   "--modes", "naive,removal"])
+        assert_input_error(res, "node 596: weight w_596(20) exceeds the int64 range")
+        assert not (tmp_path / "removal").exists()
+
     @pytest.mark.parametrize("scenario", sorted(BUNDLED_DIGESTS))
     def test_bundled_golden_digests(self, runner, tmp_path, monkeypatch, scenario):
         monkeypatch.delenv("INCESTLESS_SEED", raising=False)
@@ -535,3 +553,23 @@ class TestReportConstraint:
     def test_missing_graph_file_exit_1(self, runner, tmp_path):
         res = runner.invoke(main, ["report-constraint", str(missing_graph_config(tmp_path))])
         assert_input_error(res, "no_such_graph.txt")
+
+
+class TestUsageErrors:
+    """A usage error exits 1 with click's message; exit 2 is a constraint violation."""
+
+    @pytest.mark.parametrize("args, message", [
+        (["run", "paper_star", "--seed", "abc", "--output-dir", "out"],
+         "Invalid value for '--seed'"),
+        (["report-constraint", "paper_star", "--seed", "x"], "Invalid value for '--seed'"),
+        (["gen-graph", "star_delay", "--agents", "many", "--out", "g.txt"],
+         "Invalid value for '--agents'"),
+        (["closure", "g.txt", "--bogus"], "No such option"),
+    ], ids=["run", "report-constraint", "gen-graph", "closure"])
+    def test_exit_1_with_clicks_message(self, runner, tmp_path, args, message):
+        with runner.isolated_filesystem(temp_dir=tmp_path) as cwd:
+            res = runner.invoke(main, args)
+            assert os.listdir(cwd) == []
+        assert res.exit_code == 1
+        assert res.stdout == ""
+        assert "Usage:" in res.stderr and f"Error: {message}" in res.stderr

@@ -174,8 +174,9 @@ class TestActionLikelihood:
         m = identity_model(4)
         pub = np.full(4, 0.25)
         for a in range(1, 5):
-            nu = action_likelihood(pub, a, m, floor_zero_likelihood=False)
-            expected = np.where(np.arange(1, 5) == a, 0.0, -np.inf)
+            nu = action_likelihood(pub, a, m)
+            # a zero likelihood is floored at 1e-300, not -inf
+            expected = np.where(np.arange(1, 5) == a, 0.0, np.log(1e-300))
             assert np.array_equal(nu, expected)
 
     def test_matches_bruteforce_enumeration(self):
@@ -187,13 +188,12 @@ class TestActionLikelihood:
             induced = [choose_action(private_belief(pub, j, m), m)
                        for j in range(1, m.num_obs + 1)]
             for a in set(induced):
-                nu = action_likelihood(pub, a, m, floor_zero_likelihood=False)
+                nu = action_likelihood(pub, a, m)
                 expected = np.zeros(m.num_states)
                 for j, act in enumerate(induced, start=1):
                     if act == a:
                         expected += m.likelihood[:, j - 1]
-                with np.errstate(divide="ignore"):
-                    assert np.allclose(nu, np.log(expected), equal_nan=True)
+                assert np.allclose(nu, np.log(np.maximum(expected, 1e-300)))
 
     def test_partition_over_actions(self):
         rng = np.random.default_rng(4)
@@ -209,7 +209,7 @@ class TestActionLikelihood:
             assert np.allclose(total, 1.0, atol=1e-12)
 
 
-def reference_action_likelihood(pub, a, model, floor_zero_likelihood=True):
+def reference_action_likelihood(pub, a, model):
     """p(a | x, pub) by one choose_action call per observation, in ascending j."""
     lik = np.zeros(model.num_states)
     for j in range(1, model.num_obs + 1):
@@ -221,10 +221,7 @@ def reference_action_likelihood(pub, a, model, floor_zero_likelihood=True):
             lik += model.likelihood[:, j - 1]
     if not lik.any():
         raise ZeroProbabilityActionError(f"action {a}")
-    if floor_zero_likelihood:
-        return np.log(np.maximum(lik, 1e-300))
-    with np.errstate(divide="ignore"):
-        return np.log(lik)
+    return np.log(np.maximum(lik, 1e-300))
 
 
 def table_cases(rng, count=300):
@@ -312,18 +309,16 @@ class TestActionTable:
         for m, pub in table_cases(np.random.default_rng(12)):
             table = action_table(pub, m)
             for a in range(1, m.num_actions + 1):
-                for floor in (True, False):
-                    try:
-                        expected = reference_action_likelihood(pub, a, m, floor)
-                    except ZeroProbabilityActionError:
-                        with pytest.raises(ZeroProbabilityActionError):
-                            action_likelihood(pub, a, m, floor)
-                        with pytest.raises(ZeroProbabilityActionError):
-                            action_likelihood(pub, a, m, floor, table=table)
-                        continue
-                    assert np.array_equal(action_likelihood(pub, a, m, floor), expected)
-                    assert np.array_equal(
-                        action_likelihood(pub, a, m, floor, table=table), expected)
+                try:
+                    expected = reference_action_likelihood(pub, a, m)
+                except ZeroProbabilityActionError:
+                    with pytest.raises(ZeroProbabilityActionError):
+                        action_likelihood(pub, a, m)
+                    with pytest.raises(ZeroProbabilityActionError):
+                        action_likelihood(pub, a, m, table=table)
+                    continue
+                assert np.array_equal(action_likelihood(pub, a, m), expected)
+                assert np.array_equal(action_likelihood(pub, a, m, table=table), expected)
 
     def test_stacked_equals_single_calls(self):
         m = default_model()
@@ -344,12 +339,9 @@ class TestActionTable:
             table = action_table(group, m)
             # actions some observation induces, so no row raises
             a = table[np.arange(len(group)), rng.integers(m.num_obs, size=len(group))]
-            for floor in (True, False):
-                expected = np.stack([action_likelihood(p, int(ak), m, floor)
-                                     for p, ak in zip(group, a)])
-                assert np.array_equal(action_likelihood(group, a, m, floor), expected)
-                assert np.array_equal(
-                    action_likelihood(group, a, m, floor, table=table), expected)
+            expected = np.stack([action_likelihood(p, int(ak), m) for p, ak in zip(group, a)])
+            assert np.array_equal(action_likelihood(group, a, m), expected)
+            assert np.array_equal(action_likelihood(group, a, m, table=table), expected)
 
     def test_stacked_likelihood_raises_for_an_unselectable_row(self):
         m = default_model()
@@ -448,29 +440,18 @@ class TestFuse:
     """One node's rows, one per mode, fused as a one-node block."""
 
     def cases(self, rng, count=50):
-        """Stacked (M, K) coefficients with zeros, and evidence with -inf entries."""
+        """Stacked (M, K) coefficients with zeros, and finite evidence."""
         for _ in range(count):
             m, k, x = 3, int(rng.integers(0, 8)), 4
             coeffs = rng.integers(-2, 3, size=(m, k)).astype(np.float64)
-            evidence = rng.normal(size=(m, k, x))
-            evidence[rng.random((m, k, x)) < 0.15] = -np.inf
-            yield coeffs, evidence
+            yield coeffs, rng.normal(size=(m, k, x))
 
     def test_equals_fuse_terms_row_by_row(self):
-        raised = 0
         for coeffs, evidence in self.cases(np.random.default_rng(20)):
             received = coeffs != 0
-            try:
-                expected = np.stack([fuse_terms(c, e, r, node=9)
-                                     for c, e, r in zip(coeffs, evidence, received)])
-            except SignedInfinityError as exc:
-                raised += 1
-                with pytest.raises(SignedInfinityError) as got:
-                    fuse(coeffs[:, None], evidence, node=9)
-                assert str(got.value) == str(exc)
-                continue
+            expected = np.stack([fuse_terms(c, e, r, node=9)
+                                 for c, e, r in zip(coeffs, evidence, received)])
             assert np.array_equal(fuse(coeffs[:, None], evidence, node=9)[:, 0], expected)
-        assert raised > 0
 
     def test_unavailable_row_raises(self):
         # mode 0 needs only node 1, which it receives; mode 1 needs node 2
@@ -487,31 +468,41 @@ class TestFuseBlock:
 
     def test_equals_fuse_terms_per_mode_and_node(self):
         rng = np.random.default_rng(21)
-        raised = 0
         for _ in range(50):
             m, l, k, x = 3, int(rng.integers(1, 5)), int(rng.integers(0, 8)), 4
             coeffs = rng.integers(-2, 3, size=(m, l, k)).astype(np.float64)
             evidence = rng.normal(size=(m, k, x))
-            evidence[rng.random((m, k, x)) < 0.15] = -np.inf
             received = coeffs != 0
-            try:  # node by node, modes in order within a node
-                expected = np.stack([
-                    np.stack([fuse_terms(coeffs[i, j], evidence[i], received[i, j], node=7 + j)
-                              for i in range(m)])
-                    for j in range(l)], axis=1)
-            except SignedInfinityError as exc:
-                raised += 1
-                with pytest.raises(SignedInfinityError) as got:
-                    fuse(coeffs, evidence, node=7)
-                assert str(got.value) == str(exc)
-                continue
+            expected = np.stack([
+                np.stack([fuse_terms(coeffs[i, j], evidence[i], received[i, j], node=7 + j)
+                          for i in range(m)])
+                for j in range(l)], axis=1)
             assert expected.shape == (m, l, x)
             assert np.array_equal(fuse(coeffs, evidence, node=7), expected)
             # each node's rows are what a one-node block gives
             for j in range(l):
                 assert np.array_equal(fuse(coeffs[:, j:j + 1], evidence, node=7 + j),
                                       expected[:, j:j + 1])
-        assert raised > 0
+
+    def test_lowest_node_whose_sum_leaves_float64_raises(self):
+        # node 5's rows stay finite; node 6 overflows in mode 1, node 7 in mode 0
+        evidence = np.full((2, 2, 3), -1e308)
+        coeffs = np.array([[[1.0, 0.0], [1.0, 0.0], [1.0, 1.0]],
+                           [[1.0, 0.0], [1.0, 1.0], [0.0, 0.0]]])
+        with pytest.raises(ValueError, match="^node 6: fused evidence left the float64 range$"):
+            fuse(coeffs, evidence, node=5)
+        # products that overflow to -inf and +inf in one row sum to NaN, also caught
+        coeffs = np.array([[[2.0, 2.0]], [[1.0, 0.0]]])
+        evidence[0, 1] = 1e308
+        with pytest.raises(ValueError, match="^node 5: "):
+            fuse(coeffs, evidence, node=5)
+
+    def test_finite_rows_whose_total_overflows_pass(self):
+        # every row is finite, but their sum over the block is not
+        evidence = np.full((2, 1, 3), -1e308)
+        coeffs = np.ones((2, 4, 1))
+        total = fuse(coeffs, evidence, node=3)
+        assert np.array_equal(total, np.full((2, 4, 3), -1e308))
 
     def test_lowest_unavailable_node_raises(self):
         # nodes 4 and 5 of the block both miss evidence, node 5 in an earlier mode

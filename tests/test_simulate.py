@@ -11,16 +11,14 @@ from incestless import (
     ConfigError,
     ConstraintViolationError,
     IncestlessError,
-    SignedInfinityError,
-    StateModel,
     TopologySpec,
+    WeightOverflowError,
     augment_for_constraint,
     cli,
     default_model,
     graph_from_edges,
     independent_blocks,
     normalize_log,
-    sample_observation,
 )
 from incestless import graph as graphmod
 from incestless import simulate
@@ -46,6 +44,12 @@ def scenario(model, **kw):
     return ScenarioConfig(**defaults)
 
 
+def complete_dag(size):
+    """Every node hears every earlier one: node n has 2^(n-2) paths from node 1."""
+    a = np.triu(np.ones((size, size), dtype=np.int8), 1)
+    return CommGraph(a, num_agents=size, num_epochs=1)
+
+
 def random_tree(rng, size):
     """In-tree: every node after the first has exactly one parent."""
     a = np.zeros((size, size), dtype=np.int8)
@@ -64,7 +68,6 @@ class TestScenarioConfig:
         ("true_state", True, "true_state must be 'random' or an integer"),
         ("true_state", np.array([1, 2]), "true_state must be 'random' or an integer"),
         ("force", "no", "force must be true or false"),
-        ("floor_zero_likelihood", "false", "floor_zero_likelihood must be true or false"),
         ("modes", [], "modes must name at least one mode"),
         ("modes", ["naive", "naive"], "modes must be unique"),
         ("modes", "naive", "modes must be a list of mode names"),
@@ -75,8 +78,7 @@ class TestScenarioConfig:
 
     def test_accepts_numpy_integers_and_bools(self, model):
         config = scenario(model, runs=np.int32(2), seed=np.uint64(5), true_state=np.int64(3),
-                          force=np.bool_(True), floor_zero_likelihood=np.False_,
-                          modes=["naive", "removal"])
+                          force=np.bool_(True), modes=["naive", "removal"])
         assert (config.runs, config.seed, config.true_state) == (2, 5, 3)
         assert config.modes == ("naive", "removal")
 
@@ -194,19 +196,12 @@ class TestStackedRunMatchesReference:
     def test_bundled(self, name):
         base = cli.build_scenario(cli.load_config_file(name), runs=1)
         graph = build_graph(base)
-        errors = {True: [], False: []}  # floor_zero_likelihood -> errors raised
         for force in (False, True):
-            for floor in (True, False):
-                for rule in ("mean", "map"):
-                    config = dataclasses.replace(base, modes=ALL_MODES, force=force,
-                                                 floor_zero_likelihood=floor,
-                                                 estimate_rule=rule)
-                    for seed in range(3):
-                        errors[floor].append(assert_same_as_reference(config, graph, seed))
-        # the floor never raises; without it the graphs with negative weights do
-        assert not any(errors[True])
-        if name in ("paper_complete", "paper_random4"):
-            assert all(isinstance(e, SignedInfinityError) for e in errors[False])
+            for rule in ("mean", "map"):
+                config = dataclasses.replace(base, modes=ALL_MODES, force=force,
+                                             estimate_rule=rule)
+                for seed in range(3):
+                    assert assert_same_as_reference(config, graph, seed) is None
 
     @pytest.mark.parametrize("seed", range(4))
     def test_dense_augmented_complete_delay(self, seed):
@@ -216,9 +211,7 @@ class TestStackedRunMatchesReference:
         graph = build_graph(config)
         augmented = augment_for_constraint(graph)
         assert augmented.size == 200
-        for floor in (True, False):
-            assert_same_as_reference(
-                dataclasses.replace(config, floor_zero_likelihood=floor), augmented, seed)
+        assert_same_as_reference(config, augmented, seed)
         assert_same_as_reference(dataclasses.replace(config, force=True), graph, seed)
 
     def test_unavailable_evidence_raises_at_the_same_node(self, model, diamond_b, monkeypatch):
@@ -228,43 +221,6 @@ class TestStackedRunMatchesReference:
         exc = assert_same_as_reference(config, diamond_b, 0, constraint={})
         assert isinstance(exc, AvailabilityError)
         assert exc.node == 5 and exc.missing == [2]
-
-    def test_block_raises_what_the_first_failing_node_raises(self):
-        # Node 6 fails in normalize_log, a step after fusion; node 7, in the
-        # same block, fails in fusion.  The node loop raises node 6's error.
-        # Truth 3 has prior 0, and observation 1 rules out state 2, 2 state 1,
-        # so node 6's naive evidence from roots 1 and 2 is -inf everywhere
-        # when they observe differently; node 7 is a diamond over root 3 with
-        # weight -1 on its -inf entry.
-        model = StateModel(prior=np.array([0.5, 0.5, 0.0]),
-                           likelihood=np.array([[1.0, 0.0], [0.0, 1.0], [0.5, 0.5]]),
-                           cost=1.0 - np.eye(3))
-        graph = graph_from_edges(7, [(3, 4), (3, 5), (1, 6), (2, 6), (4, 6),
-                                     (3, 7), (4, 7), (5, 7)])
-        assert independent_blocks(graph)[-1] == (5, 7)
-        config = scenario(model, true_state=3, modes=ALL_MODES, floor_zero_likelihood=False)
-        raised = {type(assert_same_as_reference(config, graph, seed)) for seed in range(6)}
-        assert raised == {ValueError, SignedInfinityError}
-
-    def test_after_belief_without_support_raises_before_later_nodes_run(self):
-        # Node 1's after-belief has no finite entry: observation 3 is impossible
-        # under the prior, so the agent takes action 3, which no possible
-        # observation induces.  No node hears node 1, so only a check before
-        # node 1's writes raises its ValueError; otherwise node 5, a diamond
-        # over root 2 (weight -1) that observed 1, raises SignedInfinityError.
-        model = StateModel(prior=np.array([0.5, 0.5, 0.0]),
-                           likelihood=np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0],
-                                                [0.5, 0.0, 0.5]]),
-                           cost=np.array([[0.0, 10.0, 4.0], [10.0, 0.0, 4.0],
-                                          [10.0, 10.0, 10.0]]))
-        graph = graph_from_edges(5, [(2, 3), (2, 4), (2, 5), (3, 5), (4, 5)])
-        config = scenario(model, true_state=3, modes=ALL_MODES, floor_zero_likelihood=False)
-        raised = {}
-        for seed in range(12):
-            z = sample_observation(3, model, np.random.default_rng(seed), size=5)
-            raised[tuple(z[:2])] = type(assert_same_as_reference(config, graph, seed))
-        assert raised[3, 1] is ValueError
-        assert raised[1, 1] is SignedInfinityError
 
     @settings(max_examples=150, deadline=None)
     @given(data=st.data())
@@ -279,7 +235,6 @@ class TestStackedRunMatchesReference:
             graph = augment_for_constraint(graph)
         config = scenario(model, modes=ALL_MODES, true_state="random",
                           force=data.draw(st.booleans(), label="force"),
-                          floor_zero_likelihood=data.draw(st.booleans(), label="floor"),
                           estimate_rule=data.draw(st.sampled_from(["mean", "map"]), label="rule"))
         assert_same_as_reference(config, graph, data.draw(st.integers(0, 2**16), label="seed"))
 
@@ -297,7 +252,6 @@ class TestStackedRunMatchesReference:
         config = scenario(model, topology=spec, modes=ALL_MODES, true_state="random",
                           seed=data.draw(st.integers(0, 2**16), label="seed"),
                           force=data.draw(st.booleans(), label="force"),
-                          floor_zero_likelihood=data.draw(st.booleans(), label="floor"),
                           estimate_rule=data.draw(st.sampled_from(["mean", "map"]), label="rule"))
         graph = build_graph(config)
         if data.draw(st.booleans(), label="augment"):
@@ -316,6 +270,23 @@ class TestStackedRunMatchesReference:
             assert np.array_equal([r.public for r in recs], trace.public[k])
             assert np.array_equal([r.after for r in recs], trace.after[k])
             assert not recs[0].after.flags.writeable
+
+
+class TestEvidenceOverflow:
+    """Naive evidence counts paths; past the float64 range a run raises, naming the node."""
+
+    @pytest.mark.parametrize("modes", [("naive",), ("naive", "removal", "idealized")])
+    def test_complete_dag_raises_at_the_lowest_overflowing_node(self, model, modes):
+        # 2^1014 paths lead from node 1 to node 1016
+        config = scenario(model, modes=modes, runs=2)
+        graph = complete_dag(1030)
+        message = "node 1016: fused evidence left the float64 range"
+        with pytest.raises(ValueError, match=message):
+            run_once(config, graph, np.random.default_rng(0))
+        with pytest.raises(ValueError, match=message):
+            monte_carlo(config, graph=graph)
+        if modes == ("naive",):
+            assert str(assert_same_as_reference(config, graph, 0)) == message
 
 
 class TestRunTables:
@@ -409,60 +380,53 @@ class TestStepTrie:
         graph = build_graph(base)
         hits = 0
         for modes in (ALL_MODES, base.modes):
-            for floor in (True, False):
-                for rule in ("mean", "map"):
-                    config = dataclasses.replace(base, modes=modes, floor_zero_likelihood=floor,
-                                                 estimate_rule=rule)
-                    try:
-                        expected = uncached_study(config, graph)
-                    except (IncestlessError, ValueError) as exc:
-                        with pytest.raises(type(exc)) as got:
-                            monte_carlo(config, graph=graph)
-                        assert str(got.value) == str(exc)
-                        continue
-                    metrics = monte_carlo(config, graph=graph)
-                    hits += built_tables[-1].trie.hits
-                    for k, mode in enumerate(modes):
-                        assert np.array_equal(metrics.actions[mode],
-                                              [t.actions[k] for t in expected])
-                        assert np.array_equal(metrics.estimates[mode],
-                                              [t.estimates[k] for t in expected])
-                    # every run's beliefs, through the same calls monte_carlo makes
-                    tables = simulate.run_tables(config, graph)
-                    assert_same_runs(shared_study(config, graph, tables), expected)
-                    assert tables.trie.hits == built_tables[-2].trie.hits
+            for rule in ("mean", "map"):
+                config = dataclasses.replace(base, modes=modes, estimate_rule=rule)
+                expected = uncached_study(config, graph)
+                metrics = monte_carlo(config, graph=graph)
+                hits += built_tables[-1].trie.hits
+                for k, mode in enumerate(modes):
+                    assert np.array_equal(metrics.actions[mode],
+                                          [t.actions[k] for t in expected])
+                    assert np.array_equal(metrics.estimates[mode],
+                                          [t.estimates[k] for t in expected])
+                # every run's beliefs, through the same calls monte_carlo makes
+                tables = simulate.run_tables(config, graph)
+                assert_same_runs(shared_study(config, graph, tables), expected)
+                assert tables.trie.hits == built_tables[-2].trie.hits
         if name == "paper_chain41":
             assert hits > 0
 
-    def test_study_that_raises_in_a_later_run(self, diamond_a):
-        # the runs before the failing one fill the trie, and one of them hits it
+    def test_study_that_raises_in_a_later_run(self):
+        # On a complete DAG of 1018 nodes, naive evidence leaves the float64
+        # range at node 1017 in some runs of this model and past node 1018 in
+        # others.  The runs before the failing one fill the trie, and one of
+        # them hits it.
         config = scenario(default_model(6, 6, 5), modes=ALL_MODES, true_state="random",
-                          runs=40, floor_zero_likelihood=False)
+                          runs=40)
+        graph = complete_dag(1018)
         seeds = np.random.SeedSequence(config.seed).spawn(config.runs + 1)[1:]
-        tables = simulate.run_tables(config, diamond_a)
+        tables = simulate.run_tables(config, graph)
         for k, seed in enumerate(seeds):
             try:
-                reference = run_once(config, diamond_a, np.random.default_rng(seed))
-            except SignedInfinityError as exc:
+                reference = run_once(config, graph, np.random.default_rng(seed))
+            except ValueError as exc:
                 expected = exc
                 break
-            assert_same_runs([run_once(config, diamond_a, np.random.default_rng(seed),
+            assert_same_runs([run_once(config, graph, np.random.default_rng(seed),
                                        tables=tables)], [reference])
         assert k > 1 and tables.trie.hits > 0
-        with pytest.raises(SignedInfinityError) as got:
-            run_once(config, diamond_a, np.random.default_rng(seeds[k]), tables=tables)
+        assert str(expected) == "node 1017: fused evidence left the float64 range"
+        with pytest.raises(ValueError) as got:
+            run_once(config, graph, np.random.default_rng(seeds[k]), tables=tables)
         assert str(got.value) == str(expected)
-        with pytest.raises(SignedInfinityError) as got:
-            monte_carlo(config, graph=diamond_a)
+        with pytest.raises(ValueError) as got:
+            monte_carlo(config, graph=graph)
         assert str(got.value) == str(expected)
 
-    @pytest.mark.parametrize("change", [
-        {"floor_zero_likelihood": False},
-        {"model": default_model(kernel_width=5)},
-    ])
-    def test_tables_shared_by_two_configs(self, change):
+    def test_tables_shared_by_two_configs(self):
         base = cli.build_scenario(cli.load_config_file("paper_chain41"), runs=15)
-        other = dataclasses.replace(base, **change)
+        other = dataclasses.replace(base, model=default_model(kernel_width=5))
         graph = build_graph(base)
         for first, second in ((base, other), (other, base)):
             tables = simulate.run_tables(first, graph)
@@ -577,6 +541,25 @@ class TestMonteCarlo:
                        seed=0, runs=2)
         with pytest.raises(ConstraintViolationError):
             monte_carlo(cfg)
+
+    def test_study_without_removal_runs_where_weights_leave_int64(self, model):
+        # seed 3 of complete 10x60 has a weight beyond int64 (node 596)
+        config = scenario(model, topology=TopologySpec(kind="complete_delay", agents=10,
+                                                       epochs=60),
+                          seed=3, runs=2, modes=("naive", "idealized"))
+        metrics = monte_carlo(config)
+        assert metrics.constraint is None
+        assert metrics.estimates["naive"].shape == (2, 600)
+        with pytest.raises(WeightOverflowError, match="node 596"):
+            monte_carlo(dataclasses.replace(config, modes=ALL_MODES))
+
+    def test_study_without_removal_keeps_the_constraint_report(self, model):
+        config = scenario(model, topology=TopologySpec(kind="complete_delay", agents=6,
+                                                       epochs=4),
+                          seed=0, runs=2, modes=("naive", "idealized"))
+        metrics = monte_carlo(config)
+        assert metrics.constraint
+        assert metrics.constraint == graphmod.constraint_report(build_graph(config))
 
     def test_metrics_shapes(self, model, diamond_a):
         cfg = scenario(model, runs=4, modes=("naive", "removal", "idealized"))
