@@ -8,8 +8,12 @@ Subcommands:
 
 Scenario configs are YAML; bundled paper-style configs (paper_chain41,
 paper_complete, paper_star, paper_random4) can be referenced by name.
-The environment variable INCESTLESS_SEED overrides the config seed; the
---seed option overrides both.
+A config's keys are the fields of simulate.ScenarioConfig, its topology
+section's those of graph.TopologySpec and its model section's the
+parameters of learning.default_model; those hold every default and
+check, so this module writes none of them again.  The environment
+variable INCESTLESS_SEED overrides the config seed; the --seed option
+overrides both.
 """
 
 from __future__ import annotations
@@ -18,20 +22,20 @@ import contextlib
 import dataclasses
 import errno
 import importlib.resources
+import inspect
 import os
 import sys
 from collections.abc import Iterator
 
 import click
-import numpy as np
 import yaml
 
 from . import graph as graphmod
 from . import learning, simulate
-from .errors import ConfigError, ConstraintViolationError, IncestlessError, require_integer
+from .errors import ConfigError, ConstraintViolationError, IncestlessError
 from .graph import TopologySpec
 
-_MODEL_KEYS = {"states", "actions", "kernel_width", "prior", "likelihood", "cost"}
+_MODEL_KEYS = frozenset(inspect.signature(learning.default_model).parameters)
 
 
 def _reject_unknown(mapping, allowed, where):
@@ -40,10 +44,12 @@ def _reject_unknown(mapping, allowed, where):
         raise ConfigError(f"unknown key(s) in {where}: {sorted(unknown)}")
 
 
-def _mapping(raw: dict, key: str) -> dict:
+def _section(raw: dict, key: str, allowed) -> dict:
+    """raw[key] (default empty), which must be a mapping with no key outside allowed."""
     value = raw.get(key, {})
     if not isinstance(value, dict):
         raise ConfigError(f"{key} must be a mapping, got {value!r}")
+    _reject_unknown(value, allowed, key)
     return dict(value)
 
 
@@ -62,35 +68,6 @@ def load_config_file(name_or_path: str) -> dict:
     return raw
 
 
-def build_model(raw: dict) -> learning.StateModel:
-    _reject_unknown(raw, _MODEL_KEYS, "model")
-    states = require_integer(raw.get("states", 20), "model.states")
-    actions = require_integer(raw.get("actions", 10), "model.actions")
-    width = require_integer(raw.get("kernel_width", 3), "model.kernel_width")
-    if states < 1 or actions < 1:
-        raise ConfigError("model.states and model.actions must be positive")
-
-    try:
-        prior = raw.get("prior", "uniform")
-        if prior == "uniform":
-            prior = np.full(states, 1.0 / states)
-        else:
-            prior = np.asarray(prior, dtype=np.float64)
-        likelihood = raw.get("likelihood")
-        if likelihood is None:
-            likelihood = learning.triangular_likelihood(states, width)
-        else:
-            likelihood = np.asarray(likelihood, dtype=np.float64)
-        cost = raw.get("cost")
-        if cost is None:
-            cost = learning.quadratic_cost(states, actions)
-        else:
-            cost = np.asarray(cost, dtype=np.float64)
-        return learning.StateModel(prior=prior, likelihood=likelihood, cost=cost)
-    except (TypeError, ValueError) as e:
-        raise ConfigError(f"invalid model: {e}") from None
-
-
 def build_scenario(raw: dict, seed_override: int | None = None,
                    **overrides) -> simulate.ScenarioConfig:
     """ScenarioConfig of the keys present in raw (it holds the defaults and
@@ -102,11 +79,11 @@ def build_scenario(raw: dict, seed_override: int | None = None,
         if not isinstance(out_dir, str) or not out_dir:
             raise ConfigError(f"output_dir must be a non-empty string, got {out_dir!r}")
     _reject_unknown(fields, {f.name for f in dataclasses.fields(simulate.ScenarioConfig)}, "config")
-    topo_raw = _mapping(raw, "topology")
-    _reject_unknown(topo_raw, {f.name for f in dataclasses.fields(TopologySpec)}, "topology")
+    topo_raw = _section(raw, "topology", {f.name for f in dataclasses.fields(TopologySpec)})
     if "kind" not in topo_raw:
         raise ConfigError("topology.kind is required")
-    fields.update(topology=TopologySpec(**topo_raw), model=build_model(_mapping(raw, "model")))
+    fields.update(topology=TopologySpec(**topo_raw),
+                  model=learning.default_model(**_section(raw, "model", _MODEL_KEYS)))
     scenario = simulate.ScenarioConfig(**fields)
 
     overrides = {k: v for k, v in overrides.items() if v is not None}
@@ -123,6 +100,10 @@ def build_scenario(raw: dict, seed_override: int | None = None,
 
 def _fmt(v: float) -> str:
     return f"{v:.12g}"
+
+
+def _violation(indices) -> str:
+    return "violation at " + " ".join(map(str, indices))
 
 
 def _output_chunks(metrics: simulate.MetricsTable) -> dict[str, Iterator[str]]:
@@ -149,7 +130,7 @@ def _output_chunks(metrics: simulate.MetricsTable) -> dict[str, Iterator[str]]:
             yield "all nodes satisfy the topological constraint\n"
         else:
             for n in sorted(metrics.constraint):
-                yield f"node {n}: violation at {' '.join(map(str, metrics.constraint[n]))}\n"
+                yield f"node {n}: {_violation(metrics.constraint[n])}\n"
 
     return {"actions.csv": actions(),
             "estimates.csv": per_node("node,mode,mean_estimate\n", metrics.mean_estimate),
@@ -244,7 +225,7 @@ def main():
 @click.option("--seed", type=int, default=None, help="Override the config seed.")
 @click.option("--runs", type=int, default=None, help="Override the run count.")
 @click.option("--modes", default=None,
-              help="Comma-separated mode list (naive,removal,idealized,obs_oracle).")
+              help=f"Comma-separated mode list ({','.join(simulate.MODES)}).")
 @click.option("--output-dir", default=None, help="Output directory (default: out).")
 @click.option("--force", is_flag=True, default=False,
               help="Run removal mode even if the topological constraint is violated.")
@@ -270,11 +251,7 @@ def cmd_report_constraint(config, seed):
                                                     seed_override=seed))
         report = graphmod.constraint_report(graph)
     for n in range(2, graph.size + 1):
-        if n in report:
-            idx = " ".join(str(j) for j in report[n])
-            click.echo(f"node {n}: violation at {idx}")
-        else:
-            click.echo(f"node {n}: satisfied")
+        click.echo(f"node {n}: {_violation(report[n]) if n in report else 'satisfied'}")
     if report:
         sys.exit(2)
 
@@ -282,8 +259,8 @@ def cmd_report_constraint(config, seed):
 @main.command("gen-graph")
 @click.argument("kind")
 @click.option("--seed", type=int, default=0)
-@click.option("--agents", type=int, default=6)
-@click.option("--epochs", type=int, default=4)
+@click.option("--agents", type=int, default=TopologySpec.agents)
+@click.option("--epochs", type=int, default=TopologySpec.epochs)
 @click.option("--out", required=True, type=click.Path())
 def cmd_gen_graph(kind, seed, agents, epochs, out):
     """Generate a topology and write it as an edge-list file."""
@@ -306,7 +283,7 @@ def cmd_closure(graph_file):
         click.echo(" ".join(str(int(v)) for v in row))
     for n in range(1, graph.size + 1):
         t_n, b_n = graph.extract_t_b(n)
-        status = "violation at " + " ".join(map(str, report[n])) if n in report else "OK"
+        status = _violation(report[n]) if n in report else "OK"
         click.echo(
             f"node {n}: t={list(map(int, t_n))} b={list(map(int, b_n))} "
             f"w={list(map(int, graph.weights[: n - 1, n - 1]))} constraint {status}"

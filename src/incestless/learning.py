@@ -19,9 +19,11 @@ import numpy as np
 
 from .errors import (
     AvailabilityError,
+    ConfigError,
     DegenerateEvidenceError,
     SignedInfinityError,
     ZeroProbabilityActionError,
+    require_integer,
 )
 
 LIKELIHOOD_FLOOR = 1e-300
@@ -56,10 +58,18 @@ class StateModel:
         p = np.array(self.prior, dtype=np.float64)
         b = np.array(self.likelihood, dtype=np.float64)
         c = np.array(self.cost, dtype=np.float64)
-        if b.ndim != 2 or b.shape[0] != p.shape[0]:
-            raise ValueError("likelihood must have one row per state")
-        if c.ndim != 2 or c.shape[0] != p.shape[0]:
-            raise ValueError("cost must have one row per state")
+        if p.ndim != 1:
+            raise ValueError(f"prior must be a vector, got shape {p.shape}")
+        for name, arr in (("likelihood", b), ("cost", c)):
+            if arr.ndim != 2 or arr.shape[0] != p.shape[0]:
+                raise ValueError(f"{name} must have one row per state: "
+                                 f"shape {arr.shape} for {p.shape[0]} states")
+        if b.shape[1] == 0 or c.shape[1] == 0:
+            raise ValueError(f"a model needs at least one observation and one action, "
+                             f"got {b.shape[1]} and {c.shape[1]}")
+        for name, arr in (("prior", p), ("likelihood", b), ("cost", c)):
+            if not np.isfinite(arr).all():
+                raise ValueError(f"{name} has a non-finite entry")
         if (b < 0).any() or not np.allclose(b.sum(axis=1), 1.0, atol=1e-12):
             raise ValueError("likelihood rows must be distributions")
         if (p < 0).any() or not np.isclose(p.sum(), 1.0, atol=1e-12):
@@ -114,14 +124,46 @@ def quadratic_cost(num_states: int, num_actions: int) -> np.ndarray:
     return (states[:, None] - targets[None, :]) ** 2
 
 
-def default_model(num_states: int = 20, num_actions: int = 10,
-                  kernel_width: int = 3) -> StateModel:
-    """Uniform prior, triangular observation kernel, quadratic action cost."""
-    return StateModel(
-        prior=np.full(num_states, 1.0 / num_states),
-        likelihood=triangular_likelihood(num_states, kernel_width),
-        cost=quadratic_cost(num_states, num_actions),
-    )
+def default_model(states: int | None = None, actions: int | None = None,
+                  kernel_width: int | None = None, prior="uniform",
+                  likelihood=None, cost=None) -> StateModel:
+    """The model section of a scenario file, whose keys are these parameters.
+
+    A uniform prior, a triangular observation kernel of width kernel_width
+    and a quadratic action cost, over 20 states, 10 actions and width 3
+    unless given; an array given for prior, likelihood or cost replaces its
+    default.  A size given beside an array it would have sized must agree
+    with it, and kernel_width cannot be given beside likelihood.  Every
+    error is a ConfigError naming the key, or "invalid model: ..." for an
+    array StateModel refuses.
+    """
+    for key, value in (("states", states), ("actions", actions), ("kernel_width", kernel_width)):
+        if value is not None:
+            require_integer(value, f"model.{key}")
+    num_states = 20 if states is None else states
+    num_actions = 10 if actions is None else actions
+    width = 3 if kernel_width is None else kernel_width
+    if num_states < 1 or num_actions < 1:
+        raise ConfigError("model.states and model.actions must be positive")
+    if kernel_width is not None and likelihood is not None:
+        raise ConfigError("model.kernel_width cannot be given beside model.likelihood")
+    try:
+        if isinstance(prior, str) and prior == "uniform":
+            prior = np.full(num_states, 1.0 / num_states)
+        if likelihood is None:
+            likelihood = triangular_likelihood(num_states, width)
+        if cost is None:
+            cost = quadratic_cost(num_states, num_actions)
+        arrays = {name: np.asarray(arr, dtype=np.float64)
+                  for name, arr in (("prior", prior), ("likelihood", likelihood), ("cost", cost))}
+        for name, arr in arrays.items():
+            if states is not None and arr.shape[:1] != (states,):
+                raise ConfigError(f"model.states is {states}, but {name} has shape {arr.shape}")
+        if actions is not None and arrays["cost"].shape[1:2] != (actions,):
+            raise ConfigError(f"model.actions is {actions}, but cost has shape {arrays['cost'].shape}")
+        return StateModel(**arrays)
+    except (TypeError, ValueError) as e:
+        raise ConfigError(f"invalid model: {e}") from None
 
 
 # ---------------------------------------------------------------------------

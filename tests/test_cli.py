@@ -229,6 +229,17 @@ BAD_FIELDS = [
     ({"output_dir": 5}, "output_dir must be a non-empty string"),
     ({"output_dir": None}, "output_dir must be a non-empty string"),
     ({"topology": {"kind": "explicit", "path": 3}}, "path must be a string"),
+    # every model array is finite and has at least one observation and one action
+    ({"model": {"states": 2, "actions": 2, "cost": [[float("nan"), 0], [0, 1]]}},
+     "invalid model: cost has a non-finite entry"),
+    ({"model": {"states": 2, "cost": [[], []]}},
+     "invalid model: a model needs at least one observation and one action"),
+    # a size given beside the array it would have sized must agree with it
+    ({"model": {"actions": 5, "cost": [[0, 1]] * 20}}, "model.actions is 5, but cost has shape"),
+    ({"model": {"kernel_width": 3, "likelihood": np.eye(20).tolist()}},
+     "model.kernel_width cannot be given beside model.likelihood"),
+    ({"model": {"states": 2, "prior": [0.2, 0.3, 0.5]}}, "model.states is 2, but prior has shape"),
+    ({"model": {"prior": [[0.5, 0.5]]}}, "invalid model: prior must be a vector"),
 ]
 
 
@@ -239,6 +250,20 @@ class TestBuildScenario:
 
         with pytest.raises(ConfigError, match=message):
             build_scenario({"topology": {"kind": "chain41"}, **fields})
+
+    @pytest.mark.parametrize("states, message", [
+        (2.5, "model.states must be an integer, got 2.5"),
+        (True, "model.states must be an integer, got True"),
+        (0, "model.states and model.actions must be positive"),
+    ])
+    def test_default_model_raises_the_cli_error(self, states, message):
+        from incestless import ConfigError, default_model
+
+        with pytest.raises(ConfigError) as cli_error:
+            build_scenario({"topology": {"kind": "chain41"}, "model": {"states": states}})
+        with pytest.raises(ConfigError) as library_error:
+            default_model(states)
+        assert str(library_error.value) == str(cli_error.value) == message
 
     def test_malformed_env_seed_raises_config_error(self, monkeypatch):
         from incestless import ConfigError
