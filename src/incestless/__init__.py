@@ -27,6 +27,7 @@ from .graph import (
     load_graph,
     reindex,
     save_graph,
+    seed_rng,
     topology_rng,
     transitive_closure,
     validate_dag,

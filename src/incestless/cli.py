@@ -190,8 +190,8 @@ def _exit_on_error() -> Iterator[None]:
     except ConstraintViolationError as e:
         click.echo(f"error: {e} (use --force to run anyway)", err=True)
         sys.exit(2)
-    except (IncestlessError, OSError, yaml.YAMLError, TypeError, ValueError) as e:
-        click.echo(f"error: {e}", err=True)
+    except (IncestlessError, OSError, yaml.YAMLError, TypeError, ValueError, MemoryError) as e:
+        click.echo(f"error: {str(e) or type(e).__name__}", err=True)
         sys.exit(1)
 
 

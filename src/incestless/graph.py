@@ -447,13 +447,19 @@ def generate_topology(spec: TopologySpec, rng: np.random.Generator) -> CommGraph
     return CommGraph(a, num_agents=s_cnt, num_epochs=k_cnt)
 
 
-def topology_rng(seed: int) -> np.random.Generator:
-    """Generator used for topology realization under a scenario seed.
+def seed_rng(seed: int, child: int) -> np.random.Generator:
+    """Generator of child `child` of SeedSequence(seed), the one seed scheme.
 
-    Child 0 of SeedSequence(seed); children 1.. drive Monte Carlo runs, so
-    a graph realization never shares a stream with the runs over it.
+    Child 0 draws the graph (topology_rng) and child r >= 1 drives Monte
+    Carlo run r, so a graph realization never shares a stream with the runs
+    over it, and any run can be repeated on its own.
     """
-    return np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0])
+    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(child,)))
+
+
+def topology_rng(seed: int) -> np.random.Generator:
+    """Generator used for topology realization under a scenario seed: seed_rng(seed, 0)."""
+    return seed_rng(seed, 0)
 
 
 def find_clean_seed(spec: TopologySpec, start: int = 0, tries: int = 1000) -> int | None:

@@ -41,27 +41,29 @@ study, that every nonzero coefficient's row reaches its node (after-evidence
 travels over edges, the benchmarks read all history) and raises
 AvailabilityError for the lowest node that misses one.
 Runs that herd hear the same actions, so the tables also hold a StepTrie,
-which reuses block steps across the runs of the study.  A trie node is the
-state after some blocks along one path of keys, and holds the next block's
-(evidence, pub, acts); an edge is keyed by that block's joint actions
-(M x L, as bytes, plus the block's observations when obs_oracle is among
-the modes, whose own increment is the observation's) and holds the block's
-after log-posteriors and stored rows.  A block reads only the rows stored
+which reuses block steps across the runs of the study.  It is one dict,
+steps[(state, key)] = (next state, log_after, rows, following): state is an
+int that numbers a path of keys (0 before block 1), key is the block's
+joint actions (M x L, as bytes, plus its observations when obs_oracle is
+among the modes, whose own increment is the observation's), log_after and
+rows are the block's after log-posteriors and stored rows, and following
+is the next block's (evidence, pub, acts), None after the last block;
+block 1's is held once, as first.  A block reads only the rows stored
 before it, and those follow from the key path alone (by induction over the
-blocks: a block's stored rows follow from its pub and its key), so a
-cached array is the one the block step would compute, bit for bit.  A run
-walks the trie: on a hit it copies the cached rows; on a miss it steps the
-block as above and inserts the result.  Inserts stop at TRIE_BUDGET
-(512 KiB of arrays and keys per study, a constant), after which the run
-leaves the trie.  The trie is bound to the config that run_tables was given, and
-lives as long as the tables: monte_carlo builds them per study, so no
-state outlives the call.  A run draws its N
-observations in one call, and all modes share them, so their traces differ
-by aggregation alone.
+blocks: a block's stored rows follow from its pub and its key), so a cached
+array is the one the block step would compute, bit for bit.  A block step
+does one lookup: on a hit it copies the cached rows; on a miss it steps the
+block as above, fuses the next block's inputs and keeps the step while the
+trie's arrays and keys fit TRIE_BUDGET (512 KiB per study, a constant);
+a step that does not fit leaves the run outside the trie.  run_tables binds
+its tables to the config and graph it was given, and run_once refuses tables
+built for other objects; monte_carlo builds them per study, so no state
+outlives the call.  A run draws its N observations in one call, and all
+modes share them, so their traces differ by aggregation alone.
 RunTrace keeps the run as (M x N) and (M x N x X) arrays; its `records` is
 a per-node view of them, built on demand.
-SeedSequence(seed) child 0 draws the graph (graph.topology_rng, as
-`gen-graph --seed`); child r drives run r.
+Child r of SeedSequence(seed) (graph.seed_rng) drives run r; child 0 draws
+the graph (graph.topology_rng, as `gen-graph --seed`).
 """
 
 from __future__ import annotations
@@ -190,44 +192,20 @@ def node_weights(graph: CommGraph) -> list[np.ndarray]:
 TRIE_BUDGET = 512 * 1024
 
 
-class TrieNode:
-    """The state after the blocks along one key path.
-
-    step is the next block's (evidence, pub, acts), once a run has stepped
-    it; edges maps a key to the block's (log_after, stored rows, next node).
-    """
-
-    __slots__ = ("step", "edges")
-
-    def __init__(self):
-        self.step: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
-        self.edges: dict[bytes, tuple[np.ndarray, np.ndarray, TrieNode]] = {}
-
-
 class StepTrie:
     """Block steps of the runs of one study, keyed by the action histories they heard.
 
-    Bound to the config that fills it: run_once reads and fills it only for
-    that very config object.  Every array in it is read-only; nbytes never
+    steps[(state, key)] = (next state, log_after, rows, following), and
+    first is block 1's (evidence, pub, acts), kept with the first step.
+    Every array in it is read-only; nbytes, its arrays and keys, never
     exceeds TRIE_BUDGET.  hits counts the block steps served from it.
     """
 
-    def __init__(self, config: ScenarioConfig):
-        self.config = config
-        self.root = TrieNode()
+    def __init__(self):
+        self.steps: dict[tuple[int, bytes], tuple] = {}
+        self.first: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
         self.nbytes = 0
         self.hits = 0
-
-    def reserve(self, key: bytes, arrays: tuple[np.ndarray, ...]) -> bool:
-        """Count key and arrays against the budget and freeze the arrays;
-        False, with nothing counted, if they do not fit."""
-        size = len(key) + sum(a.nbytes for a in arrays)
-        if self.nbytes + size > TRIE_BUDGET:
-            return False
-        self.nbytes += size
-        for a in arrays:
-            a.flags.writeable = False
-        return True
 
 
 @dataclass(frozen=True)
@@ -236,8 +214,9 @@ class RunTables:
 
     Row k of each per-mode table is config.modes[k].  coeffs[k, n-1, i]
     weighs node i+1's stored row in node n's fusion; run_tables has checked
-    that every row with a nonzero coefficient reaches its node.  trie caches
-    the block steps of the study's runs.
+    that every row with a nonzero coefficient reaches its node.  config and
+    graph are the objects the tables were built from, and trie caches the
+    block steps of the study's runs.
     """
 
     coeffs: np.ndarray              # (M, N, N) float
@@ -246,7 +225,9 @@ class RunTables:
     blocks: list[tuple[int, int]]   # graph.independent_blocks
     digest: str
     constraint: dict[int, list[int]] | None  # None: W leaves int64, not checked
-    trie: StepTrie = field(compare=False, repr=False)
+    config: ScenarioConfig = field(compare=False, repr=False)
+    graph: CommGraph = field(compare=False, repr=False)
+    trie: StepTrie = field(default_factory=StepTrie, compare=False, repr=False)
 
 
 def run_tables(config: ScenarioConfig, graph: CommGraph) -> RunTables:
@@ -283,25 +264,28 @@ def run_tables(config: ScenarioConfig, graph: CommGraph) -> RunTables:
         table["removal"] = (graph.weights * adjacency if config.force else graph.weights,
                             True, False)
     fs, stores_after, own_is_obs = zip(*(table[mode] for mode in config.modes))
-    coeffs = np.stack([f.T for f in fs]).astype(np.float64)
+    coeffs = np.stack([f.T for f in fs], dtype=np.float64)
     received = np.stack([(adjacency if after else history).T != 0 for after in stores_after])
     learning.require_received(coeffs, received, node=1)
     return RunTables(
         coeffs=coeffs, stores_after=np.array(stores_after)[:, None, None],
         oracle=[k for k, is_obs in enumerate(own_is_obs) if is_obs],
         blocks=graphmod.independent_blocks(graph), digest=graph.digest(),
-        constraint=constraint, trie=StepTrie(config))
+        constraint=constraint, config=config, graph=graph)
 
 
 def run_once(config: ScenarioConfig, graph: CommGraph, rng: np.random.Generator,
              tables: RunTables | None = None) -> RunTrace:
     """Execute one protocol run over the graph, all configured modes in lockstep.
 
-    tables are run_tables(config, graph), built here unless given.
+    tables are run_tables(config, graph), built here unless given; tables
+    built from another config or graph object raise ValueError.
     """
     model = config.model
     if tables is None:
         tables = run_tables(config, graph)
+    elif tables.config is not config or tables.graph is not graph:
+        raise ValueError("run tables were built for another config or graph")
 
     if config.true_state == "random":
         x = int(rng.choice(model.num_states, p=model.prior)) + 1
@@ -316,32 +300,33 @@ def run_once(config: ScenarioConfig, graph: CommGraph, rng: np.random.Generator,
     stored, public, after = np.zeros(shape), np.empty(shape), np.empty(shape)
     actions = np.empty(shape[:2], dtype=np.int64)
     node_index = np.arange(graph.size)
+    blocks, trie = tables.blocks, tables.trie
 
-    def step(lo, hi, node):
-        """Update nodes lo+1..hi, none of which hears another, in one row per (mode, node).
+    def inputs(b):
+        """Block b's (evidence, pub, acts) from the rows stored before it; None past the last."""
+        if b == len(blocks):
+            return None
+        lo, hi = blocks[b]
+        # the one call in a block step that can raise, before the block writes
+        # anything: with every row finite, no later call can
+        evidence = learning.fuse(tables.coeffs[:, lo:hi, :lo], stored[:, :lo], node=lo + 1)
+        pub = learning.normalize_log(log_prior + evidence)
+        return evidence, pub, learning.action_table(pub, model)  # action each z induces
 
-        node is the trie node the block starts from, or None outside the
-        trie; returns the node after the block, or None once the run leaves
-        the trie.
-        """
-        if node is not None and node.step is not None:
-            evidence, pub, acts = node.step
-        else:
-            # the one call in a step that can raise, before any write: with
-            # every row finite, no later call can
-            evidence = learning.fuse(tables.coeffs[:, lo:hi, :lo], stored[:, :lo], node=lo + 1)
-            pub = learning.normalize_log(log_prior + evidence)
-            acts = learning.action_table(pub, model)  # action each observation induces
+    state, following = 0, trie.first or inputs(0)
+    first = following
+    for b, (lo, hi) in enumerate(blocks):
+        # nodes lo+1..hi, none of which hears another, in one row per (mode, node)
+        evidence, pub, acts = following
         a = acts[:, node_index[:hi - lo], obs_index[lo:hi]]
-        edge = None
-        if node is not None:
-            key = a.tobytes()
-            if tables.oracle:
-                key += observations[lo:hi].tobytes()
-            edge = node.edges.get(key)
-        if edge is not None:
-            log_after, rows, child = edge
-            tables.trie.hits += 1
+        key = a.tobytes()
+        if tables.oracle:
+            key += observations[lo:hi].tobytes()
+        step = trie.steps.get((state, key))  # never a hit once state is None
+        if step is not None:
+            state, log_after, rows, following = step
+            stored[:, lo:hi] = rows
+            trie.hits += 1
         else:
             # every row's action is induced by the drawn z, so no row (obs_oracle's,
             # replaced below, included) can raise ZeroProbabilityActionError
@@ -351,24 +336,24 @@ def run_once(config: ScenarioConfig, graph: CommGraph, rng: np.random.Generator,
             after_evidence = evidence + own
             log_after = log_prior + after_evidence
             rows = np.where(tables.stores_after, after_evidence, own)
-            child = None
-            if node is not None:
-                new = (log_after, rows)
-                if node.step is None:
-                    new += (evidence, pub, acts)
-                if tables.trie.reserve(key, new):
-                    node.step = evidence, pub, acts
-                    child = TrieNode()
-                    node.edges[key] = log_after, rows, child
+            stored[:, lo:hi] = rows
+            following = inputs(b + 1)
+            if state is not None:
+                # the first step kept also keeps block 1's inputs
+                kept = (log_after, rows, *(following or ()), *(() if trie.first else first))
+                size = len(key) + sum(arr.nbytes for arr in kept)
+                if trie.nbytes + size > TRIE_BUDGET:
+                    state = None  # the run leaves the trie
+                else:
+                    for arr in kept:
+                        arr.flags.writeable = False
+                    trie.nbytes += size
+                    trie.first = first
+                    trie.steps[state, key] = (len(trie.steps) + 1, log_after, rows, following)
+                    state = len(trie.steps)
         after[:, lo:hi] = log_after  # normalised once the run is done
-        stored[:, lo:hi] = rows
         public[:, lo:hi] = pub
         actions[:, lo:hi] = a
-        return child
-
-    node = tables.trie.root if tables.trie.config is config else None
-    for lo, hi in tables.blocks:
-        node = step(lo, hi, node)
 
     after = learning.normalize_log(after)
     return RunTrace(true_state=x, graph_digest=tables.digest, modes=config.modes,
@@ -384,10 +369,10 @@ def build_graph(config: ScenarioConfig) -> CommGraph:
 def monte_carlo(config: ScenarioConfig, graph: CommGraph | None = None) -> MetricsTable:
     """Replicated runs with per-run seeds derived from the master seed.
 
-    Seed scheme: SeedSequence(seed) spawns runs+1 children; child 0 drives
-    topology generation (build_graph), child r (1-based) drives run r.  Any
-    single run is therefore reproducible standalone.  The run tables, W
-    included, are built once for the whole study.
+    Run r (1-based) draws from graph.seed_rng(seed, r); child 0 drives
+    topology generation (build_graph).  Any single run is therefore
+    reproducible standalone.  The run tables, W included, are built once for
+    the whole study.
     """
     if graph is None:
         graph = build_graph(config)
@@ -398,9 +383,8 @@ def monte_carlo(config: ScenarioConfig, graph: CommGraph | None = None) -> Metri
     actions = np.zeros(shape, dtype=np.int64)
     true_states = np.zeros(config.runs)
 
-    run_seeds = np.random.SeedSequence(config.seed).spawn(config.runs + 1)[1:]
-    for r, run_seed in enumerate(run_seeds):
-        trace = run_once(config, graph, np.random.default_rng(run_seed), tables=tables)
+    for r in range(config.runs):
+        trace = run_once(config, graph, graphmod.seed_rng(config.seed, r + 1), tables=tables)
         true_states[r] = trace.true_state
         estimates[:, r] = trace.estimates
         actions[:, r] = trace.actions

@@ -390,6 +390,16 @@ class TestRun:
         assert len(res.stderr.splitlines()) == 1 and "RuntimeWarning" not in res.stderr
         assert not out.exists()
 
+    def test_model_too_large_to_allocate_exit_1_no_outputs(self, runner, tmp_path):
+        # numpy refuses the 10^7 x 10^7 likelihood before allocating it
+        cfg = tmp_path / "huge.yaml"
+        cfg.write_text("topology: {kind: chain41}\nmodel: {states: 10000000}\n")
+        out = tmp_path / "out"
+        res = runner.invoke(main, ["run", str(cfg), "--output-dir", str(out)])
+        assert_input_error(res, "Unable to allocate")
+        assert len(res.stderr.splitlines()) == 1 and "Traceback" not in res.output
+        assert not out.exists()
+
     def test_config_is_a_directory_exit_1_no_outputs(self, runner, tmp_path):
         out = tmp_path / "out"
         res = runner.invoke(main, ["run", str(tmp_path), "--output-dir", str(out)])

@@ -315,8 +315,8 @@ class TestRunTables:
 
 def uncached_study(config, graph):
     """The runs of monte_carlo(config, graph), each with tables of its own."""
-    seeds = np.random.SeedSequence(config.seed).spawn(config.runs + 1)[1:]
-    return [run_once(config, graph, np.random.default_rng(s)) for s in seeds]
+    return [run_once(config, graph, graphmod.seed_rng(config.seed, r))
+            for r in range(1, config.runs + 1)]
 
 
 def shared_study(config, graph, tables, clobber=False):
@@ -324,8 +324,8 @@ def shared_study(config, graph, tables, clobber=False):
     monte_carlo steps them.  With clobber, the arrays of each trace
     run_once returns are overwritten before the next run; a copy is kept."""
     traces = []
-    for s in np.random.SeedSequence(config.seed).spawn(config.runs + 1)[1:]:
-        trace = run_once(config, graph, np.random.default_rng(s), tables=tables)
+    for r in range(1, config.runs + 1):
+        trace = run_once(config, graph, graphmod.seed_rng(config.seed, r), tables=tables)
         if clobber:
             kept = dataclasses.replace(trace, **{n: getattr(trace, n).copy() for n in TRACE_ARRAYS})
             for name in TRACE_ARRAYS:
@@ -345,15 +345,10 @@ def assert_same_runs(got, expected):
 
 def trie_contents(trie):
     """(keys, arrays) held by a StepTrie."""
-    keys, arrays, nodes = [], [], [trie.root]
-    while nodes:
-        node = nodes.pop()
-        if node.step is not None:
-            arrays.extend(node.step)
-        for key, (log_after, rows, child) in node.edges.items():
-            keys.append(key)
-            arrays.extend((log_after, rows))
-            nodes.append(child)
+    keys = [key for _, key in trie.steps]
+    arrays = list(trie.first or ())
+    for _, log_after, rows, following in trie.steps.values():
+        arrays.extend((log_after, rows, *(following or ())))
     return keys, arrays
 
 
@@ -405,36 +400,41 @@ class TestStepTrie:
         config = scenario(default_model(6, 6, 5), modes=ALL_MODES, true_state="random",
                           runs=40)
         graph = complete_dag(1018)
-        seeds = np.random.SeedSequence(config.seed).spawn(config.runs + 1)[1:]
         tables = simulate.run_tables(config, graph)
-        for k, seed in enumerate(seeds):
+        for r in range(1, config.runs + 1):
             try:
-                reference = run_once(config, graph, np.random.default_rng(seed))
+                reference = run_once(config, graph, graphmod.seed_rng(config.seed, r))
             except ValueError as exc:
                 expected = exc
                 break
-            assert_same_runs([run_once(config, graph, np.random.default_rng(seed),
+            assert_same_runs([run_once(config, graph, graphmod.seed_rng(config.seed, r),
                                        tables=tables)], [reference])
-        assert k > 1 and tables.trie.hits > 0
+        assert r > 2 and tables.trie.hits > 0
         assert str(expected) == "node 1017: fused evidence left the float64 range"
         with pytest.raises(ValueError) as got:
-            run_once(config, graph, np.random.default_rng(seeds[k]), tables=tables)
+            run_once(config, graph, graphmod.seed_rng(config.seed, r), tables=tables)
         assert str(got.value) == str(expected)
         with pytest.raises(ValueError) as got:
             monte_carlo(config, graph=graph)
         assert str(got.value) == str(expected)
 
-    def test_tables_shared_by_two_configs(self):
-        base = cli.build_scenario(cli.load_config_file("paper_chain41"), runs=15)
-        other = dataclasses.replace(base, model=default_model(kernel_width=5))
-        graph = build_graph(base)
-        for first, second in ((base, other), (other, base)):
-            tables = simulate.run_tables(first, graph)
-            assert_same_runs(shared_study(first, graph, tables), uncached_study(first, graph))
-            hits = tables.trie.hits
-            assert hits > 0
-            assert_same_runs(shared_study(second, graph, tables), uncached_study(second, graph))
-            assert tables.trie.hits == hits
+    def test_tables_for_another_config_raise(self):
+        config = cli.build_scenario(cli.load_config_file("paper_chain41"), runs=2)
+        graph = build_graph(config)
+        tables = simulate.run_tables(config, graph)
+        # the modes in another order, force set, or an equal copy: each is another config
+        for other in (dataclasses.replace(config, modes=config.modes[::-1]),
+                      dataclasses.replace(config, force=True), dataclasses.replace(config)):
+            with pytest.raises(ValueError, match="built for another config or graph"):
+                run_once(other, graph, np.random.default_rng(0), tables=tables)
+        assert tables.trie.hits == tables.trie.nbytes == 0
+
+    def test_tables_for_another_graph_raise(self):
+        config = cli.build_scenario(cli.load_config_file("paper_chain41"), runs=2)
+        tables = simulate.run_tables(config, build_graph(config))
+        with pytest.raises(ValueError, match="built for another config or graph"):
+            run_once(config, build_graph(config), np.random.default_rng(0), tables=tables)
+        assert tables.trie.hits == tables.trie.nbytes == 0
 
     def test_budget_and_read_only_arrays(self, built_tables):
         # complete_delay's blocks of six nodes fill the budget within a few runs
