@@ -304,8 +304,8 @@ def fuse(coeffs: np.ndarray, evidence: np.ndarray, node: int) -> np.ndarray:
     coeffs is (M, L, K), one row per mode for each of the L nodes node,
     node+1, ... that fuse the same evidence (M, K, X); the result is
     (M, L, X), from one product and one reduction over i, which adds the
-    terms in ascending i.  Entry i belongs to node i+1, and the caller has
-    checked that every nonzero coefficient's evidence reaches its node.
+    terms in ascending i.  Entry i belongs to node i+1; run_tables builds
+    coeffs zero on every row a node does not receive, so no check is made here.
     The evidence is finite, as every floored log-likelihood is, so a zero
     coefficient adds +-0.0, which leaves the sum unchanged.  A sum can still
     leave the float64 range (naive evidence counts paths, which pass about
@@ -321,21 +321,6 @@ def fuse(coeffs: np.ndarray, evidence: np.ndarray, node: int) -> np.ndarray:
                 raise ValueError(f"node {node + int(np.argmax(bad))}: "
                                  "fused evidence left the float64 range")
     return total
-
-
-def require_received(coeffs: np.ndarray, received: np.ndarray, node: int) -> None:
-    """Raise AvailabilityError unless every nonzero coefficient's evidence reaches its node.
-
-    coeffs and received are (M, L, K) blocks as fuse takes them, for nodes
-    node, node+1, ...; entry i belongs to node i+1.  The error names the
-    lowest node that misses a row, the first mode in which it does, and that
-    mode's missing senders, as fusing node by node would.
-    """
-    missing = (coeffs != 0) & ~received
-    if missing.any():
-        l, k = np.argwhere(missing.any(axis=2).T)[0]
-        raise AvailabilityError(node=node + int(l),
-                                missing=(np.flatnonzero(missing[k, l]) + 1).tolist())
 
 
 def fuse_terms(coeffs: np.ndarray, evidence: np.ndarray, received: np.ndarray,

@@ -10,10 +10,14 @@ nodes, evidence_n = sum_i F[i, n] * S[i], then adds its own increment:
   obs_oracle  T - I  own increment   obs  raw-observation posterior (for scale)
 
 A is the adjacency, T the closure, W = I - T^-1 (CommGraph.weights, solved
-once per graph on first use; raises WeightOverflowError beyond int64; masked
-by A under `force`), nu the action log-likelihood.  Only removal reads W: a
-study without it runs on a graph whose W leaves int64, and its constraint
-report is None (not checked).
+once per graph on first use; raises WeightOverflowError beyond int64), nu
+the action log-likelihood.  Every F is masked, entry by entry, by the rows
+its node receives: after-evidence arrives over edges (A), own increments
+over the whole history (T - I), so no node reads a row it does not
+receive.  Removal's W * A is W where the constraint holds; `force` only
+decides whether a violation raises.  Only removal reads W: a study without
+it runs on a graph whose W leaves int64, and its constraint report is None
+(not checked).
 
 Every likelihood is floored before its log (learning.floored_log), so every
 stored row is finite, as removal's negative weights need.
@@ -36,10 +40,7 @@ anything.  The block step is bit for bit the per-node, per-mode loop, and
 raises what that loop raises.  What a run reads that
 depends on the graph and the config alone (the M x N x N coefficient table,
 the blocks, the graph digest) is built once per study by run_tables, and
-monte_carlo passes it to every run_once.  run_tables also checks, once per
-study, that every nonzero coefficient's row reaches its node (after-evidence
-travels over edges, the benchmarks read all history) and raises
-AvailabilityError for the lowest node that misses one.
+monte_carlo passes it to every run_once.
 Runs that herd hear the same actions, so the tables also hold a StepTrie,
 which reuses block steps across the runs of the study.  It is one dict,
 steps[(state, key)] = (next state, log_after, rows, following): state is an
@@ -213,10 +214,10 @@ class RunTables:
     """What every run of a study shares; it depends on the graph and the config alone.
 
     Row k of each per-mode table is config.modes[k].  coeffs[k, n-1, i]
-    weighs node i+1's stored row in node n's fusion; run_tables has checked
-    that every row with a nonzero coefficient reaches its node.  config and
-    graph are the objects the tables were built from, and trie caches the
-    block steps of the study's runs.
+    weighs node i+1's stored row in node n's fusion, and is zero unless that
+    row reaches node n (over an edge for after-evidence, over a path for an
+    own increment).  config and graph are the objects the tables were built
+    from, and trie caches the block steps of the study's runs.
     """
 
     coeffs: np.ndarray              # (M, N, N) float
@@ -233,14 +234,13 @@ class RunTables:
 def run_tables(config: ScenarioConfig, graph: CommGraph) -> RunTables:
     """Build the tables every run over the graph reads.
 
+    Each mode's coefficients are its weights masked by the rows its node
+    receives, entry by entry: A for after-evidence, T - I for own
+    increments.  Removal's are W * A, which is W where the constraint holds.
     Only removal reads W: with removal among the modes, a W beyond int64
     raises WeightOverflowError, and a graph that violates the constraint
     raises ConstraintViolationError unless config.force.  Without removal,
-    a W beyond int64 leaves the constraint unchecked (None).  A nonzero
-    coefficient on a row its node does not receive raises AvailabilityError
-    (learning.require_received), before any run: for the lowest such node,
-    the first mode in config.modes order and that mode's missing senders,
-    as the node-by-node loop would.
+    a W beyond int64 leaves the constraint unchecked (None).
     """
     removal = "removal" in config.modes
     adjacency = graph.adjacency
@@ -261,12 +261,11 @@ def run_tables(config: ScenarioConfig, graph: CommGraph) -> RunTables:
         "obs_oracle": (history, False, True),
     }
     if removal:
-        table["removal"] = (graph.weights * adjacency if config.force else graph.weights,
-                            True, False)
+        table["removal"] = (graph.weights, True, False)
     fs, stores_after, own_is_obs = zip(*(table[mode] for mode in config.modes))
-    coeffs = np.stack([f.T for f in fs], dtype=np.float64)
-    received = np.stack([(adjacency if after else history).T != 0 for after in stores_after])
-    learning.require_received(coeffs, received, node=1)
+    # after-evidence arrives over edges, own increments over the whole history
+    coeffs = np.stack([(f * (adjacency if after else history)).T
+                       for f, after in zip(fs, stores_after)], dtype=np.float64)
     return RunTables(
         coeffs=coeffs, stores_after=np.array(stores_after)[:, None, None],
         oracle=[k for k, is_obs in enumerate(own_is_obs) if is_obs],

@@ -218,7 +218,7 @@ def after_action_update(pub, a, model):
         return normalize_log(np.log(pub) + nu)
 
 
-def reference_run_once(config, graph, rng, weights=None, constraint=None):
+def reference_run_once(config, graph, rng):
     """Per-node, per-mode protocol loop that the stacked run_once must match bit for bit.
 
     Each node draws its own observation, and each mode fuses its received
@@ -228,11 +228,9 @@ def reference_run_once(config, graph, rng, weights=None, constraint=None):
     arrays a RunTrace holds, as a namespace.
     """
     model, modes = config.model, config.modes
-    if weights is None:
-        weights = weight_matrix(graph)
+    weights = weight_matrix(graph)
     if "removal" in modes:
-        if constraint is None:
-            constraint = violations(weights, graph.adjacency)
+        constraint = violations(weights, graph.adjacency)
         if constraint and not config.force:
             raise ConstraintViolationError(constraint)
     if config.true_state == "random":

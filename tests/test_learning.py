@@ -23,7 +23,7 @@ from incestless import (
     sample_observation,
     triangular_likelihood,
 )
-from incestless.learning import fuse, fuse_terms, require_received
+from incestless.learning import fuse, fuse_terms
 
 from conftest import after_action_update
 
@@ -453,15 +453,6 @@ class TestFuse:
                                  for c, e, r in zip(coeffs, evidence, received)])
             assert np.array_equal(fuse(coeffs[:, None], evidence, node=9)[:, 0], expected)
 
-    def test_unavailable_row_raises(self):
-        # mode 0 needs only node 1, which it receives; mode 1 needs node 2
-        coeffs = np.array([[1.0, 0.0], [0.0, 2.0]])
-        received = np.array([[True, False], [True, False]])
-        with pytest.raises(AvailabilityError) as exc:
-            require_received(coeffs[:, None], received[:, None], node=4)
-        assert exc.value.node == 4 and exc.value.missing == [2]
-        require_received(coeffs[:1, None], received[:1, None], node=4)
-
 
 class TestFuseBlock:
     """One row per (mode, node) of a block over shared evidence."""
@@ -503,16 +494,6 @@ class TestFuseBlock:
         coeffs = np.ones((2, 4, 1))
         total = fuse(coeffs, evidence, node=3)
         assert np.array_equal(total, np.full((2, 4, 3), -1e308))
-
-    def test_lowest_unavailable_node_raises(self):
-        # nodes 4 and 5 of the block both miss evidence, node 5 in an earlier mode
-        coeffs = np.zeros((2, 3, 2))
-        coeffs[1, 1, 0] = 1.0  # mode 1, node 4 needs node 1
-        coeffs[0, 2, 1] = 1.0  # mode 0, node 5 needs node 2
-        received = np.zeros((2, 3, 2), dtype=bool)
-        with pytest.raises(AvailabilityError) as exc:
-            require_received(coeffs, received, node=3)
-        assert exc.value.node == 4 and exc.value.missing == [1]
 
 
 class TestFullHistory:

@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from incestless import (
-    AvailabilityError,
     CommGraph,
     ConfigError,
     ConstraintViolationError,
@@ -171,11 +170,11 @@ class TestRunOnce:
         assert all(1 <= x <= 20 for x in states)
 
 
-def assert_same_as_reference(config, graph, seed, **kwargs):
-    """run_once equals reference_run_once (given kwargs) bit for bit, or raises
-    the same error.  Returns the error the reference raised, or None."""
+def assert_same_as_reference(config, graph, seed):
+    """run_once equals reference_run_once bit for bit, or raises the same
+    error.  Returns the error the reference raised, or None."""
     try:
-        expected = reference_run_once(config, graph, np.random.default_rng(seed), **kwargs)
+        expected = reference_run_once(config, graph, np.random.default_rng(seed))
     except (IncestlessError, ValueError) as exc:
         with pytest.raises(type(exc)) as got:
             run_once(config, graph, np.random.default_rng(seed))
@@ -214,13 +213,18 @@ class TestStackedRunMatchesReference:
         assert_same_as_reference(config, augmented, seed)
         assert_same_as_reference(dataclasses.replace(config, force=True), graph, seed)
 
-    def test_unavailable_evidence_raises_at_the_same_node(self, model, diamond_b, monkeypatch):
-        # a constraint report that misses the violation lets the run reach node 5
+    def test_missed_violation_runs_as_forced(self, model, diamond_b, monkeypatch):
+        # a constraint report that misses the violation lets the run reach node 5,
+        # which fuses only the rows it receives, as under force
         monkeypatch.setattr(graphmod, "violations", lambda weights, adjacency: {})
         config = scenario(model, modes=ALL_MODES)
-        exc = assert_same_as_reference(config, diamond_b, 0, constraint={})
-        assert isinstance(exc, AvailabilityError)
-        assert exc.node == 5 and exc.missing == [2]
+        forced = dataclasses.replace(config, force=True)
+        for seed in range(3):
+            expected = reference_run_once(forced, diamond_b, np.random.default_rng(seed))
+            trace = run_once(config, diamond_b, np.random.default_rng(seed))
+            assert trace.true_state == expected.true_state
+            for name in TRACE_ARRAYS:
+                assert np.array_equal(getattr(trace, name), getattr(expected, name)), name
 
     @settings(max_examples=150, deadline=None)
     @given(data=st.data())
@@ -290,27 +294,66 @@ class TestEvidenceOverflow:
 
 
 class TestRunTables:
-    def test_missing_evidence_raises_for_the_lowest_node_before_any_run(
-            self, model, monkeypatch):
-        # Nodes 5 and 6 form one block, and each misses a removal row: node 5
-        # hears 1, 3, 4 but not 2, node 6 hears 2, 3, 4 but not 1.  A
-        # constraint report that misses both lets the study reach run_tables.
+    def test_missed_violation_masks_removal_by_the_edges(self, model, monkeypatch):
+        # Nodes 5 and 6 form one block, and each has a removal weight on a row
+        # it does not hear: node 5 hears 1, 3, 4 but not 2, node 6 hears 2, 3,
+        # 4 but not 1.  A constraint report that misses both lets the study
+        # reach run_tables, whose removal rows are W masked by A.
         graph = graph_from_edges(6, [(1, 3), (1, 4), (2, 3), (2, 4), (3, 5), (4, 5), (1, 5),
                                      (3, 6), (4, 6), (2, 6)])
         assert independent_blocks(graph)[-1] == (4, 6)
-        assert graphmod.violations(graphmod.weight_matrix(graph), graph.adjacency) == {
-            5: [2], 6: [1]}
-        monkeypatch.setattr(graphmod, "violations", lambda weights, adjacency: {})
-        calls = []
-        monkeypatch.setattr(simulate, "run_once", lambda *args, **kw: calls.append(args))
+        weights = graphmod.weight_matrix(graph)
+        assert graphmod.violations(weights, graph.adjacency) == {5: [2], 6: [1]}
         config = scenario(model, modes=ALL_MODES, runs=3)
-        with pytest.raises(AvailabilityError) as exc:
-            simulate.run_tables(config, graph)
-        assert exc.value.node == 5 and exc.value.missing == [2]
-        with pytest.raises(AvailabilityError) as again:
-            monte_carlo(config, graph=graph)
-        assert str(again.value) == str(exc.value)
-        assert calls == []
+        forced = monte_carlo(dataclasses.replace(config, force=True), graph=graph)
+        monkeypatch.setattr(graphmod, "violations", lambda weights, adjacency: {})
+        removal = simulate.run_tables(config, graph).coeffs[ALL_MODES.index("removal")]
+        assert np.array_equal(removal, (weights * graph.adjacency).T)
+        assert weights[1, 4] != 0 and removal[4, 1] == 0  # node 5 drops row 2
+        assert weights[0, 5] != 0 and removal[5, 0] == 0  # node 6 drops row 1
+        metrics = monte_carlo(config, graph=graph)
+        assert metrics.constraint == {}
+        for mode in ALL_MODES:
+            assert np.array_equal(metrics.estimates[mode], forced.estimates[mode]), mode
+            assert np.array_equal(metrics.actions[mode], forced.actions[mode]), mode
+
+    def test_forced_diamond_coefficients(self, model, diamond_b):
+        # node 5 hears 1, 3 and 4; w_5 = [-1, -1, 1, 1] loses row 2 to the mask
+        config = scenario(model, modes=ALL_MODES, force=True)
+        coeffs = simulate.run_tables(config, diamond_b).coeffs
+        assert coeffs[:, 4].tolist() == [[1, 0, 1, 1, 0], [-1, 0, 1, 1, 0],
+                                         [1, 1, 1, 1, 0], [1, 1, 1, 1, 0]]
+        assert not np.signbit(coeffs[coeffs == 0]).any()  # every zero is +0.0
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_no_mode_reads_a_row_its_node_does_not_receive(self, model, data):
+        size = data.draw(st.integers(1, 14), label="size")
+        bits = data.draw(st.lists(st.booleans(), min_size=size * (size - 1) // 2,
+                                  max_size=size * (size - 1) // 2), label="edges")
+        a = np.zeros((size, size), dtype=np.int8)
+        a[np.triu_indices(size, 1)] = bits
+        graph = CommGraph(a, num_agents=size, num_epochs=1)
+        if data.draw(st.booleans(), label="augment"):
+            graph = augment_for_constraint(graph)
+        modes = tuple(data.draw(st.permutations(ALL_MODES), label="modes"))
+        config = scenario(model, modes=modes, force=data.draw(st.booleans(), label="force"))
+        clean = not graphmod.violations(graph.weights, graph.adjacency)
+        if not (clean or config.force):
+            with pytest.raises(ConstraintViolationError):
+                simulate.run_tables(config, graph)
+            return
+        coeffs = simulate.run_tables(config, graph).coeffs
+        history = graph.closure - np.eye(graph.size, dtype=np.int8)
+        # after-evidence (naive, removal) arrives over edges, increments over history
+        receives = {"naive": graph.adjacency, "removal": graph.adjacency,
+                    "idealized": history, "obs_oracle": history}
+        for k, mode in enumerate(modes):
+            assert not coeffs[k][receives[mode].T == 0].any(), mode
+            if mode != "removal":  # unit weight on every row the node receives
+                assert np.array_equal(coeffs[k], receives[mode].T), mode
+        if clean:
+            assert np.array_equal(coeffs[modes.index("removal")], graph.weights.T)
 
 
 def uncached_study(config, graph):
@@ -533,6 +576,18 @@ class TestMonteCarlo:
             mt = monte_carlo(cfg)
             assert mt.constraint == {}, name
             assert np.abs(mt.estimates["removal"] - mt.estimates["idealized"]).max() <= 1e-9
+
+    @pytest.mark.xfail(strict=True, raises=AssertionError,
+                       reason="float cancellation: removal drifts from idealized by 0.094 "
+                              "states where max |w| is 8.3e13")
+    def test_removal_equals_idealized_on_a_dense_augmented_graph(self):
+        config = cli.build_scenario({
+            "topology": {"kind": "complete_delay", "agents": 10, "epochs": 40},
+            "modes": ["removal", "idealized"], "runs": 10, "seed": 7})
+        graph = augment_for_constraint(build_graph(config))
+        metrics = monte_carlo(config, graph=graph)
+        gap = np.abs(metrics.estimates["removal"] - metrics.estimates["idealized"]).max()
+        assert gap <= 1e-6
 
     def test_constraint_violation_exit(self, model):
         # most complete_delay realizations violate the constraint
