@@ -186,10 +186,11 @@ def _float_inverse(closure: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
     is exact.
 
     Solved bottom-up in blocks of rows: the rows below a block enter by one
-    GEMM, then the block's own rows are solved one at a time.  Each entry is
-    x[j, c] = delta_jc - (sum of a subset of the x[k, c], k > j), as T is
-    0/1, and every partial sum on the way is a signed subset sum of the
-    same terms.  So while a column's sum of |x| stays below 2^53, all of
+    GEMM per chunk of _BLOCK columns, which stops at the chunk's last row
+    (the entries below it are zero), then the block's own rows are solved
+    one at a time.  Each entry is x[j, c] = delta_jc - (sum of a subset of
+    the x[k, c], k > j), as T is 0/1, and every partial sum on the way is a
+    signed subset sum of the same terms.  So while a column's sum of |x| stays below 2^53, all of
     them are integers that float64 holds exactly: the first wrong entry in
     solve order would have read only exact entries of its column, and so
     could not be wrong.  The column sums are themselves sums of integers,
@@ -211,9 +212,13 @@ def _float_inverse(closure: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
     for r0 in range(((rows - 1) // _BLOCK) * _BLOCK, -1, -_BLOCK):
         r1 = min(r0 + _BLOCK, rows)
         t = closure[r0:r1, r0:].astype(np.float64)  # the block's rows, from column r0
-        # columns of nodes before the block are zero on its rows and below
+        # columns of nodes before the block are zero on its rows and below, and
+        # x[k, c] = 0 for k > c, so each chunk of columns past the block reads
+        # the rows below the block only up to its last column
         block = x[r0:r1, r0:]
-        block -= t[:, r1 - r0:] @ x[r1:, r0:]
+        for c0 in range(r1, rows, _BLOCK):
+            c1 = min(c0 + _BLOCK, rows)
+            block[:, c0 - r0:c1 - r0] -= t[:, r1 - r0:c1 - r0] @ x[r1:c1, c0:c1]
         for j in range(r1 - r0 - 2, -1, -1):
             block[j] -= t[j, j + 1:r1 - r0] @ block[j + 1:]
         sums[r0:] += np.abs(block).sum(axis=0)
@@ -241,12 +246,13 @@ def _int64_weights(closure: np.ndarray, columns: np.ndarray | None = None,
     The solved rows are held as two float64 planes, their low 32 bits
     (unsigned) and their high 32 bits (signed).  The rows are solved
     bottom-up in the blocks of _float_inverse (start is a block boundary):
-    the rows below a block enter by one stacked GEMM, then the block's rows
-    are solved one at a time, each with one stacked product over the block
-    rows below it.  A 0/1 row times a limb plane sums to less than N * 2^32
-    in magnitude, below 2^53 for N < 2^21, so each limb sum, and every
-    partial sum of it in any order, is an exact integer in float64, and so
-    is the sum of the GEMM part and the in-block part.  The limb sums
+    the rows below a block enter by one stacked GEMM per chunk of _BLOCK
+    columns, up to the chunk's last row, then the block's rows are solved
+    one at a time, each with one stacked product over the block rows below
+    it.  A 0/1 row times a limb plane sums to less than N * 2^32 in
+    magnitude, below 2^53 for N < 2^21, so each limb sum, and every partial
+    sum of it in any order, is an exact integer in float64, and so is the
+    sum of the GEMM part and the in-block part.  The limb sums
     recombine to t_j @ W mod 2^64, so each row equals, bit for bit, an
     int64 back substitution that wraps.
 
@@ -275,7 +281,13 @@ def _int64_weights(closure: np.ndarray, columns: np.ndarray | None = None,
         r1 = min(r0 + _BLOCK, start)
         t = closure[r0:r1, r0:].astype(np.float64)  # the block's rows, from column r0
         k0 = past[r0]
-        sums = t[:, r1 - r0:] @ limbs[:, r1:, k0:]
+        # W[k, c] = 0 for k >= c, so each chunk of columns reads the rows below
+        # the block only up to its last column
+        sums = np.zeros((2, r1 - r0, cols.size - k0))
+        for q0 in range(k0, cols.size, _BLOCK):
+            q1 = min(q0 + _BLOCK, cols.size)
+            stop = max(int(cols[q1 - 1]), r1)
+            sums[:, :, q0 - k0:q1 - k0] = t[:, r1 - r0:stop - r0] @ limbs[:, r1:stop, q0:q1]
         for j in range(r1 - 1, r0 - 1, -1):
             i, k = j - r0, past[j]
             row = sums[:, i, k - k0:]

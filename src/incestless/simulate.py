@@ -28,9 +28,10 @@ agents of one epoch, so all of it updates in one step over arrays stacked
 by mode and node (M modes x L nodes x X states): one learning.fuse call
 sums the rows stored before the block with the block's rows of the
 coefficient table, for every mode at once; one normalize_log gives the
-public beliefs, one action table (learning.action_table) both the agents'
-actions and the observations each nu sums over, and one action_likelihood
-call the nu of every (mode, node).  A block stores its after log-posteriors
+public beliefs, their action tables (learning.action_table) both the
+agents' actions and the observations each nu sums over, and
+action_likelihood the nu of every (mode, node), the last two through the
+study's RowMemo (below).  A block stores its after log-posteriors
 (log prior + after-evidence), and one normalize_log per run turns them into
 after-beliefs once every block is done.  The one call in a block step that
 can raise is fuse's check: naive evidence counts paths, which pass the
@@ -56,10 +57,24 @@ array is the one the block step would compute, bit for bit.  A block step
 does one lookup: on a hit it copies the cached rows; on a miss it steps the
 block as above, fuses the next block's inputs and keeps the step while the
 trie's arrays and keys fit TRIE_BUDGET (512 KiB per study, a constant);
-a step that does not fit leaves the run outside the trie.  run_tables binds
-its tables to the config and graph it was given, and run_once refuses tables
-built for other objects; monte_carlo builds them per study, so no state
-outlives the call.  A run draws its N observations in one call, and all
+a step that does not fit leaves the run outside the trie.
+Herding also brings the same public beliefs back (on paper_chain41, 1915
+of 12 300 rows are distinct), and they induce few action tables (28-57 per
+bundled study), so the tables also hold a RowMemo.  It maps a public-belief
+row's exact bytes to a table id, keeps each distinct action-table row once,
+and holds one likelihood slot per (table id, action), filled the first time
+that pair is needed.  A block step looks its rows up, calls action_table
+once on the rows the memo misses, gathers the block's tables from the ids,
+and calls action_likelihood once for the slots still empty.  Both kernels
+work row by row, so a row computed in a smaller batch has the same bits,
+and a hit returns bits made by the same calls: the memo changes no output.
+It keeps an entry while its keys and arrays fit TRIE_BUDGET (its own 512
+KiB, beside the trie's); an entry that does not fit is computed and not
+kept.  The trie keeps no table ids, so a block whose inputs the trie
+served looks its rows' ids up again before it computes the likelihoods.
+run_tables binds its tables to the config and graph it was given, and
+run_once refuses tables built for other objects; monte_carlo builds them
+per study, so no state outlives the call.  A run draws its N observations in one call, and all
 modes share them, so their traces differ by aggregation alone.
 RunTrace keeps the run as (M x N) and (M x N x X) arrays; its `records` is
 a per-node view of them, built on demand.
@@ -188,9 +203,113 @@ def node_weights(graph: CommGraph) -> list[np.ndarray]:
     return [graph.weights[:n, n] for n in range(graph.size)]
 
 
-# Bytes of array data (and keys) one study's StepTrie may hold.  Without a
-# bound, a study whose runs rarely share a prefix fills megabytes it never reads.
+# Bytes of array data (and keys) each of one study's caches, its StepTrie and
+# its RowMemo, may hold.  Without a bound, a study whose runs rarely share a
+# prefix fills megabytes it never reads.
 TRIE_BUDGET = 512 * 1024
+
+
+def _frozen(arr: np.ndarray) -> np.ndarray:
+    arr.flags.writeable = False
+    return arr
+
+
+class RowMemo:
+    """Action tables and action likelihoods of the runs of one study, by public-belief row.
+
+    ids maps a public-belief row's bytes to its table id, and tables[id] is
+    the row's action table; each distinct table is kept once, and
+    table_ids maps its bytes to its id.  slot[id, a-1] is the row of nus
+    that holds the log-likelihood of action a under table id, -1 until the
+    pair is first needed.  An entry that does not fit the budget is computed
+    and not kept, so a row may have no table id: its id is -1, and its table
+    and likelihoods are computed each time.  slot has one row more than
+    tables, and its last row, the one id -1 reads, stays -1.
+    Every array is read-only and replaced when it grows; nbytes, the keys
+    and arrays, never exceeds TRIE_BUDGET.
+    """
+
+    def __init__(self, model: StateModel):
+        self.model = model
+        self.ids: dict[bytes, int] = {}
+        self.table_ids: dict[bytes, int] = {}
+        self.tables = _frozen(np.empty((0, model.num_obs), dtype=np.int64))
+        self.slot = _frozen(np.full((1, model.num_actions), -1))
+        self.nus = _frozen(np.empty((0, model.num_states)))
+        self.nbytes = self.slot.nbytes
+
+    def _keep(self, size: int) -> bool:
+        """Count size more bytes if they fit the budget."""
+        if self.nbytes + size > TRIE_BUDGET:
+            return False
+        self.nbytes += size
+        return True
+
+    def table(self, pub: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(acts, ids) for beliefs pub (..., X): acts (..., Z) is
+        learning.action_table(pub, model), computed by one call on the rows
+        the memo misses, and ids (...) the rows' table ids."""
+        rows = pub.reshape(-1, pub.shape[-1])
+        data, width = rows.tobytes(), rows.shape[1] * rows.itemsize
+        keys = [data[i:i + width] for i in range(0, len(data), width)]
+        found = [self.ids.get(key, -1) for key in keys]
+        miss = [i for i, tid in enumerate(found) if tid < 0]
+        if miss:
+            computed = learning.action_table(rows.take(miss, axis=0), self.model)
+            computed_bytes, size = computed.tobytes(), computed.shape[1] * computed.itemsize
+            new = []
+            for j, i in enumerate(miss):
+                key = computed_bytes[j * size:(j + 1) * size]
+                tid = self.table_ids.get(key)
+                if tid is None and self._keep(2 * size + self.slot[0].nbytes):
+                    tid = self.table_ids[key] = len(self.table_ids)
+                    new.append(j)
+                if tid is not None:
+                    found[i] = tid
+                    if keys[i] not in self.ids and self._keep(width):
+                        self.ids[keys[i]] = tid
+            if new:
+                self.tables = _frozen(np.concatenate([self.tables, computed[new]]))
+                empty = np.full((len(new), self.slot.shape[1]), -1)
+                self.slot = _frozen(np.concatenate([self.slot, empty]))
+        ids = np.array(found).reshape(pub.shape[:-1])
+        if -1 not in found:
+            return self.tables.take(ids, axis=0), ids
+        # rows whose table did not fit read the computed one
+        acts = np.empty(ids.shape + computed.shape[1:], dtype=computed.dtype)
+        acts[ids >= 0] = self.tables[ids[ids >= 0]]
+        acts.reshape(len(keys), -1)[miss] = computed
+        return acts, ids
+
+    def nu(self, pub: np.ndarray, a: np.ndarray, acts: np.ndarray,
+           ids: np.ndarray) -> np.ndarray:
+        """learning.action_likelihood(pub, a, model, table=acts), where
+        (acts, ids) = table(pub): kept slots are read, and one call computes
+        the rest, one row for each empty slot and each row without a table id."""
+        slots = self.slot[ids, a - 1]
+        if -1 not in slots.ravel().tolist():
+            return self.nus.take(slots, axis=0)
+        x, num_actions = pub.shape[-1], self.slot.shape[1]
+        ids, a, slots = ids.reshape(-1), a.reshape(-1), slots.reshape(-1)
+        need = np.flatnonzero(slots < 0)
+        # one code per slot, and one of its own for each row without a table id
+        codes = np.where(ids[need] >= 0, ids[need] * num_actions + a[need] - 1, -1 - need)
+        codes, first, inverse = np.unique(codes, return_index=True, return_inverse=True)
+        rows = need[first]
+        computed = learning.action_likelihood(pub.reshape(-1, x)[rows], a[rows], self.model,
+                                              table=acts.reshape(-1, acts.shape[-1])[rows])
+        own = np.empty((ids.size, x))
+        own[slots >= 0] = self.nus[slots[slots >= 0]]
+        own[need] = computed[inverse]
+        fresh = [j for j, code in enumerate(codes.tolist())
+                 if code >= 0 and self._keep(computed[j].nbytes)]
+        if fresh:
+            slot = self.slot.copy()
+            slot[ids[rows[fresh]], a[rows[fresh]] - 1] = np.arange(len(self.nus),
+                                                                   len(self.nus) + len(fresh))
+            self.slot = _frozen(slot)
+            self.nus = _frozen(np.concatenate([self.nus, computed[fresh]]))
+        return own.reshape(pub.shape)
 
 
 class StepTrie:
@@ -217,7 +336,10 @@ class RunTables:
     weighs node i+1's stored row in node n's fusion, and is zero unless that
     row reaches node n (over an edge for after-evidence, over a path for an
     own increment).  config and graph are the objects the tables were built
-    from, and trie caches the block steps of the study's runs.
+    from, trie caches the block steps of the study's runs, and memo their
+    action tables and action likelihoods by public-belief row: keyed by the
+    row's exact bytes, within TRIE_BUDGET, and bit for bit the direct calls,
+    as both kernels work row by row.
     """
 
     coeffs: np.ndarray              # (M, N, N) float
@@ -228,6 +350,7 @@ class RunTables:
     constraint: dict[int, list[int]] | None  # None: W leaves int64, not checked
     config: ScenarioConfig = field(compare=False, repr=False)
     graph: CommGraph = field(compare=False, repr=False)
+    memo: RowMemo = field(compare=False, repr=False)
     trie: StepTrie = field(default_factory=StepTrie, compare=False, repr=False)
 
 
@@ -270,7 +393,7 @@ def run_tables(config: ScenarioConfig, graph: CommGraph) -> RunTables:
         coeffs=coeffs, stores_after=np.array(stores_after)[:, None, None],
         oracle=[k for k, is_obs in enumerate(own_is_obs) if is_obs],
         blocks=graphmod.independent_blocks(graph), digest=graph.digest(),
-        constraint=constraint, config=config, graph=graph)
+        constraint=constraint, config=config, graph=graph, memo=RowMemo(config.model))
 
 
 def run_once(config: ScenarioConfig, graph: CommGraph, rng: np.random.Generator,
@@ -299,21 +422,23 @@ def run_once(config: ScenarioConfig, graph: CommGraph, rng: np.random.Generator,
     stored, public, after = np.zeros(shape), np.empty(shape), np.empty(shape)
     actions = np.empty(shape[:2], dtype=np.int64)
     node_index = np.arange(graph.size)
-    blocks, trie = tables.blocks, tables.trie
+    blocks, trie, memo = tables.blocks, tables.trie, tables.memo
 
     def inputs(b):
-        """Block b's (evidence, pub, acts) from the rows stored before it; None past the last."""
+        """Block b's (evidence, pub, acts) from the rows stored before it, and
+        the table ids of pub; (None, None) past the last."""
         if b == len(blocks):
-            return None
+            return None, None
         lo, hi = blocks[b]
         # the one call in a block step that can raise, before the block writes
         # anything: with every row finite, no later call can
         evidence = learning.fuse(tables.coeffs[:, lo:hi, :lo], stored[:, :lo], node=lo + 1)
         pub = learning.normalize_log(log_prior + evidence)
-        return evidence, pub, learning.action_table(pub, model)  # action each z induces
+        acts, ids = memo.table(pub)  # action each z induces
+        return (evidence, pub, acts), ids
 
-    state, following = 0, trie.first or inputs(0)
-    first = following
+    following, ids = (trie.first, None) if trie.first else inputs(0)
+    state, first = 0, following
     for b, (lo, hi) in enumerate(blocks):
         # nodes lo+1..hi, none of which hears another, in one row per (mode, node)
         evidence, pub, acts = following
@@ -324,19 +449,22 @@ def run_once(config: ScenarioConfig, graph: CommGraph, rng: np.random.Generator,
         step = trie.steps.get((state, key))  # never a hit once state is None
         if step is not None:
             state, log_after, rows, following = step
+            ids = None  # the trie keeps no table ids
             stored[:, lo:hi] = rows
             trie.hits += 1
         else:
             # every row's action is induced by the drawn z, so no row (obs_oracle's,
             # replaced below, included) can raise ZeroProbabilityActionError
-            own = learning.action_likelihood(pub, a, model, table=acts)
+            if ids is None:
+                ids = memo.table(pub)[1]
+            own = memo.nu(pub, a, acts, ids)
             if tables.oracle:
                 own[tables.oracle] = obs_loglik[lo:hi]
             after_evidence = evidence + own
             log_after = log_prior + after_evidence
             rows = np.where(tables.stores_after, after_evidence, own)
             stored[:, lo:hi] = rows
-            following = inputs(b + 1)
+            following, ids = inputs(b + 1)
             if state is not None:
                 # the first step kept also keeps block 1's inputs
                 kept = (log_after, rows, *(following or ()), *(() if trie.first else first))

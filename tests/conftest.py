@@ -228,24 +228,25 @@ def reference_run_once(config, graph, rng):
     arrays a RunTrace holds, as a namespace.
     """
     model, modes = config.model, config.modes
-    weights = weight_matrix(graph)
+    adjacency = graph.adjacency
+    history = graph.closure - np.eye(graph.size, dtype=np.int8)
+    table = {
+        "naive": (adjacency, True, False),
+        "idealized": (history, False, False),
+        "obs_oracle": (history, False, True),
+    }
+    # only removal reads W, so a study without it runs where W leaves int64
     if "removal" in modes:
-        constraint = violations(weights, graph.adjacency)
+        weights = weight_matrix(graph)
+        constraint = violations(weights, adjacency)
         if constraint and not config.force:
             raise ConstraintViolationError(constraint)
+        table["removal"] = (weights * adjacency if config.force else weights, True, False)
     if config.true_state == "random":
         x = int(rng.choice(model.num_states, p=model.prior)) + 1
     else:
         x = int(config.true_state)
 
-    adjacency = graph.adjacency
-    history = graph.closure - np.eye(graph.size, dtype=np.int8)
-    table = {
-        "naive": (adjacency, True, False),
-        "removal": (weights * adjacency if config.force else weights, True, False),
-        "idealized": (history, False, False),
-        "obs_oracle": (history, False, True),
-    }
     fs, stores_after, own_is_obs = zip(*(table[mode] for mode in modes))
     coeffs = [np.ascontiguousarray(f.T, dtype=np.float64) for f in fs]
     received = [(adjacency if after else history).T != 0 for after in stores_after]

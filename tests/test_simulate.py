@@ -10,8 +10,11 @@ from incestless import (
     ConfigError,
     ConstraintViolationError,
     IncestlessError,
+    StateModel,
     TopologySpec,
     WeightOverflowError,
+    action_likelihood,
+    action_table,
     augment_for_constraint,
     cli,
     default_model,
@@ -20,7 +23,7 @@ from incestless import (
     normalize_log,
 )
 from incestless import graph as graphmod
-from incestless import simulate
+from incestless import learning, simulate
 from incestless.simulate import ScenarioConfig, build_graph, monte_carlo, run_once
 
 from conftest import DIAMOND_A_EDGES, reference_run_once
@@ -212,6 +215,17 @@ class TestStackedRunMatchesReference:
         assert augmented.size == 200
         assert_same_as_reference(config, augmented, seed)
         assert_same_as_reference(dataclasses.replace(config, force=True), graph, seed)
+
+    def test_study_without_removal_where_weights_leave_int64(self, model):
+        # seed 3 of complete 10x60 has a weight beyond int64 (node 596), which
+        # a study without removal never reads
+        config = scenario(model, topology=TopologySpec(kind="complete_delay", agents=10,
+                                                       epochs=60),
+                          seed=3, modes=("naive", "idealized"))
+        graph = build_graph(config)
+        with pytest.raises(WeightOverflowError, match="node 596"):
+            graphmod.weight_matrix(graph)
+        assert assert_same_as_reference(config, graph, config.seed) is None
 
     def test_missed_violation_runs_as_forced(self, model, diamond_b, monkeypatch):
         # a constraint report that misses the violation lets the run reach node 5,
@@ -506,6 +520,105 @@ class TestStepTrie:
         assert_same_runs(shared_study(config, graph, tables, clobber=True),
                          uncached_study(config, graph))
         assert tables.trie.hits > 0
+
+
+def memo_contents(memo):
+    """(keys, arrays) held by a RowMemo."""
+    return [*memo.ids, *memo.table_ids], [memo.tables, memo.slot, memo.nus]
+
+
+def assert_memo_within(memo, budget):
+    keys, arrays = memo_contents(memo)
+    assert memo.nbytes == sum(map(len, keys)) + sum(a.nbytes for a in arrays) <= budget
+    assert not any(a.flags.writeable for a in arrays)
+
+
+class TestRowMemo:
+    """Action tables and likelihoods served by the row memo are the direct calls' bit for bit."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data())
+    def test_served_rows_equal_direct_calls(self, data):
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**16), label="seed"))
+        default = default_model()
+        # with the costs scaled down, subnormal normalisers decide actions
+        small = StateModel(prior=default.prior, likelihood=default.likelihood,
+                           cost=default.cost * 1e-3)
+        model = data.draw(st.sampled_from([default, small]), label="model")
+        pool = []
+        for _ in range(data.draw(st.integers(1, 12), label="distinct rows")):
+            if rng.random() < 0.5:
+                # e_1 plus multiples of 5e-324: pub . B[:, j] is subnormal for some j
+                pub = np.eye(model.num_states)[0]
+                pub[17:20] = rng.integers(0, 200, size=3) * 5e-324
+            else:
+                pub = normalize_log(rng.uniform(-60, 0, model.num_states))
+            pool.append(pub)
+        # from one entry that fits to all of them
+        budget = data.draw(st.sampled_from([500, 1000, 1500, 2000, 3000, simulate.TRIE_BUDGET]),
+                           label="budget")
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(simulate, "TRIE_BUDGET", budget)
+            memo = simulate.RowMemo(model)
+            for _ in range(data.draw(st.integers(1, 10), label="stacks")):
+                shape = (data.draw(st.integers(1, 4)), data.draw(st.integers(1, 4)))
+                # rows drawn from the pool repeat within a stack and across stacks
+                picks = rng.integers(len(pool), size=shape)
+                pub = np.stack([pool[i] for i in picks.flat]).reshape(*shape, -1)
+                acts, ids = memo.table(pub)
+                expected = action_table(pub, model)
+                assert acts.dtype == expected.dtype and np.array_equal(acts, expected)
+                z = rng.integers(model.num_obs, size=(*shape, 1))
+                a = np.take_along_axis(acts, z, axis=-1)[..., 0]
+                own = memo.nu(pub, a, acts, ids)
+                assert own.tobytes() == action_likelihood(pub, a, model).tobytes()
+            assert_memo_within(memo, budget)
+
+    @pytest.mark.parametrize("name", BUNDLED)
+    def test_small_budget_study_equals_uncached_runs(self, name, built_tables, monkeypatch):
+        budget = 4096
+        monkeypatch.setattr(simulate, "TRIE_BUDGET", budget)
+        config = cli.build_scenario(cli.load_config_file(name), runs=30)
+        config = dataclasses.replace(config, modes=ALL_MODES)
+        graph = build_graph(config)
+        expected = uncached_study(config, graph)
+        metrics = monte_carlo(config, graph=graph)
+        for k, mode in enumerate(config.modes):
+            assert np.array_equal(metrics.actions[mode], [t.actions[k] for t in expected])
+            assert np.array_equal(metrics.estimates[mode], [t.estimates[k] for t in expected])
+        memo = built_tables[-1].memo
+        assert_memo_within(memo, budget)
+        # full: the smallest entry, a likelihood slot, would not fit
+        assert memo.nbytes > budget - memo.nus[0].nbytes
+
+    def test_arrays_are_read_only(self, built_tables):
+        monte_carlo(cli.build_scenario(cli.load_config_file("paper_star"), runs=10))
+        memo = built_tables[-1].memo
+        assert memo.ids and memo.table_ids and memo.nus.size
+        for arr in memo_contents(memo)[1]:
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0] = 0
+
+    def test_paper_star_work(self, monkeypatch):
+        # rows given to action_table and calls of action_likelihood in the
+        # bundled study; without the memo they were 5346 rows and 396 calls
+        counts = {"table rows": 0, "likelihood calls": 0}
+        table, likelihood = learning.action_table, learning.action_likelihood
+
+        def counted_table(pub, model):
+            counts["table rows"] += pub.size // pub.shape[-1]
+            return table(pub, model)
+
+        def counted_likelihood(*args, **kwargs):
+            counts["likelihood calls"] += 1
+            return likelihood(*args, **kwargs)
+
+        monkeypatch.setattr(learning, "action_table", counted_table)
+        monkeypatch.setattr(learning, "action_likelihood", counted_likelihood)
+        config = cli.build_scenario(cli.load_config_file("paper_star"))
+        assert config.runs == 100
+        monte_carlo(config)
+        assert counts == {"table rows": 1294, "likelihood calls": 33}
 
 
 class TestWeightsSolvedOnce:
