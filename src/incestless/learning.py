@@ -237,16 +237,32 @@ def action_table(pub: np.ndarray, model: StateModel) -> np.ndarray:
     return np.argmax(costs <= cmin + tol, axis=-1) + 1
 
 
+def action_likelihoods(table: np.ndarray, model: StateModel) -> np.ndarray:
+    """p(a | x=m) = sum_j 1[table[j-1] == a] * B(m, j) for every action a, given action tables.
+
+    table is one action table (Z,) or tables stacked along leading axes; the
+    result is (A, X) or (..., A, X), row a-1 the likelihood of action a,
+    added one observation at a time in ascending j.  A row is zero for an
+    action no observation induces.  The administrator's likelihood of an
+    action is read from here alone (action_likelihood, simulate.RowMemo).
+    """
+    actions = np.arange(1, model.num_actions + 1)[:, None]
+    # the masked terms are +0.0 and leave the sum unchanged; the C-ordered
+    # transpose keeps j the reduced (outer) axis, summed in ascending order
+    picked = (table[..., None, :] == actions)[..., None] * model.likelihood_t
+    return np.add.reduce(picked, axis=-2)
+
+
 def action_likelihood(pub: np.ndarray, a: int | np.ndarray, model: StateModel,
                       table: np.ndarray | None = None) -> np.ndarray:
     """Per-state log-likelihood of action a given the public belief.
 
-    p(a | x=m, pub) = sum_j 1[table[j-1] == a] * B(m, j), with the action
-    table of pub (computed here unless the caller already has it), added
-    one observation at a time in ascending j.  pub may be one belief (X,)
-    with one action, or beliefs stacked along leading axes, (M, X) or
-    (M, L, X), with one action per belief, (M,) or (M, L); the table and the
-    result follow, (..., Z) and (..., X).  The log is floored_log's, never -inf.
+    floored_log of row a-1 of action_likelihoods, with the action table of
+    pub (computed here unless the caller already has it).  pub may be one
+    belief (X,) with one action, or beliefs stacked along leading axes,
+    (M, X) or (M, L, X), with one action per belief, (M,) or (M, L); the
+    table and the result follow, (..., Z) and (..., X).  The log is
+    floored_log's, never -inf.
     """
     a = np.asarray(a)
     if not ((1 <= a) & (a <= model.num_actions)).all():
@@ -254,10 +270,8 @@ def action_likelihood(pub: np.ndarray, a: int | np.ndarray, model: StateModel,
         raise ValueError(f"action {bad} out of range 1..{model.num_actions}")
     if table is None:
         table = action_table(pub, model)
-    # the masked terms are +0.0 and leave the sum unchanged; the C-ordered
-    # transpose keeps j the reduced (outer) axis, summed in ascending order
-    picked = (table == a[..., None])[..., None] * model.likelihood_t
-    lik = np.add.reduce(picked, axis=-2)
+    lik = np.take_along_axis(action_likelihoods(table, model), a[..., None, None] - 1,
+                             axis=-2)[..., 0, :]
     selectable = lik.any(axis=-1)
     if not selectable.all():
         bad = int(a.flat[np.argmin(selectable)])

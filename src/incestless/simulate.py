@@ -29,49 +29,46 @@ by mode and node (M modes x L nodes x X states): one learning.fuse call
 sums the rows stored before the block with the block's rows of the
 coefficient table, for every mode at once; one normalize_log gives the
 public beliefs, their action tables (learning.action_table) both the
-agents' actions and the observations each nu sums over, and
-action_likelihood the nu of every (mode, node), the last two through the
-study's RowMemo (below).  A block stores its after log-posteriors
-(log prior + after-evidence), and one normalize_log per run turns them into
-after-beliefs once every block is done.  The one call in a block step that
-can raise is fuse's check: naive evidence counts paths, which pass the
-float64 range on large dense graphs, and fuse raises ValueError for the
-lowest node whose fused evidence is not finite, before the block writes
-anything.  The block step is bit for bit the per-node, per-mode loop, and
-raises what that loop raises.  What a run reads that
-depends on the graph and the config alone (the M x N x N coefficient table,
-the blocks, the graph digest) is built once per study by run_tables, and
-monte_carlo passes it to every run_once.
-Runs that herd hear the same actions, so the tables also hold a StepTrie,
-which reuses block steps across the runs of the study.  It is one dict,
-steps[(state, key)] = (next state, log_after, rows, following): state is an
-int that numbers a path of keys (0 before block 1), key is the block's
-joint actions (M x L, as bytes, plus its observations when obs_oracle is
-among the modes, whose own increment is the observation's), log_after and
-rows are the block's after log-posteriors and stored rows, and following
-is the next block's (evidence, pub, acts), None after the last block;
-block 1's is held once, as first.  A block reads only the rows stored
-before it, and those follow from the key path alone (by induction over the
-blocks: a block's stored rows follow from its pub and its key), so a cached
-array is the one the block step would compute, bit for bit.  A block step
-does one lookup: on a hit it copies the cached rows; on a miss it steps the
-block as above, fuses the next block's inputs and keeps the step while the
-trie's arrays and keys fit TRIE_BUDGET (512 KiB per study, a constant);
-a step that does not fit leaves the run outside the trie.
+agents' actions and the observations each nu sums over, and the tables'
+likelihoods (learning.action_likelihoods) the nu of every (mode, node),
+the last two through the study's RowMemo (below).  A block stores its
+after log-posteriors (log prior + after-evidence), and one normalize_log
+per run turns them into after-beliefs once every block is done.  The one
+call in a block step that can raise is fuse's check: naive evidence
+counts paths, which pass the float64 range on large dense graphs, and
+fuse raises ValueError for the lowest node whose fused evidence is not
+finite, before the block writes anything.  The block step is bit for bit
+the per-node, per-mode loop, and raises what that loop raises.  What a
+run reads that depends on the graph and the config alone (the M x N x N
+coefficient table, the blocks, the graph digest) is built once per study
+by run_tables, and monte_carlo passes it to every run_once.
+A block's inputs (evidence, pub, acts and the table ids of pub) depend
+only on the actions heard before it, and runs that herd hear the same
+actions, so the tables also hold a StepTrie, which reuses block inputs
+across the runs of the study.  It holds steps[(state, key)] = next state
+and inputs[state]: a state is an int that numbers a path of keys (-1 the
+empty path), a key is a block's joint actions (M x L, as bytes, plus its
+observations when obs_oracle is among the modes, whose own increment is
+the observation's; empty for block 1, which hears nothing), and inputs
+are those of the block the path leads into.  A block reads only the rows
+stored before it, and those follow from the key path alone (by induction
+over the blocks: a block's stored rows follow from its inputs and its
+key), so held inputs are the ones the block would compute, bit for bit.
+Every block step takes one path: one lookup, then fuse, normalize_log and
+the memo's tables only for inputs the trie does not hold, which it keeps
+while its arrays and keys fit TRIE_BUDGET (512 KiB per study, a
+constant); inputs that do not fit leave the run outside the trie.
 Herding also brings the same public beliefs back (on paper_chain41, 1915
 of 12 300 rows are distinct), and they induce few action tables (28-57 per
 bundled study), so the tables also hold a RowMemo.  It maps a public-belief
-row's exact bytes to a table id, keeps each distinct action-table row once,
-and holds one likelihood slot per (table id, action), filled the first time
-that pair is needed.  A block step looks its rows up, calls action_table
-once on the rows the memo misses, gathers the block's tables from the ids,
-and calls action_likelihood once for the slots still empty.  Both kernels
-work row by row, so a row computed in a smaller batch has the same bits,
-and a hit returns bits made by the same calls: the memo changes no output.
-It keeps an entry while its keys and arrays fit TRIE_BUDGET (its own 512
-KiB, beside the trie's); an entry that does not fit is computed and not
-kept.  The trie keeps no table ids, so a block whose inputs the trie
-served looks its rows' ids up again before it computes the likelihoods.
+row's exact bytes to a table id, and keeps each distinct action-table row
+once, with the log-likelihood of every action under it.  A block step
+calls action_table once on the distinct rows the memo misses, and its nu
+is a gather from the kept likelihoods; action_likelihood computes only
+the rows without a table id.  Both kernels work row by row, so a row
+computed in a smaller batch has the same bits, and the memo changes no
+output.  It keeps an entry while its keys and arrays fit its own
+TRIE_BUDGET; an entry that does not fit is computed and not kept.
 run_tables binds its tables to the config and graph it was given, and
 run_once refuses tables built for other objects; monte_carlo builds them
 per study, so no state outlives the call.  A run draws its N observations in one call, and all
@@ -203,9 +200,9 @@ def node_weights(graph: CommGraph) -> list[np.ndarray]:
     return [graph.weights[:n, n] for n in range(graph.size)]
 
 
-# Bytes of array data (and keys) each of one study's caches, its StepTrie and
-# its RowMemo, may hold.  Without a bound, a study whose runs rarely share a
-# prefix fills megabytes it never reads.
+# Bytes of keys and array data that each of one study's caches, its StepTrie
+# and its RowMemo, may hold.  Without a bound, a study whose runs rarely share
+# a prefix fills megabytes it never reads.
 TRIE_BUDGET = 512 * 1024
 
 
@@ -219,12 +216,12 @@ class RowMemo:
 
     ids maps a public-belief row's bytes to its table id, and tables[id] is
     the row's action table; each distinct table is kept once, and
-    table_ids maps its bytes to its id.  slot[id, a-1] is the row of nus
-    that holds the log-likelihood of action a under table id, -1 until the
-    pair is first needed.  An entry that does not fit the budget is computed
-    and not kept, so a row may have no table id: its id is -1, and its table
-    and likelihoods are computed each time.  slot has one row more than
-    tables, and its last row, the one id -1 reads, stays -1.
+    table_ids maps its bytes to its id.  nus[id, a-1] is
+    floored_log(learning.action_likelihoods(tables[id]))[a-1], the
+    log-likelihood of action a, kept with the table.  An entry that does
+    not fit the budget is computed and not kept, so once a table has not
+    fit (full) a row may have no table id: its id is -1, and its table and
+    likelihood are computed each time.
     Every array is read-only and replaced when it grows; nbytes, the keys
     and arrays, never exceeds TRIE_BUDGET.
     """
@@ -234,9 +231,9 @@ class RowMemo:
         self.ids: dict[bytes, int] = {}
         self.table_ids: dict[bytes, int] = {}
         self.tables = _frozen(np.empty((0, model.num_obs), dtype=np.int64))
-        self.slot = _frozen(np.full((1, model.num_actions), -1))
-        self.nus = _frozen(np.empty((0, model.num_states)))
-        self.nbytes = self.slot.nbytes
+        self.nus = _frozen(np.empty((0, model.num_actions, model.num_states)))
+        self.nbytes = 0
+        self.full = False
 
     def _keep(self, size: int) -> bool:
         """Count size more bytes if they fit the budget."""
@@ -247,85 +244,85 @@ class RowMemo:
 
     def table(self, pub: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(acts, ids) for beliefs pub (..., X): acts (..., Z) is
-        learning.action_table(pub, model), computed by one call on the rows
-        the memo misses, and ids (...) the rows' table ids."""
+        learning.action_table(pub, model), computed by one call on the
+        distinct rows the memo misses, and ids (...) the rows' table ids."""
         rows = pub.reshape(-1, pub.shape[-1])
         data, width = rows.tobytes(), rows.shape[1] * rows.itemsize
         keys = [data[i:i + width] for i in range(0, len(data), width)]
         found = [self.ids.get(key, -1) for key in keys]
-        miss = [i for i, tid in enumerate(found) if tid < 0]
-        if miss:
-            computed = learning.action_table(rows.take(miss, axis=0), self.model)
+        missed = {}  # each distinct missed row's key -> its first row, then its table id
+        for i, tid in enumerate(found):
+            if tid < 0:
+                missed.setdefault(keys[i], i)
+        if missed:
+            computed = learning.action_table(rows.take(list(missed.values()), axis=0), self.model)
             computed_bytes, size = computed.tobytes(), computed.shape[1] * computed.itemsize
+            nu_size = self.nus.itemsize * self.model.num_actions * self.model.num_states
             new = []
-            for j, i in enumerate(miss):
-                key = computed_bytes[j * size:(j + 1) * size]
-                tid = self.table_ids.get(key)
-                if tid is None and self._keep(2 * size + self.slot[0].nbytes):
-                    tid = self.table_ids[key] = len(self.table_ids)
+            for j, key in enumerate(missed):
+                table = computed_bytes[j * size:(j + 1) * size]
+                tid = self.table_ids.get(table, -1)
+                if tid < 0 and self._keep(2 * size + nu_size):
+                    tid = self.table_ids[table] = len(self.table_ids)
                     new.append(j)
-                if tid is not None:
-                    found[i] = tid
-                    if keys[i] not in self.ids and self._keep(width):
-                        self.ids[keys[i]] = tid
+                self.full = self.full or tid < 0
+                if tid >= 0 and self._keep(width):
+                    self.ids[key] = tid
+                missed[key] = tid
             if new:
                 self.tables = _frozen(np.concatenate([self.tables, computed[new]]))
-                empty = np.full((len(new), self.slot.shape[1]), -1)
-                self.slot = _frozen(np.concatenate([self.slot, empty]))
-        ids = np.array(found).reshape(pub.shape[:-1])
+                nus = learning.floored_log(learning.action_likelihoods(computed[new], self.model))
+                self.nus = _frozen(np.concatenate([self.nus, nus]))
+            found = [missed[key] if tid < 0 else tid for key, tid in zip(keys, found)]
+        ids = np.empty(pub.shape[:-1], dtype=np.int64)
+        ids.flat = found
         if -1 not in found:
             return self.tables.take(ids, axis=0), ids
-        # rows whose table did not fit read the computed one
-        acts = np.empty(ids.shape + computed.shape[1:], dtype=computed.dtype)
-        acts[ids >= 0] = self.tables[ids[ids >= 0]]
-        acts.reshape(len(keys), -1)[miss] = computed
-        return acts, ids
+        # rows whose table did not fit read the computed one, after the kept tables
+        row = {key: len(self.tables) + j for j, key in enumerate(missed)}
+        at = np.reshape([row[key] if tid < 0 else tid for key, tid in zip(keys, found)], ids.shape)
+        return np.concatenate([self.tables, computed]).take(at, axis=0), ids
 
     def nu(self, pub: np.ndarray, a: np.ndarray, acts: np.ndarray,
            ids: np.ndarray) -> np.ndarray:
         """learning.action_likelihood(pub, a, model, table=acts), where
-        (acts, ids) = table(pub): kept slots are read, and one call computes
-        the rest, one row for each empty slot and each row without a table id."""
-        slots = self.slot[ids, a - 1]
-        if -1 not in slots.ravel().tolist():
-            return self.nus.take(slots, axis=0)
-        x, num_actions = pub.shape[-1], self.slot.shape[1]
-        ids, a, slots = ids.reshape(-1), a.reshape(-1), slots.reshape(-1)
-        need = np.flatnonzero(slots < 0)
-        # one code per slot, and one of its own for each row without a table id
-        codes = np.where(ids[need] >= 0, ids[need] * num_actions + a[need] - 1, -1 - need)
-        codes, first, inverse = np.unique(codes, return_index=True, return_inverse=True)
-        rows = need[first]
-        computed = learning.action_likelihood(pub.reshape(-1, x)[rows], a[rows], self.model,
-                                              table=acts.reshape(-1, acts.shape[-1])[rows])
-        own = np.empty((ids.size, x))
-        own[slots >= 0] = self.nus[slots[slots >= 0]]
-        own[need] = computed[inverse]
-        fresh = [j for j, code in enumerate(codes.tolist())
-                 if code >= 0 and self._keep(computed[j].nbytes)]
-        if fresh:
-            slot = self.slot.copy()
-            slot[ids[rows[fresh]], a[rows[fresh]] - 1] = np.arange(len(self.nus),
-                                                                   len(self.nus) + len(fresh))
-            self.slot = _frozen(slot)
-            self.nus = _frozen(np.concatenate([self.nus, computed[fresh]]))
-        return own.reshape(pub.shape)
+        (acts, ids) = table(pub) and each a is an action its row's table
+        selects: read from nus, and computed by one call for the rows
+        without a table id."""
+        if not self.full:  # every row has a table id
+            return self.nus[ids, a - 1]
+        own, kept = np.empty(pub.shape), ids >= 0
+        own[kept] = self.nus[ids[kept], a[kept] - 1]
+        lost = ~kept
+        own[lost] = learning.action_likelihood(pub[lost], a[lost], self.model, table=acts[lost])
+        return own
 
 
 class StepTrie:
-    """Block steps of the runs of one study, keyed by the action histories they heard.
+    """Block inputs of the runs of one study, keyed by the action histories they heard.
 
-    steps[(state, key)] = (next state, log_after, rows, following), and
-    first is block 1's (evidence, pub, acts), kept with the first step.
-    Every array in it is read-only; nbytes, its arrays and keys, never
-    exceeds TRIE_BUDGET.  hits counts the block steps served from it.
+    A state numbers a path of keys, -1 the empty one; steps[(state, key)]
+    is the state the path extends to, and inputs[state] the (evidence,
+    pub, acts, ids) of the block that path leads into.  Every array in it
+    is read-only; nbytes, its keys and arrays, never exceeds TRIE_BUDGET.
+    hits counts the blocks whose inputs it served.
     """
 
     def __init__(self):
-        self.steps: dict[tuple[int, bytes], tuple] = {}
-        self.first: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
+        self.steps: dict[tuple[int, bytes], int] = {}
+        self.inputs: list[tuple[np.ndarray, ...]] = []
         self.nbytes = 0
         self.hits = 0
+
+    def add(self, state: int, key: bytes, inputs: tuple[np.ndarray, ...]) -> int | None:
+        """The state key extends state to, holding inputs; None if they do not fit."""
+        size = len(key) + sum(arr.nbytes for arr in inputs)
+        if self.nbytes + size > TRIE_BUDGET:
+            return None
+        self.nbytes += size
+        self.inputs.append(tuple(map(_frozen, inputs)))
+        self.steps[state, key] = len(self.inputs) - 1
+        return len(self.inputs) - 1
 
 
 @dataclass(frozen=True)
@@ -336,10 +333,11 @@ class RunTables:
     weighs node i+1's stored row in node n's fusion, and is zero unless that
     row reaches node n (over an edge for after-evidence, over a path for an
     own increment).  config and graph are the objects the tables were built
-    from, trie caches the block steps of the study's runs, and memo their
-    action tables and action likelihoods by public-belief row: keyed by the
-    row's exact bytes, within TRIE_BUDGET, and bit for bit the direct calls,
-    as both kernels work row by row.
+    from, trie holds the block inputs of the study's runs by the actions
+    they heard, and memo their action tables and action likelihoods by
+    public-belief row: keyed by the row's exact bytes, each within
+    TRIE_BUDGET, and bit for bit the direct calls, as both kernels work row
+    by row.
     """
 
     coeffs: np.ndarray              # (M, N, N) float
@@ -424,63 +422,37 @@ def run_once(config: ScenarioConfig, graph: CommGraph, rng: np.random.Generator,
     node_index = np.arange(graph.size)
     blocks, trie, memo = tables.blocks, tables.trie, tables.memo
 
-    def inputs(b):
-        """Block b's (evidence, pub, acts) from the rows stored before it, and
-        the table ids of pub; (None, None) past the last."""
-        if b == len(blocks):
-            return None, None
-        lo, hi = blocks[b]
-        # the one call in a block step that can raise, before the block writes
-        # anything: with every row finite, no later call can
-        evidence = learning.fuse(tables.coeffs[:, lo:hi, :lo], stored[:, :lo], node=lo + 1)
-        pub = learning.normalize_log(log_prior + evidence)
-        acts, ids = memo.table(pub)  # action each z induces
-        return (evidence, pub, acts), ids
-
-    following, ids = (trie.first, None) if trie.first else inputs(0)
-    state, first = 0, following
-    for b, (lo, hi) in enumerate(blocks):
-        # nodes lo+1..hi, none of which hears another, in one row per (mode, node)
-        evidence, pub, acts = following
+    state, key = -1, b""  # the empty history; block 1 hears no actions
+    for lo, hi in blocks:
+        # nodes lo+1..hi, none of which hears another, in one row per (mode, node);
+        # state is None once the run has left the trie, and never looks up a hit
+        held = trie.steps.get((state, key))
+        if held is not None:
+            state = held
+            evidence, pub, acts, ids = trie.inputs[state]
+            trie.hits += 1
+        else:
+            # the one call in a block step that can raise, before the block writes
+            # anything: with every row finite, no later call can
+            evidence = learning.fuse(tables.coeffs[:, lo:hi, :lo], stored[:, :lo], node=lo + 1)
+            pub = learning.normalize_log(log_prior + evidence)
+            acts, ids = memo.table(pub)  # action each z induces
+            if state is not None:
+                state = trie.add(state, key, (evidence, pub, acts, ids))
         a = acts[:, node_index[:hi - lo], obs_index[lo:hi]]
+        # every row's action is induced by the drawn z, so no row (obs_oracle's,
+        # replaced below, included) can raise ZeroProbabilityActionError
+        own = memo.nu(pub, a, acts, ids)
+        if tables.oracle:
+            own[tables.oracle] = obs_loglik[lo:hi]
+        after_evidence = evidence + own
+        stored[:, lo:hi] = np.where(tables.stores_after, after_evidence, own)
+        after[:, lo:hi] = log_prior + after_evidence  # normalised once the run is done
+        public[:, lo:hi] = pub
+        actions[:, lo:hi] = a
         key = a.tobytes()
         if tables.oracle:
             key += observations[lo:hi].tobytes()
-        step = trie.steps.get((state, key))  # never a hit once state is None
-        if step is not None:
-            state, log_after, rows, following = step
-            ids = None  # the trie keeps no table ids
-            stored[:, lo:hi] = rows
-            trie.hits += 1
-        else:
-            # every row's action is induced by the drawn z, so no row (obs_oracle's,
-            # replaced below, included) can raise ZeroProbabilityActionError
-            if ids is None:
-                ids = memo.table(pub)[1]
-            own = memo.nu(pub, a, acts, ids)
-            if tables.oracle:
-                own[tables.oracle] = obs_loglik[lo:hi]
-            after_evidence = evidence + own
-            log_after = log_prior + after_evidence
-            rows = np.where(tables.stores_after, after_evidence, own)
-            stored[:, lo:hi] = rows
-            following, ids = inputs(b + 1)
-            if state is not None:
-                # the first step kept also keeps block 1's inputs
-                kept = (log_after, rows, *(following or ()), *(() if trie.first else first))
-                size = len(key) + sum(arr.nbytes for arr in kept)
-                if trie.nbytes + size > TRIE_BUDGET:
-                    state = None  # the run leaves the trie
-                else:
-                    for arr in kept:
-                        arr.flags.writeable = False
-                    trie.nbytes += size
-                    trie.first = first
-                    trie.steps[state, key] = (len(trie.steps) + 1, log_after, rows, following)
-                    state = len(trie.steps)
-        after[:, lo:hi] = log_after  # normalised once the run is done
-        public[:, lo:hi] = pub
-        actions[:, lo:hi] = a
 
     after = learning.normalize_log(after)
     return RunTrace(true_state=x, graph_digest=tables.digest, modes=config.modes,

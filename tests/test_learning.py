@@ -23,7 +23,7 @@ from incestless import (
     sample_observation,
     triangular_likelihood,
 )
-from incestless.learning import fuse, fuse_terms
+from incestless.learning import action_likelihoods, floored_log, fuse, fuse_terms
 
 from conftest import after_action_update
 
@@ -342,6 +342,33 @@ class TestActionTable:
             expected = np.stack([action_likelihood(p, int(ak), m) for p, ak in zip(group, a)])
             assert np.array_equal(action_likelihood(group, a, m), expected)
             assert np.array_equal(action_likelihood(group, a, m, table=table), expected)
+
+    def test_likelihoods_of_every_action_equal_single_calls(self):
+        # the default model among table_cases, and its 1e-3-cost copy with
+        # subnormal normalisers among the first 60 subnormal_cases
+        default = default_model()
+        cases = [case for case in [*table_cases(np.random.default_rng(17)),
+                                   *subnormal_cases(np.random.default_rng(18))]
+                 if case[0].num_states == default.num_states]
+        models = {id(m): m for m, _ in cases}
+        assert len(models) == 2
+        for m in models.values():
+            pubs = np.stack([pub for model, pub in cases if model is m])
+            tables = action_table(pubs, m)
+            liks = action_likelihoods(tables, m)
+            assert liks.shape == (len(pubs), m.num_actions, m.num_states)
+            # a stack of stacks gives the same rows
+            half = len(pubs) // 2 * 2
+            assert np.array_equal(action_likelihoods(tables[:half].reshape(2, half // 2, -1), m),
+                                  liks[:half].reshape(2, half // 2, *liks.shape[1:]))
+            for pub, table, lik in zip(pubs, tables, liks):
+                assert np.array_equal(lik, action_likelihoods(table, m))
+                for a in range(1, m.num_actions + 1):
+                    if a in table:
+                        expected = action_likelihood(pub, a, m, table=table)
+                        assert floored_log(lik[a - 1]).tobytes() == expected.tobytes()
+                    else:
+                        assert not lik[a - 1].any()
 
     def test_stacked_likelihood_raises_for_an_unselectable_row(self):
         m = default_model()

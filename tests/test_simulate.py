@@ -402,11 +402,7 @@ def assert_same_runs(got, expected):
 
 def trie_contents(trie):
     """(keys, arrays) held by a StepTrie."""
-    keys = [key for _, key in trie.steps]
-    arrays = list(trie.first or ())
-    for _, log_after, rows, following in trie.steps.values():
-        arrays.extend((log_after, rows, *(following or ())))
-    return keys, arrays
+    return [key for _, key in trie.steps], [arr for inputs in trie.inputs for arr in inputs]
 
 
 @pytest.fixture
@@ -493,17 +489,38 @@ class TestStepTrie:
             run_once(config, build_graph(config), np.random.default_rng(0), tables=tables)
         assert tables.trie.hits == tables.trie.nbytes == 0
 
-    def test_budget_and_read_only_arrays(self, built_tables):
+    def test_budget_counts_keys_and_held_inputs(self, built_tables):
         # complete_delay's blocks of six nodes fill the budget within a few runs
         config = cli.build_scenario(cli.load_config_file("paper_complete"), runs=30)
         monte_carlo(config)
         trie = built_tables[-1].trie
         keys, arrays = trie_contents(trie)
+        # one state per key, each holding (evidence, pub, acts, ids)
+        assert len(keys) == len(trie.inputs) and len(arrays) == 4 * len(keys)
         assert trie.nbytes == sum(map(len, keys)) + sum(a.nbytes for a in arrays)
-        # one more block step (six nodes, three modes, five arrays) would not fit
-        assert simulate.TRIE_BUDGET - 5 * 3 * 6 * 20 * 8 < trie.nbytes <= simulate.TRIE_BUDGET
+        # one more block's key and inputs (six nodes, three modes) would not fit
+        one_block = 3 * 6 * 8 * (1 + 20 + 20 + 20 + 1)
+        assert simulate.TRIE_BUDGET - one_block < trie.nbytes <= simulate.TRIE_BUDGET
         assert arrays and not any(a.flags.writeable for a in arrays)
         assert all(a.base is None for a in arrays)
+
+    # learning.fuse calls of each bundled study when the trie held whole block
+    # steps, keyed by edge; held by history state, block inputs take no more
+    @pytest.mark.parametrize("name, fuses", [("paper_chain41", 1783), ("paper_complete", 199),
+                                             ("paper_star", 297), ("paper_random4", 290)])
+    def test_bundled_study_reuses_block_inputs(self, name, fuses, built_tables, monkeypatch):
+        calls = []
+        fuse = learning.fuse
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return fuse(*args, **kwargs)
+
+        monkeypatch.setattr(learning, "fuse", counted)
+        config = cli.build_scenario(cli.load_config_file(name))
+        assert config.runs == 100
+        monte_carlo(config)
+        assert built_tables[-1].trie.hits > 0 and len(calls) <= fuses
 
     def test_each_study_starts_from_an_empty_trie(self, built_tables):
         config = cli.build_scenario(cli.load_config_file("paper_chain41"), runs=10)
@@ -524,7 +541,7 @@ class TestStepTrie:
 
 def memo_contents(memo):
     """(keys, arrays) held by a RowMemo."""
-    return [*memo.ids, *memo.table_ids], [memo.tables, memo.slot, memo.nus]
+    return [*memo.ids, *memo.table_ids], [memo.tables, memo.nus]
 
 
 def assert_memo_within(memo, budget):
@@ -600,25 +617,36 @@ class TestRowMemo:
                 arr[0] = 0
 
     def test_paper_star_work(self, monkeypatch):
-        # rows given to action_table and calls of action_likelihood in the
-        # bundled study; without the memo they were 5346 rows and 396 calls
-        counts = {"table rows": 0, "likelihood calls": 0}
-        table, likelihood = learning.action_table, learning.action_likelihood
+        # rows given to action_table and action_likelihoods, and calls of
+        # action_likelihood, in the bundled study; without the memo they were
+        # 5346 table rows and 396 likelihood calls, and with one that computed
+        # a missed row once per occurrence and likelihoods per (table, action),
+        # 1294 table rows and 33 likelihood calls
+        counts = {"table rows": 0, "likelihood tables": 0, "likelihood calls": 0}
+        table, likelihoods = learning.action_table, learning.action_likelihoods
+        likelihood = learning.action_likelihood
 
         def counted_table(pub, model):
             counts["table rows"] += pub.size // pub.shape[-1]
             return table(pub, model)
+
+        def counted_likelihoods(tables, model):
+            counts["likelihood tables"] += tables.size // tables.shape[-1]
+            return likelihoods(tables, model)
 
         def counted_likelihood(*args, **kwargs):
             counts["likelihood calls"] += 1
             return likelihood(*args, **kwargs)
 
         monkeypatch.setattr(learning, "action_table", counted_table)
+        monkeypatch.setattr(learning, "action_likelihoods", counted_likelihoods)
         monkeypatch.setattr(learning, "action_likelihood", counted_likelihood)
         config = cli.build_scenario(cli.load_config_file("paper_star"))
         assert config.runs == 100
         monte_carlo(config)
-        assert counts == {"table rows": 1294, "likelihood calls": 33}
+        # one table row per distinct public-belief row, one likelihood table
+        # per distinct action table, and every row has a table id
+        assert counts == {"table rows": 563, "likelihood tables": 28, "likelihood calls": 0}
 
 
 class TestWeightsSolvedOnce:
