@@ -42,11 +42,11 @@ the per-node, per-mode loop, and raises what that loop raises.  What a
 run reads that depends on the graph and the config alone (the M x N x N
 coefficient table, the blocks, the graph digest) is built once per study
 by run_tables, and monte_carlo passes it to every run_once.
-A block's inputs (evidence, pub, acts and the table ids of pub) depend
-only on the actions heard before it, and runs that herd hear the same
-actions, so the tables also hold a StepTrie, which reuses block inputs
-across the runs of the study.  It holds steps[(state, key)] = next state
-and inputs[state]: a state is an int that numbers a path of keys (-1 the
+A block's inputs (evidence, pub and the table ids of pub) depend only on
+the actions heard before it, and runs that herd hear the same actions, so
+the tables also hold a StepTrie, which reuses block inputs across the runs
+of the study.  It holds steps[(state, key)] = next state and
+inputs[state]: a state is an int that numbers a path of keys (-1 the
 empty path), a key is a block's joint actions (M x L, as bytes, plus its
 observations when obs_oracle is among the modes, whose own increment is
 the observation's; empty for block 1, which hears nothing), and inputs
@@ -55,24 +55,26 @@ stored before it, and those follow from the key path alone (by induction
 over the blocks: a block's stored rows follow from its inputs and its
 key), so held inputs are the ones the block would compute, bit for bit.
 Every block step takes one path: one lookup, then fuse, normalize_log and
-the memo's tables only for inputs the trie does not hold, which it keeps
-while its arrays and keys fit TRIE_BUDGET (512 KiB per study, a
+the memo's table ids only for inputs the trie does not hold, which it
+keeps while its arrays and keys fit TRIE_BUDGET (512 KiB per study, a
 constant); inputs that do not fit leave the run outside the trie.
 Herding also brings the same public beliefs back (on paper_chain41, 1915
 of 12 300 rows are distinct), and they induce few action tables (28-57 per
 bundled study), so the tables also hold a RowMemo.  It maps a public-belief
 row's exact bytes to a table id, and keeps each distinct action-table row
 once, with the log-likelihood of every action under it.  A block step
-calls action_table once on the distinct rows the memo misses, and its nu
-is a gather from the kept likelihoods; action_likelihood computes only
-the rows without a table id.  Both kernels work row by row, so a row
-computed in a smaller batch has the same bits, and the memo changes no
-output.  It keeps an entry while its keys and arrays fit its own
-TRIE_BUDGET; an entry that does not fit is computed and not kept.
-run_tables binds its tables to the config and graph it was given, and
-run_once refuses tables built for other objects; monte_carlo builds them
-per study, so no state outlives the call.  A run draws its N observations in one call, and all
-modes share them, so their traces differ by aggregation alone.
+calls action_table once on the distinct rows the memo misses, and every
+row has a table id, so a block's actions and their nu are two gathers by
+id.  Both kernels work row by row, so a row computed in a smaller batch
+has the same bits, and the memo changes no output.  The memo keeps every
+row it is given; once its keys and arrays exceed TRIE_BUDGET, the next
+run starts by clearing it, and the trie with it, whose held inputs hold
+memo ids.  So the memo holds at most TRIE_BUDGET plus the rows one run
+adds.  run_tables binds its tables to the config and graph it was given,
+and run_once refuses tables built for other objects; monte_carlo builds
+them per study, so no state outlives the call.  A run draws its N
+observations in one call, and all modes share them, so their traces
+differ by aggregation alone.
 RunTrace keeps the run as (M x N) and (M x N x X) arrays; its `records` is
 a per-node view of them, built on demand.
 Child r of SeedSequence(seed) (graph.seed_rng) drives run r; child 0 draws
@@ -201,8 +203,9 @@ def node_weights(graph: CommGraph) -> list[np.ndarray]:
 
 
 # Bytes of keys and array data that each of one study's caches, its StepTrie
-# and its RowMemo, may hold.  Without a bound, a study whose runs rarely share
-# a prefix fills megabytes it never reads.
+# and its RowMemo, may hold (the memo, at the start of a run).  Without a
+# bound, a study whose runs rarely share a prefix fills megabytes it never
+# reads.
 TRIE_BUDGET = 512 * 1024
 
 
@@ -216,86 +219,56 @@ class RowMemo:
 
     ids maps a public-belief row's bytes to its table id, and tables[id] is
     the row's action table; each distinct table is kept once, and
-    table_ids maps its bytes to its id.  nus[id, a-1] is
+    table_index maps its bytes to its id.  nus[id, a-1] is
     floored_log(learning.action_likelihoods(tables[id]))[a-1], the
-    log-likelihood of action a, kept with the table.  An entry that does
-    not fit the budget is computed and not kept, so once a table has not
-    fit (full) a row may have no table id: its id is -1, and its table and
-    likelihood are computed each time.
-    Every array is read-only and replaced when it grows; nbytes, the keys
-    and arrays, never exceeds TRIE_BUDGET.
+    log-likelihood of action a, kept with the table.  Every row it is given
+    is kept, so every row has a table id; run_once clears the memo at the
+    start of a run once nbytes, its keys and arrays, exceeds TRIE_BUDGET.
+    Every array is read-only and replaced when it grows.
     """
 
     def __init__(self, model: StateModel):
         self.model = model
+        self.clear()
+
+    def clear(self):
+        """Drop every row and table."""
         self.ids: dict[bytes, int] = {}
-        self.table_ids: dict[bytes, int] = {}
-        self.tables = _frozen(np.empty((0, model.num_obs), dtype=np.int64))
-        self.nus = _frozen(np.empty((0, model.num_actions, model.num_states)))
+        self.table_index: dict[bytes, int] = {}
+        self.tables = _frozen(np.empty((0, self.model.num_obs), dtype=np.int64))
+        self.nus = _frozen(np.empty((0, self.model.num_actions, self.model.num_states)))
         self.nbytes = 0
-        self.full = False
 
-    def _keep(self, size: int) -> bool:
-        """Count size more bytes if they fit the budget."""
-        if self.nbytes + size > TRIE_BUDGET:
-            return False
-        self.nbytes += size
-        return True
-
-    def table(self, pub: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(acts, ids) for beliefs pub (..., X): acts (..., Z) is
+    def table_ids(self, pub: np.ndarray) -> np.ndarray:
+        """Table ids (...) of beliefs pub (..., X): tables[ids] is
         learning.action_table(pub, model), computed by one call on the
-        distinct rows the memo misses, and ids (...) the rows' table ids."""
+        distinct rows the memo misses."""
         rows = pub.reshape(-1, pub.shape[-1])
         data, width = rows.tobytes(), rows.shape[1] * rows.itemsize
         keys = [data[i:i + width] for i in range(0, len(data), width)]
-        found = [self.ids.get(key, -1) for key in keys]
-        missed = {}  # each distinct missed row's key -> its first row, then its table id
-        for i, tid in enumerate(found):
-            if tid < 0:
-                missed.setdefault(keys[i], i)
+        missed = {}  # each distinct missed row's key -> its first row
+        for i, key in enumerate(keys):
+            if key not in self.ids:
+                missed.setdefault(key, i)
         if missed:
             computed = learning.action_table(rows.take(list(missed.values()), axis=0), self.model)
             computed_bytes, size = computed.tobytes(), computed.shape[1] * computed.itemsize
-            nu_size = self.nus.itemsize * self.model.num_actions * self.model.num_states
             new = []
             for j, key in enumerate(missed):
                 table = computed_bytes[j * size:(j + 1) * size]
-                tid = self.table_ids.get(table, -1)
-                if tid < 0 and self._keep(2 * size + nu_size):
-                    tid = self.table_ids[table] = len(self.table_ids)
+                if table not in self.table_index:
+                    self.table_index[table] = len(self.table_index)
                     new.append(j)
-                self.full = self.full or tid < 0
-                if tid >= 0 and self._keep(width):
-                    self.ids[key] = tid
-                missed[key] = tid
+                self.ids[key] = self.table_index[table]
+            self.nbytes += len(missed) * width
             if new:
                 self.tables = _frozen(np.concatenate([self.tables, computed[new]]))
                 nus = learning.floored_log(learning.action_likelihoods(computed[new], self.model))
                 self.nus = _frozen(np.concatenate([self.nus, nus]))
-            found = [missed[key] if tid < 0 else tid for key, tid in zip(keys, found)]
+                self.nbytes += len(new) * 2 * size + nus.nbytes
         ids = np.empty(pub.shape[:-1], dtype=np.int64)
-        ids.flat = found
-        if -1 not in found:
-            return self.tables.take(ids, axis=0), ids
-        # rows whose table did not fit read the computed one, after the kept tables
-        row = {key: len(self.tables) + j for j, key in enumerate(missed)}
-        at = np.reshape([row[key] if tid < 0 else tid for key, tid in zip(keys, found)], ids.shape)
-        return np.concatenate([self.tables, computed]).take(at, axis=0), ids
-
-    def nu(self, pub: np.ndarray, a: np.ndarray, acts: np.ndarray,
-           ids: np.ndarray) -> np.ndarray:
-        """learning.action_likelihood(pub, a, model, table=acts), where
-        (acts, ids) = table(pub) and each a is an action its row's table
-        selects: read from nus, and computed by one call for the rows
-        without a table id."""
-        if not self.full:  # every row has a table id
-            return self.nus[ids, a - 1]
-        own, kept = np.empty(pub.shape), ids >= 0
-        own[kept] = self.nus[ids[kept], a[kept] - 1]
-        lost = ~kept
-        own[lost] = learning.action_likelihood(pub[lost], a[lost], self.model, table=acts[lost])
-        return own
+        ids.flat = [self.ids[key] for key in keys]
+        return ids
 
 
 class StepTrie:
@@ -303,16 +276,21 @@ class StepTrie:
 
     A state numbers a path of keys, -1 the empty one; steps[(state, key)]
     is the state the path extends to, and inputs[state] the (evidence,
-    pub, acts, ids) of the block that path leads into.  Every array in it
-    is read-only; nbytes, its keys and arrays, never exceeds TRIE_BUDGET.
-    hits counts the blocks whose inputs it served.
+    pub, ids) of the block that path leads into, ids the table ids of pub
+    in the study's RowMemo.  Every array in it is read-only; nbytes, its
+    keys and arrays, never exceeds TRIE_BUDGET.  hits counts the blocks
+    whose inputs it served.
     """
 
     def __init__(self):
+        self.hits = 0
+        self.clear()
+
+    def clear(self):
+        """Drop every step and input."""
         self.steps: dict[tuple[int, bytes], int] = {}
         self.inputs: list[tuple[np.ndarray, ...]] = []
         self.nbytes = 0
-        self.hits = 0
 
     def add(self, state: int, key: bytes, inputs: tuple[np.ndarray, ...]) -> int | None:
         """The state key extends state to, holding inputs; None if they do not fit."""
@@ -335,9 +313,10 @@ class RunTables:
     own increment).  config and graph are the objects the tables were built
     from, trie holds the block inputs of the study's runs by the actions
     they heard, and memo their action tables and action likelihoods by
-    public-belief row: keyed by the row's exact bytes, each within
-    TRIE_BUDGET, and bit for bit the direct calls, as both kernels work row
-    by row.
+    public-belief row, keyed by the row's exact bytes.  Both are bounded by
+    TRIE_BUDGET (the memo at the start of a run, when run_once clears both
+    once the memo exceeds it), and bit for bit the direct calls, as both
+    kernels work row by row.
     """
 
     coeffs: np.ndarray              # (M, N, N) float
@@ -419,8 +398,11 @@ def run_once(config: ScenarioConfig, graph: CommGraph, rng: np.random.Generator,
     log_prior = model.log_prior
     stored, public, after = np.zeros(shape), np.empty(shape), np.empty(shape)
     actions = np.empty(shape[:2], dtype=np.int64)
-    node_index = np.arange(graph.size)
     blocks, trie, memo = tables.blocks, tables.trie, tables.memo
+    if memo.nbytes > TRIE_BUDGET:
+        # the trie holds table ids of the memo, so both start over
+        memo.clear()
+        trie.clear()
 
     state, key = -1, b""  # the empty history; block 1 hears no actions
     for lo, hi in blocks:
@@ -429,20 +411,21 @@ def run_once(config: ScenarioConfig, graph: CommGraph, rng: np.random.Generator,
         held = trie.steps.get((state, key))
         if held is not None:
             state = held
-            evidence, pub, acts, ids = trie.inputs[state]
+            evidence, pub, ids = trie.inputs[state]
             trie.hits += 1
         else:
             # the one call in a block step that can raise, before the block writes
             # anything: with every row finite, no later call can
             evidence = learning.fuse(tables.coeffs[:, lo:hi, :lo], stored[:, :lo], node=lo + 1)
             pub = learning.normalize_log(log_prior + evidence)
-            acts, ids = memo.table(pub)  # action each z induces
+            ids = memo.table_ids(pub)
             if state is not None:
-                state = trie.add(state, key, (evidence, pub, acts, ids))
-        a = acts[:, node_index[:hi - lo], obs_index[lo:hi]]
-        # every row's action is induced by the drawn z, so no row (obs_oracle's,
-        # replaced below, included) can raise ZeroProbabilityActionError
-        own = memo.nu(pub, a, acts, ids)
+                state = trie.add(state, key, (evidence, pub, ids))
+        # every row's action is induced by the drawn z, so no row's nu (obs_oracle's,
+        # replaced below, included) is that of an action ZeroProbabilityActionError
+        # refuses, one no z induces
+        a = memo.tables[ids, obs_index[lo:hi]]
+        own = memo.nus[ids, a - 1]
         if tables.oracle:
             own[tables.oracle] = obs_loglik[lo:hi]
         after_evidence = evidence + own

@@ -471,6 +471,28 @@ class TestStepTrie:
             monte_carlo(config, graph=graph)
         assert str(got.value) == str(expected)
 
+    def test_run_that_raises_leaves_a_table_id_for_every_row(self):
+        # Run 7 of this study raises at node 1017, after its earlier blocks
+        # added rows to the memo and inputs to the trie.  Every row it added
+        # has a table id, and run 8 over the same tables is the uncached run.
+        config = scenario(default_model(6, 6, 5), modes=ALL_MODES, true_state="random",
+                          runs=8)
+        graph = complete_dag(1018)
+        tables = simulate.run_tables(config, graph)
+        for r in range(1, 7):
+            run_once(config, graph, graphmod.seed_rng(config.seed, r), tables=tables)
+        added = len(tables.memo.ids)
+        with pytest.raises(ValueError, match="node 1017: fused evidence"):
+            run_once(config, graph, graphmod.seed_rng(config.seed, 7), tables=tables)
+        memo = tables.memo
+        ids = np.array(list(memo.ids.values()))
+        assert len(ids) > added and 0 <= ids.min() and ids.max() < len(memo.tables)
+        for _, pub, held in tables.trie.inputs:
+            assert np.array_equal(memo.tables[held], action_table(pub, config.model))
+        assert_same_runs([run_once(config, graph, graphmod.seed_rng(config.seed, 8),
+                                   tables=tables)],
+                         [run_once(config, graph, graphmod.seed_rng(config.seed, 8))])
+
     def test_tables_for_another_config_raise(self):
         config = cli.build_scenario(cli.load_config_file("paper_chain41"), runs=2)
         graph = build_graph(config)
@@ -490,24 +512,24 @@ class TestStepTrie:
         assert tables.trie.hits == tables.trie.nbytes == 0
 
     def test_budget_counts_keys_and_held_inputs(self, built_tables):
-        # complete_delay's blocks of six nodes fill the budget within a few runs
-        config = cli.build_scenario(cli.load_config_file("paper_complete"), runs=30)
+        # complete_delay's blocks of six nodes fill the budget within 45 runs
+        config = cli.build_scenario(cli.load_config_file("paper_complete"), runs=50)
         monte_carlo(config)
         trie = built_tables[-1].trie
         keys, arrays = trie_contents(trie)
-        # one state per key, each holding (evidence, pub, acts, ids)
-        assert len(keys) == len(trie.inputs) and len(arrays) == 4 * len(keys)
+        # one state per key, each holding (evidence, pub, ids)
+        assert len(keys) == len(trie.inputs) and len(arrays) == 3 * len(keys)
         assert trie.nbytes == sum(map(len, keys)) + sum(a.nbytes for a in arrays)
         # one more block's key and inputs (six nodes, three modes) would not fit
-        one_block = 3 * 6 * 8 * (1 + 20 + 20 + 20 + 1)
+        one_block = 3 * 6 * 8 * (1 + 20 + 20 + 1)
         assert simulate.TRIE_BUDGET - one_block < trie.nbytes <= simulate.TRIE_BUDGET
         assert arrays and not any(a.flags.writeable for a in arrays)
         assert all(a.base is None for a in arrays)
 
-    # learning.fuse calls of each bundled study when the trie held whole block
-    # steps, keyed by edge; held by history state, block inputs take no more
-    @pytest.mark.parametrize("name, fuses", [("paper_chain41", 1783), ("paper_complete", 199),
-                                             ("paper_star", 297), ("paper_random4", 290)])
+    # learning.fuse calls of each bundled study: one per block whose inputs
+    # the trie does not hold
+    @pytest.mark.parametrize("name, fuses", [("paper_chain41", 1651), ("paper_complete", 187),
+                                             ("paper_star", 288), ("paper_random4", 279)])
     def test_bundled_study_reuses_block_inputs(self, name, fuses, built_tables, monkeypatch):
         calls = []
         fuse = learning.fuse
@@ -520,7 +542,7 @@ class TestStepTrie:
         config = cli.build_scenario(cli.load_config_file(name))
         assert config.runs == 100
         monte_carlo(config)
-        assert built_tables[-1].trie.hits > 0 and len(calls) <= fuses
+        assert built_tables[-1].trie.hits > 0 and len(calls) == fuses
 
     def test_each_study_starts_from_an_empty_trie(self, built_tables):
         config = cli.build_scenario(cli.load_config_file("paper_chain41"), runs=10)
@@ -541,12 +563,12 @@ class TestStepTrie:
 
 def memo_contents(memo):
     """(keys, arrays) held by a RowMemo."""
-    return [*memo.ids, *memo.table_ids], [memo.tables, memo.nus]
+    return [*memo.ids, *memo.table_index], [memo.tables, memo.nus]
 
 
-def assert_memo_within(memo, budget):
+def assert_memo_counted(memo):
     keys, arrays = memo_contents(memo)
-    assert memo.nbytes == sum(map(len, keys)) + sum(a.nbytes for a in arrays) <= budget
+    assert memo.nbytes == sum(map(len, keys)) + sum(a.nbytes for a in arrays)
     assert not any(a.flags.writeable for a in arrays)
 
 
@@ -571,42 +593,65 @@ class TestRowMemo:
             else:
                 pub = normalize_log(rng.uniform(-60, 0, model.num_states))
             pool.append(pub)
-        # from one entry that fits to all of them
-        budget = data.draw(st.sampled_from([500, 1000, 1500, 2000, 3000, simulate.TRIE_BUDGET]),
-                           label="budget")
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(simulate, "TRIE_BUDGET", budget)
-            memo = simulate.RowMemo(model)
-            for _ in range(data.draw(st.integers(1, 10), label="stacks")):
-                shape = (data.draw(st.integers(1, 4)), data.draw(st.integers(1, 4)))
-                # rows drawn from the pool repeat within a stack and across stacks
-                picks = rng.integers(len(pool), size=shape)
-                pub = np.stack([pool[i] for i in picks.flat]).reshape(*shape, -1)
-                acts, ids = memo.table(pub)
-                expected = action_table(pub, model)
-                assert acts.dtype == expected.dtype and np.array_equal(acts, expected)
-                z = rng.integers(model.num_obs, size=(*shape, 1))
-                a = np.take_along_axis(acts, z, axis=-1)[..., 0]
-                own = memo.nu(pub, a, acts, ids)
-                assert own.tobytes() == action_likelihood(pub, a, model).tobytes()
-            assert_memo_within(memo, budget)
+        memo, given = simulate.RowMemo(model), set()
+        for _ in range(data.draw(st.integers(1, 10), label="stacks")):
+            shape = (data.draw(st.integers(1, 4)), data.draw(st.integers(1, 4)))
+            # rows drawn from the pool repeat within a stack and across stacks
+            picks = rng.integers(len(pool), size=shape)
+            pub = np.stack([pool[i] for i in picks.flat]).reshape(*shape, -1)
+            given.update(pool[i].tobytes() for i in picks.flat)
+            ids = memo.table_ids(pub)
+            assert ids.shape == shape and (ids >= 0).all()
+            acts, expected = memo.tables[ids], action_table(pub, model)
+            assert acts.dtype == expected.dtype and np.array_equal(acts, expected)
+            z = rng.integers(model.num_obs, size=(*shape, 1))
+            a = np.take_along_axis(acts, z, axis=-1)[..., 0]
+            own = memo.nus[ids, a - 1]
+            assert own.tobytes() == action_likelihood(pub, a, model).tobytes()
+        assert set(memo.ids) == given  # every row is kept
+        assert_memo_counted(memo)
 
     @pytest.mark.parametrize("name", BUNDLED)
     def test_small_budget_study_equals_uncached_runs(self, name, built_tables, monkeypatch):
         budget = 4096
         monkeypatch.setattr(simulate, "TRIE_BUDGET", budget)
+        cleared = []  # the memo's bytes before each clear
+        clear, run = simulate.RowMemo.clear, simulate.run_once
+
+        def counted_clear(memo):
+            if hasattr(memo, "nbytes"):  # not the memo's first, from __init__
+                cleared.append(memo.nbytes)
+            clear(memo)
+            assert_memo_counted(memo)
+            assert memo.nbytes == 0 and not memo.ids
+
+        def checked_run(config, graph, rng, tables):
+            memo, clears = tables.memo, len(cleared)
+            start = memo.nbytes
+            trace = run(config, graph, rng, tables=tables)
+            if len(cleared) > clears:
+                assert len(cleared) == clears + 1 and cleared[-1] == start > budget
+                start = 0
+            assert start <= budget
+            # each of the run's rows adds at most its key, a table with its
+            # key, and the table's likelihoods
+            row = trace.public[0, 0].nbytes + 2 * memo.tables[0].nbytes + memo.nus[0].nbytes
+            assert memo.nbytes <= budget + trace.actions.size * row
+            assert_memo_counted(memo)
+            return trace
+
+        monkeypatch.setattr(simulate.RowMemo, "clear", counted_clear)
+        monkeypatch.setattr(simulate, "run_once", checked_run)
         config = cli.build_scenario(cli.load_config_file(name), runs=30)
         config = dataclasses.replace(config, modes=ALL_MODES)
         graph = build_graph(config)
-        expected = uncached_study(config, graph)
+        expected = [run(config, graph, graphmod.seed_rng(config.seed, r))
+                    for r in range(1, config.runs + 1)]
         metrics = monte_carlo(config, graph=graph)
         for k, mode in enumerate(config.modes):
             assert np.array_equal(metrics.actions[mode], [t.actions[k] for t in expected])
             assert np.array_equal(metrics.estimates[mode], [t.estimates[k] for t in expected])
-        memo = built_tables[-1].memo
-        assert_memo_within(memo, budget)
-        # full: the smallest entry, a likelihood slot, would not fit
-        assert memo.nbytes > budget - memo.nus[0].nbytes
+        assert cleared and built_tables[-1].trie.nbytes <= budget
 
     def test_arrays_are_read_only(self, built_tables):
         monte_carlo(cli.build_scenario(cli.load_config_file("paper_star"), runs=10))
