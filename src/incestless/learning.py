@@ -46,12 +46,15 @@ class StateModel:
     cost:         X x A matrix, cost[i, a-1] = C(x=i, a)
     likelihood_t: Z x X, the likelihood's transpose in C order; derived at
                   construction, not a parameter
+    log_prior:    log(prior), -inf where the prior is zero; derived at
+                  construction, not a parameter
     """
 
     prior: np.ndarray
     likelihood: np.ndarray
     cost: np.ndarray
     likelihood_t: np.ndarray = field(init=False, compare=False, repr=False)
+    log_prior: np.ndarray = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         # copies, so freezing them leaves the caller's arrays writeable
@@ -75,12 +78,15 @@ class StateModel:
         if (p < 0).any() or not np.isclose(p.sum(), 1.0, atol=1e-12):
             raise ValueError("prior must be a distribution")
         b_t = np.ascontiguousarray(b.T)
-        for arr in (p, b, c, b_t):
+        with np.errstate(divide="ignore"):
+            log_p = np.log(p)
+        for arr in (p, b, c, b_t, log_p):
             arr.flags.writeable = False
         object.__setattr__(self, "prior", p)
         object.__setattr__(self, "likelihood", b)
         object.__setattr__(self, "cost", c)
         object.__setattr__(self, "likelihood_t", b_t)
+        object.__setattr__(self, "log_prior", log_p)
 
     @property
     def num_states(self) -> int:
@@ -93,11 +99,6 @@ class StateModel:
     @property
     def num_actions(self) -> int:
         return self.cost.shape[1]
-
-    @property
-    def log_prior(self) -> np.ndarray:
-        with np.errstate(divide="ignore"):
-            return np.log(self.prior)
 
 
 def triangular_likelihood(num_states: int, width: int = 3) -> np.ndarray:
@@ -319,17 +320,24 @@ def fuse(coeffs: np.ndarray, evidence: np.ndarray, node: int) -> np.ndarray:
 
     coeffs is (M, L, K), one row per mode for each of the L nodes node,
     node+1, ... that fuse the same evidence (M, K, X); the result is
-    (M, L, X), from one product and one reduction over i, which adds the
-    terms in ascending i.  Entry i belongs to node i+1; run_tables builds
-    coeffs zero on every row a node does not receive, so no check is made here.
-    The evidence is finite, as every floored log-likelihood is, so a zero
-    coefficient adds +-0.0, which leaves the sum unchanged.  A sum can still
-    leave the float64 range (naive evidence counts paths, which pass about
-    1e305 on large dense graphs): a row that is not finite raises
-    ValueError naming the lowest such node.
+    (M, L, X), from one np.einsum.  With X >= 2, einsum keeps x as its
+    inner loop and adds coeffs * evidence into each output row in
+    ascending i, starting from 0.0: the order of one product and one
+    reduction over i (tests/conftest.py keeps that kernel as fuse_by_reduce)
+    and of fuse_terms.  Only the sign of an all-zero sum can differ, and
+    adding the log prior erases it.  With X = 1 einsum reduces over i in a
+    SIMD loop, in another order, so the bits of a sum may differ; a
+    one-state belief is [1.0] whatever its evidence, so no output does.
+    Entry i belongs to node i+1; run_tables builds coeffs zero on every row
+    a node does not receive, so no check is made here.  The evidence is
+    finite, as every floored log-likelihood is, so a zero coefficient adds
+    +-0.0, which leaves the sum unchanged.  A sum can still leave the
+    float64 range (naive evidence counts paths, which pass about 1e305 on
+    large dense graphs): a row that is not finite raises ValueError naming
+    the lowest such node.
     """
     with np.errstate(over="ignore", invalid="ignore"):
-        total = np.add.reduce(coeffs[..., None] * evidence[:, None], axis=2)
+        total = np.einsum("mlk,mkx->mlx", coeffs, evidence)
         # a sum that is not finite may come from finite rows: test them only then
         if not math.isfinite(total.sum()):
             bad = ~np.isfinite(total).all(axis=(0, 2))

@@ -26,8 +26,8 @@ Nodes update block by block (graph.independent_blocks).  A block is a
 maximal run of consecutive nodes none of which hears another, such as the
 agents of one epoch, so all of it updates in one step over arrays stacked
 by mode and node (M modes x L nodes x X states): one learning.fuse call
-sums the rows stored before the block with the block's rows of the
-coefficient table, for every mode at once; one normalize_log gives the
+(one np.einsum) sums the rows stored before the block with the block's
+coefficient slice, for every mode at once; one normalize_log gives the
 public beliefs, their action tables (learning.action_table) both the
 agents' actions and the observations each nu sums over, and the tables'
 likelihoods (learning.action_likelihoods) the nu of every (mode, node),
@@ -39,9 +39,13 @@ counts paths, which pass the float64 range on large dense graphs, and
 fuse raises ValueError for the lowest node whose fused evidence is not
 finite, before the block writes anything.  The block step is bit for bit
 the per-node, per-mode loop, and raises what that loop raises.  What a
-run reads that depends on the graph and the config alone (the M x N x N
-coefficient table, the blocks, the graph digest) is built once per study
-by run_tables, and monte_carlo passes it to every run_once.
+run reads that depends on the graph and the config alone (the blocks,
+their coefficient slices, the graph digest) is built once per study by
+run_tables, and monte_carlo passes it to every run_once.  Block (lo, hi)
+fuses the rows of nodes 1..lo only, so its slice is the (M, hi - lo, lo)
+corner of the M x N x N coefficient table that it reads; the slices are
+C-contiguous views of one float64 buffer, which holds no other entry of
+that table.
 A block's inputs (evidence, pub and the table ids of pub) depend only on
 the actions heard before it, and runs that herd hear the same actions, so
 the tables also hold a StepTrie, which reuses block inputs across the runs
@@ -307,19 +311,22 @@ class StepTrie:
 class RunTables:
     """What every run of a study shares; it depends on the graph and the config alone.
 
-    Row k of each per-mode table is config.modes[k].  coeffs[k, n-1, i]
-    weighs node i+1's stored row in node n's fusion, and is zero unless that
-    row reaches node n (over an edge for after-evidence, over a path for an
-    own increment).  config and graph are the objects the tables were built
-    from, trie holds the block inputs of the study's runs by the actions
-    they heard, and memo their action tables and action likelihoods by
-    public-belief row, keyed by the row's exact bytes.  Both are bounded by
-    TRIE_BUDGET (the memo at the start of a run, when run_once clears both
-    once the memo exceeds it), and bit for bit the direct calls, as both
-    kernels work row by row.
+    Row k of each per-mode table is config.modes[k].  coeffs[b] belongs to
+    block blocks[b] = (lo, hi): coeffs[b][k, l, i] weighs node i+1's stored
+    row in node lo+l+1's fusion, and is zero unless that row reaches that
+    node (over an edge for after-evidence, over a path for an own
+    increment).  Each is a read-only, C-contiguous view of one buffer, and
+    together they hold every coefficient a run reads, as a block reads only
+    the rows stored before it.  config and graph are the objects the
+    tables were built from, trie holds the block inputs of the study's runs
+    by the actions they heard, and memo their action tables and action
+    likelihoods by public-belief row, keyed by the row's exact bytes.  Both
+    are bounded by TRIE_BUDGET (the memo at the start of a run, when
+    run_once clears both once the memo exceeds it), and bit for bit the
+    direct calls, as both kernels work row by row.
     """
 
-    coeffs: np.ndarray              # (M, N, N) float
+    coeffs: list[np.ndarray]        # per block (lo, hi): (M, hi - lo, lo) float, C order
     stores_after: np.ndarray        # (M, 1, 1) bool: S[n] is the after-evidence, not the increment
     oracle: list[int]               # rows whose own increment is the observation's
     blocks: list[tuple[int, int]]   # graph.independent_blocks
@@ -337,6 +344,8 @@ def run_tables(config: ScenarioConfig, graph: CommGraph) -> RunTables:
     Each mode's coefficients are its weights masked by the rows its node
     receives, entry by entry: A for after-evidence, T - I for own
     increments.  Removal's are W * A, which is W where the constraint holds.
+    They are copied, block by block and mode by mode, into one float64
+    buffer, and each block gets its read-only slice of it.
     Only removal reads W: with removal among the modes, a W beyond int64
     raises WeightOverflowError, and a graph that violates the constraint
     raises ConstraintViolationError unless config.force.  Without removal,
@@ -363,13 +372,22 @@ def run_tables(config: ScenarioConfig, graph: CommGraph) -> RunTables:
     if removal:
         table["removal"] = (graph.weights, True, False)
     fs, stores_after, own_is_obs = zip(*(table[mode] for mode in config.modes))
-    # after-evidence arrives over edges, own increments over the whole history
-    coeffs = np.stack([(f * (adjacency if after else history)).T
-                       for f, after in zip(fs, stores_after)], dtype=np.float64)
+    # after-evidence arrives over edges, own increments over the whole history;
+    # row n-1 of a source is what node n fuses
+    sources = [(f * (adjacency if after else history)).T for f, after in zip(fs, stores_after)]
+    blocks, m = graphmod.independent_blocks(graph), len(sources)
+    buffer = np.empty(m * sum((hi - lo) * lo for lo, hi in blocks))
+    coeffs, end = [], 0
+    for lo, hi in blocks:
+        start, end = end, end + m * (hi - lo) * lo
+        block = buffer[start:end].reshape(m, hi - lo, lo)
+        for k, source in enumerate(sources):
+            block[k] = source[lo:hi, :lo]
+        coeffs.append(_frozen(block))
     return RunTables(
         coeffs=coeffs, stores_after=np.array(stores_after)[:, None, None],
         oracle=[k for k, is_obs in enumerate(own_is_obs) if is_obs],
-        blocks=graphmod.independent_blocks(graph), digest=graph.digest(),
+        blocks=blocks, digest=graph.digest(),
         constraint=constraint, config=config, graph=graph, memo=RowMemo(config.model))
 
 
@@ -405,7 +423,7 @@ def run_once(config: ScenarioConfig, graph: CommGraph, rng: np.random.Generator,
         trie.clear()
 
     state, key = -1, b""  # the empty history; block 1 hears no actions
-    for lo, hi in blocks:
+    for (lo, hi), coeffs in zip(blocks, tables.coeffs):
         # nodes lo+1..hi, none of which hears another, in one row per (mode, node);
         # state is None once the run has left the trie, and never looks up a hit
         held = trie.steps.get((state, key))
@@ -416,7 +434,7 @@ def run_once(config: ScenarioConfig, graph: CommGraph, rng: np.random.Generator,
         else:
             # the one call in a block step that can raise, before the block writes
             # anything: with every row finite, no later call can
-            evidence = learning.fuse(tables.coeffs[:, lo:hi, :lo], stored[:, :lo], node=lo + 1)
+            evidence = learning.fuse(coeffs, stored[:, :lo], node=lo + 1)
             pub = learning.normalize_log(log_prior + evidence)
             ids = memo.table_ids(pub)
             if state is not None:

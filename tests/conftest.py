@@ -211,6 +211,26 @@ def prefix(graph, n):
     return CommGraph(graph.adjacency[:n, :n].copy(), num_agents=n, num_epochs=1)
 
 
+def fuse_by_reduce(coeffs, evidence):
+    """Reference for learning.fuse: one (M, L, K, X) product, reduced over K.
+
+    The reduction adds the terms of each output row in ascending i, so it
+    fixes the order fuse must match.
+    """
+    return np.add.reduce(coeffs[..., None] * evidence[:, None], axis=2)
+
+
+def coefficient_table(tables):
+    """The (M, N, N) table that RunTables.coeffs cuts into block slices:
+    entry [k, n-1, i] weighs node i+1's stored row in node n's fusion, in
+    mode k.  Entries outside every block's slice are +0.0."""
+    size = tables.graph.size
+    table = np.zeros((len(tables.config.modes), size, size))
+    for (lo, hi), coeffs in zip(tables.blocks, tables.coeffs, strict=True):
+        table[:, lo:hi, :lo] = coeffs
+    return table
+
+
 def after_action_update(pub, a, model):
     """Public belief updated with the evidence carried by action a."""
     nu = action_likelihood(pub, a, model)

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -23,9 +25,14 @@ from incestless import (
     sample_observation,
     triangular_likelihood,
 )
+from incestless import augment_for_constraint, cli, simulate
 from incestless.learning import action_likelihoods, floored_log, fuse, fuse_terms
 
-from conftest import after_action_update
+from conftest import after_action_update, fuse_by_reduce
+
+
+ALL_MODES = ("naive", "removal", "idealized", "obs_oracle")
+BUNDLED = ("paper_chain41", "paper_complete", "paper_star", "paper_random4")
 
 
 def identity_model(num_states):
@@ -76,11 +83,17 @@ class TestModelConstruction:
     def test_caller_arrays_stay_writeable(self):
         prior, lik, cost = np.full(3, 1 / 3), np.eye(3), 1.0 - np.eye(3)
         m = StateModel(prior, lik, cost)
-        for arr in (m.prior, m.likelihood, m.cost, m.likelihood_t):
+        for arr in (m.prior, m.likelihood, m.cost, m.likelihood_t, m.log_prior):
             assert not arr.flags.writeable
         lik[0, 0] = 0.5
         prior[0] = cost[0, 1] = 0.0
         assert m.likelihood[0, 0] == 1.0 and m.prior[0] == 1 / 3 and m.cost[0, 1] == 1.0
+
+    def test_log_prior_is_derived_once(self):
+        # a zero prior entry gives -inf, with no divide-by-zero warning
+        m = StateModel(prior=[0.5, 0.0, 0.5], likelihood=np.eye(3), cost=np.eye(3))
+        assert m.log_prior is m.log_prior
+        assert m.log_prior.tolist() == [np.log(0.5), -np.inf, np.log(0.5)]
 
 
 class TestSampleObservation:
@@ -521,6 +534,73 @@ class TestFuseBlock:
         coeffs = np.ones((2, 4, 1))
         total = fuse(coeffs, evidence, node=3)
         assert np.array_equal(total, np.full((2, 4, 3), -1e308))
+
+
+def assert_same_bits(got, expected):
+    """Equal bit for bit once every zero is +0.0: adding the log prior to fused
+    evidence erases the sign of a zero sum, so nothing else may differ."""
+    assert got.shape == expected.shape
+    assert np.array_equal((got + 0.0).view(np.int64), (expected + 0.0).view(np.int64))
+
+
+def fused_by_terms(coeffs, evidence, node):
+    """fuse_terms on each (mode, node) row of a block, stacked as fuse stacks them."""
+    fused = [[fuse_terms(row, evidence[k], row != 0, node=node + j) for j, row in enumerate(rows)]
+             for k, rows in enumerate(coeffs)]
+    return np.array(fused).reshape(coeffs.shape[:2] + evidence.shape[2:])
+
+
+def block_slices(study):
+    """(RunTables, number of states) of a bundled study or of a dense_scale
+    study, complete_delay 10 x 20 augmented, in every mode."""
+    if study in BUNDLED:
+        config = cli.build_scenario(cli.load_config_file(study))
+    else:
+        raw = {"topology": {"kind": "complete_delay", "agents": 10, "epochs": 20},
+               "true_state": "random", "seed": int(study.split("-")[1])}
+        config = cli.build_scenario(raw)
+    config = dataclasses.replace(config, modes=ALL_MODES, force=True)
+    graph = simulate.build_graph(config)
+    if study not in BUNDLED:
+        graph = augment_for_constraint(graph)
+    return simulate.run_tables(config, graph), config.model.num_states
+
+
+class TestFuseIdentity:
+    """fuse's einsum adds each row's terms in ascending i, from 0.0, as the
+    ordered reduction (fuse_by_reduce) and fuse_terms do, whenever X >= 2."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(m=st.integers(1, 4), l=st.integers(1, 12), k=st.integers(0, 300),
+           x=st.integers(2, 64), scale=st.integers(0, 13), zeros=st.floats(0, 1),
+           sliced=st.booleans(), seed=st.integers(0, 2**32 - 1))
+    def test_equals_the_ordered_reduction(self, m, l, k, x, scale, zeros, sliced, seed):
+        rng = np.random.default_rng(seed)
+        # integer weights of mixed size up to 10^scale, as W's are, a share of them zero
+        coeffs = np.rint(rng.uniform(-1, 1, size=(m, l, k))
+                         * 10.0 ** rng.uniform(0, scale, size=(m, l, k)))
+        coeffs[rng.random((m, l, k)) < zeros] = 0.0
+        evidence = rng.normal(scale=50.0, size=(m, k, x))
+        if sliced:
+            # a block's rows of a larger table, and the rows stored before the block
+            table = np.ones((m, l + 3, k + 5))
+            table[:, 2:l + 2, :k] = coeffs
+            stored = np.ones((m, k + 4, x))
+            stored[:, :k] = evidence
+            coeffs, evidence = table[:, 2:l + 2, :k], stored[:, :k]
+        got = fuse(coeffs, evidence, node=3)
+        assert_same_bits(got, fuse_by_reduce(coeffs, evidence))
+        assert_same_bits(got, fused_by_terms(coeffs, evidence, node=3))
+
+    @pytest.mark.parametrize("study", [*BUNDLED, "dense_scale-1000", "dense_scale-1001"])
+    def test_every_block_slice(self, study):
+        tables, states = block_slices(study)
+        rng = np.random.default_rng(5)
+        for (lo, hi), coeffs in zip(tables.blocks, tables.coeffs):
+            evidence = rng.normal(scale=50.0, size=(len(ALL_MODES), lo, states))
+            got = fuse(coeffs, evidence, node=lo + 1)
+            assert_same_bits(got, fuse_by_reduce(coeffs, evidence))
+            assert_same_bits(got, fused_by_terms(coeffs, evidence, node=lo + 1))
 
 
 class TestFullHistory:

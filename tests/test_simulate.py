@@ -26,7 +26,7 @@ from incestless import graph as graphmod
 from incestless import learning, simulate
 from incestless.simulate import ScenarioConfig, build_graph, monte_carlo, run_once
 
-from conftest import DIAMOND_A_EDGES, reference_run_once
+from conftest import DIAMOND_A_EDGES, coefficient_table, reference_run_once
 
 ALL_MODES = ("naive", "removal", "idealized", "obs_oracle")
 BUNDLED = ("paper_chain41", "paper_complete", "paper_star", "paper_random4")
@@ -216,6 +216,25 @@ class TestStackedRunMatchesReference:
         assert_same_as_reference(config, augmented, seed)
         assert_same_as_reference(dataclasses.replace(config, force=True), graph, seed)
 
+    @pytest.mark.parametrize("seed", range(2))
+    def test_one_state_model(self, seed):
+        # With one state, learning.fuse's einsum reduces over the fused rows in
+        # a SIMD loop, not in ascending order, so its fused evidence may differ
+        # from the reference's in the last bits.  Every belief is exactly [1.0]
+        # whatever its evidence, so no output does.  obs_oracle's own
+        # increments, log p(z | x), are nonzero, so its evidence is too.
+        model = StateModel(prior=[1.0], likelihood=[[0.1, 0.2, 0.3, 0.4]],
+                           cost=[[1.0, 0.0, 2.0]])
+        raw = {"topology": {"kind": "complete_delay", "agents": 10, "epochs": 20},
+               "true_state": "random", "modes": list(ALL_MODES), "seed": seed}
+        config = dataclasses.replace(cli.build_scenario(raw, runs=3), model=model)
+        graph = augment_for_constraint(build_graph(config))
+        assert assert_same_as_reference(config, graph, seed) is None
+        expected = [reference_run_once(config, graph, graphmod.seed_rng(config.seed, r))
+                    for r in range(1, config.runs + 1)]
+        assert_same_runs(shared_study(config, graph, simulate.run_tables(config, graph)),
+                         expected)
+
     def test_study_without_removal_where_weights_leave_int64(self, model):
         # seed 3 of complete 10x60 has a weight beyond int64 (node 596), which
         # a study without removal never reads
@@ -321,7 +340,8 @@ class TestRunTables:
         config = scenario(model, modes=ALL_MODES, runs=3)
         forced = monte_carlo(dataclasses.replace(config, force=True), graph=graph)
         monkeypatch.setattr(graphmod, "violations", lambda weights, adjacency: {})
-        removal = simulate.run_tables(config, graph).coeffs[ALL_MODES.index("removal")]
+        tables = simulate.run_tables(config, graph)
+        removal = coefficient_table(tables)[ALL_MODES.index("removal")]
         assert np.array_equal(removal, (weights * graph.adjacency).T)
         assert weights[1, 4] != 0 and removal[4, 1] == 0  # node 5 drops row 2
         assert weights[0, 5] != 0 and removal[5, 0] == 0  # node 6 drops row 1
@@ -334,7 +354,7 @@ class TestRunTables:
     def test_forced_diamond_coefficients(self, model, diamond_b):
         # node 5 hears 1, 3 and 4; w_5 = [-1, -1, 1, 1] loses row 2 to the mask
         config = scenario(model, modes=ALL_MODES, force=True)
-        coeffs = simulate.run_tables(config, diamond_b).coeffs
+        coeffs = coefficient_table(simulate.run_tables(config, diamond_b))
         assert coeffs[:, 4].tolist() == [[1, 0, 1, 1, 0], [-1, 0, 1, 1, 0],
                                          [1, 1, 1, 1, 0], [1, 1, 1, 1, 0]]
         assert not np.signbit(coeffs[coeffs == 0]).any()  # every zero is +0.0
@@ -357,7 +377,7 @@ class TestRunTables:
             with pytest.raises(ConstraintViolationError):
                 simulate.run_tables(config, graph)
             return
-        coeffs = simulate.run_tables(config, graph).coeffs
+        coeffs = coefficient_table(simulate.run_tables(config, graph))
         history = graph.closure - np.eye(graph.size, dtype=np.int8)
         # after-evidence (naive, removal) arrives over edges, increments over history
         receives = {"naive": graph.adjacency, "removal": graph.adjacency,
@@ -368,6 +388,22 @@ class TestRunTables:
                 assert np.array_equal(coeffs[k], receives[mode].T), mode
         if clean:
             assert np.array_equal(coeffs[modes.index("removal")], graph.weights.T)
+
+    @pytest.mark.parametrize("name", BUNDLED)
+    def test_one_read_only_slice_per_block(self, name):
+        # block (lo, hi) fuses the rows of nodes 1..lo, so its slice is
+        # (M, hi - lo, lo), and the slices share one buffer that holds nothing else
+        config = dataclasses.replace(cli.build_scenario(cli.load_config_file(name)),
+                                     modes=ALL_MODES, force=True)
+        tables = simulate.run_tables(config, build_graph(config))
+        assert len(tables.coeffs) == len(tables.blocks)
+        buffer = tables.coeffs[0].base
+        for (lo, hi), coeffs in zip(tables.blocks, tables.coeffs):
+            assert coeffs.shape == (len(ALL_MODES), hi - lo, lo)
+            assert coeffs.dtype == np.float64 and coeffs.flags.c_contiguous
+            assert not coeffs.flags.writeable
+            assert coeffs.base is buffer
+        assert buffer.size == sum(coeffs.size for coeffs in tables.coeffs)
 
 
 def uncached_study(config, graph):
