@@ -476,6 +476,20 @@ class TestAggregation:
         assert np.isneginf(out.evidence[0])
 
 
+def assert_same_bits(got, expected):
+    """Equal bit for bit once every zero is +0.0: adding the log prior to fused
+    evidence erases the sign of a zero sum, so nothing else may differ."""
+    assert got.shape == expected.shape
+    assert np.array_equal((got + 0.0).view(np.int64), (expected + 0.0).view(np.int64))
+
+
+def fused_by_terms(coeffs, evidence, node):
+    """fuse_terms on each (mode, node) row of a block, stacked as fuse stacks them."""
+    fused = [[fuse_terms(row, evidence[k], row != 0, node=node + j) for j, row in enumerate(rows)]
+             for k, rows in enumerate(coeffs)]
+    return np.array(fused).reshape(coeffs.shape[:2] + evidence.shape[2:])
+
+
 class TestFuse:
     """One node's rows, one per mode, fused as a one-node block."""
 
@@ -488,10 +502,8 @@ class TestFuse:
 
     def test_equals_fuse_terms_row_by_row(self):
         for coeffs, evidence in self.cases(np.random.default_rng(20)):
-            received = coeffs != 0
-            expected = np.stack([fuse_terms(c, e, r, node=9)
-                                 for c, e, r in zip(coeffs, evidence, received)])
-            assert np.array_equal(fuse(coeffs[:, None], evidence, node=9)[:, 0], expected)
+            assert np.array_equal(fuse(coeffs[:, None], evidence, node=9),
+                                  fused_by_terms(coeffs[:, None], evidence, node=9))
 
 
 class TestFuseBlock:
@@ -503,11 +515,7 @@ class TestFuseBlock:
             m, l, k, x = 3, int(rng.integers(1, 5)), int(rng.integers(0, 8)), 4
             coeffs = rng.integers(-2, 3, size=(m, l, k)).astype(np.float64)
             evidence = rng.normal(size=(m, k, x))
-            received = coeffs != 0
-            expected = np.stack([
-                np.stack([fuse_terms(coeffs[i, j], evidence[i], received[i, j], node=7 + j)
-                          for i in range(m)])
-                for j in range(l)], axis=1)
+            expected = fused_by_terms(coeffs, evidence, node=7)
             assert expected.shape == (m, l, x)
             assert np.array_equal(fuse(coeffs, evidence, node=7), expected)
             # each node's rows are what a one-node block gives
@@ -534,20 +542,6 @@ class TestFuseBlock:
         coeffs = np.ones((2, 4, 1))
         total = fuse(coeffs, evidence, node=3)
         assert np.array_equal(total, np.full((2, 4, 3), -1e308))
-
-
-def assert_same_bits(got, expected):
-    """Equal bit for bit once every zero is +0.0: adding the log prior to fused
-    evidence erases the sign of a zero sum, so nothing else may differ."""
-    assert got.shape == expected.shape
-    assert np.array_equal((got + 0.0).view(np.int64), (expected + 0.0).view(np.int64))
-
-
-def fused_by_terms(coeffs, evidence, node):
-    """fuse_terms on each (mode, node) row of a block, stacked as fuse stacks them."""
-    fused = [[fuse_terms(row, evidence[k], row != 0, node=node + j) for j, row in enumerate(rows)]
-             for k, rows in enumerate(coeffs)]
-    return np.array(fused).reshape(coeffs.shape[:2] + evidence.shape[2:])
 
 
 def block_slices(study):
