@@ -19,21 +19,31 @@ decides whether a violation raises.  Only removal reads W: a study without
 it runs on a graph whose W leaves int64, and its constraint report is None
 (not checked).
 
+naive, removal and idealized are action-driven: a node's increment is the
+likelihood of its action, so what it stores depends on the actions heard
+before it.  obs_oracle hears raw observations and no action, so its row is
+one closed form per run, outside the block step below: one learning.fuse
+of every node's observation log-likelihood with its (1, N, N)
+coefficients (T - I)^T, built once per study by run_tables.  Its public
+beliefs give its actions through the study's RowMemo (below), and run_once
+inserts its rows at obs_oracle's index in the modes.
+
 Every likelihood is floored before its log (learning.floored_log), so every
 stored row is finite, as removal's negative weights need.
 
 Nodes update block by block (graph.independent_blocks).  A block is a
 maximal run of consecutive nodes none of which hears another, such as the
 agents of one epoch, so all of it updates in one step over arrays stacked
-by mode and node (M modes x L nodes x X states): one learning.fuse call
-(one np.einsum) sums the rows stored before the block with the block's
-coefficient slice, for every mode at once; one normalize_log gives the
-public beliefs, their action tables (learning.action_table) both the
-agents' actions and the observations each nu sums over, and the tables'
-likelihoods (learning.action_likelihoods) the nu of every (mode, node),
-the last two through the study's RowMemo (below).  A block stores its
-after log-posteriors (log prior + after-evidence), and one normalize_log
-per run turns them into after-beliefs once every block is done.  The one
+by action-driven mode and node (M' modes x L nodes x X states): one
+learning.fuse call (one np.einsum) sums the rows stored before the block
+with the block's coefficient slice, for every mode at once; one
+normalize_log gives the public beliefs, their action tables
+(learning.action_table) both the agents' actions and the observations
+each nu sums over, and the tables' likelihoods
+(learning.action_likelihoods) the nu of every (mode, node), the last two
+through the study's RowMemo (below).  A block stores its after
+log-posteriors (log prior + after-evidence), and one normalize_log per
+run turns them into after-beliefs once every block is done.  The one
 call in a block step that can raise is fuse's check: naive evidence
 counts paths, which pass the float64 range on large dense graphs, and
 fuse raises ValueError for the lowest node whose fused evidence is not
@@ -42,8 +52,8 @@ the per-node, per-mode loop, and raises what that loop raises.  What a
 run reads that depends on the graph and the config alone (the blocks,
 their coefficient slices, the graph digest) is built once per study by
 run_tables, and monte_carlo passes it to every run_once.  Block (lo, hi)
-fuses the rows of nodes 1..lo only, so its slice is the (M, hi - lo, lo)
-corner of the M x N x N coefficient table that it reads; the slices are
+fuses the rows of nodes 1..lo only, so its slice is the (M', hi - lo, lo)
+corner of the M' x N x N coefficient table that it reads; the slices are
 C-contiguous views of one float64 buffer, which holds no other entry of
 that table.
 A block's inputs (evidence, pub and the table ids of pub) depend only on
@@ -51,13 +61,12 @@ the actions heard before it, and runs that herd hear the same actions, so
 the tables also hold a StepTrie, which reuses block inputs across the runs
 of the study.  It holds steps[(state, key)] = next state and
 inputs[state]: a state is an int that numbers a path of keys (-1 the
-empty path), a key is a block's joint actions (M x L, as bytes, plus its
-observations when obs_oracle is among the modes, whose own increment is
-the observation's; empty for block 1, which hears nothing), and inputs
-are those of the block the path leads into.  A block reads only the rows
-stored before it, and those follow from the key path alone (by induction
-over the blocks: a block's stored rows follow from its inputs and its
-key), so held inputs are the ones the block would compute, bit for bit.
+empty path), a key is a block's joint actions (M' x L, as bytes; empty
+for block 1, which hears nothing), and inputs are those of the block the
+path leads into.  A block reads only the rows stored before it, and those
+follow from the key path alone (by induction over the blocks: a block's
+stored rows follow from its inputs and its key), so held inputs are the
+ones the block would compute, bit for bit.
 Every block step takes one path: one lookup, then fuse, normalize_log and
 the memo's table ids only for inputs the trie does not hold, which it
 keeps while its arrays and keys fit TRIE_BUDGET (512 KiB per study, a
@@ -246,7 +255,9 @@ class RowMemo:
     def table_ids(self, pub: np.ndarray) -> np.ndarray:
         """Table ids (...) of beliefs pub (..., X): tables[ids] is
         learning.action_table(pub, model), computed by one call on the
-        distinct rows the memo misses."""
+        distinct rows the memo misses.  Rows it adds replace tables and
+        nus, so compute ids before reading either: memo.tables[
+        memo.table_ids(pub)] reads the old array and may raise IndexError."""
         rows = pub.reshape(-1, pub.shape[-1])
         data, width = rows.tobytes(), rows.shape[1] * rows.itemsize
         keys = [data[i:i + width] for i in range(0, len(data), width)]
@@ -311,24 +322,28 @@ class StepTrie:
 class RunTables:
     """What every run of a study shares; it depends on the graph and the config alone.
 
-    Row k of each per-mode table is config.modes[k].  coeffs[b] belongs to
-    block blocks[b] = (lo, hi): coeffs[b][k, l, i] weighs node i+1's stored
-    row in node lo+l+1's fusion, and is zero unless that row reaches that
-    node (over an edge for after-evidence, over a path for an own
-    increment).  Each is a read-only, C-contiguous view of one buffer, and
-    together they hold every coefficient a run reads, as a block reads only
-    the rows stored before it.  config and graph are the objects the
-    tables were built from, trie holds the block inputs of the study's runs
-    by the actions they heard, and memo their action tables and action
-    likelihoods by public-belief row, keyed by the row's exact bytes.  Both
-    are bounded by TRIE_BUDGET (the memo at the start of a run, when
-    run_once clears both once the memo exceeds it), and bit for bit the
-    direct calls, as both kernels work row by row.
+    Row k of coeffs and stores_after is the k-th action-driven mode of
+    config.modes, every mode but obs_oracle, in their order.  coeffs[b]
+    belongs to block blocks[b] = (lo, hi): coeffs[b][k, l, i] weighs node
+    i+1's stored row in node lo+l+1's fusion, and is zero unless that row
+    reaches that node (over an edge for after-evidence, over a path for an
+    own increment).  Each is a read-only, C-contiguous view of one buffer,
+    and together they hold every coefficient the block step reads, as a
+    block reads only the rows stored before it.  oracle_coeffs[0][n-1, i]
+    weighs node i+1's observation log-likelihood in node n's obs_oracle
+    evidence, when obs_oracle is configured (read-only; else None).
+    config and graph are the objects the tables were built from, trie holds
+    the block inputs of the study's runs by the actions they heard, and
+    memo their action tables and action likelihoods by public-belief row,
+    keyed by the row's exact bytes.  Both are bounded by TRIE_BUDGET (the
+    memo at the start of a run, when run_once clears both once the memo
+    exceeds it), and bit for bit the direct calls, as both kernels work row
+    by row.
     """
 
-    coeffs: list[np.ndarray]        # per block (lo, hi): (M, hi - lo, lo) float, C order
-    stores_after: np.ndarray        # (M, 1, 1) bool: S[n] is the after-evidence, not the increment
-    oracle: list[int]               # rows whose own increment is the observation's
+    coeffs: list[np.ndarray]        # per block (lo, hi): (M', hi - lo, lo) float, C order
+    stores_after: np.ndarray        # (M', 1, 1) bool: S[n] is the after-evidence, not the increment
+    oracle_coeffs: np.ndarray | None  # (1, N, N) float (T - I)^T, C order; None without obs_oracle
     blocks: list[tuple[int, int]]   # graph.independent_blocks
     digest: str
     constraint: dict[int, list[int]] | None  # None: W leaves int64, not checked
@@ -344,8 +359,10 @@ def run_tables(config: ScenarioConfig, graph: CommGraph) -> RunTables:
     Each mode's coefficients are its weights masked by the rows its node
     receives, entry by entry: A for after-evidence, T - I for own
     increments.  Removal's are W * A, which is W where the constraint holds.
-    They are copied, block by block and mode by mode, into one float64
-    buffer, and each block gets its read-only slice of it.
+    The action-driven modes' are copied, block by block and mode by mode,
+    into one float64 buffer, and each block gets its read-only slice of it.
+    obs_oracle's, (T - I)^T, are one (1, N, N) float64 array of their own,
+    built only when it is configured.
     Only removal reads W: with removal among the modes, a W beyond int64
     raises WeightOverflowError, and a graph that violates the constraint
     raises ConstraintViolationError unless config.force.  Without removal,
@@ -363,18 +380,14 @@ def run_tables(config: ScenarioConfig, graph: CommGraph) -> RunTables:
         raise ConstraintViolationError(constraint)
 
     history = graph.closure - np.eye(graph.size, dtype=np.int8)
-    # mode -> (F, S[n] is the after-evidence, own increment is the observation)
-    table = {
-        "naive": (adjacency, True, False),
-        "idealized": (history, False, False),
-        "obs_oracle": (history, False, True),
-    }
+    # action-driven mode -> (F, S[n] is the after-evidence)
+    table = {"naive": (adjacency, True), "idealized": (history, False)}
     if removal:
-        table["removal"] = (graph.weights, True, False)
-    fs, stores_after, own_is_obs = zip(*(table[mode] for mode in config.modes))
+        table["removal"] = (graph.weights, True)
+    driven = [table[mode] for mode in config.modes if mode != "obs_oracle"]
     # after-evidence arrives over edges, own increments over the whole history;
     # row n-1 of a source is what node n fuses
-    sources = [(f * (adjacency if after else history)).T for f, after in zip(fs, stores_after)]
+    sources = [(f * (adjacency if after else history)).T for f, after in driven]
     blocks, m = graphmod.independent_blocks(graph), len(sources)
     buffer = np.empty(m * sum((hi - lo) * lo for lo, hi in blocks))
     coeffs, end = [], 0
@@ -384,16 +397,20 @@ def run_tables(config: ScenarioConfig, graph: CommGraph) -> RunTables:
         for k, source in enumerate(sources):
             block[k] = source[lo:hi, :lo]
         coeffs.append(_frozen(block))
+    oracle_coeffs = None
+    if "obs_oracle" in config.modes:
+        oracle_coeffs = _frozen(np.ascontiguousarray(history.T[None], dtype=np.float64))
     return RunTables(
-        coeffs=coeffs, stores_after=np.array(stores_after)[:, None, None],
-        oracle=[k for k, is_obs in enumerate(own_is_obs) if is_obs],
-        blocks=blocks, digest=graph.digest(),
+        coeffs=coeffs,
+        stores_after=np.array([after for _, after in driven], dtype=bool)[:, None, None],
+        oracle_coeffs=oracle_coeffs, blocks=blocks, digest=graph.digest(),
         constraint=constraint, config=config, graph=graph, memo=RowMemo(config.model))
 
 
 def run_once(config: ScenarioConfig, graph: CommGraph, rng: np.random.Generator,
              tables: RunTables | None = None) -> RunTrace:
-    """Execute one protocol run over the graph, all configured modes in lockstep.
+    """Execute one protocol run over the graph: the action-driven modes in
+    lockstep, block by block, then obs_oracle's closed form if configured.
 
     tables are run_tables(config, graph), built here unless given; tables
     built from another config or graph object raise ValueError.
@@ -409,10 +426,10 @@ def run_once(config: ScenarioConfig, graph: CommGraph, rng: np.random.Generator,
     else:
         x = int(config.true_state)
 
-    shape = (len(config.modes), graph.size, model.num_states)
+    # the action-driven modes' rows; obs_oracle's is inserted once the blocks are done
+    shape = (len(tables.stores_after), graph.size, model.num_states)
     observations = learning.sample_observation(x, model, rng, size=graph.size)
     obs_index = observations - 1
-    obs_loglik = learning.floored_log(model.likelihood_t[obs_index])
     log_prior = model.log_prior
     stored, public, after = np.zeros(shape), np.empty(shape), np.empty(shape)
     actions = np.empty(shape[:2], dtype=np.int64)
@@ -439,22 +456,30 @@ def run_once(config: ScenarioConfig, graph: CommGraph, rng: np.random.Generator,
             ids = memo.table_ids(pub)
             if state is not None:
                 state = trie.add(state, key, (evidence, pub, ids))
-        # every row's action is induced by the drawn z, so no row's nu (obs_oracle's,
-        # replaced below, included) is that of an action ZeroProbabilityActionError
-        # refuses, one no z induces
+        # every row's action is induced by the drawn z, so no row's nu is that of
+        # an action ZeroProbabilityActionError refuses, one no z induces
         a = memo.tables[ids, obs_index[lo:hi]]
         own = memo.nus[ids, a - 1]
-        if tables.oracle:
-            own[tables.oracle] = obs_loglik[lo:hi]
         after_evidence = evidence + own
         stored[:, lo:hi] = np.where(tables.stores_after, after_evidence, own)
         after[:, lo:hi] = log_prior + after_evidence  # normalised once the run is done
         public[:, lo:hi] = pub
         actions[:, lo:hi] = a
         key = a.tobytes()
-        if tables.oracle:
-            key += observations[lo:hi].tobytes()
 
+    if tables.oracle_coeffs is not None:
+        # obs_oracle's row, from the observations alone: every node's own
+        # increment is its observation's, and it fuses those of its history.
+        # This fuse cannot raise: a node sums at most N floored logs, each
+        # >= log(LIKELIHOOD_FLOOR) > -691.
+        own = learning.floored_log(model.likelihood_t[obs_index])
+        evidence = learning.fuse(tables.oracle_coeffs, own[None], node=1)
+        pub = learning.normalize_log(log_prior + evidence)
+        ids = memo.table_ids(pub)  # before memo.tables is read: table_ids replaces it
+        k = config.modes.index("obs_oracle")
+        actions = np.insert(actions, k, memo.tables[ids, obs_index], axis=0)
+        public = np.insert(public, k, pub, axis=0)
+        after = np.insert(after, k, log_prior + (evidence + own), axis=0)
     after = learning.normalize_log(after)
     return RunTrace(true_state=x, graph_digest=tables.digest, modes=config.modes,
                     observations=observations, actions=actions, public=public, after=after,

@@ -221,14 +221,19 @@ def fuse_by_reduce(coeffs, evidence):
 
 
 def coefficient_table(tables):
-    """The (M, N, N) table that RunTables.coeffs cuts into block slices:
+    """The (M, N, N) coefficient table of every mode, in config.modes order:
     entry [k, n-1, i] weighs node i+1's stored row in node n's fusion, in
-    mode k.  Entries outside every block's slice are +0.0."""
+    mode k.  The action-driven modes' rows come from the block slices of
+    RunTables.coeffs, whose outside entries are +0.0, and obs_oracle's is
+    RunTables.oracle_coeffs."""
     size = tables.graph.size
-    table = np.zeros((len(tables.config.modes), size, size))
+    table = np.zeros((len(tables.stores_after), size, size))
     for (lo, hi), coeffs in zip(tables.blocks, tables.coeffs, strict=True):
         table[:, lo:hi, :lo] = coeffs
-    return table
+    if tables.oracle_coeffs is None:
+        return table
+    return np.insert(table, tables.config.modes.index("obs_oracle"), tables.oracle_coeffs,
+                     axis=0)
 
 
 def after_action_update(pub, a, model):

@@ -591,7 +591,7 @@ class TestFuseIdentity:
         tables, states = block_slices(study)
         rng = np.random.default_rng(5)
         for (lo, hi), coeffs in zip(tables.blocks, tables.coeffs):
-            evidence = rng.normal(scale=50.0, size=(len(ALL_MODES), lo, states))
+            evidence = rng.normal(scale=50.0, size=(coeffs.shape[0], lo, states))
             got = fuse(coeffs, evidence, node=lo + 1)
             assert_same_bits(got, fuse_by_reduce(coeffs, evidence))
             assert_same_bits(got, fused_by_terms(coeffs, evidence, node=lo + 1))

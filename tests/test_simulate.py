@@ -173,6 +173,19 @@ class TestRunOnce:
         assert all(1 <= x <= 20 for x in states)
 
 
+def draw_dag(data):
+    """A drawn DAG of 1-14 nodes in one epoch, augmented for the constraint or not."""
+    size = data.draw(st.integers(1, 14), label="size")
+    bits = data.draw(st.lists(st.booleans(), min_size=size * (size - 1) // 2,
+                              max_size=size * (size - 1) // 2), label="edges")
+    a = np.zeros((size, size), dtype=np.int8)
+    a[np.triu_indices(size, 1)] = bits
+    graph = CommGraph(a, num_agents=size, num_epochs=1)
+    if data.draw(st.booleans(), label="augment"):
+        graph = augment_for_constraint(graph)
+    return graph
+
+
 def assert_same_as_reference(config, graph, seed):
     """run_once equals reference_run_once bit for bit, or raises the same
     error.  Returns the error the reference raised, or None."""
@@ -295,6 +308,23 @@ class TestStackedRunMatchesReference:
             graph = augment_for_constraint(graph)
         assert_same_as_reference(config, graph, config.seed)
 
+    @settings(max_examples=120, deadline=None)
+    @given(data=st.data())
+    def test_any_modes_in_any_order(self, model, data):
+        # obs_oracle's row is a closed form inserted at its index in the modes,
+        # alone or among the action-driven modes, whose block step runs without it
+        order = data.draw(st.permutations(simulate.MODES), label="order")
+        modes = tuple(order[:data.draw(st.integers(1, len(order)), label="count")])
+        source = data.draw(st.sampled_from(["random dag", *BUNDLED]), label="graph")
+        if source in BUNDLED:
+            graph = build_graph(cli.build_scenario(cli.load_config_file(source)))
+        else:
+            graph = draw_dag(data)
+        config = scenario(model, modes=modes, true_state="random",
+                          force=data.draw(st.booleans(), label="force"),
+                          estimate_rule=data.draw(st.sampled_from(["mean", "map"]), label="rule"))
+        assert_same_as_reference(config, graph, data.draw(st.integers(0, 2**16), label="seed"))
+
     def test_records_view_the_arrays(self, model, diamond_a):
         config = scenario(model, modes=ALL_MODES)
         trace = run_once(config, diamond_a, np.random.default_rng(4))
@@ -362,14 +392,7 @@ class TestRunTables:
     @settings(max_examples=150, deadline=None)
     @given(data=st.data())
     def test_no_mode_reads_a_row_its_node_does_not_receive(self, model, data):
-        size = data.draw(st.integers(1, 14), label="size")
-        bits = data.draw(st.lists(st.booleans(), min_size=size * (size - 1) // 2,
-                                  max_size=size * (size - 1) // 2), label="edges")
-        a = np.zeros((size, size), dtype=np.int8)
-        a[np.triu_indices(size, 1)] = bits
-        graph = CommGraph(a, num_agents=size, num_epochs=1)
-        if data.draw(st.booleans(), label="augment"):
-            graph = augment_for_constraint(graph)
+        graph = draw_dag(data)
         modes = tuple(data.draw(st.permutations(ALL_MODES), label="modes"))
         config = scenario(model, modes=modes, force=data.draw(st.booleans(), label="force"))
         clean = not graphmod.violations(graph.weights, graph.adjacency)
@@ -392,18 +415,26 @@ class TestRunTables:
     @pytest.mark.parametrize("name", BUNDLED)
     def test_one_read_only_slice_per_block(self, name):
         # block (lo, hi) fuses the rows of nodes 1..lo, so its slice is
-        # (M, hi - lo, lo), and the slices share one buffer that holds nothing else
+        # (M - 1, hi - lo, lo), one row per mode but obs_oracle, and the slices
+        # share one buffer that holds nothing else; obs_oracle's coefficients
+        # are one (1, N, N) table of their own
         config = dataclasses.replace(cli.build_scenario(cli.load_config_file(name)),
                                      modes=ALL_MODES, force=True)
-        tables = simulate.run_tables(config, build_graph(config))
+        graph = build_graph(config)
+        tables = simulate.run_tables(config, graph)
         assert len(tables.coeffs) == len(tables.blocks)
         buffer = tables.coeffs[0].base
         for (lo, hi), coeffs in zip(tables.blocks, tables.coeffs):
-            assert coeffs.shape == (len(ALL_MODES), hi - lo, lo)
+            assert coeffs.shape == (len(ALL_MODES) - 1, hi - lo, lo)
             assert coeffs.dtype == np.float64 and coeffs.flags.c_contiguous
             assert not coeffs.flags.writeable
             assert coeffs.base is buffer
         assert buffer.size == sum(coeffs.size for coeffs in tables.coeffs)
+        oracle = tables.oracle_coeffs
+        assert oracle.shape == (1, graph.size, graph.size) and oracle.dtype == np.float64
+        assert oracle.flags.c_contiguous and not oracle.flags.writeable
+        base = dataclasses.replace(config, modes=("naive", "removal", "idealized"))
+        assert simulate.run_tables(base, graph).oracle_coeffs is None
 
 
 def uncached_study(config, graph):
@@ -579,6 +610,32 @@ class TestStepTrie:
         assert config.runs == 100
         monte_carlo(config)
         assert built_tables[-1].trie.hits > 0 and len(calls) == fuses
+
+    # action_table rows and trie hits of each bundled study in all four modes.
+    # obs_oracle's row adds action-table rows but no trie key, so three
+    # studies hit the trie as often as in their own three modes.  On
+    # paper_chain41 obs_oracle's rows are new in almost every run, so the
+    # memo passes TRIE_BUDGET and clears once, and the trie with it: 2286
+    # hits, where its three modes alone hit 2449
+    @pytest.mark.parametrize("name, rows, hits", [
+        ("paper_chain41", 4464, 2286), ("paper_complete", 1490, 113), ("paper_star", 1081, 112),
+        ("paper_random4", 967, 121)])
+    def test_bundled_study_in_all_modes(self, name, rows, hits, built_tables, monkeypatch):
+        counted = []
+        table = learning.action_table
+
+        def counted_table(pub, model):
+            counted.append(pub.size // pub.shape[-1])
+            return table(pub, model)
+
+        monkeypatch.setattr(learning, "action_table", counted_table)
+        config = cli.build_scenario(cli.load_config_file(name))
+        assert config.runs == 100
+        monte_carlo(dataclasses.replace(config, modes=ALL_MODES))
+        assert sum(counted) == rows and built_tables[-1].trie.hits == hits
+        if name != "paper_chain41":
+            monte_carlo(config)
+            assert built_tables[-1].trie.hits == hits
 
     def test_each_study_starts_from_an_empty_trie(self, built_tables):
         config = cli.build_scenario(cli.load_config_file("paper_chain41"), runs=10)
