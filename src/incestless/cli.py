@@ -36,6 +36,9 @@ from .errors import ConfigError, ConstraintViolationError, IncestlessError
 from .graph import TopologySpec
 
 _MODEL_KEYS = frozenset(inspect.signature(learning.default_model).parameters)
+# libyaml's loader where PyYAML was built with it, else the pure-Python one;
+# both build the same objects from a config
+_YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
 
 
 def _reject_unknown(mapping, allowed, where):
@@ -57,12 +60,12 @@ def load_config_file(name_or_path: str) -> dict:
     """Load a YAML config from a path, or a bundled config by name."""
     if os.path.exists(name_or_path):
         with open(name_or_path) as f:
-            raw = yaml.safe_load(f)
+            raw = yaml.load(f, Loader=_YAML_LOADER)
     else:
         resource = importlib.resources.files("incestless") / "configs" / f"{name_or_path}.yaml"
         if not resource.is_file():
             raise ConfigError(f"config {name_or_path!r}: no such file or bundled config")
-        raw = yaml.safe_load(resource.read_text())
+        raw = yaml.load(resource.read_text(), Loader=_YAML_LOADER)
     if not isinstance(raw, dict):
         raise ConfigError(f"config {name_or_path!r} is not a mapping")
     return raw

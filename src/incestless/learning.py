@@ -12,7 +12,6 @@ never be double counted no matter what the weights telescope to.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -48,6 +47,10 @@ class StateModel:
                   construction, not a parameter
     log_prior:    log(prior), -inf where the prior is zero; derived at
                   construction, not a parameter
+    prior_cdf, likelihood_cdf:
+                  the prior's and each likelihood row's cumulative sum divided
+                  by its last entry, as Generator.choice(p=...) builds it per
+                  call; derived at construction, not parameters
     """
 
     prior: np.ndarray
@@ -55,6 +58,8 @@ class StateModel:
     cost: np.ndarray
     likelihood_t: np.ndarray = field(init=False, compare=False, repr=False)
     log_prior: np.ndarray = field(init=False, compare=False, repr=False)
+    prior_cdf: np.ndarray = field(init=False, compare=False, repr=False)
+    likelihood_cdf: np.ndarray = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         # copies, so freezing them leaves the caller's arrays writeable
@@ -80,13 +85,17 @@ class StateModel:
         b_t = np.ascontiguousarray(b.T)
         with np.errstate(divide="ignore"):
             log_p = np.log(p)
-        for arr in (p, b, c, b_t, log_p):
+        p_cdf, b_cdf = p.cumsum(), b.cumsum(axis=1)
+        p_cdf, b_cdf = p_cdf / p_cdf[-1], b_cdf / b_cdf[:, -1:]
+        for arr in (p, b, c, b_t, log_p, p_cdf, b_cdf):
             arr.flags.writeable = False
         object.__setattr__(self, "prior", p)
         object.__setattr__(self, "likelihood", b)
         object.__setattr__(self, "cost", c)
         object.__setattr__(self, "likelihood_t", b_t)
         object.__setattr__(self, "log_prior", log_p)
+        object.__setattr__(self, "prior_cdf", p_cdf)
+        object.__setattr__(self, "likelihood_cdf", b_cdf)
 
     @property
     def num_states(self) -> int:
@@ -176,10 +185,12 @@ def sample_observation(x: int, model: StateModel, rng: np.random.Generator,
 
     With size=N, one call draws N observations (an int array); they are the
     ones N calls with size=None would draw, and leave rng in the same state.
+    The draw is Generator.choice(Z, p=likelihood row, size=size)'s, from the
+    row's CDF that the model keeps: the same draws and the same rng state.
     """
     if not 1 <= x <= model.num_states:
         raise ValueError(f"state {x} out of range 1..{model.num_states}")
-    z = rng.choice(model.num_obs, p=model.likelihood[x - 1], size=size) + 1
+    z = model.likelihood_cdf[x - 1].searchsorted(rng.random(size), side="right") + 1
     return int(z) if size is None else z
 
 
@@ -312,7 +323,8 @@ def normalize_log(theta: np.ndarray) -> np.ndarray:
     if not np.isfinite(m).all():
         raise ValueError("log-belief has no finite entry")
     p = np.exp(theta - m)
-    return p / p.sum(axis=-1, keepdims=True)
+    p /= p.sum(axis=-1, keepdims=True)
+    return p
 
 
 def fuse(coeffs: np.ndarray, evidence: np.ndarray, node: int) -> np.ndarray:
@@ -334,16 +346,14 @@ def fuse(coeffs: np.ndarray, evidence: np.ndarray, node: int) -> np.ndarray:
     +-0.0, which leaves the sum unchanged.  A sum can still leave the
     float64 range (naive evidence counts paths, which pass about 1e305 on
     large dense graphs): a row that is not finite raises ValueError naming
-    the lowest such node.
+    the lowest such node.  einsum raises no floating-point warning, so an
+    overflow or an inf - inf shows only in the check of the result.
     """
-    with np.errstate(over="ignore", invalid="ignore"):
-        total = np.einsum("mlk,mkx->mlx", coeffs, evidence)
-        # a sum that is not finite may come from finite rows: test them only then
-        if not math.isfinite(total.sum()):
-            bad = ~np.isfinite(total).all(axis=(0, 2))
-            if bad.any():
-                raise ValueError(f"node {node + int(np.argmax(bad))}: "
-                                 "fused evidence left the float64 range")
+    total = np.einsum("mlk,mkx->mlx", coeffs, evidence)
+    if not np.isfinite(total).all():
+        bad = ~np.isfinite(total).all(axis=(0, 2))
+        raise ValueError(f"node {node + int(np.argmax(bad))}: "
+                         "fused evidence left the float64 range")
     return total
 
 

@@ -26,7 +26,8 @@ one closed form per run, outside the block step below: one learning.fuse
 of every node's observation log-likelihood with its (1, N, N)
 coefficients (T - I)^T, built once per study by run_tables.  Its public
 beliefs give its actions through the study's RowMemo (below), and run_once
-inserts its rows at obs_oracle's index in the modes.
+puts its rows in at obs_oracle's index in the modes, one np.concatenate
+per trace array.
 
 Every likelihood is floored before its log (learning.floored_log), so every
 stored row is finite, as removal's negative weights need.
@@ -41,21 +42,24 @@ normalize_log gives the public beliefs, their action tables
 (learning.action_table) both the agents' actions and the observations
 each nu sums over, and the tables' likelihoods
 (learning.action_likelihoods) the nu of every (mode, node), the last two
-through the study's RowMemo (below).  A block stores its after
-log-posteriors (log prior + after-evidence), and one normalize_log per
-run turns them into after-beliefs once every block is done.  The one
-call in a block step that can raise is fuse's check: naive evidence
-counts paths, which pass the float64 range on large dense graphs, and
-fuse raises ValueError for the lowest node whose fused evidence is not
-finite, before the block writes anything.  The block step is bit for bit
-the per-node, per-mode loop, and raises what that loop raises.  What a
-run reads that depends on the graph and the config alone (the blocks,
-their coefficient slices, the graph digest) is built once per study by
-run_tables, and monte_carlo passes it to every run_once.  Block (lo, hi)
+through the study's RowMemo (below).  A block writes into the run's
+arrays only the rows it stores, which later blocks fuse; its public
+beliefs, after-evidence and actions are kept in lists, which the run
+joins with one np.concatenate each once every block is done.  Then one
+addition of the log prior and one normalize_log per run give the
+after-beliefs.  The one call in a block step that can raise is fuse's
+check: naive evidence counts paths, which pass the float64 range on
+large dense graphs, and fuse raises ValueError for the lowest node
+whose fused evidence is not finite, before the block writes anything.
+The block step is bit for bit the per-node, per-mode loop, and raises
+what that loop raises.  What a run reads that depends on the graph and
+the config alone (the blocks, their coefficient slices, the graph
+digest) is built once per study by run_tables, and monte_carlo passes it
+to every run_once.  Block (lo, hi)
 fuses the rows of nodes 1..lo only, so its slice is the (M', hi - lo, lo)
 corner of the M' x N x N coefficient table that it reads; the slices are
 C-contiguous views of one float64 buffer, which holds no other entry of
-that table.
+that table; run_tables fills it with one masked gather per mode.
 A block's inputs (evidence, pub and the table ids of pub) depend only on
 the actions heard before it, and runs that herd hear the same actions, so
 the tables also hold a StepTrie, which reuses block inputs across the runs
@@ -74,7 +78,8 @@ constant); inputs that do not fit leave the run outside the trie.
 Herding also brings the same public beliefs back (on paper_chain41, 1915
 of 12 300 rows are distinct), and they induce few action tables (28-57 per
 bundled study), so the tables also hold a RowMemo.  It maps a public-belief
-row's exact bytes to a table id, and keeps each distinct action-table row
+row's exact bytes to a table id (a call takes the keys of all its rows
+from one void view of them), and keeps each distinct action-table row
 once, with the log-likelihood of every action under it.  A block step
 calls action_table once on the distinct rows the memo misses, and every
 row has a table id, so a block's actions and their nu are two gathers by
@@ -85,9 +90,11 @@ run starts by clearing it, and the trie with it, whose held inputs hold
 memo ids.  So the memo holds at most TRIE_BUDGET plus the rows one run
 adds.  run_tables binds its tables to the config and graph it was given,
 and run_once refuses tables built for other objects; monte_carlo builds
-them per study, so no state outlives the call.  A run draws its N
-observations in one call, and all modes share them, so their traces
-differ by aggregation alone.
+them per study, so no state outlives the call.  A run draws its true
+state and then its N observations, the latter in one call, each by
+searchsorted on a CDF its StateModel keeps: Generator.choice(p=...)'s own
+algorithm, so the draws and the generator state are choice's.  All modes
+share the observations, so their traces differ by aggregation alone.
 RunTrace keeps the run as (M x N) and (M x N x X) arrays; its `records` is
 a per-node view of them, built on demand.
 Child r of SeedSequence(seed) (graph.seed_rng) drives run r; child 0 draws
@@ -227,14 +234,22 @@ def _frozen(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
+def _row_keys(rows: np.ndarray, key: np.dtype) -> list[bytes]:
+    """The exact bytes of each row of a 2-D array, from one view of it as
+    key, a void dtype as wide as a row."""
+    return np.ascontiguousarray(rows).view(key).ravel().tolist()
+
+
 class RowMemo:
     """Action tables and action likelihoods of the runs of one study, by public-belief row.
 
     ids maps a public-belief row's bytes to its table id, and tables[id] is
     the row's action table; each distinct table is kept once, and
-    table_index maps its bytes to its id.  nus[id, a-1] is
-    floored_log(learning.action_likelihoods(tables[id]))[a-1], the
-    log-likelihood of action a, kept with the table.  Every row it is given
+    table_index maps its bytes to its id.  A call takes the keys of all its
+    rows from one view of them as row_key (or table_key), a void dtype as
+    wide as one row, whose tolist() gives one bytes object per row.
+    nus[id, a-1] is floored_log(learning.action_likelihoods(tables[id]))[a-1],
+    the log-likelihood of action a, kept with the table.  Every row it is given
     is kept, so every row has a table id; run_once clears the memo at the
     start of a run once nbytes, its keys and arrays, exceeds TRIE_BUDGET.
     Every array is read-only and replaced when it grows.
@@ -242,6 +257,9 @@ class RowMemo:
 
     def __init__(self, model: StateModel):
         self.model = model
+        # a row's key is its bytes: X float64 for a belief, Z int64 for a table
+        self.row_key = np.dtype((np.void, 8 * model.num_states))
+        self.table_key = np.dtype((np.void, 8 * model.num_obs))
         self.clear()
 
     def clear(self):
@@ -259,30 +277,29 @@ class RowMemo:
         nus, so compute ids before reading either: memo.tables[
         memo.table_ids(pub)] reads the old array and may raise IndexError."""
         rows = pub.reshape(-1, pub.shape[-1])
-        data, width = rows.tobytes(), rows.shape[1] * rows.itemsize
-        keys = [data[i:i + width] for i in range(0, len(data), width)]
-        missed = {}  # each distinct missed row's key -> its first row
-        for i, key in enumerate(keys):
-            if key not in self.ids:
-                missed.setdefault(key, i)
-        if missed:
+        keys = _row_keys(rows, self.row_key)
+        found = list(map(self.ids.get, keys))
+        if None in found:
+            missed = {}  # each distinct missed row's key -> its first row
+            for i, (key, known) in enumerate(zip(keys, found)):
+                if known is None:
+                    missed.setdefault(key, i)
             computed = learning.action_table(rows.take(list(missed.values()), axis=0), self.model)
-            computed_bytes, size = computed.tobytes(), computed.shape[1] * computed.itemsize
             new = []
-            for j, key in enumerate(missed):
-                table = computed_bytes[j * size:(j + 1) * size]
+            for j, (key, table) in enumerate(zip(missed, _row_keys(computed, self.table_key))):
                 if table not in self.table_index:
                     self.table_index[table] = len(self.table_index)
                     new.append(j)
                 self.ids[key] = self.table_index[table]
-            self.nbytes += len(missed) * width
+            self.nbytes += len(missed) * self.row_key.itemsize
             if new:
                 self.tables = _frozen(np.concatenate([self.tables, computed[new]]))
                 nus = learning.floored_log(learning.action_likelihoods(computed[new], self.model))
                 self.nus = _frozen(np.concatenate([self.nus, nus]))
-                self.nbytes += len(new) * 2 * size + nus.nbytes
-        ids = np.empty(pub.shape[:-1], dtype=np.int64)
-        ids.flat = [self.ids[key] for key in keys]
+                self.nbytes += len(new) * 2 * self.table_key.itemsize + nus.nbytes
+            found = list(map(self.ids.get, keys))
+        ids = np.array(found, dtype=np.int64)
+        ids.shape = pub.shape[:-1]  # in place: ids keeps owning its data
         return ids
 
 
@@ -359,8 +376,9 @@ def run_tables(config: ScenarioConfig, graph: CommGraph) -> RunTables:
     Each mode's coefficients are its weights masked by the rows its node
     receives, entry by entry: A for after-evidence, T - I for own
     increments.  Removal's are W * A, which is W where the constraint holds.
-    The action-driven modes' are copied, block by block and mode by mode,
-    into one float64 buffer, and each block gets its read-only slice of it.
+    The action-driven modes' are gathered into one float64 buffer, one
+    masked gather and one masked write per mode, and each block gets its
+    read-only slice of it.
     obs_oracle's, (T - I)^T, are one (1, N, N) float64 array of their own,
     built only when it is configured.
     Only removal reads W: with removal among the modes, a W beyond int64
@@ -385,18 +403,25 @@ def run_tables(config: ScenarioConfig, graph: CommGraph) -> RunTables:
     if removal:
         table["removal"] = (graph.weights, True)
     driven = [table[mode] for mode in config.modes if mode != "obs_oracle"]
-    # after-evidence arrives over edges, own increments over the whole history;
-    # row n-1 of a source is what node n fuses
-    sources = [(f * (adjacency if after else history)).T for f, after in driven]
-    blocks, m = graphmod.independent_blocks(graph), len(sources)
-    buffer = np.empty(m * sum((hi - lo) * lo for lo, hi in blocks))
-    coeffs, end = [], 0
-    for lo, hi in blocks:
-        start, end = end, end + m * (hi - lo) * lo
-        block = buffer[start:end].reshape(m, hi - lo, lo)
-        for k, source in enumerate(sources):
-            block[k] = source[lo:hi, :lo]
-        coeffs.append(_frozen(block))
+    blocks, m = graphmod.independent_blocks(graph), len(driven)
+    bounds = np.array(blocks, dtype=np.int64).reshape(-1, 2)
+    los, lengths = bounds[:, 0], bounds[:, 1] - bounds[:, 0]
+    sizes = lengths * los  # one mode's coefficients in each block
+    # node n of block (lo, hi) reads the rows of nodes 1..lo: in C order, one
+    # mode's entries of every block, block after block
+    reads = (np.arange(graph.size) < los[:, None]).repeat(lengths, axis=0)
+    # the mode of each buffer entry: block by block, each mode's entries in turn
+    parts = np.arange(m, dtype=np.int8)[None].repeat(len(blocks), axis=0).ravel()
+    owner = parts.repeat(sizes.repeat(m))
+    buffer = np.empty(owner.size)
+    for k, (f, after) in enumerate(driven):
+        # after-evidence arrives over edges, own increments over the whole history;
+        # row n-1 of the transpose is what node n fuses
+        buffer[owner == k] = (f * (adjacency if after else history)).T[reads]
+    _frozen(buffer)
+    ends = np.cumsum(m * sizes).tolist()
+    coeffs = [buffer[end - m * (hi - lo) * lo:end].reshape(m, hi - lo, lo)
+              for (lo, hi), end in zip(blocks, ends)]
     oracle_coeffs = None
     if "obs_oracle" in config.modes:
         oracle_coeffs = _frozen(np.ascontiguousarray(history.T[None], dtype=np.float64))
@@ -422,17 +447,21 @@ def run_once(config: ScenarioConfig, graph: CommGraph, rng: np.random.Generator,
         raise ValueError("run tables were built for another config or graph")
 
     if config.true_state == "random":
-        x = int(rng.choice(model.num_states, p=model.prior)) + 1
+        # Generator.choice(X, p=prior)'s draw, from the CDF the model keeps
+        x = int(model.prior_cdf.searchsorted(rng.random(), side="right")) + 1
     else:
         x = int(config.true_state)
 
-    # the action-driven modes' rows; obs_oracle's is inserted once the blocks are done
+    # the action-driven modes' rows; obs_oracle's is put in once the blocks are done
     shape = (len(tables.stores_after), graph.size, model.num_states)
     observations = learning.sample_observation(x, model, rng, size=graph.size)
     obs_index = observations - 1
     log_prior = model.log_prior
-    stored, public, after = np.zeros(shape), np.empty(shape), np.empty(shape)
-    actions = np.empty(shape[:2], dtype=np.int64)
+    stored = np.zeros(shape)
+    # each block's pub, after-evidence and actions, joined once the blocks are
+    # done; the empty first parts give a graph without blocks (N = 0) its shapes
+    pubs, after_evidences = [stored[:, :0]], [stored[:, :0]]
+    acts = [np.empty((shape[0], 0), dtype=np.int64)]
     blocks, trie, memo = tables.blocks, tables.trie, tables.memo
     if memo.nbytes > TRIE_BUDGET:
         # the trie holds table ids of the memo, so both start over
@@ -462,11 +491,14 @@ def run_once(config: ScenarioConfig, graph: CommGraph, rng: np.random.Generator,
         own = memo.nus[ids, a - 1]
         after_evidence = evidence + own
         stored[:, lo:hi] = np.where(tables.stores_after, after_evidence, own)
-        after[:, lo:hi] = log_prior + after_evidence  # normalised once the run is done
-        public[:, lo:hi] = pub
-        actions[:, lo:hi] = a
+        pubs.append(pub)
+        after_evidences.append(after_evidence)
+        acts.append(a)
         key = a.tobytes()
 
+    public = np.concatenate(pubs, axis=1)
+    after = log_prior + np.concatenate(after_evidences, axis=1)  # normalised below
+    actions = np.concatenate(acts, axis=1)
     if tables.oracle_coeffs is not None:
         # obs_oracle's row, from the observations alone: every node's own
         # increment is its observation's, and it fuses those of its history.
@@ -477,9 +509,9 @@ def run_once(config: ScenarioConfig, graph: CommGraph, rng: np.random.Generator,
         pub = learning.normalize_log(log_prior + evidence)
         ids = memo.table_ids(pub)  # before memo.tables is read: table_ids replaces it
         k = config.modes.index("obs_oracle")
-        actions = np.insert(actions, k, memo.tables[ids, obs_index], axis=0)
-        public = np.insert(public, k, pub, axis=0)
-        after = np.insert(after, k, log_prior + (evidence + own), axis=0)
+        actions = np.concatenate((actions[:k], memo.tables[ids, obs_index], actions[k:]))
+        public = np.concatenate((public[:k], pub, public[k:]))
+        after = np.concatenate((after[:k], log_prior + (evidence + own), after[k:]))
     after = learning.normalize_log(after)
     return RunTrace(true_state=x, graph_digest=tables.digest, modes=config.modes,
                     observations=observations, actions=actions, public=public, after=after,

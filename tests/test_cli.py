@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import importlib.resources
 import os
 
 import numpy as np
@@ -243,6 +244,22 @@ BAD_FIELDS = [
 ]
 
 
+class TestLoadConfigFile:
+    @pytest.mark.skipif(not hasattr(yaml, "CSafeLoader"), reason="PyYAML built without libyaml")
+    @pytest.mark.parametrize("name", list(BUNDLED_DIGESTS))
+    def test_bundled_configs_load_alike_under_both_loaders(self, name, tmp_path):
+        text = (importlib.resources.files("incestless") / "configs" / f"{name}.yaml").read_text()
+        pure = yaml.load(text, Loader=yaml.SafeLoader)
+        assert yaml.load(text, Loader=yaml.CSafeLoader) == pure
+        assert cli.load_config_file(name) == pure
+        path = tmp_path / f"{name}.yaml"
+        path.write_text(text)
+        assert cli.load_config_file(str(path)) == pure
+
+    def test_uses_libyaml_where_pyyaml_has_it(self):
+        assert cli._YAML_LOADER is getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+
+
 class TestBuildScenario:
     @pytest.mark.parametrize("fields, message", BAD_FIELDS)
     def test_malformed_field_raises_config_error(self, fields, message):
@@ -324,6 +341,19 @@ class TestRun:
         assert len(mse) == 1 + 41 * 3
         acts = (out / "actions.csv").read_text().splitlines()
         assert len(acts) == 1 + 41 * 3 * 2
+
+    @pytest.mark.parametrize("modes", [None, ["naive", "obs_oracle", "removal", "idealized"]])
+    def test_graph_without_nodes_writes_header_only_csvs(self, runner, tmp_path, modes):
+        graph = tmp_path / "empty.txt"
+        graph.write_text("N 0\n")
+        extra = {} if modes is None else {"modes": modes}
+        cfg = tiny_config(tmp_path, topology={"kind": "explicit", "path": str(graph)}, **extra)
+        out = tmp_path / "out"
+        res = runner.invoke(main, ["run", str(cfg), "--output-dir", str(out)])
+        assert res.exit_code == 0, res.output
+        assert (out / "actions.csv").read_text() == "node,mode,run,action\n"
+        assert (out / "estimates.csv").read_text() == "node,mode,mean_estimate\n"
+        assert (out / "mse.csv").read_text() == "node,mode,mse\n"
 
     def test_bundled_star_24_rows_per_mode(self, runner, tmp_path):
         out = tmp_path / "out"

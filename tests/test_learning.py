@@ -1,4 +1,5 @@
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
@@ -26,6 +27,7 @@ from incestless import (
     triangular_likelihood,
 )
 from incestless import augment_for_constraint, cli, simulate
+from incestless.graph import TopologySpec
 from incestless.learning import action_likelihoods, floored_log, fuse, fuse_terms
 
 from conftest import after_action_update, fuse_by_reduce
@@ -129,6 +131,71 @@ class TestSampleObservation:
                 drawn = sample_observation(x, m, batch, size=50)
                 assert drawn.tolist() == [sample_observation(x, m, single) for _ in range(50)]
                 assert batch.bit_generator.state == single.bit_generator.state
+
+
+class TestDrawsFromModelCdfs:
+    """Draws from the CDFs a StateModel keeps are Generator.choice(p=...)'s:
+    the same values, and the generator left in the same state."""
+
+    MODELS = {
+        "default": default_model(),
+        # width-2 kernel rows and a prior with zero entries
+        "zeros": StateModel(prior=[0.0, 0.5, 0.0, 0.5], likelihood=triangular_likelihood(4, 2),
+                            cost=quadratic_cost(4, 2)),
+        "one state": StateModel(prior=[1.0], likelihood=[[0.25] * 4], cost=[[0.0]]),
+        "one observation": StateModel(prior=[0.3, 0.7], likelihood=[[1.0], [1.0]],
+                                      cost=[[0.0], [1.0]]),
+    }
+
+    @pytest.mark.parametrize("name", MODELS)
+    @pytest.mark.parametrize("size", [None, 1, 37])
+    def test_observations_equal_choice(self, name, size):
+        m = self.MODELS[name]
+        for seed in range(10):
+            for x in range(1, m.num_states + 1):
+                drawn, chosen = np.random.default_rng(seed), np.random.default_rng(seed)
+                z = sample_observation(x, m, drawn, size=size)
+                expected = chosen.choice(m.num_obs, p=m.likelihood[x - 1], size=size) + 1
+                assert np.array_equal(z, expected)
+                assert drawn.bit_generator.state == chosen.bit_generator.state
+
+    @pytest.mark.parametrize("name", MODELS)
+    def test_run_draws_equal_choice(self, name):
+        # run_once draws the true state from the prior, then the N observations
+        m = self.MODELS[name]
+        config = simulate.ScenarioConfig(model=m, topology=TopologySpec(kind="chain41"), runs=1)
+        graph = simulate.build_graph(config)
+        for seed in range(10):
+            rng, chosen = np.random.default_rng(seed), np.random.default_rng(seed)
+            trace = simulate.run_once(config, graph, rng)
+            x = int(chosen.choice(m.num_states, p=m.prior)) + 1
+            z = chosen.choice(m.num_obs, p=m.likelihood[x - 1], size=graph.size) + 1
+            assert trace.true_state == x
+            assert np.array_equal(trace.observations, z)
+            assert rng.bit_generator.state == chosen.bit_generator.state
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.lists(st.lists(st.sampled_from([0.0, 0.0, 1e-300, 1e-3, 0.25, 1.0, 7.0]),
+                             min_size=1, max_size=6).filter(any),
+                    min_size=1, max_size=4), st.integers(0, 2**32 - 1))
+    def test_random_rows_with_zeros_equal_choice(self, weights, seed):
+        width = max(map(len, weights))
+        rows = np.array([w + [0.0] * (width - len(w)) for w in weights])
+        rows /= rows.sum(axis=1, keepdims=True)
+        m = StateModel(prior=np.full(len(rows), 1 / len(rows)), likelihood=rows,
+                       cost=np.zeros((len(rows), 1)))
+        for x in range(1, m.num_states + 1):
+            drawn, chosen = np.random.default_rng(seed), np.random.default_rng(seed)
+            z = sample_observation(x, m, drawn, size=25)
+            assert np.array_equal(z, chosen.choice(width, p=rows[x - 1], size=25) + 1)
+            assert drawn.bit_generator.state == chosen.bit_generator.state
+
+    def test_cdfs_are_read_only_and_end_at_one(self):
+        m = self.MODELS["zeros"]
+        assert m.prior_cdf[-1] == 1.0 and (m.likelihood_cdf[:, -1] == 1.0).all()
+        for cdf in (m.prior_cdf, m.likelihood_cdf):
+            with pytest.raises(ValueError, match="read-only"):
+                cdf[0] = 0.0
 
 
 class TestPrivateBelief:
@@ -535,6 +602,20 @@ class TestFuseBlock:
         evidence[0, 1] = 1e308
         with pytest.raises(ValueError, match="^node 5: "):
             fuse(coeffs, evidence, node=5)
+
+    @pytest.mark.parametrize("coeffs, size", [
+        # node 4's row sums to +inf and node 5's to -inf: the block sums to inf - inf
+        ([[[1.0, 1.0], [-1.0, -1.0]]], 2),
+        # node 4's terms reach +inf, then add -inf: its row is NaN
+        ([[[1.0, 1.0, -2.0]]], 3),
+    ])
+    def test_inf_minus_inf_raises_value_error_not_a_warning(self, coeffs, size):
+        # einsum gives no floating-point warning, and the check of its result raises
+        evidence = np.full((1, size, 2), 1e308)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(ValueError, match="^node 4: fused evidence left the float64 range$"):
+                fuse(np.array(coeffs), evidence, node=4)
 
     def test_finite_rows_whose_total_overflows_pass(self):
         # every row is finite, but their sum over the block is not
