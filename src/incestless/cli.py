@@ -238,7 +238,7 @@ def cmd_run(config, seed, runs, modes, output_dir, force):
         raw = load_config_file(config)
         scenario = build_scenario(raw, seed_override=seed, runs=runs,
                                   force=True if force else None,
-                                  modes=tuple(modes.split(",")) if modes else None)
+                                  modes=None if modes is None else tuple(modes.split(",")))
         out_dir = output_dir or raw.get("output_dir", "out")
         write_outputs(simulate.monte_carlo(scenario), out_dir)
     click.echo(f"wrote {out_dir}/actions.csv, estimates.csv, mse.csv, constraint.txt")

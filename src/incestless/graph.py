@@ -4,7 +4,9 @@ Nodes are numbered 1..N with n = s + S*(k-1) for agent s and epoch k, so
 node order is causal order.  The adjacency matrix A has A[i-1, j-1] = 1
 iff the action of node i reaches node j (an edge i -> j); causality makes
 A strictly upper triangular.  The transitive closure T has T[i-1, j-1] = 1
-iff i == j or a directed path i -> j exists.
+iff i == j or a directed path i -> j exists.  Nodes that update together
+form blocks (independent_blocks), each a maximal run of consecutive nodes
+with no edge between them.
 
 All public node / agent / epoch indices are 1-based; the underlying numpy
 arrays are 0-based.
@@ -106,16 +108,20 @@ class CommGraph:
     closure: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        a = np.asarray(self.adjacency, dtype=np.int8)
+        given = np.asarray(self.adjacency)
         expected = self.num_agents * self.num_epochs
-        if a.shape[0] != expected:
+        if given.shape[0] != expected:
             raise ConfigError(
-                f"adjacency size {a.shape[0]} != agents*epochs = {expected}"
+                f"adjacency size {given.shape[0]} != agents*epochs = {expected}"
             )
-        a.flags.writeable = False
+        # the array as given is validated; the graph keeps its own int8 copy,
+        # so freezing it leaves the caller's array writeable, and no write
+        # through it reaches the graph
+        t = transitive_closure(given)
+        a = given.astype(np.int8)
+        for arr in (a, t):
+            arr.flags.writeable = False
         object.__setattr__(self, "adjacency", a)
-        t = transitive_closure(a)
-        t.flags.writeable = False
         object.__setattr__(self, "closure", t)
 
     @property
@@ -307,18 +313,21 @@ def _int64_weights(closure: np.ndarray, columns: np.ndarray | None = None,
 
 
 def independent_blocks(graph: CommGraph) -> list[tuple[int, int]]:
-    """The nodes 1..N cut into maximal runs lo+1..hi, as (lo, hi), in which
-    no node reaches another.
+    """The nodes 1..N cut into blocks lo+1..hi, as (lo, hi), each a maximal
+    run of consecutive nodes with no edge between them.
 
-    Every node of a block hears only nodes before the block, so the whole
-    block can update at once.  The runs are contiguous in node order, not
-    topological levels, so a node's block precedes every later node's.
+    No node of such a run reaches another: node order is causal, so a path
+    between two nodes of a run visits only nodes of the run, and would end
+    with an edge inside it.  Every node of a block hears only nodes before
+    the block, so the whole block can update at once.  The runs are
+    contiguous in node order, not topological levels, so a node's block
+    precedes every later node's.  Only the adjacency is read.
     """
     if graph.size == 0:
         return []
-    reach = np.triu(graph.closure, 1)[::-1]
-    # latest[m-1]: the last node before m that reaches m, 0 if none
-    latest = np.where(reach.any(axis=0), graph.size - np.argmax(reach, axis=0), 0)
+    edges = graph.adjacency.view(bool)[::-1]  # its entries are 0 or 1
+    # latest[m-1]: the last in-neighbour of node m, 0 if none
+    latest = np.where(edges.any(axis=0), graph.size - np.argmax(edges, axis=0), 0)
     bounds = [0]
     for m, last in enumerate(latest.tolist(), start=1):
         if last > bounds[-1]:
@@ -516,6 +525,8 @@ def save_graph(graph: CommGraph, path) -> None:
 
 
 def load_graph(path) -> CommGraph:
+    """The graph of an edge-list file; GraphFormatError, prefixed by the
+    path, for a malformed one."""
     with open(path) as f:
         lines = [ln.strip() for ln in f if ln.strip()]
     if not lines or not lines[0].startswith("N "):
@@ -527,21 +538,30 @@ def load_graph(path) -> CommGraph:
         raise GraphFormatError(f"{path}: bad header {lines[0]!r}")
     if size < 0:
         raise GraphFormatError(f"{path}: bad header {lines[0]!r}: negative size")
-    a = np.zeros((size, size), dtype=np.int8)
+    edges = []
     for ln in lines[1:]:
         try:
             i, j = map(int, ln.split())
         except ValueError:
             raise GraphFormatError(f"{path}: bad edge line {ln!r}")
-        if not (1 <= i < j <= size):
-            raise GraphFormatError(f"{path}: edge {i}->{j} requires 1 <= i < j <= {size}")
-        a[i - 1, j - 1] = 1
-    return CommGraph(a, num_agents=size, num_epochs=1)
+        edges.append((i, j))
+    try:
+        return graph_from_edges(size, edges)
+    except GraphFormatError as e:
+        raise GraphFormatError(f"{path}: {e}") from None
 
 
 def graph_from_edges(size: int, edges) -> CommGraph:
-    """Convenience constructor from 1-based (i, j) pairs."""
+    """One-epoch graph of `size` nodes with the 1-based edges (i, j).
+
+    GraphFormatError unless size is an integer >= 0 and every edge is a
+    pair of integers with 1 <= i < j <= size.
+    """
+    if not is_integer(size) or size < 0:
+        raise GraphFormatError(f"graph size must be an integer >= 0, got {size!r}")
     a = np.zeros((size, size), dtype=np.int8)
     for i, j in edges:
+        if not (is_integer(i) and is_integer(j) and 1 <= i < j <= size):
+            raise GraphFormatError(f"edge {i}->{j} requires 1 <= i < j <= {size}")
         a[i - 1, j - 1] = 1
     return CommGraph(a, num_agents=size, num_epochs=1)

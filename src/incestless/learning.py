@@ -207,19 +207,24 @@ def private_belief(pub: np.ndarray, z: int, model: StateModel) -> np.ndarray:
     return unnorm / total
 
 
-def choose_action(mu: np.ndarray, model: StateModel) -> int:
-    """Action (1..A) minimizing expected cost under mu; ties -> lowest index.
+def _cheapest_action(costs: np.ndarray) -> np.ndarray:
+    """Action (1..A) of least expected cost along the last axis; ties -> lowest index.
 
-    Ties are detected with a small relative tolerance: a symmetric belief
-    under a symmetric cost produces exactly tied expected costs, and the
-    constrained and benchmark pipelines reach that belief through different
-    summation orders.  Without the tolerance, float noise of order 1e-16
-    would break such ties differently in the two pipelines.
+    The one action-choice rule.  Ties are detected with a small relative
+    tolerance: a symmetric belief under a symmetric cost produces exactly
+    tied expected costs, and the constrained and benchmark pipelines reach
+    that belief through different summation orders.  Without the
+    tolerance, float noise of order 1e-16 would break such ties differently
+    in the two pipelines.
     """
-    costs = mu @ model.cost
-    cmin = costs.min()
-    tol = 1e-9 * max(1.0, abs(cmin))
-    return int(np.argmax(costs <= cmin + tol)) + 1
+    cmin = costs.min(axis=-1, keepdims=True)
+    tol = 1e-9 * np.maximum(1.0, np.abs(cmin))
+    return np.argmax(costs <= cmin + tol, axis=-1) + 1
+
+
+def choose_action(mu: np.ndarray, model: StateModel) -> int:
+    """Action (1..A) minimizing expected cost under mu (_cheapest_action's rule)."""
+    return int(_cheapest_action(mu @ model.cost))
 
 
 def action_table(pub: np.ndarray, model: StateModel) -> np.ndarray:
@@ -231,7 +236,7 @@ def action_table(pub: np.ndarray, model: StateModel) -> np.ndarray:
     an agent observing j.  Each
     private belief is normalised as in private_belief; an observation
     impossible under pub leaves the public belief itself (the limit of the
-    private belief).  The argmin and its tie rule are those of
+    private belief).  Each action is _cheapest_action's, as in
     choose_action, row by row.  The agent's action and the administrator's
     likelihood of it are both read from this table.
     """
@@ -243,10 +248,7 @@ def action_table(pub: np.ndarray, model: StateModel) -> np.ndarray:
     if impossible.any():
         unnorm = np.where(impossible, pub[..., None, :], unnorm)
         total = np.where(impossible, 1.0, total)
-    costs = (unnorm / total) @ model.cost
-    cmin = costs.min(axis=-1, keepdims=True)
-    tol = 1e-9 * np.maximum(1.0, np.abs(cmin))
-    return np.argmax(costs <= cmin + tol, axis=-1) + 1
+    return _cheapest_action((unnorm / total) @ model.cost)
 
 
 def action_likelihoods(table: np.ndarray, model: StateModel) -> np.ndarray:

@@ -33,13 +33,15 @@ Every likelihood is floored before its log (learning.floored_log), so every
 stored row is finite, as removal's negative weights need.
 
 Nodes update block by block (graph.independent_blocks).  A block is a
-maximal run of consecutive nodes none of which hears another, such as the
-agents of one epoch, so all of it updates in one step over arrays stacked
-by action-driven mode and node (M' modes x L nodes x X states): one
+maximal run of consecutive nodes with no edge between them, such as the
+agents of one epoch: none of them hears another, so all of it updates in
+one step over arrays stacked by action-driven mode and node (M' modes x
+L nodes x X states): one
 learning.fuse call (one np.einsum) sums the rows stored before the block
 with the block's coefficient slice, for every mode at once; one
 normalize_log gives the public beliefs, their action tables
-(learning.action_table) both the agents' actions and the observations
+(learning.action_table, whose argmin is learning._cheapest_action, the one
+action-choice function) both the agents' actions and the observations
 each nu sums over, and the tables' likelihoods
 (learning.action_likelihoods) the nu of every (mode, node), the last two
 through the study's RowMemo (below).  A block writes into the run's

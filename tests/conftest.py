@@ -121,6 +121,24 @@ def closure_by_edges(adjacency):
     return t.astype(np.int8)
 
 
+def blocks_by_closure(graph):
+    """Reference for graph.independent_blocks: the closure scan it replaced.
+
+    A node starts a new block when the last node before it that reaches it,
+    read from the strict upper triangle of the closure, lies in the current
+    block.
+    """
+    if graph.size == 0:
+        return []
+    reach = np.triu(graph.closure, 1)[::-1]
+    latest = np.where(reach.any(axis=0), graph.size - np.argmax(reach, axis=0), 0)
+    bounds = [0]
+    for m, last in enumerate(latest.tolist(), start=1):
+        if last > bounds[-1]:
+            bounds.append(m - 1)
+    return list(zip(bounds, bounds[1:] + [graph.size]))
+
+
 def exact_weight_matrix(graph):
     """Reference W = I - T^-1, in Python ints.
 

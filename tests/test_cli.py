@@ -470,6 +470,14 @@ class TestRun:
         assert_input_error(res, "node 596: weight w_596(20) exceeds the int64 range")
         assert not (tmp_path / "removal").exists()
 
+    @pytest.mark.parametrize("modes", ["", ",", "naive,"])
+    def test_empty_mode_name_exit_1_no_outputs(self, runner, tmp_path, modes):
+        out = tmp_path / "out"
+        res = runner.invoke(main, ["run", str(tiny_config(tmp_path, runs=2)),
+                                   "--modes", modes, "--output-dir", str(out)])
+        assert_input_error(res, "unknown modes: ['']")
+        assert not out.exists()
+
     @pytest.mark.parametrize("scenario", sorted(BUNDLED_DIGESTS))
     def test_bundled_golden_digests(self, runner, tmp_path, monkeypatch, scenario):
         monkeypatch.delenv("INCESTLESS_SEED", raising=False)

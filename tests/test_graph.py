@@ -1,12 +1,17 @@
+import copy
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from incestless import cli
 from incestless import graph as graphmod
+from incestless.simulate import build_graph
 
 from incestless import (
     CommGraph,
+    ConfigError,
     DagViolationError,
     GraphFormatError,
     TopologySpec,
@@ -31,6 +36,7 @@ from incestless import (
 
 from conftest import (
     bfs_closure,
+    blocks_by_closure,
     closure_by_edges,
     closure_by_inversion,
     exact_weight_matrix,
@@ -569,6 +575,7 @@ class TestConstraint:
 class TestIndependentBlocks:
     def assert_schedule(self, g):
         blocks = independent_blocks(g)
+        assert blocks == blocks_by_closure(g)
         assert [lo for lo, _ in blocks] == [0] + [hi for _, hi in blocks[:-1]]
         assert blocks[-1][1] == g.size
         assert all(hi > lo for lo, hi in blocks)
@@ -600,6 +607,34 @@ class TestIndependentBlocks:
         spec = TopologySpec(kind="complete_delay", agents=10, epochs=20)
         g = augment_for_constraint(generate_topology(spec, topology_rng(seed)))
         assert self.assert_schedule(g) == [(10 * k, 10 * k + 10) for k in range(20)]
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_without_closure_equals_closure_scan_on_random_dags(self, data):
+        size = data.draw(st.integers(0, 60), label="size")
+        edge_prob = data.draw(st.sampled_from([0.01, 0.05, 0.2, 0.6]), label="edge_prob")
+        seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
+        g = CommGraph(random_dag(np.random.default_rng(seed), size, edge_prob),
+                      num_agents=size, num_epochs=1)
+        # the rule reads the edges alone
+        blind = copy.copy(g)
+        object.__setattr__(blind, "closure", None)
+        assert independent_blocks(blind) == blocks_by_closure(g)
+
+    @pytest.mark.parametrize("name", ["paper_chain41", "paper_complete", "paper_star",
+                                      "paper_random4"])
+    def test_bundled_graphs(self, name):
+        self.assert_schedule(build_graph(cli.build_scenario(cli.load_config_file(name))))
+
+    @pytest.mark.parametrize("kind", ["complete_delay", "star_delay", "random4"])
+    def test_augmenting_leaves_the_blocks(self, kind):
+        # an added edge joins two nodes of which one already reaches the
+        # other, so never two nodes of one block
+        spec = TopologySpec(kind=kind, agents=6, epochs=8)
+        for seed in range(10):
+            g = generate_topology(spec, topology_rng(seed))
+            fixed = augment_for_constraint(g)
+            assert independent_blocks(fixed) == independent_blocks(g) == blocks_by_closure(g)
 
 
 class TestTopologies:
@@ -695,6 +730,46 @@ class TestTopologies:
             TopologySpec(kind="explicit")
 
 
+class TestCommGraphAdjacency:
+    @pytest.mark.parametrize("entry", [256, 0.5, 1.7, 257, -1])
+    def test_entry_that_is_not_0_or_1_raises(self, entry):
+        a = np.zeros((4, 4), dtype=np.int64 if float(entry).is_integer() else np.float64)
+        a[1, 2] = entry
+        with pytest.raises(GraphFormatError, match="0 or 1"):
+            CommGraph(a, num_agents=4, num_epochs=1)
+
+    def test_keeps_a_read_only_copy(self):
+        a = np.zeros((4, 4), dtype=np.int8)
+        a[0, 1] = 1
+        g = CommGraph(a, num_agents=4, num_epochs=1)
+        assert a.flags.writeable and not g.adjacency.flags.writeable
+        assert not np.shares_memory(a, g.adjacency)
+        a[1, 2] = 1  # a write through the caller's array does not reach the graph
+        assert g.adjacency[1, 2] == 0
+        assert np.array_equal(g.closure, bfs_closure(g.adjacency))
+
+    def test_size_mismatch_raises(self):
+        with pytest.raises(ConfigError, match="agents\\*epochs"):
+            CommGraph(np.zeros((4, 4), dtype=np.int8), num_agents=2, num_epochs=3)
+
+
+class TestGraphFromEdges:
+    def test_builds_the_edges(self):
+        g = graph_from_edges(4, [(1, 2), (np.int64(2), 4)])
+        assert [tuple(e) for e in np.argwhere(g.adjacency) + 1] == [(1, 2), (2, 4)]
+
+    @pytest.mark.parametrize("edge", [(1, 0), (0, 2), (2, 2), (3, 1), (1, 5), (1.0, 2),
+                                      (1, 2.0), (True, 2)])
+    def test_bad_edge_raises(self, edge):
+        with pytest.raises(GraphFormatError, match="requires 1 <= i < j <= 3"):
+            graph_from_edges(3, [edge])
+
+    @pytest.mark.parametrize("size", [-1, 2.0, "3", None])
+    def test_bad_size_raises(self, size):
+        with pytest.raises(GraphFormatError, match="graph size"):
+            graph_from_edges(size, [])
+
+
 class TestGraphFile:
     def test_round_trip(self, tmp_path):
         rng = np.random.default_rng(9)
@@ -720,6 +795,8 @@ class TestGraphFile:
 
     @pytest.mark.parametrize("text, line", [
         ("N 3\n1 x\n", "'1 x'"),
+        ("N 3\n1 5\n", "1->5"),
+        ("N 3\n0 2\n", "0->2"),
         ("N 3\n1 2 3\n", "'1 2 3'"),
         ("N -3\n", "'N -3'"),
         ("N 3 7\n1 2\n", "'N 3 7'"),
