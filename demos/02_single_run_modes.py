@@ -31,23 +31,19 @@ cfg = ScenarioConfig(
     seed=0,
 )
 trace = run_once(cfg, g, np.random.default_rng(7))
-records = trace.records  # mode -> one NodeRecord per node
+# row k of trace.actions / trace.after is mode cfg.modes[k], column n-1 node n
 
 print(f"true state: {trace.true_state}")
 print(f"observations: {trace.observations.tolist()}\n")
 print(f"{'node':>4} {'z':>3} | " +
       " | ".join(f"{m:>22}" for m in cfg.modes))
 for n in range(g.size):
-    cells = []
-    for m in cfg.modes:
-        r = records[m][n]
-        cells.append(f"a={r.action:2d}  p(x=10)={r.after[9]:.6f}")
+    cells = [f"a={trace.actions[k, n]:2d}  p(x=10)={trace.after[k, n, 9]:.6f}"
+             for k in range(len(cfg.modes))]
     print(f"{n + 1:>4} {trace.observations[n]:>3} | " + " | ".join(cells))
 
-r5r = records["removal"][4]
-r5i = records["idealized"][4]
-r5n = records["naive"][4]
+r5n, r5r, r5i = trace.after[:, 4]  # node 5 in cfg.modes' order
 print(f"\nnode 5 |removal - idealized|_max = "
-      f"{np.abs(r5r.after - r5i.after).max():.2e}")
+      f"{np.abs(r5r - r5i).max():.2e}")
 print(f"node 5 |naive   - idealized|_max = "
-      f"{np.abs(r5n.after - r5i.after).max():.2e}")
+      f"{np.abs(r5n - r5i).max():.2e}")

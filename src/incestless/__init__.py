@@ -16,16 +16,12 @@ from .graph import (
     CommGraph,
     TopologySpec,
     augment_for_constraint,
-    check_constraint,
     compute_weights,
     constraint_report,
-    deindex,
-    find_clean_seed,
     generate_topology,
     graph_from_edges,
     independent_blocks,
     load_graph,
-    reindex,
     save_graph,
     seed_rng,
     topology_rng,
@@ -51,7 +47,6 @@ from .learning import (
 )
 from .simulate import (
     MetricsTable,
-    NodeRecord,
     RunTables,
     RunTrace,
     ScenarioConfig,

@@ -285,7 +285,7 @@ def cmd_closure(graph_file):
     for row in graph.closure:
         click.echo(" ".join(str(int(v)) for v in row))
     for n in range(1, graph.size + 1):
-        t_n, b_n = graph.extract_t_b(n)
+        t_n, b_n = graph.closure[: n - 1, n - 1], graph.adjacency[: n - 1, n - 1]
         status = _violation(report[n]) if n in report else "OK"
         click.echo(
             f"node {n}: t={list(map(int, t_n))} b={list(map(int, b_n))} "

@@ -24,24 +24,6 @@ from .errors import (ConfigError, DagViolationError, GraphFormatError, Incestles
                      WeightOverflowError, is_integer, require_integer)
 
 
-def reindex(s: int, k: int, num_agents: int) -> int:
-    """Map (agent s, epoch k) to the scalar node index s + S*(k-1)."""
-    if not 1 <= s <= num_agents:
-        raise ValueError(f"agent index {s} out of range 1..{num_agents}")
-    if k < 1:
-        raise ValueError(f"epoch index {k} must be positive")
-    return s + num_agents * (k - 1)
-
-
-def deindex(n: int, num_agents: int) -> tuple[int, int]:
-    """Inverse of reindex: node index -> (agent, epoch)."""
-    if n < 1:
-        raise ValueError(f"node index {n} must be positive")
-    s = (n - 1) % num_agents + 1
-    k = (n - 1) // num_agents + 1
-    return s, k
-
-
 def validate_dag(adjacency: np.ndarray) -> list[tuple[int, int]]:
     """Return the list of (i, j) entries (1-based) violating strict upper triangularity.
 
@@ -139,22 +121,11 @@ class CommGraph:
         w.flags.writeable = False
         return w
 
-    def extract_t_b(self, n: int) -> tuple[np.ndarray, np.ndarray]:
-        """First n-1 entries of column n of the closure (t_n) and adjacency (b_n)."""
-        self._check_node(n)
-        t_n = self.closure[: n - 1, n - 1].copy()
-        b_n = self.adjacency[: n - 1, n - 1].copy()
-        return t_n, b_n
-
     def digest(self) -> str:
         """Short stable identifier of the edge set, for trace provenance."""
         import hashlib
 
         return hashlib.sha256(self.adjacency.tobytes()).hexdigest()[:16]
-
-    def _check_node(self, n: int):
-        if not 1 <= n <= self.size:
-            raise ValueError(f"node {n} out of range 1..{self.size}")
 
 
 def weight_matrix(graph: CommGraph) -> np.ndarray:
@@ -342,20 +313,9 @@ def compute_weights(graph: CommGraph, n: int) -> np.ndarray:
     Raises WeightOverflowError if any weight of the graph, not only one of
     w_n, lies beyond int64.
     """
-    graph._check_node(n)
+    if not 1 <= n <= graph.size:
+        raise ValueError(f"node {n} out of range 1..{graph.size}")
     return graph.weights[: n - 1, n - 1].copy()
-
-
-def check_constraint(weights: np.ndarray, b_n: np.ndarray) -> list[int]:
-    """Indices j (1-based) where w_n(j) != 0 but there is no edge j -> n.
-
-    Empty list means the availability constraint holds at this node: every
-    log-belief the removal weights need actually arrives over a direct edge.
-    """
-    w, b = np.asarray(weights), np.asarray(b_n)
-    if w.shape != b.shape:
-        raise ValueError(f"length mismatch: weights {w.shape} vs b_n {b.shape}")
-    return violations(w[:, None], b[:, None]).get(1, [])
 
 
 def violations(weights: np.ndarray, adjacency: np.ndarray) -> dict[int, list[int]]:
@@ -425,9 +385,9 @@ class TopologySpec:
 def generate_topology(spec: TopologySpec, rng: np.random.Generator) -> CommGraph:
     """Materialize a TopologySpec as a CommGraph.
 
-    A delay tau from (s, k) to s' becomes the edge
-    reindex(s, k) -> reindex(s', k + tau) when k + tau <= K; messages that
-    would arrive after the horizon are dropped.  A graph's draws (a delay,
+    A delay tau from agent s at epoch k to agent s' becomes the edge from
+    node s + S*(k-1) to node s' + S*(k+tau-1) when k + tau <= K; messages
+    that would arrive after the horizon are dropped.  A graph's draws (a delay,
     or random4's link state, per pair) are made in one call, in the order
     of one draw per pair: epoch, then sender, then receiver, and on the
     star each spoke -> hub draw just before its hub -> spoke one.  So the
@@ -481,15 +441,6 @@ def seed_rng(seed: int, child: int) -> np.random.Generator:
 def topology_rng(seed: int) -> np.random.Generator:
     """Generator used for topology realization under a scenario seed: seed_rng(seed, 0)."""
     return seed_rng(seed, 0)
-
-
-def find_clean_seed(spec: TopologySpec, start: int = 0, tries: int = 1000) -> int | None:
-    """First scenario seed in [start, start+tries) whose graph satisfies the constraint."""
-    for seed in range(start, start + tries):
-        g = generate_topology(spec, topology_rng(seed))
-        if not constraint_report(g):
-            return seed
-    return None
 
 
 def augment_for_constraint(graph: CommGraph) -> CommGraph:

@@ -97,8 +97,7 @@ state and then its N observations, the latter in one call, each by
 searchsorted on a CDF its StateModel keeps: Generator.choice(p=...)'s own
 algorithm, so the draws and the generator state are choice's.  All modes
 share the observations, so their traces differ by aggregation alone.
-RunTrace keeps the run as (M x N) and (M x N x X) arrays; its `records` is
-a per-node view of them, built on demand.
+RunTrace keeps the run as (M x N) and (M x N x X) arrays.
 Child r of SeedSequence(seed) (graph.seed_rng) drives run r; child 0 draws
 the graph (graph.topology_rng, as `gen-graph --seed`).
 """
@@ -159,16 +158,6 @@ class ScenarioConfig:
             raise ConfigError(f"force must be true or false, got {self.force!r}")
 
 
-@dataclass(frozen=True)
-class NodeRecord:
-    node: int
-    observation: int
-    action: int
-    public: np.ndarray
-    after: np.ndarray
-    estimate: float
-
-
 @dataclass
 class RunTrace:
     """One run in every mode: row k of each per-mode array is modes[k], and
@@ -182,20 +171,6 @@ class RunTrace:
     public: np.ndarray        # (M, N, X) public belief, before the node acts
     after: np.ndarray         # (M, N, X) belief after the node's own increment
     estimates: np.ndarray     # (M, N)
-
-    @property
-    def records(self) -> dict[str, list[NodeRecord]]:
-        """mode -> one NodeRecord per node, built from the arrays on each access;
-        the beliefs in it are read-only views."""
-        public, after = self.public.view(), self.after.view()
-        public.flags.writeable = after.flags.writeable = False
-        return {
-            mode: [NodeRecord(node=n + 1, observation=int(z), action=int(self.actions[k, n]),
-                              public=public[k, n], after=after[k, n],
-                              estimate=float(self.estimates[k, n]))
-                   for n, z in enumerate(self.observations)]
-            for k, mode in enumerate(self.modes)
-        }
 
 
 @dataclass

@@ -5,7 +5,6 @@ import pytest
 
 from incestless import (
     CommGraph,
-    reindex,
     ConstraintViolationError,
     DagViolationError,
     WeightOverflowError,
@@ -175,6 +174,17 @@ def int64_weights_by_rows(closure):
     return w
 
 
+def layered(agents, layers):
+    """Every node links to all nodes of the next layer (epoch); agent s of
+    layer k is node s + agents*(k-1)."""
+    return graph_from_edges(agents * layers, [
+        (s + agents * (k - 1), s2 + agents * k)
+        for k in range(1, layers)
+        for s in range(1, agents + 1)
+        for s2 in range(1, agents + 1)
+    ])
+
+
 def generate_topology_by_pairs(spec, rng):
     """The random topology kinds built with one draw per pair, in a Python loop.
 
@@ -187,7 +197,8 @@ def generate_topology_by_pairs(spec, rng):
 
     def connect(s_from, s_to, k, tau):
         if k + tau <= k_cnt:
-            a[reindex(s_from, k, s_cnt) - 1, reindex(s_to, k + tau, s_cnt) - 1] = 1
+            # agent s at epoch k is node s + S*(k-1)
+            a[s_from + s_cnt * (k - 1) - 1, s_to + s_cnt * (k + tau - 1) - 1] = 1
 
     if spec.kind == "complete_delay":
         for k in range(1, k_cnt + 1):

@@ -76,11 +76,11 @@ def test_3_removal_equals_idealized_on_random_dags():
                              true_state="random", modes=("removal", "idealized"),
                              runs=1, seed=0)
         trace = run_once(cfg, g, np.random.default_rng(trial))
-        for rr, ri in zip(trace.records["removal"], trace.records["idealized"]):
-            diff = np.abs(rr.after - ri.after).max()
-            worst = max(worst, diff)
-            assert diff <= 1e-10
-            assert rr.action == ri.action
+        removal, ideal = cfg.modes.index("removal"), cfg.modes.index("idealized")
+        diff = np.abs(trace.after[removal] - trace.after[ideal]).max()
+        worst = max(worst, diff)
+        assert diff <= 1e-10
+        assert np.array_equal(trace.actions[removal], trace.actions[ideal])
     report("3 removal == idealized", f"500 random DAGs, worst belief diff {worst:.2e}")
 
 
@@ -125,9 +125,9 @@ def test_6_tree_equivalence(model):
                              true_state="random", modes=("naive", "removal"),
                              runs=1, seed=0)
         trace = run_once(cfg, g, np.random.default_rng(trial))
-        for rn, rr in zip(trace.records["naive"], trace.records["removal"]):
-            assert rn.action == rr.action
-            assert np.abs(rn.after - rr.after).max() <= 1e-12
+        naive, removal = cfg.modes.index("naive"), cfg.modes.index("removal")
+        assert np.array_equal(trace.actions[naive], trace.actions[removal])
+        assert np.abs(trace.after[naive] - trace.after[removal]).max() <= 1e-12
     report("6 tree equivalence", "100 random in-trees, naive == removal")
 
 

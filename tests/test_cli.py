@@ -8,12 +8,12 @@ import pytest
 import yaml
 from click.testing import CliRunner
 
-from incestless import CommGraph, graph_from_edges, load_graph, reindex, save_graph
+from incestless import CommGraph, load_graph, save_graph
 from incestless import cli
 from incestless.cli import build_scenario, main
 from incestless.simulate import ScenarioConfig, build_graph
 
-from conftest import DIAMOND_A_EDGES, DIAMOND_B_EDGES, random_dag
+from conftest import DIAMOND_A_EDGES, DIAMOND_B_EDGES, layered, random_dag
 
 # SHA-256 of `incestless run <scenario>` at each bundled seed, the digests in
 # bench/golden.json; the outputs must stay byte-identical
@@ -62,15 +62,8 @@ def write_diamond(tmp_path, edges, name):
 def overflow_graph_file(tmp_path):
     """5 agents x 34 layers, every node linked to the whole next layer: the
     true weights of the last nodes reach 2^64, beyond int64."""
-    agents, layers = 5, 34
-    g = graph_from_edges(agents * layers, [
-        (reindex(s, k, agents), reindex(s2, k + 1, agents))
-        for k in range(1, layers)
-        for s in range(1, agents + 1)
-        for s2 in range(1, agents + 1)
-    ])
     path = tmp_path / "layered.txt"
-    save_graph(g, path)
+    save_graph(layered(5, 34), path)
     return path
 
 
@@ -151,16 +144,15 @@ class TestClosureCommand:
         path = write_diamond(tmp_path, DIAMOND_A_EDGES, "a.txt")
         res = runner.invoke(main, ["closure", str(path)])
         assert res.exit_code == 0
-        line5 = [ln for ln in res.output.splitlines() if ln.startswith("node 5:")][0]
-        assert "w=[-1, -1, 1, 1]" in line5
-        assert "constraint OK" in line5
+        assert res.output.splitlines()[-1] == (
+            "node 5: t=[1, 1, 1, 1] b=[1, 1, 1, 1] w=[-1, -1, 1, 1] constraint OK")
 
     def test_diamond_b_violation(self, runner, tmp_path):
         path = write_diamond(tmp_path, DIAMOND_B_EDGES, "b.txt")
         res = runner.invoke(main, ["closure", str(path)])
         assert res.exit_code == 0
-        line5 = [ln for ln in res.output.splitlines() if ln.startswith("node 5:")][0]
-        assert "violation at 2" in line5
+        assert res.output.splitlines()[-1] == (
+            "node 5: t=[1, 1, 1, 1] b=[1, 0, 1, 1] w=[-1, -1, 1, 1] constraint violation at 2")
 
     def test_empty_graph_identity_closure(self, runner, tmp_path):
         path = tmp_path / "empty.txt"

@@ -1,4 +1,5 @@
-"""The demos run to completion against the current package."""
+"""The demos run to completion against the current package, with every
+numpy RuntimeWarning an error, as it is under pytest."""
 
 import os
 import subprocess
@@ -17,6 +18,7 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 ])
 def test_demo_runs(demo):
     env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
-    res = subprocess.run([sys.executable, os.path.join(ROOT, "demos", demo)],
+    res = subprocess.run([sys.executable, "-W", "error::RuntimeWarning",
+                          os.path.join(ROOT, "demos", demo)],
                          env=env, capture_output=True, text=True, timeout=120)
     assert res.returncode == 0, res.stderr

@@ -17,16 +17,13 @@ from incestless import (
     TopologySpec,
     WeightOverflowError,
     augment_for_constraint,
-    check_constraint,
     IncestlessError,
     compute_weights,
     constraint_report,
-    deindex,
     generate_topology,
     graph_from_edges,
     independent_blocks,
     load_graph,
-    reindex,
     save_graph,
     topology_rng,
     transitive_closure,
@@ -42,37 +39,11 @@ from conftest import (
     exact_weight_matrix,
     generate_topology_by_pairs,
     int64_weights_by_rows,
+    layered,
     prefix,
     random_dag,
     violations_by_column,
 )
-
-
-class TestReindex:
-    def test_first_node(self):
-        assert reindex(1, 1, 2) == 1
-
-    def test_two_agents_three_epochs_last(self):
-        assert reindex(2, 3, 2) == 6
-
-    def test_round_trip_example(self):
-        assert reindex(5, 4, 6) == 23
-        assert deindex(23, 6) == (5, 4)
-
-    def test_round_trip_exhaustive(self):
-        for num_agents in range(1, 11):
-            for s in range(1, num_agents + 1):
-                for k in range(1, 11):
-                    n = reindex(s, k, num_agents)
-                    assert deindex(n, num_agents) == (s, k)
-
-    def test_out_of_range(self):
-        with pytest.raises(ValueError):
-            reindex(3, 1, 2)
-        with pytest.raises(ValueError):
-            reindex(1, 0, 2)
-        with pytest.raises(ValueError):
-            deindex(0, 2)
 
 
 class TestValidateDag:
@@ -112,8 +83,7 @@ class TestClosure:
         assert (g.closure == np.triu(np.ones((3, 3)))).all()
 
     def test_diamond_t5(self, diamond_a):
-        t5, _ = diamond_a.extract_t_b(5)
-        assert (t5 == [1, 1, 1, 1]).all()
+        assert (diamond_a.closure[:4, 4] == [1, 1, 1, 1]).all()
 
     def test_cyclic_rejected(self):
         a = np.zeros((3, 3))
@@ -168,26 +138,6 @@ class TestClosure:
         assert np.array_equal(transitive_closure(a), np.triu(np.ones((700, 700), dtype=np.int8)))
 
 
-class TestExtract:
-    def test_first_node_empty(self, diamond_a):
-        t1, b1 = diamond_a.extract_t_b(1)
-        assert t1.size == 0 and b1.size == 0
-
-    def test_diamond_node5(self, diamond_a):
-        t5, b5 = diamond_a.extract_t_b(5)
-        assert list(t5) == [1, 1, 1, 1]
-        assert list(b5) == [1, 1, 1, 1]
-
-    def test_diamond_b_node5(self, diamond_b):
-        t5, b5 = diamond_b.extract_t_b(5)
-        assert list(t5) == [1, 1, 1, 1]
-        assert list(b5) == [1, 0, 1, 1]
-
-    def test_out_of_range(self, diamond_a):
-        with pytest.raises(ValueError):
-            diamond_a.extract_t_b(6)
-
-
 class TestWeights:
     def test_single_edge(self):
         g = graph_from_edges(2, [(1, 2)])
@@ -203,14 +153,14 @@ class TestWeights:
             g = CommGraph(random_dag(rng, size), num_agents=size, num_epochs=1)
             n = int(rng.integers(2, size + 1))
             w = compute_weights(g, n)
-            t_n, _ = g.extract_t_b(n)
+            t_n = g.closure[: n - 1, n - 1]
             # defining system: w_n @ T'_{n-1} = t_n
             residual = g.closure[: n - 1, : n - 1].astype(np.int64) @ w - t_n
             assert (residual == 0).all()
 
     def test_float_residual(self, diamond_a):
         w = compute_weights(diamond_a, 5).astype(np.float64)
-        t5, _ = diamond_a.extract_t_b(5)
+        t5 = diamond_a.closure[:4, 4]
         res = diamond_a.closure[:4, :4].astype(np.float64) @ w - t5
         assert np.abs(res).max() <= 1e-12
 
@@ -257,16 +207,6 @@ class TestWeights:
             n = int(rng.integers(2, size))
             sub = prefix(g, n)
             assert (compute_weights(sub, n) == compute_weights(g, n)).all()
-
-
-def layered(agents, layers):
-    """Every node links to all nodes of the next layer (epoch)."""
-    return graph_from_edges(agents * layers, [
-        (reindex(s, k, agents), reindex(s2, k + 1, agents))
-        for k in range(1, layers)
-        for s in range(1, agents + 1)
-        for s2 in range(1, agents + 1)
-    ])
 
 
 class TestWeightOverflow:
@@ -466,22 +406,14 @@ class TestResumedWeights:
 
 class TestConstraint:
     def test_diamond_a_satisfied(self, diamond_a):
-        w = compute_weights(diamond_a, 5)
-        _, b5 = diamond_a.extract_t_b(5)
-        assert check_constraint(w, b5) == []
+        assert constraint_report(diamond_a) == {}
 
     def test_diamond_b_violation_at_2(self, diamond_b):
-        w = compute_weights(diamond_b, 5)
-        _, b5 = diamond_b.extract_t_b(5)
-        assert check_constraint(w, b5) == [2]
+        assert constraint_report(diamond_b) == {5: [2]}
 
     def test_empty_graph_satisfied(self):
         g = CommGraph(np.zeros((6, 6), dtype=np.int8), num_agents=6, num_epochs=1)
         assert constraint_report(g) == {}
-
-    def test_length_mismatch(self):
-        with pytest.raises(ValueError):
-            check_constraint(np.ones(3), np.ones(4))
 
     def test_redundant_edge_never_creates_violation(self):
         # an in-edge i -> n with T(i, n) already 1 leaves the closure (and
@@ -496,9 +428,7 @@ class TestConstraint:
             a = random_dag(rng, size)
             g = CommGraph(a, num_agents=size, num_epochs=1)
             n = int(rng.integers(2, size + 1))
-            w = compute_weights(g, n)
-            _, b_n = g.extract_t_b(n)
-            before = set(check_constraint(w, b_n))
+            before = set(constraint_report(g).get(n, []))
             candidates = [
                 i for i in range(n - 1)
                 if a[i, n - 1] == 0 and g.closure[i, n - 1] == 1
@@ -511,9 +441,7 @@ class TestConstraint:
             a2[i, n - 1] = 1
             g2 = CommGraph(a2, num_agents=size, num_epochs=1)
             assert (g2.closure == g.closure).all()
-            w2 = compute_weights(g2, n)
-            _, b2 = g2.extract_t_b(n)
-            after = set(check_constraint(w2, b2))
+            after = set(constraint_report(g2).get(n, []))
             assert after <= before
         assert checked > 20
 
@@ -664,8 +592,8 @@ class TestTopologies:
             np.random.default_rng(1),
         )
         for i, j in np.argwhere(g.adjacency):
-            s_i, _ = deindex(int(i) + 1, 4)
-            s_j, _ = deindex(int(j) + 1, 4)
+            # node n is agent (n - 1) mod S + 1, and row i is node i + 1
+            s_i, s_j = int(i) % 4 + 1, int(j) % 4 + 1
             assert s_i == 1 or s_j == 1
 
     def test_random4_valid(self):

@@ -90,26 +90,25 @@ class TestRunOnce:
         g = CommGraph(np.zeros((1, 1), dtype=np.int8), num_agents=1, num_epochs=1)
         cfg = scenario(model, modes=("naive", "removal", "idealized", "obs_oracle"))
         trace = run_once(cfg, g, np.random.default_rng(0))
-        actions = {m: trace.records[m][0].action for m in cfg.modes}
-        assert len(set(actions.values())) == 1
+        assert len(set(trace.actions[:, 0].tolist())) == 1
         for m in ("naive", "removal", "idealized"):
-            assert np.allclose(trace.records[m][0].public, model.prior)
+            assert np.allclose(trace.public[cfg.modes.index(m), 0], model.prior)
 
     def test_chain_naive_equals_removal(self, model):
         g = graph_from_edges(6, [(i, i + 1) for i in range(1, 6)])
         cfg = scenario(model)
         trace = run_once(cfg, g, np.random.default_rng(1))
-        for rn, rr in zip(trace.records["naive"], trace.records["removal"]):
-            assert rn.action == rr.action
-            assert np.allclose(rn.after, rr.after, atol=1e-12)
+        naive, removal = cfg.modes.index("naive"), cfg.modes.index("removal")
+        assert np.array_equal(trace.actions[naive], trace.actions[removal])
+        assert np.allclose(trace.after[naive], trace.after[removal], atol=1e-12)
 
     def test_diamond_removal_matches_idealized(self, model, diamond_a):
         cfg = scenario(model)
+        ideal, removal = cfg.modes.index("idealized"), cfg.modes.index("removal")
         for seed in range(10):
             trace = run_once(cfg, diamond_a, np.random.default_rng(seed))
-            for ri, rr in zip(trace.records["idealized"], trace.records["removal"]):
-                assert ri.action == rr.action
-                assert np.abs(ri.after - rr.after).max() <= 1e-10
+            assert np.array_equal(trace.actions[ideal], trace.actions[removal])
+            assert np.abs(trace.after[ideal] - trace.after[removal]).max() <= 1e-10
 
     def test_naive_fuses_in_neighbours_with_unit_weights(self, model, diamond_b):
         # uniform prior: the public log-belief is the sum of the in-neighbours'
@@ -117,32 +116,34 @@ class TestRunOnce:
         # but sends it nothing, so it must not count there.
         cfg = scenario(model, modes=("naive",))
         for seed in range(5):
-            recs = run_once(cfg, diamond_b, np.random.default_rng(seed)).records["naive"]
+            trace = run_once(cfg, diamond_b, np.random.default_rng(seed))
+            after, public = trace.after[0], trace.public[0]
             for n in range(1, 6):
                 with np.errstate(divide="ignore"):
-                    logs = [np.log(recs[i].after)
+                    logs = [np.log(after[i])
                             for i in np.flatnonzero(diamond_b.adjacency[:, n - 1])]
                 expected = normalize_log(np.sum(logs, axis=0)) if logs else model.prior
-                assert np.allclose(recs[n - 1].public, expected, atol=1e-12)
+                assert np.allclose(public[n - 1], expected, atol=1e-12)
 
     def test_diamond_naive_differs_somewhere(self, model, diamond_a):
         # existence check: data incest changes at least one node-5 belief
         cfg = scenario(model)
+        naive, ideal = cfg.modes.index("naive"), cfg.modes.index("idealized")
         diffs = []
         for seed in range(50):
             trace = run_once(cfg, diamond_a, np.random.default_rng(seed))
-            r5n = trace.records["naive"][4]
-            r5i = trace.records["idealized"][4]
-            diffs.append(np.abs(r5n.after - r5i.after).max())
+            diffs.append(np.abs(trace.after[naive, 4] - trace.after[ideal, 4]).max())
         assert max(diffs) > 1e-6
 
     def test_shared_observations_across_modes(self, model, diamond_a):
         cfg = scenario(model, modes=("naive", "removal", "idealized", "obs_oracle"))
         trace = run_once(cfg, diamond_a, np.random.default_rng(2))
-        for n in range(5):
-            obs = {trace.records[m][n].observation for m in cfg.modes}
-            assert len(obs) == 1
-            assert obs.pop() == trace.observations[n]
+        assert trace.observations.shape == (5,)
+        for k, m in enumerate(cfg.modes):
+            # a mode run alone draws the same observations and acts the same
+            alone = run_once(scenario(model, modes=(m,)), diamond_a, np.random.default_rng(2))
+            assert np.array_equal(alone.observations, trace.observations)
+            assert np.array_equal(alone.actions[0], trace.actions[k])
 
     def test_tree_naive_equals_removal(self, model):
         rng = np.random.default_rng(3)
@@ -150,9 +151,9 @@ class TestRunOnce:
             g = random_tree(rng, int(rng.integers(2, 15)))
             cfg = scenario(model)
             trace = run_once(cfg, g, np.random.default_rng(int(rng.integers(1000))))
-            for rn, rr in zip(trace.records["naive"], trace.records["removal"]):
-                assert rn.action == rr.action
-                assert np.allclose(rn.after, rr.after, atol=1e-12)
+            naive, removal = cfg.modes.index("naive"), cfg.modes.index("removal")
+            assert np.array_equal(trace.actions[naive], trace.actions[removal])
+            assert np.allclose(trace.after[naive], trace.after[removal], atol=1e-12)
 
     def test_constraint_violation_aborts(self, model, diamond_b):
         cfg = scenario(model)
@@ -162,7 +163,7 @@ class TestRunOnce:
     def test_force_proceeds_on_violation(self, model, diamond_b):
         cfg = scenario(model, force=True)
         trace = run_once(cfg, diamond_b, np.random.default_rng(0))
-        assert len(trace.records["removal"]) == 5
+        assert trace.after[cfg.modes.index("removal")].shape == (5, model.num_states)
 
     def test_true_state_random_uses_prior(self, model):
         g = graph_from_edges(2, [(1, 2)])
@@ -325,18 +326,6 @@ class TestStackedRunMatchesReference:
                           estimate_rule=data.draw(st.sampled_from(["mean", "map"]), label="rule"))
         assert_same_as_reference(config, graph, data.draw(st.integers(0, 2**16), label="seed"))
 
-    def test_records_view_the_arrays(self, model, diamond_a):
-        config = scenario(model, modes=ALL_MODES)
-        trace = run_once(config, diamond_a, np.random.default_rng(4))
-        for k, mode in enumerate(config.modes):
-            recs = trace.records[mode]
-            assert [r.node for r in recs] == [1, 2, 3, 4, 5]
-            assert [r.observation for r in recs] == trace.observations.tolist()
-            assert [r.action for r in recs] == trace.actions[k].tolist()
-            assert [r.estimate for r in recs] == trace.estimates[k].tolist()
-            assert np.array_equal([r.public for r in recs], trace.public[k])
-            assert np.array_equal([r.after for r in recs], trace.after[k])
-            assert not recs[0].after.flags.writeable
 
 
 class TestEvidenceOverflow:
@@ -821,8 +810,7 @@ class TestMonteCarlo:
         graph = generate_topology(cfg.topology, np.random.default_rng(children[0]))
         trace = run_once(cfg, graph, np.random.default_rng(children[1]))
         for m in cfg.modes:
-            assert np.allclose(mt.estimates[m][0],
-                               [r.estimate for r in trace.records[m]])
+            assert np.allclose(mt.estimates[m][0], trace.estimates[cfg.modes.index(m)])
 
     def test_deterministic(self, model):
         cfg = scenario(model, runs=5)
