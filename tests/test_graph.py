@@ -138,6 +138,17 @@ class TestClosure:
         assert np.array_equal(transitive_closure(a), np.triu(np.ones((700, 700), dtype=np.int8)))
 
 
+class TestExtract:
+    # t_n and b_n of node n are column n of the closure and of the adjacency, above the diagonal
+    def test_diamond_node5(self, diamond_a):
+        assert list(diamond_a.closure[:4, 4]) == [1, 1, 1, 1]
+        assert list(diamond_a.adjacency[:4, 4]) == [1, 1, 1, 1]
+
+    def test_diamond_b_node5(self, diamond_b):
+        assert list(diamond_b.closure[:4, 4]) == [1, 1, 1, 1]
+        assert list(diamond_b.adjacency[:4, 4]) == [1, 0, 1, 1]
+
+
 class TestWeights:
     def test_single_edge(self):
         g = graph_from_edges(2, [(1, 2)])
