@@ -13,9 +13,9 @@ A is the adjacency, T the closure, W = I - T^-1 (CommGraph.weights, solved
 once per graph on first use; raises WeightOverflowError beyond int64), nu
 the action log-likelihood.  Every F is masked, entry by entry, by the rows
 its node receives: after-evidence arrives over edges (A), own increments
-over the whole history (T - I), so no node reads a row it does not
+over the whole history (T - I), so no node fuses a row it does not
 receive.  Removal's W * A is W where the constraint holds; `force` only
-decides whether a violation raises.  Only removal reads W: a study without
+decides whether a violation raises.  Only removal uses W: a study without
 it runs on a graph whose W leaves int64, and its constraint report is None
 (not checked).
 
@@ -24,7 +24,7 @@ likelihood of its action, so what it stores depends on the actions heard
 before it.  obs_oracle hears raw observations and no action, so its row is
 one closed form per run, outside the block step below: one learning.fuse
 of every node's observation log-likelihood with its (1, N, N)
-coefficients (T - I)^T, built once per study by run_tables.  Its public
+coefficients (T - I)^T, the last row of the study's table.  Its public
 beliefs give its actions through the study's RowMemo (below), and run_once
 puts its rows in at obs_oracle's index in the modes, one np.concatenate
 per trace array.
@@ -54,14 +54,14 @@ check: naive evidence counts paths, which pass the float64 range on
 large dense graphs, and fuse raises ValueError for the lowest node
 whose fused evidence is not finite, before the block writes anything.
 The block step is bit for bit the per-node, per-mode loop, and raises
-what that loop raises.  What a run reads that depends on the graph and
-the config alone (the blocks, their coefficient slices, the graph
-digest) is built once per study by run_tables, and monte_carlo passes it
-to every run_once.  Block (lo, hi)
-fuses the rows of nodes 1..lo only, so its slice is the (M', hi - lo, lo)
-corner of the M' x N x N coefficient table that it reads; the slices are
-C-contiguous views of one float64 buffer, which holds no other entry of
-that table; run_tables fills it with one masked gather per mode.
+what that loop raises.  What a run uses that depends on the graph and
+the config alone (the blocks, the coefficient table, the graph digest)
+is built once per study by run_tables, and monte_carlo passes it to
+every run_once.  The table is one C-contiguous float64 array (M x N x N),
+the action-driven modes' rows and then obs_oracle's, each filled by one
+masked multiply.  Block (lo, hi) fuses the rows of nodes 1..lo only, so
+its coefficients are the view coeffs[:M', lo:hi, :lo], in which i keeps
+stride 1.
 A block's inputs (evidence, pub and the table ids of pub) depend only on
 the actions heard before it, and runs that herd hear the same actions, so
 the tables also hold a StepTrie, which reuses block inputs across the runs
@@ -69,7 +69,7 @@ of the study.  It holds steps[(state, key)] = next state and
 inputs[state]: a state is an int that numbers a path of keys (-1 the
 empty path), a key is a block's joint actions (M' x L, as bytes; empty
 for block 1, which hears nothing), and inputs are those of the block the
-path leads into.  A block reads only the rows stored before it, and those
+path leads into.  A block fuses only the rows stored before it, and those
 follow from the key path alone (by induction over the blocks: a block's
 stored rows follow from its inputs and its key), so held inputs are the
 ones the block would compute, bit for bit.
@@ -202,7 +202,7 @@ def node_weights(graph: CommGraph) -> list[np.ndarray]:
 # Bytes of keys and array data that each of one study's caches, its StepTrie
 # and its RowMemo, may hold (the memo, at the start of a run).  Without a
 # bound, a study whose runs rarely share a prefix fills megabytes it never
-# reads.
+# uses.
 TRIE_BUDGET = 512 * 1024
 
 
@@ -252,7 +252,7 @@ class RowMemo:
         learning.action_table(pub, model), computed by one call on the
         distinct rows the memo misses.  Rows it adds replace tables and
         nus, so compute ids before reading either: memo.tables[
-        memo.table_ids(pub)] reads the old array and may raise IndexError."""
+        memo.table_ids(pub)] indexes the old array and may raise IndexError."""
         rows = pub.reshape(-1, pub.shape[-1])
         keys = _row_keys(rows, self.row_key)
         found = list(map(self.ids.get, keys))
@@ -316,16 +316,16 @@ class StepTrie:
 class RunTables:
     """What every run of a study shares; it depends on the graph and the config alone.
 
-    Row k of coeffs and stores_after is the k-th action-driven mode of
-    config.modes, every mode but obs_oracle, in their order.  coeffs[b]
-    belongs to block blocks[b] = (lo, hi): coeffs[b][k, l, i] weighs node
-    i+1's stored row in node lo+l+1's fusion, and is zero unless that row
-    reaches that node (over an edge for after-evidence, over a path for an
-    own increment).  Each is a read-only, C-contiguous view of one buffer,
-    and together they hold every coefficient the block step reads, as a
-    block reads only the rows stored before it.  oracle_coeffs[0][n-1, i]
-    weighs node i+1's observation log-likelihood in node n's obs_oracle
-    evidence, when obs_oracle is configured (read-only; else None).
+    Row k of stores_after is the k-th action-driven mode of config.modes,
+    every mode but obs_oracle, in their order, and so are the first M' rows
+    of coeffs, the read-only, C-contiguous (M, N, N) coefficient table;
+    its last row is obs_oracle's, when that mode is configured.
+    coeffs[k, n-1, i] weighs node i+1's stored row (obs_oracle: its
+    observation log-likelihood) in node n's fusion, and is +0.0 unless that
+    row reaches that node (over an edge for after-evidence, over a path for
+    an own increment).  Block (lo, hi) fuses the view coeffs[:M', lo:hi,
+    :lo], as it fuses only the rows stored before it, and obs_oracle's
+    closed form fuses coeffs[M':].
     config and graph are the objects the tables were built from, trie holds
     the block inputs of the study's runs by the actions they heard, and
     memo their action tables and action likelihoods by public-belief row,
@@ -335,9 +335,8 @@ class RunTables:
     by row.
     """
 
-    coeffs: list[np.ndarray]        # per block (lo, hi): (M', hi - lo, lo) float, C order
+    coeffs: np.ndarray              # (M, N, N) float, C order; obs_oracle's row last
     stores_after: np.ndarray        # (M', 1, 1) bool: S[n] is the after-evidence, not the increment
-    oracle_coeffs: np.ndarray | None  # (1, N, N) float (T - I)^T, C order; None without obs_oracle
     blocks: list[tuple[int, int]]   # graph.independent_blocks
     digest: str
     constraint: dict[int, list[int]] | None  # None: W leaves int64, not checked
@@ -348,17 +347,15 @@ class RunTables:
 
 
 def run_tables(config: ScenarioConfig, graph: CommGraph) -> RunTables:
-    """Build the tables every run over the graph reads.
+    """Build the tables every run over the graph uses.
 
     Each mode's coefficients are its weights masked by the rows its node
     receives, entry by entry: A for after-evidence, T - I for own
     increments.  Removal's are W * A, which is W where the constraint holds.
-    The action-driven modes' are gathered into one float64 buffer, one
-    masked gather and one masked write per mode, and each block gets its
-    read-only slice of it.
-    obs_oracle's, (T - I)^T, are one (1, N, N) float64 array of their own,
-    built only when it is configured.
-    Only removal reads W: with removal among the modes, a W beyond int64
+    Each mode's row of the float64 table, the action-driven modes' in
+    their order and then obs_oracle's (T - I)^T, is one integer multiply
+    cast on output.
+    Only removal uses W: with removal among the modes, a W beyond int64
     raises WeightOverflowError, and a graph that violates the constraint
     raises ConstraintViolationError unless config.force.  Without removal,
     a W beyond int64 leaves the constraint unchecked (None).
@@ -380,32 +377,18 @@ def run_tables(config: ScenarioConfig, graph: CommGraph) -> RunTables:
     if removal:
         table["removal"] = (graph.weights, True)
     driven = [table[mode] for mode in config.modes if mode != "obs_oracle"]
-    blocks, m = graphmod.independent_blocks(graph), len(driven)
-    bounds = np.array(blocks, dtype=np.int64).reshape(-1, 2)
-    los, lengths = bounds[:, 0], bounds[:, 1] - bounds[:, 0]
-    sizes = lengths * los  # one mode's coefficients in each block
-    # node n of block (lo, hi) reads the rows of nodes 1..lo: in C order, one
-    # mode's entries of every block, block after block
-    reads = (np.arange(graph.size) < los[:, None]).repeat(lengths, axis=0)
-    # the mode of each buffer entry: block by block, each mode's entries in turn
-    parts = np.arange(m, dtype=np.int8)[None].repeat(len(blocks), axis=0).ravel()
-    owner = parts.repeat(sizes.repeat(m))
-    buffer = np.empty(owner.size)
-    for k, (f, after) in enumerate(driven):
+    # obs_oracle fuses own increments over the history, as idealized does
+    rows = driven + ([(history, False)] if "obs_oracle" in config.modes else [])
+    coeffs = np.empty((len(rows), graph.size, graph.size))
+    for k, (f, after) in enumerate(rows):
         # after-evidence arrives over edges, own increments over the whole history;
-        # row n-1 of the transpose is what node n fuses
-        buffer[owner == k] = (f * (adjacency if after else history)).T[reads]
-    _frozen(buffer)
-    ends = np.cumsum(m * sizes).tolist()
-    coeffs = [buffer[end - m * (hi - lo) * lo:end].reshape(m, hi - lo, lo)
-              for (lo, hi), end in zip(blocks, ends)]
-    oracle_coeffs = None
-    if "obs_oracle" in config.modes:
-        oracle_coeffs = _frozen(np.ascontiguousarray(history.T[None], dtype=np.float64))
+        # row n-1 of the transpose is what node n fuses.  The product is taken in
+        # integers, so every zero is cast to +0.0
+        np.multiply(f.T, (adjacency if after else history).T, out=coeffs[k])
     return RunTables(
-        coeffs=coeffs,
+        coeffs=_frozen(coeffs),
         stores_after=np.array([after for _, after in driven], dtype=bool)[:, None, None],
-        oracle_coeffs=oracle_coeffs, blocks=blocks, digest=graph.digest(),
+        blocks=graphmod.independent_blocks(graph), digest=graph.digest(),
         constraint=constraint, config=config, graph=graph, memo=RowMemo(config.model))
 
 
@@ -430,13 +413,14 @@ def run_once(config: ScenarioConfig, graph: CommGraph, rng: np.random.Generator,
         x = int(config.true_state)
 
     # the action-driven modes' rows; obs_oracle's is put in once the blocks are done
-    shape = (len(tables.stores_after), graph.size, model.num_states)
+    m = len(tables.stores_after)
+    shape = (m, graph.size, model.num_states)
     observations = learning.sample_observation(x, model, rng, size=graph.size)
     obs_index = observations - 1
     log_prior = model.log_prior
     stored = np.zeros(shape)
     # each block's pub, after-evidence and actions, joined once the blocks are
-    # done; the empty first parts give a graph without blocks (N = 0) its shapes
+    # done; the empty first entries give a graph without blocks (N = 0) its shapes
     pubs, after_evidences = [stored[:, :0]], [stored[:, :0]]
     acts = [np.empty((shape[0], 0), dtype=np.int64)]
     blocks, trie, memo = tables.blocks, tables.trie, tables.memo
@@ -446,7 +430,7 @@ def run_once(config: ScenarioConfig, graph: CommGraph, rng: np.random.Generator,
         trie.clear()
 
     state, key = -1, b""  # the empty history; block 1 hears no actions
-    for (lo, hi), coeffs in zip(blocks, tables.coeffs):
+    for lo, hi in blocks:
         # nodes lo+1..hi, none of which hears another, in one row per (mode, node);
         # state is None once the run has left the trie, and never looks up a hit
         held = trie.steps.get((state, key))
@@ -457,7 +441,7 @@ def run_once(config: ScenarioConfig, graph: CommGraph, rng: np.random.Generator,
         else:
             # the one call in a block step that can raise, before the block writes
             # anything: with every row finite, no later call can
-            evidence = learning.fuse(coeffs, stored[:, :lo], node=lo + 1)
+            evidence = learning.fuse(tables.coeffs[:m, lo:hi, :lo], stored[:, :lo], node=lo + 1)
             pub = learning.normalize_log(log_prior + evidence)
             ids = memo.table_ids(pub)
             if state is not None:
@@ -476,13 +460,13 @@ def run_once(config: ScenarioConfig, graph: CommGraph, rng: np.random.Generator,
     public = np.concatenate(pubs, axis=1)
     after = log_prior + np.concatenate(after_evidences, axis=1)  # normalised below
     actions = np.concatenate(acts, axis=1)
-    if tables.oracle_coeffs is not None:
+    if "obs_oracle" in config.modes:
         # obs_oracle's row, from the observations alone: every node's own
         # increment is its observation's, and it fuses those of its history.
         # This fuse cannot raise: a node sums at most N floored logs, each
         # >= log(LIKELIHOOD_FLOOR) > -691.
         own = learning.floored_log(model.likelihood_t[obs_index])
-        evidence = learning.fuse(tables.oracle_coeffs, own[None], node=1)
+        evidence = learning.fuse(tables.coeffs[m:], own[None], node=1)
         pub = learning.normalize_log(log_prior + evidence)
         ids = memo.table_ids(pub)  # before memo.tables is read: table_ids replaces it
         k = config.modes.index("obs_oracle")

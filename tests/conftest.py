@@ -252,17 +252,12 @@ def fuse_by_reduce(coeffs, evidence):
 def coefficient_table(tables):
     """The (M, N, N) coefficient table of every mode, in config.modes order:
     entry [k, n-1, i] weighs node i+1's stored row in node n's fusion, in
-    mode k.  The action-driven modes' rows come from the block slices of
-    RunTables.coeffs, whose outside entries are +0.0, and obs_oracle's is
-    RunTables.oracle_coeffs."""
-    size = tables.graph.size
-    table = np.zeros((len(tables.stores_after), size, size))
-    for (lo, hi), coeffs in zip(tables.blocks, tables.coeffs, strict=True):
-        table[:, lo:hi, :lo] = coeffs
-    if tables.oracle_coeffs is None:
-        return table
-    return np.insert(table, tables.config.modes.index("obs_oracle"), tables.oracle_coeffs,
-                     axis=0)
+    mode k.  RunTables.coeffs holds obs_oracle's row last, so it goes back
+    in at its index in config.modes."""
+    m, modes = len(tables.stores_after), tables.config.modes
+    if "obs_oracle" not in modes:
+        return tables.coeffs
+    return np.insert(tables.coeffs[:m], modes.index("obs_oracle"), tables.coeffs[m:], axis=0)
 
 
 def after_action_update(pub, a, model):

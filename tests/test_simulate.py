@@ -403,27 +403,27 @@ class TestRunTables:
 
     @pytest.mark.parametrize("name", BUNDLED)
     def test_one_read_only_slice_per_block(self, name):
-        # block (lo, hi) fuses the rows of nodes 1..lo, so its slice is
-        # (M - 1, hi - lo, lo), one row per mode but obs_oracle, and the slices
-        # share one buffer that holds nothing else; obs_oracle's coefficients
-        # are one (1, N, N) table of their own
+        # one (M, N, N) table, the action-driven modes' rows in their order
+        # and obs_oracle's last, whatever its index in the modes; block
+        # (lo, hi) fuses the read-only (M - 1, hi - lo, lo) view of its corner
+        modes = ("obs_oracle", "naive", "removal", "idealized")
         config = dataclasses.replace(cli.build_scenario(cli.load_config_file(name)),
-                                     modes=ALL_MODES, force=True)
+                                     modes=modes, force=True)
         graph = build_graph(config)
         tables = simulate.run_tables(config, graph)
-        assert len(tables.coeffs) == len(tables.blocks)
-        buffer = tables.coeffs[0].base
-        for (lo, hi), coeffs in zip(tables.blocks, tables.coeffs):
-            assert coeffs.shape == (len(ALL_MODES) - 1, hi - lo, lo)
-            assert coeffs.dtype == np.float64 and coeffs.flags.c_contiguous
-            assert not coeffs.flags.writeable
-            assert coeffs.base is buffer
-        assert buffer.size == sum(coeffs.size for coeffs in tables.coeffs)
-        oracle = tables.oracle_coeffs
-        assert oracle.shape == (1, graph.size, graph.size) and oracle.dtype == np.float64
-        assert oracle.flags.c_contiguous and not oracle.flags.writeable
+        coeffs = tables.coeffs
+        assert coeffs.shape == (len(modes), graph.size, graph.size)
+        assert coeffs.dtype == np.float64 and coeffs.flags.c_contiguous
+        assert not coeffs.flags.writeable
+        for lo, hi in tables.blocks:
+            corner = coeffs[:len(modes) - 1, lo:hi, :lo]
+            assert not corner.flags.writeable and corner.strides[-1] == corner.itemsize
+        history = graph.closure - np.eye(graph.size, dtype=np.int8)
+        assert np.array_equal(coeffs[-1], history.T)
+        assert np.array_equal(coeffs[0], graph.adjacency.T)
+        assert not hasattr(tables, "oracle_coeffs")
         base = dataclasses.replace(config, modes=("naive", "removal", "idealized"))
-        assert simulate.run_tables(base, graph).oracle_coeffs is None
+        assert simulate.run_tables(base, graph).coeffs.shape == (3, graph.size, graph.size)
 
 
 def uncached_study(config, graph):
