@@ -14,7 +14,9 @@ arrays are 0-based.
 
 from __future__ import annotations
 
+import contextlib
 import copy
+import os
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -82,20 +84,13 @@ def transitive_closure(adjacency: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class CommGraph:
-    """Immutable communication graph with cached transitive closure and weights."""
+    """Immutable communication graph: its adjacency, with cached closure and weights."""
 
     adjacency: np.ndarray
-    num_agents: int
-    num_epochs: int
     closure: np.ndarray = field(init=False)
 
     def __post_init__(self):
         given = np.asarray(self.adjacency)
-        expected = self.num_agents * self.num_epochs
-        if given.shape[0] != expected:
-            raise ConfigError(
-                f"adjacency size {given.shape[0]} != agents*epochs = {expected}"
-            )
         # the array as given is validated; the graph keeps its own int8 copy,
         # so freezing it leaves the caller's array writeable, and no write
         # through it reaches the graph
@@ -400,7 +395,7 @@ def generate_topology(spec: TopologySpec, rng: np.random.Generator) -> CommGraph
         for i in range(n - 1):
             a[i, i + 1] = 1
         a[:-1, n - 1] = 1
-        return CommGraph(a, num_agents=n, num_epochs=1)
+        return CommGraph(a)
 
     if spec.kind == "explicit":
         return load_graph(spec.path)
@@ -425,7 +420,7 @@ def generate_topology(spec: TopologySpec, rng: np.random.Generator) -> CommGraph
     k, s_from, s_to, arrive = k[keep], s_from[keep], s_to[keep], (k + tau)[keep]
     a = np.zeros((s_cnt * k_cnt,) * 2, dtype=np.int8)
     a[s_from + s_cnt * k, s_to + s_cnt * arrive] = 1
-    return CommGraph(a, num_agents=s_cnt, num_epochs=k_cnt)
+    return CommGraph(a)
 
 
 def seed_rng(seed: int, child: int) -> np.random.Generator:
@@ -469,10 +464,24 @@ def augment_for_constraint(graph: CommGraph) -> CommGraph:
 # edge-list file format: header "N <size>", then one "<i> <j>" line per edge
 
 def save_graph(graph: CommGraph, path) -> None:
-    with open(path, "w") as f:
-        f.write(f"N {graph.size}\n")
-        for i, j in np.argwhere(graph.adjacency):
-            f.write(f"{i + 1} {j + 1}\n")
+    """Write the graph's edge-list file at `path`, whole or not at all.
+
+    The lines go to a new file in the same directory, which replaces `path`
+    after the last one; on an OSError that file is removed and the error
+    re-raised, so `path` keeps what it held before.
+    """
+    head, name = os.path.split(os.fspath(path))
+    tmp = os.path.join(head, f".{name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "w") as f:
+            f.write(f"N {graph.size}\n")
+            for i, j in np.argwhere(graph.adjacency):
+                f.write(f"{i + 1} {j + 1}\n")
+        os.replace(tmp, path)
+    except OSError:
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
+        raise
 
 
 def load_graph(path) -> CommGraph:
@@ -503,7 +512,7 @@ def load_graph(path) -> CommGraph:
 
 
 def graph_from_edges(size: int, edges) -> CommGraph:
-    """One-epoch graph of `size` nodes with the 1-based edges (i, j).
+    """The graph of `size` nodes with the 1-based edges (i, j).
 
     GraphFormatError unless size is an integer >= 0 and every edge is a
     pair of integers with 1 <= i < j <= size.
@@ -515,4 +524,4 @@ def graph_from_edges(size: int, edges) -> CommGraph:
         if not (is_integer(i) and is_integer(j) and 1 <= i < j <= size):
             raise GraphFormatError(f"edge {i}->{j} requires 1 <= i < j <= {size}")
         a[i - 1, j - 1] = 1
-    return CommGraph(a, num_agents=size, num_epochs=1)
+    return CommGraph(a)

@@ -1,3 +1,5 @@
+import errno
+import os
 from types import SimpleNamespace
 
 import numpy as np
@@ -24,6 +26,31 @@ from incestless.learning import LIKELIHOOD_FLOOR, fuse_terms
 
 DIAMOND_A_EDGES = [(1, 3), (1, 4), (2, 3), (2, 4), (3, 5), (4, 5), (1, 5), (2, 5)]
 DIAMOND_B_EDGES = [(1, 3), (1, 4), (2, 3), (2, 4), (3, 5), (4, 5), (1, 5)]
+
+
+@pytest.fixture
+def full_disk(monkeypatch):
+    """graph.save_graph's 5th write to a file raises ENOSPC, as on a full disk."""
+    real_open = open
+
+    class FullDisk:
+        def __init__(self, file):
+            self.file, self.writes = file, 0
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.file.close()
+
+        def write(self, text):
+            self.writes += 1
+            if self.writes == 5:
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+            return self.file.write(text)
+
+    monkeypatch.setattr(graphmod, "open", lambda *args: FullDisk(real_open(*args)),
+                        raising=False)
 
 
 @pytest.fixture
@@ -234,10 +261,10 @@ def violations_by_column(weights, adjacency):
 
 
 def prefix(graph, n):
-    """Sub-graph on the first n nodes (the graph family is nested), as one epoch."""
+    """Sub-graph on the first n nodes (the graph family is nested)."""
     if not 1 <= n <= graph.size:
         raise ValueError(f"node {n} out of range 1..{graph.size}")
-    return CommGraph(graph.adjacency[:n, :n].copy(), num_agents=n, num_epochs=1)
+    return CommGraph(graph.adjacency[:n, :n].copy())
 
 
 def fuse_by_reduce(coeffs, evidence):

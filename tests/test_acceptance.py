@@ -68,8 +68,7 @@ def test_3_removal_equals_idealized_on_random_dags():
     for trial in range(500):
         size = int(rng.integers(2, 31))
         g = augment_for_constraint(
-            CommGraph(random_dag(rng, size, edge_prob=0.3),
-                      num_agents=size, num_epochs=1)
+            CommGraph(random_dag(rng, size, edge_prob=0.3))
         )
         model = random_model(rng)
         cfg = ScenarioConfig(model=model, topology=TopologySpec(kind="chain41"),
@@ -120,7 +119,7 @@ def test_6_tree_equivalence(model):
         a = np.zeros((size, size), dtype=np.int8)
         for j in range(1, size):
             a[int(rng.integers(j)), j] = 1
-        g = CommGraph(a, num_agents=size, num_epochs=1)
+        g = CommGraph(a)
         cfg = ScenarioConfig(model=model, topology=TopologySpec(kind="chain41"),
                              true_state="random", modes=("naive", "removal"),
                              runs=1, seed=0)

@@ -1,6 +1,10 @@
-"""The package's public names, so that adding or removing one is a one-line diff."""
+"""The package's public names and the graph's fields, so that adding or
+removing one is a one-line diff."""
+
+import dataclasses
 
 import incestless
+from incestless import CommGraph
 
 PUBLIC = [
     "AvailabilityError",
@@ -58,3 +62,7 @@ PUBLIC = [
 
 def test_public_names():
     assert sorted(incestless.__all__) == PUBLIC
+
+
+def test_graph_fields():
+    assert [f.name for f in dataclasses.fields(CommGraph)] == ["adjacency", "closure"]

@@ -113,7 +113,7 @@ class TestGenGraph:
         rng = np.random.default_rng(31)
         for i in range(100):
             size = int(rng.integers(1, 25))
-            g = CommGraph(random_dag(rng, size), num_agents=size, num_epochs=1)
+            g = CommGraph(random_dag(rng, size))
             p = tmp_path / f"g{i}.txt"
             save_graph(g, p)
             assert (load_graph(p).adjacency == g.adjacency).all()
@@ -132,6 +132,15 @@ class TestGenGraph:
             assert (load_graph(out).adjacency == expected.adjacency).all()
             adjacencies.append(expected.adjacency)
         assert (adjacencies[0] != adjacencies[1]).any()
+
+    def test_failed_write_exit_1_no_file(self, runner, tmp_path, full_disk):
+        out = tmp_path / "g.txt"
+        res = runner.invoke(main, ["gen-graph", "random4", "--agents", "5", "--epochs", "4",
+                                   "--seed", "1", "--out", str(out)])
+        assert res.exit_code == 1
+        assert res.stdout == ""
+        assert len(res.stderr.splitlines()) == 1 and res.stderr.startswith("error: ")
+        assert list(tmp_path.iterdir()) == []
 
     def test_bad_kind(self, runner, tmp_path):
         res = runner.invoke(main, ["gen-graph", "mystery",

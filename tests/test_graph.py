@@ -11,7 +11,6 @@ from incestless.simulate import build_graph
 
 from incestless import (
     CommGraph,
-    ConfigError,
     DagViolationError,
     GraphFormatError,
     TopologySpec,
@@ -161,7 +160,7 @@ class TestWeights:
         rng = np.random.default_rng(11)
         for _ in range(100):
             size = int(rng.integers(2, 30))
-            g = CommGraph(random_dag(rng, size), num_agents=size, num_epochs=1)
+            g = CommGraph(random_dag(rng, size))
             n = int(rng.integers(2, size + 1))
             w = compute_weights(g, n)
             t_n = g.closure[: n - 1, n - 1]
@@ -180,7 +179,7 @@ class TestWeights:
         rng = np.random.default_rng(12)
         for _ in range(50):
             size = int(rng.integers(1, 30))
-            g = CommGraph(random_dag(rng, size), num_agents=size, num_epochs=1)
+            g = CommGraph(random_dag(rng, size))
             w = weight_matrix(g)
             t = g.closure.astype(np.int64)
             assert (t @ w == t - np.eye(size, dtype=np.int64)).all()
@@ -195,7 +194,7 @@ class TestWeights:
                                   max_size=size * (size - 1) // 2), label="edges")
         a = np.zeros((size, size), dtype=np.int8)
         a[np.triu_indices(size, 1)] = bits
-        g = CommGraph(a, num_agents=size, num_epochs=1)
+        g = CommGraph(a)
         assert np.array_equal(weight_matrix(g), exact_weight_matrix(g))
 
     @pytest.mark.parametrize("kind", ["random4", "complete_delay", "star_delay"])
@@ -214,7 +213,7 @@ class TestWeights:
         rng = np.random.default_rng(5)
         for _ in range(30):
             size = int(rng.integers(3, 25))
-            g = CommGraph(random_dag(rng, size), num_agents=size, num_epochs=1)
+            g = CommGraph(random_dag(rng, size))
             n = int(rng.integers(2, size))
             sub = prefix(g, n)
             assert (compute_weights(sub, n) == compute_weights(g, n)).all()
@@ -350,7 +349,7 @@ class TestInt64Weights:
         edge_prob = data.draw(st.sampled_from([0.02, 0.1, 0.3, 0.7]), label="edge_prob")
         seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
         a = random_dag(np.random.default_rng(seed), size, edge_prob)
-        g = CommGraph(a, num_agents=size, num_epochs=1)
+        g = CommGraph(a)
         assert np.array_equal(graphmod._int64_weights(g.closure), exact_weight_matrix(g))
 
     @settings(max_examples=100, deadline=None)
@@ -363,8 +362,7 @@ class TestInt64Weights:
         start = data.draw(st.sampled_from(sorted({*range(0, size, 64), size})), label="start")
         columns = np.flatnonzero(data.draw(
             st.lists(st.booleans(), min_size=size, max_size=size), label="columns"))
-        g = CommGraph(random_dag(np.random.default_rng(seed), size, edge_prob),
-                      num_agents=size, num_epochs=1)
+        g = CommGraph(random_dag(np.random.default_rng(seed), size, edge_prob))
         exact = exact_weight_matrix(g)[:, columns]
         known = exact[start:].astype(np.int64)
         assert np.array_equal(graphmod._int64_weights(g.closure, columns, known), exact)
@@ -423,7 +421,7 @@ class TestConstraint:
         assert constraint_report(diamond_b) == {5: [2]}
 
     def test_empty_graph_satisfied(self):
-        g = CommGraph(np.zeros((6, 6), dtype=np.int8), num_agents=6, num_epochs=1)
+        g = CommGraph(np.zeros((6, 6), dtype=np.int8))
         assert constraint_report(g) == {}
 
     def test_redundant_edge_never_creates_violation(self):
@@ -437,7 +435,7 @@ class TestConstraint:
         for _ in range(200):
             size = int(rng.integers(3, 20))
             a = random_dag(rng, size)
-            g = CommGraph(a, num_agents=size, num_epochs=1)
+            g = CommGraph(a)
             n = int(rng.integers(2, size + 1))
             before = set(constraint_report(g).get(n, []))
             candidates = [
@@ -450,7 +448,7 @@ class TestConstraint:
             i = candidates[int(rng.integers(len(candidates)))]
             a2 = a.copy()
             a2[i, n - 1] = 1
-            g2 = CommGraph(a2, num_agents=size, num_epochs=1)
+            g2 = CommGraph(a2)
             assert (g2.closure == g.closure).all()
             after = set(constraint_report(g2).get(n, []))
             assert after <= before
@@ -466,8 +464,7 @@ class TestConstraint:
         rng = np.random.default_rng(37)
         for _ in range(50):
             size = int(rng.integers(0, 30))
-            g = CommGraph(random_dag(rng, size, edge_prob=float(rng.uniform(0.0, 0.5))),
-                          num_agents=size, num_epochs=1)
+            g = CommGraph(random_dag(rng, size, edge_prob=float(rng.uniform(0.0, 0.5))))
             w = weight_matrix(g)
             report = graphmod.violations(w, g.adjacency)
             assert list(report.items()) == list(violations_by_column(w, g.adjacency).items())
@@ -482,7 +479,7 @@ class TestConstraint:
         rng = np.random.default_rng(23)
         for _ in range(30):
             size = int(rng.integers(3, 25))
-            g = CommGraph(random_dag(rng, size), num_agents=size, num_epochs=1)
+            g = CommGraph(random_dag(rng, size))
             fixed = augment_for_constraint(g)
             assert constraint_report(fixed) == {}
             # augmentation only adds redundant edges: closure is unchanged
@@ -493,9 +490,9 @@ class TestConstraint:
         rng = np.random.default_rng(29)
         for _ in range(30):
             size = int(rng.integers(3, 25))
-            g = CommGraph(random_dag(rng, size), num_agents=size, num_epochs=1)
+            g = CommGraph(random_dag(rng, size))
             fixed = augment_for_constraint(g)
-            rebuilt = CommGraph(fixed.adjacency, num_agents=size, num_epochs=1)
+            rebuilt = CommGraph(fixed.adjacency)
             assert fixed.closure is g.closure
             assert np.array_equal(rebuilt.closure, fixed.closure)
             assert fixed.adjacency.dtype == np.int8 and not fixed.adjacency.flags.writeable
@@ -531,7 +528,7 @@ class TestIndependentBlocks:
         for _ in range(100):
             size = int(rng.integers(1, 30))
             a = random_dag(rng, size, edge_prob=float(rng.uniform(0.0, 0.4)))
-            self.assert_schedule(CommGraph(a, num_agents=size, num_epochs=1))
+            self.assert_schedule(CommGraph(a))
 
     def test_edgeless_and_empty(self):
         assert independent_blocks(graph_from_edges(4, [])) == [(0, 4)]
@@ -553,8 +550,7 @@ class TestIndependentBlocks:
         size = data.draw(st.integers(0, 60), label="size")
         edge_prob = data.draw(st.sampled_from([0.01, 0.05, 0.2, 0.6]), label="edge_prob")
         seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
-        g = CommGraph(random_dag(np.random.default_rng(seed), size, edge_prob),
-                      num_agents=size, num_epochs=1)
+        g = CommGraph(random_dag(np.random.default_rng(seed), size, edge_prob))
         # the rule reads the edges alone
         blind = copy.copy(g)
         object.__setattr__(blind, "closure", None)
@@ -675,21 +671,23 @@ class TestCommGraphAdjacency:
         a = np.zeros((4, 4), dtype=np.int64 if float(entry).is_integer() else np.float64)
         a[1, 2] = entry
         with pytest.raises(GraphFormatError, match="0 or 1"):
-            CommGraph(a, num_agents=4, num_epochs=1)
+            CommGraph(a)
 
     def test_keeps_a_read_only_copy(self):
         a = np.zeros((4, 4), dtype=np.int8)
         a[0, 1] = 1
-        g = CommGraph(a, num_agents=4, num_epochs=1)
+        g = CommGraph(a)
         assert a.flags.writeable and not g.adjacency.flags.writeable
         assert not np.shares_memory(a, g.adjacency)
         a[1, 2] = 1  # a write through the caller's array does not reach the graph
         assert g.adjacency[1, 2] == 0
         assert np.array_equal(g.closure, bfs_closure(g.adjacency))
 
-    def test_size_mismatch_raises(self):
-        with pytest.raises(ConfigError, match="agents\\*epochs"):
-            CommGraph(np.zeros((4, 4), dtype=np.int8), num_agents=2, num_epochs=3)
+    @pytest.mark.parametrize("adjacency", [np.int8(0), np.zeros(4, dtype=np.int8)],
+                             ids=["0-d", "1-d"])
+    def test_not_a_matrix_raises(self, adjacency):
+        with pytest.raises(GraphFormatError, match="square"):
+            CommGraph(adjacency)
 
 
 class TestGraphFromEdges:
@@ -714,11 +712,33 @@ class TestGraphFile:
         rng = np.random.default_rng(9)
         for i in range(100):
             size = int(rng.integers(1, 30))
-            g = CommGraph(random_dag(rng, size), num_agents=size, num_epochs=1)
+            g = CommGraph(random_dag(rng, size))
             path = tmp_path / f"g{i}.txt"
             save_graph(g, path)
             loaded = load_graph(path)
             assert (loaded.adjacency == g.adjacency).all()
+
+    def test_overwrite_leaves_only_the_file(self, tmp_path):
+        path = tmp_path / "g.txt"
+        path.write_text("old\n")
+        save_graph(graph_from_edges(3, [(1, 2), (2, 3)]), path)
+        assert path.read_text() == "N 3\n1 2\n2 3\n"
+        assert list(tmp_path.iterdir()) == [path]
+
+    def test_failed_write_leaves_no_file(self, tmp_path, full_disk):
+        graph = generate_topology(TopologySpec("random4", agents=5, epochs=4), topology_rng(1))
+        with pytest.raises(OSError, match="No space left"):
+            save_graph(graph, tmp_path / "g.txt")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_failed_write_keeps_the_file_at_the_path(self, tmp_path, full_disk):
+        path = tmp_path / "g.txt"
+        path.write_bytes(b"N 2\n1 2\n")
+        graph = generate_topology(TopologySpec("random4", agents=5, epochs=4), topology_rng(1))
+        with pytest.raises(OSError, match="No space left"):
+            save_graph(graph, path)
+        assert path.read_bytes() == b"N 2\n1 2\n"
+        assert list(tmp_path.iterdir()) == [path]
 
     def test_missing_header(self, tmp_path):
         p = tmp_path / "bad.txt"

@@ -49,7 +49,7 @@ def scenario(model, **kw):
 def complete_dag(size):
     """Every node hears every earlier one: node n has 2^(n-2) paths from node 1."""
     a = np.triu(np.ones((size, size), dtype=np.int8), 1)
-    return CommGraph(a, num_agents=size, num_epochs=1)
+    return CommGraph(a)
 
 
 def random_tree(rng, size):
@@ -57,7 +57,7 @@ def random_tree(rng, size):
     a = np.zeros((size, size), dtype=np.int8)
     for j in range(1, size):
         a[int(rng.integers(j)), j] = 1
-    return CommGraph(a, num_agents=size, num_epochs=1)
+    return CommGraph(a)
 
 
 class TestScenarioConfig:
@@ -87,7 +87,7 @@ class TestScenarioConfig:
 
 class TestRunOnce:
     def test_single_node_all_modes_agree(self, model):
-        g = CommGraph(np.zeros((1, 1), dtype=np.int8), num_agents=1, num_epochs=1)
+        g = CommGraph(np.zeros((1, 1), dtype=np.int8))
         cfg = scenario(model, modes=("naive", "removal", "idealized", "obs_oracle"))
         trace = run_once(cfg, g, np.random.default_rng(0))
         assert len(set(trace.actions[:, 0].tolist())) == 1
@@ -175,13 +175,13 @@ class TestRunOnce:
 
 
 def draw_dag(data):
-    """A drawn DAG of 1-14 nodes in one epoch, augmented for the constraint or not."""
+    """A drawn DAG of 1-14 nodes, augmented for the constraint or not."""
     size = data.draw(st.integers(1, 14), label="size")
     bits = data.draw(st.lists(st.booleans(), min_size=size * (size - 1) // 2,
                               max_size=size * (size - 1) // 2), label="edges")
     a = np.zeros((size, size), dtype=np.int8)
     a[np.triu_indices(size, 1)] = bits
-    graph = CommGraph(a, num_agents=size, num_epochs=1)
+    graph = CommGraph(a)
     if data.draw(st.booleans(), label="augment"):
         graph = augment_for_constraint(graph)
     return graph
@@ -281,7 +281,7 @@ class TestStackedRunMatchesReference:
                                   max_size=size * (size - 1) // 2), label="edges")
         a = np.zeros((size, size), dtype=np.int8)
         a[np.triu_indices(size, 1)] = bits
-        graph = CommGraph(a, num_agents=size, num_epochs=1)
+        graph = CommGraph(a)
         if data.draw(st.booleans(), label="augment"):
             graph = augment_for_constraint(graph)
         config = scenario(model, modes=ALL_MODES, true_state="random",
