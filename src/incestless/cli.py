@@ -57,10 +57,14 @@ def _section(raw: dict, key: str, allowed) -> dict:
 
 
 def load_config_file(name_or_path: str) -> dict:
-    """Load a YAML config from a path, or a bundled config by name."""
+    """Load a YAML config from a path, or a bundled config by name; a file
+    that is not UTF-8 raises ConfigError, prefixed by the path."""
     if os.path.exists(name_or_path):
-        with open(name_or_path) as f:
-            raw = yaml.load(f, Loader=_YAML_LOADER)
+        try:
+            with open(name_or_path) as f:
+                raw = yaml.load(f, Loader=_YAML_LOADER)
+        except UnicodeDecodeError as e:
+            raise ConfigError(f"{name_or_path}: {e}") from None
     else:
         resource = importlib.resources.files("incestless") / "configs" / f"{name_or_path}.yaml"
         if not resource.is_file():
@@ -145,20 +149,21 @@ def write_outputs(metrics: simulate.MetricsTable, out_dir: str) -> None:
     """Emit the long-format CSVs and the constraint report (LF line endings).
 
     Each file is written under a temporary name and renamed once all four
-    are written, so an OSError while writing leaves none of them behind, nor
-    any of the directories this call created for them.  A directory in the
-    way of one of the names is refused before anything is written, since its
-    rename would fail after the others had been made.
+    are written, so an OSError while making the directories or writing
+    leaves none of the files behind, nor any of the directories this call
+    created for them.  A directory in the way of one of the names is
+    refused before anything is written, since its rename would fail after
+    the others had been made.
     """
     chunks = _output_chunks(metrics)
     created = _missing_dirs(out_dir)
-    os.makedirs(out_dir, exist_ok=True)
     final = {name: os.path.join(out_dir, name) for name in chunks}
-    for path in final.values():
-        if os.path.isdir(path):
-            raise IsADirectoryError(errno.EISDIR, "Is a directory", path)
     temp = {name: os.path.join(out_dir, f".{name}.{os.getpid()}.tmp") for name in chunks}
     try:
+        os.makedirs(out_dir, exist_ok=True)
+        for path in final.values():
+            if os.path.isdir(path):
+                raise IsADirectoryError(errno.EISDIR, "Is a directory", path)
         for name, text in chunks.items():
             with open(temp[name], "w", newline="\n") as f:
                 f.writelines(text)

@@ -487,8 +487,11 @@ def save_graph(graph: CommGraph, path) -> None:
 def load_graph(path) -> CommGraph:
     """The graph of an edge-list file; GraphFormatError, prefixed by the
     path, for a malformed one."""
-    with open(path) as f:
-        lines = [ln.strip() for ln in f if ln.strip()]
+    try:
+        with open(path) as f:
+            lines = [ln.strip() for ln in f if ln.strip()]
+    except UnicodeDecodeError as e:
+        raise GraphFormatError(f"{path}: {e}") from None
     if not lines or not lines[0].startswith("N "):
         raise GraphFormatError(f"{path}: missing 'N <size>' header")
     try:

@@ -258,8 +258,8 @@ def action_likelihoods(table: np.ndarray, model: StateModel) -> np.ndarray:
     result is (A, X) or (..., A, X), row a-1 the likelihood of action a,
     added one observation at a time in ascending j.  A row is zero for an
     action no observation induces.  The administrator's likelihood of an
-    action is read from here alone: simulate.RowMemo keeps these rows for
-    every action table a run meets, and action_likelihood, the one-call
+    action is read from here alone: simulate.StudyCache keeps these rows for
+    every action table a block step meets, and action_likelihood, the one-call
     form for library callers, reads them too.
     """
     actions = np.arange(1, model.num_actions + 1)[:, None]

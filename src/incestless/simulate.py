@@ -24,10 +24,11 @@ likelihood of its action, so what it stores depends on the actions heard
 before it.  obs_oracle hears raw observations and no action, so its row is
 one closed form per run, outside the block step below: one learning.fuse
 of every node's observation log-likelihood with its (1, N, N)
-coefficients (T - I)^T, the last row of the study's table.  Its public
-beliefs give its actions through the study's RowMemo (below), and run_once
-puts its rows in at obs_oracle's index in the modes, one np.concatenate
-per trace array.
+coefficients (T - I)^T, the last row of the study's table.  One
+learning.action_table of its public beliefs, gathered at the observations,
+gives its actions; no later run reads its rows, so the study's cache
+(below) does not keep them.  run_once puts its rows in at obs_oracle's
+index in the modes, one np.concatenate per trace array.
 
 Every likelihood is floored before its log (learning.floored_log), so every
 stored row is finite, as removal's negative weights need.
@@ -44,7 +45,7 @@ normalize_log gives the public beliefs, their action tables
 action-choice function) both the agents' actions and the observations
 each nu sums over, and the tables' likelihoods
 (learning.action_likelihoods) the nu of every (mode, node), the last two
-through the study's RowMemo (below).  A block writes into the run's
+through the study's cache (below).  A block writes into the run's
 arrays only the rows it stores, which later blocks fuse; its public
 beliefs, after-evidence and actions are kept in lists, which the run
 joins with one np.concatenate each once every block is done.  Then one
@@ -63,33 +64,29 @@ masked multiply.  Block (lo, hi) fuses the rows of nodes 1..lo only, so
 its coefficients are the view coeffs[:M', lo:hi, :lo], in which i keeps
 stride 1.
 A block's inputs (evidence, pub and the table ids of pub) depend only on
-the actions heard before it, and runs that herd hear the same actions, so
-the tables also hold a StepTrie, which reuses block inputs across the runs
-of the study.  It holds steps[(state, key)] = next state and
-inputs[state]: a state is an int that numbers a path of keys (-1 the
-empty path), a key is a block's joint actions (M' x L, as bytes; empty
-for block 1, which hears nothing), and inputs are those of the block the
-path leads into.  A block fuses only the rows stored before it, and those
+the actions heard before it, and runs that herd hear the same actions and
+bring the same public beliefs back (on paper_chain41, 1915 of 12 300 rows
+are distinct, and a bundled study meets 28-57 action tables), so the
+tables also hold a StudyCache, which reuses both across the runs of the
+study.  Its steps[(state, key)] = next state and inputs[state] hold block
+inputs: a state is an int that numbers a path of keys (-1 the empty
+path), a key is a block's joint actions (M' x L, as bytes; empty for
+block 1, which hears nothing), and inputs are those of the block the path
+leads into.  A block fuses only the rows stored before it, and those
 follow from the key path alone (by induction over the blocks: a block's
 stored rows follow from its inputs and its key), so held inputs are the
-ones the block would compute, bit for bit.
+ones the block would compute, bit for bit.  Its rows map a public-belief
+row's exact bytes to a table id, and keep each distinct action-table row
+once, with the log-likelihood of every action under it.
 Every block step takes one path: one lookup, then fuse, normalize_log and
-the memo's table ids only for inputs the trie does not hold, which it
-keeps while its arrays and keys fit TRIE_BUDGET (512 KiB per study, a
-constant); inputs that do not fit leave the run outside the trie.
-Herding also brings the same public beliefs back (on paper_chain41, 1915
-of 12 300 rows are distinct), and they induce few action tables (28-57 per
-bundled study), so the tables also hold a RowMemo.  It maps a public-belief
-row's exact bytes to a table id (a call takes the keys of all its rows
-from one void view of them), and keeps each distinct action-table row
-once, with the log-likelihood of every action under it.  A block step
-calls action_table once on the distinct rows the memo misses, and every
-row has a table id, so a block's actions and their nu are two gathers by
-id.  Both kernels work row by row, so a row computed in a smaller batch
-has the same bits, and the memo changes no output.  The memo keeps every
-row it is given; once its keys and arrays exceed TRIE_BUDGET, the next
-run starts by clearing it, and the trie with it, whose held inputs hold
-memo ids.  So the memo holds at most TRIE_BUDGET plus the rows one run
+the table ids only for inputs the cache does not hold; the ids call
+action_table once on the distinct rows the cache misses, and a block's
+actions and their nu are two gathers by id.  Both kernels work row by
+row, so a row computed in a smaller batch has the same bits, and the
+cache changes no output.  CACHE_BUDGET (512 KiB per study, a constant)
+bounds both halves: inputs that do not fit leave the run outside the
+steps, and a run starts by clearing the whole cache once its rows exceed
+the budget.  So the rows hold at most CACHE_BUDGET plus the rows one run
 adds.  run_tables binds its tables to the config and graph it was given,
 and run_once refuses tables built for other objects; monte_carlo builds
 them per study, so no state outlives the call.  A run draws its true
@@ -199,11 +196,10 @@ def node_weights(graph: CommGraph) -> list[np.ndarray]:
     return [graph.weights[:n, n] for n in range(graph.size)]
 
 
-# Bytes of keys and array data that each of one study's caches, its StepTrie
-# and its RowMemo, may hold (the memo, at the start of a run).  Without a
-# bound, a study whose runs rarely share a prefix fills megabytes it never
-# uses.
-TRIE_BUDGET = 512 * 1024
+# Bytes of keys and array data that each half of a StudyCache may hold: its
+# block inputs at all times, its rows at the start of a run.  Without a bound,
+# a study whose runs rarely share a prefix fills megabytes it never uses.
+CACHE_BUDGET = 512 * 1024
 
 
 def _frozen(arr: np.ndarray) -> np.ndarray:
@@ -217,19 +213,26 @@ def _row_keys(rows: np.ndarray, key: np.dtype) -> list[bytes]:
     return np.ascontiguousarray(rows).view(key).ravel().tolist()
 
 
-class RowMemo:
-    """Action tables and action likelihoods of the runs of one study, by public-belief row.
+class StudyCache:
+    """Block inputs and action tables the runs of one study share.
 
-    ids maps a public-belief row's bytes to its table id, and tables[id] is
-    the row's action table; each distinct table is kept once, and
-    table_index maps its bytes to its id.  A call takes the keys of all its
-    rows from one view of them as row_key (or table_key), a void dtype as
-    wide as one row, whose tolist() gives one bytes object per row.
-    nus[id, a-1] is floored_log(learning.action_likelihoods(tables[id]))[a-1],
-    the log-likelihood of action a, kept with the table.  Every row it is given
-    is kept, so every row has a table id; run_once clears the memo at the
-    start of a run once nbytes, its keys and arrays, exceeds TRIE_BUDGET.
-    Every array is read-only and replaced when it grows.
+    Steps: a state numbers a path of keys, -1 the empty one;
+    steps[(state, key)] is the state the path extends to, and inputs[state]
+    the (evidence, pub, ids) of the block that path leads into, ids the
+    table ids of pub.  hits counts the blocks whose inputs it served.
+    Rows: ids maps a public-belief row's bytes to its table id, and
+    tables[id] is the row's action table; each distinct table is kept once,
+    and table_index maps its bytes to its id.  A call takes the keys of all
+    its rows from one view of them as row_key (or table_key), a void dtype
+    as wide as one row.  nus[id, a-1] is
+    floored_log(learning.action_likelihoods(tables[id]))[a-1], the
+    log-likelihood of action a, kept with the table.
+    step_bytes and row_bytes count each half's keys and arrays, and
+    CACHE_BUDGET bounds both: add refuses inputs past it, and start_run
+    clears the whole cache, whose held inputs hold table ids, once the rows
+    have passed it.  Every row given is kept until then, so every row has a
+    table id.  Every array is read-only; tables and nus are replaced when
+    they grow.
     """
 
     def __init__(self, model: StateModel):
@@ -237,22 +240,40 @@ class RowMemo:
         # a row's key is its bytes: X float64 for a belief, Z int64 for a table
         self.row_key = np.dtype((np.void, 8 * model.num_states))
         self.table_key = np.dtype((np.void, 8 * model.num_obs))
+        self.hits = 0
         self.clear()
 
     def clear(self):
-        """Drop every row and table."""
+        """Drop every step, input, row and table."""
+        self.steps: dict[tuple[int, bytes], int] = {}
+        self.inputs: list[tuple[np.ndarray, ...]] = []
         self.ids: dict[bytes, int] = {}
         self.table_index: dict[bytes, int] = {}
         self.tables = _frozen(np.empty((0, self.model.num_obs), dtype=np.int64))
         self.nus = _frozen(np.empty((0, self.model.num_actions, self.model.num_states)))
-        self.nbytes = 0
+        self.step_bytes = self.row_bytes = 0
+
+    def start_run(self):
+        """Clear the cache if its rows have passed CACHE_BUDGET."""
+        if self.row_bytes > CACHE_BUDGET:
+            self.clear()
+
+    def add(self, state: int, key: bytes, inputs: tuple[np.ndarray, ...]) -> int | None:
+        """The state key extends state to, holding inputs; None if they do not fit."""
+        size = len(key) + sum(arr.nbytes for arr in inputs)
+        if self.step_bytes + size > CACHE_BUDGET:
+            return None
+        self.step_bytes += size
+        self.inputs.append(tuple(map(_frozen, inputs)))
+        self.steps[state, key] = len(self.inputs) - 1
+        return len(self.inputs) - 1
 
     def table_ids(self, pub: np.ndarray) -> np.ndarray:
         """Table ids (...) of beliefs pub (..., X): tables[ids] is
         learning.action_table(pub, model), computed by one call on the
-        distinct rows the memo misses.  Rows it adds replace tables and
-        nus, so compute ids before reading either: memo.tables[
-        memo.table_ids(pub)] indexes the old array and may raise IndexError."""
+        distinct rows the cache misses.  Rows it adds replace tables and
+        nus, so compute ids before reading either: cache.tables[
+        cache.table_ids(pub)] indexes the old array and may raise IndexError."""
         rows = pub.reshape(-1, pub.shape[-1])
         keys = _row_keys(rows, self.row_key)
         found = list(map(self.ids.get, keys))
@@ -268,48 +289,16 @@ class RowMemo:
                     self.table_index[table] = len(self.table_index)
                     new.append(j)
                 self.ids[key] = self.table_index[table]
-            self.nbytes += len(missed) * self.row_key.itemsize
+            self.row_bytes += len(missed) * self.row_key.itemsize
             if new:
                 self.tables = _frozen(np.concatenate([self.tables, computed[new]]))
                 nus = learning.floored_log(learning.action_likelihoods(computed[new], self.model))
                 self.nus = _frozen(np.concatenate([self.nus, nus]))
-                self.nbytes += len(new) * 2 * self.table_key.itemsize + nus.nbytes
+                self.row_bytes += len(new) * 2 * self.table_key.itemsize + nus.nbytes
             found = list(map(self.ids.get, keys))
         ids = np.array(found, dtype=np.int64)
         ids.shape = pub.shape[:-1]  # in place: ids keeps owning its data
         return ids
-
-
-class StepTrie:
-    """Block inputs of the runs of one study, keyed by the action histories they heard.
-
-    A state numbers a path of keys, -1 the empty one; steps[(state, key)]
-    is the state the path extends to, and inputs[state] the (evidence,
-    pub, ids) of the block that path leads into, ids the table ids of pub
-    in the study's RowMemo.  Every array in it is read-only; nbytes, its
-    keys and arrays, never exceeds TRIE_BUDGET.  hits counts the blocks
-    whose inputs it served.
-    """
-
-    def __init__(self):
-        self.hits = 0
-        self.clear()
-
-    def clear(self):
-        """Drop every step and input."""
-        self.steps: dict[tuple[int, bytes], int] = {}
-        self.inputs: list[tuple[np.ndarray, ...]] = []
-        self.nbytes = 0
-
-    def add(self, state: int, key: bytes, inputs: tuple[np.ndarray, ...]) -> int | None:
-        """The state key extends state to, holding inputs; None if they do not fit."""
-        size = len(key) + sum(arr.nbytes for arr in inputs)
-        if self.nbytes + size > TRIE_BUDGET:
-            return None
-        self.nbytes += size
-        self.inputs.append(tuple(map(_frozen, inputs)))
-        self.steps[state, key] = len(self.inputs) - 1
-        return len(self.inputs) - 1
 
 
 @dataclass(frozen=True)
@@ -326,13 +315,8 @@ class RunTables:
     an own increment).  Block (lo, hi) fuses the view coeffs[:M', lo:hi,
     :lo], as it fuses only the rows stored before it, and obs_oracle's
     closed form fuses coeffs[M':].
-    config and graph are the objects the tables were built from, trie holds
-    the block inputs of the study's runs by the actions they heard, and
-    memo their action tables and action likelihoods by public-belief row,
-    keyed by the row's exact bytes.  Both are bounded by TRIE_BUDGET (the
-    memo at the start of a run, when run_once clears both once the memo
-    exceeds it), and bit for bit the direct calls, as both kernels work row
-    by row.
+    config and graph are the objects the tables were built from, and cache
+    the StudyCache of the study's runs.
     """
 
     coeffs: np.ndarray              # (M, N, N) float, C order; obs_oracle's row last
@@ -342,8 +326,7 @@ class RunTables:
     constraint: dict[int, list[int]] | None  # None: W leaves int64, not checked
     config: ScenarioConfig = field(compare=False, repr=False)
     graph: CommGraph = field(compare=False, repr=False)
-    memo: RowMemo = field(compare=False, repr=False)
-    trie: StepTrie = field(default_factory=StepTrie, compare=False, repr=False)
+    cache: StudyCache = field(compare=False, repr=False)
 
 
 def run_tables(config: ScenarioConfig, graph: CommGraph) -> RunTables:
@@ -389,7 +372,7 @@ def run_tables(config: ScenarioConfig, graph: CommGraph) -> RunTables:
         coeffs=_frozen(coeffs),
         stores_after=np.array([after for _, after in driven], dtype=bool)[:, None, None],
         blocks=graphmod.independent_blocks(graph), digest=graph.digest(),
-        constraint=constraint, config=config, graph=graph, memo=RowMemo(config.model))
+        constraint=constraint, config=config, graph=graph, cache=StudyCache(config.model))
 
 
 def run_once(config: ScenarioConfig, graph: CommGraph, rng: np.random.Generator,
@@ -423,33 +406,30 @@ def run_once(config: ScenarioConfig, graph: CommGraph, rng: np.random.Generator,
     # done; the empty first entries give a graph without blocks (N = 0) its shapes
     pubs, after_evidences = [stored[:, :0]], [stored[:, :0]]
     acts = [np.empty((shape[0], 0), dtype=np.int64)]
-    blocks, trie, memo = tables.blocks, tables.trie, tables.memo
-    if memo.nbytes > TRIE_BUDGET:
-        # the trie holds table ids of the memo, so both start over
-        memo.clear()
-        trie.clear()
+    blocks, cache = tables.blocks, tables.cache
+    cache.start_run()
 
     state, key = -1, b""  # the empty history; block 1 hears no actions
     for lo, hi in blocks:
         # nodes lo+1..hi, none of which hears another, in one row per (mode, node);
-        # state is None once the run has left the trie, and never looks up a hit
-        held = trie.steps.get((state, key))
+        # state is None once the run has left the steps, and never looks up a hit
+        held = cache.steps.get((state, key))
         if held is not None:
             state = held
-            evidence, pub, ids = trie.inputs[state]
-            trie.hits += 1
+            evidence, pub, ids = cache.inputs[state]
+            cache.hits += 1
         else:
             # the one call in a block step that can raise, before the block writes
             # anything: with every row finite, no later call can
             evidence = learning.fuse(tables.coeffs[:m, lo:hi, :lo], stored[:, :lo], node=lo + 1)
             pub = learning.normalize_log(log_prior + evidence)
-            ids = memo.table_ids(pub)
+            ids = cache.table_ids(pub)
             if state is not None:
-                state = trie.add(state, key, (evidence, pub, ids))
+                state = cache.add(state, key, (evidence, pub, ids))
         # every row's action is induced by the drawn z, so no row's nu is that of
         # an action ZeroProbabilityActionError refuses, one no z induces
-        a = memo.tables[ids, obs_index[lo:hi]]
-        own = memo.nus[ids, a - 1]
+        a = cache.tables[ids, obs_index[lo:hi]]
+        own = cache.nus[ids, a - 1]
         after_evidence = evidence + own
         stored[:, lo:hi] = np.where(tables.stores_after, after_evidence, own)
         pubs.append(pub)
@@ -468,9 +448,11 @@ def run_once(config: ScenarioConfig, graph: CommGraph, rng: np.random.Generator,
         own = learning.floored_log(model.likelihood_t[obs_index])
         evidence = learning.fuse(tables.coeffs[m:], own[None], node=1)
         pub = learning.normalize_log(log_prior + evidence)
-        ids = memo.table_ids(pub)  # before memo.tables is read: table_ids replaces it
+        # no later run reads these rows, so the cache does not keep them
+        table = learning.action_table(pub, model)
         k = config.modes.index("obs_oracle")
-        actions = np.concatenate((actions[:k], memo.tables[ids, obs_index], actions[k:]))
+        actions = np.concatenate((actions[:k], table[:, np.arange(graph.size), obs_index],
+                                  actions[k:]))
         public = np.concatenate((public[:k], pub, public[k:]))
         after = np.concatenate((after[:k], log_prior + (evidence + own), after[k:]))
     after = learning.normalize_log(after)

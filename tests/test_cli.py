@@ -183,6 +183,12 @@ class TestClosureCommand:
         assert_input_error(res, f"{path}: ")
         assert line in res.stderr
 
+    def test_non_utf8_file(self, runner, tmp_path):
+        path = tmp_path / "bad.txt"
+        path.write_bytes(b"N 3\n1 2\n\xff\n")
+        res = runner.invoke(main, ["closure", str(path)])
+        assert_input_error(res, f"{path}: 'utf-8' codec can't decode byte 0xff")
+
     def test_weight_overflow_exit_1(self, runner, tmp_path):
         res = runner.invoke(main, ["closure", str(overflow_graph_file(tmp_path))])
         assert res.exit_code == 1
@@ -259,6 +265,15 @@ class TestLoadConfigFile:
 
     def test_uses_libyaml_where_pyyaml_has_it(self):
         assert cli._YAML_LOADER is getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+
+    def test_non_utf8_file_raises_config_error(self, tmp_path):
+        from incestless import ConfigError
+
+        path = tmp_path / "bad.yaml"
+        path.write_bytes(b"runs: 3\n# \xff\n")
+        with pytest.raises(ConfigError) as error:
+            cli.load_config_file(str(path))
+        assert str(error.value).startswith(f"{path}: 'utf-8' codec can't decode byte 0xff")
 
 
 class TestBuildScenario:
@@ -500,6 +515,14 @@ class TestRun:
             assert res.stderr.startswith("error: ")
             assert "Traceback" not in res.output
             assert blocker.read_text() == ""
+
+    def test_over_long_output_dir_leaves_no_directories(self, runner, tmp_path):
+        # the leaf's name is too long to make, after its parents were made
+        cfg = tiny_config(tmp_path, runs=2)
+        res = runner.invoke(main, ["run", str(cfg), "--output-dir",
+                                   str(tmp_path / "deep" / "er" / ("x" * 300))])
+        assert_input_error(res, "File name too long")
+        assert not (tmp_path / "deep").exists()
 
     def test_directory_in_the_way_writes_nothing(self, runner, tmp_path):
         cfg = tiny_config(tmp_path, runs=2)

@@ -456,9 +456,9 @@ def assert_same_runs(got, expected):
             assert np.array_equal(getattr(g, name), getattr(e, name)), name
 
 
-def trie_contents(trie):
-    """(keys, arrays) held by a StepTrie."""
-    return [key for _, key in trie.steps], [arr for inputs in trie.inputs for arr in inputs]
+def step_contents(cache):
+    """(keys, arrays) held by the steps of a StudyCache."""
+    return [key for _, key in cache.steps], [arr for inputs in cache.inputs for arr in inputs]
 
 
 @pytest.fixture
@@ -476,7 +476,8 @@ def built_tables(monkeypatch):
 
 
 class TestStepTrie:
-    """Block steps reused across the runs of a study give the uncached runs bit for bit."""
+    """Block steps reused across the runs of a study, through the steps of
+    its StudyCache, give the uncached runs bit for bit."""
 
     @pytest.mark.parametrize("name", BUNDLED)
     def test_bundled_study_equals_uncached_runs(self, name, built_tables):
@@ -488,7 +489,7 @@ class TestStepTrie:
                 config = dataclasses.replace(base, modes=modes, estimate_rule=rule)
                 expected = uncached_study(config, graph)
                 metrics = monte_carlo(config, graph=graph)
-                hits += built_tables[-1].trie.hits
+                hits += built_tables[-1].cache.hits
                 for k, mode in enumerate(modes):
                     assert np.array_equal(metrics.actions[mode],
                                           [t.actions[k] for t in expected])
@@ -497,15 +498,15 @@ class TestStepTrie:
                 # every run's beliefs, through the same calls monte_carlo makes
                 tables = simulate.run_tables(config, graph)
                 assert_same_runs(shared_study(config, graph, tables), expected)
-                assert tables.trie.hits == built_tables[-2].trie.hits
+                assert tables.cache.hits == built_tables[-2].cache.hits
         if name == "paper_chain41":
             assert hits > 0
 
     def test_study_that_raises_in_a_later_run(self):
         # On a complete DAG of 1018 nodes, naive evidence leaves the float64
         # range at node 1017 in some runs of this model and past node 1018 in
-        # others.  The runs before the failing one fill the trie, and one of
-        # them hits it.
+        # others.  The runs before the failing one fill the cache's steps, and
+        # one of them hits them.
         config = scenario(default_model(6, 6, 5), modes=ALL_MODES, true_state="random",
                           runs=40)
         graph = complete_dag(1018)
@@ -518,7 +519,7 @@ class TestStepTrie:
                 break
             assert_same_runs([run_once(config, graph, graphmod.seed_rng(config.seed, r),
                                        tables=tables)], [reference])
-        assert r > 2 and tables.trie.hits > 0
+        assert r > 2 and tables.cache.hits > 0
         assert str(expected) == "node 1017: fused evidence left the float64 range"
         with pytest.raises(ValueError) as got:
             run_once(config, graph, graphmod.seed_rng(config.seed, r), tables=tables)
@@ -529,22 +530,22 @@ class TestStepTrie:
 
     def test_run_that_raises_leaves_a_table_id_for_every_row(self):
         # Run 7 of this study raises at node 1017, after its earlier blocks
-        # added rows to the memo and inputs to the trie.  Every row it added
-        # has a table id, and run 8 over the same tables is the uncached run.
+        # added rows and inputs to the cache.  Every row it added has a table
+        # id, and run 8 over the same tables is the uncached run.
         config = scenario(default_model(6, 6, 5), modes=ALL_MODES, true_state="random",
                           runs=8)
         graph = complete_dag(1018)
         tables = simulate.run_tables(config, graph)
         for r in range(1, 7):
             run_once(config, graph, graphmod.seed_rng(config.seed, r), tables=tables)
-        added = len(tables.memo.ids)
+        added = len(tables.cache.ids)
         with pytest.raises(ValueError, match="node 1017: fused evidence"):
             run_once(config, graph, graphmod.seed_rng(config.seed, 7), tables=tables)
-        memo = tables.memo
-        ids = np.array(list(memo.ids.values()))
-        assert len(ids) > added and 0 <= ids.min() and ids.max() < len(memo.tables)
-        for _, pub, held in tables.trie.inputs:
-            assert np.array_equal(memo.tables[held], action_table(pub, config.model))
+        cache = tables.cache
+        ids = np.array(list(cache.ids.values()))
+        assert len(ids) > added and 0 <= ids.min() and ids.max() < len(cache.tables)
+        for _, pub, held in cache.inputs:
+            assert np.array_equal(cache.tables[held], action_table(pub, config.model))
         assert_same_runs([run_once(config, graph, graphmod.seed_rng(config.seed, 8),
                                    tables=tables)],
                          [run_once(config, graph, graphmod.seed_rng(config.seed, 8))])
@@ -558,32 +559,32 @@ class TestStepTrie:
                       dataclasses.replace(config, force=True), dataclasses.replace(config)):
             with pytest.raises(ValueError, match="built for another config or graph"):
                 run_once(other, graph, np.random.default_rng(0), tables=tables)
-        assert tables.trie.hits == tables.trie.nbytes == 0
+        assert tables.cache.hits == tables.cache.step_bytes == 0
 
     def test_tables_for_another_graph_raise(self):
         config = cli.build_scenario(cli.load_config_file("paper_chain41"), runs=2)
         tables = simulate.run_tables(config, build_graph(config))
         with pytest.raises(ValueError, match="built for another config or graph"):
             run_once(config, build_graph(config), np.random.default_rng(0), tables=tables)
-        assert tables.trie.hits == tables.trie.nbytes == 0
+        assert tables.cache.hits == tables.cache.step_bytes == 0
 
     def test_budget_counts_keys_and_held_inputs(self, built_tables):
         # complete_delay's blocks of six nodes fill the budget within 45 runs
         config = cli.build_scenario(cli.load_config_file("paper_complete"), runs=50)
         monte_carlo(config)
-        trie = built_tables[-1].trie
-        keys, arrays = trie_contents(trie)
+        cache = built_tables[-1].cache
+        keys, arrays = step_contents(cache)
         # one state per key, each holding (evidence, pub, ids)
-        assert len(keys) == len(trie.inputs) and len(arrays) == 3 * len(keys)
-        assert trie.nbytes == sum(map(len, keys)) + sum(a.nbytes for a in arrays)
+        assert len(keys) == len(cache.inputs) and len(arrays) == 3 * len(keys)
+        assert cache.step_bytes == sum(map(len, keys)) + sum(a.nbytes for a in arrays)
         # one more block's key and inputs (six nodes, three modes) would not fit
         one_block = 3 * 6 * 8 * (1 + 20 + 20 + 1)
-        assert simulate.TRIE_BUDGET - one_block < trie.nbytes <= simulate.TRIE_BUDGET
+        assert simulate.CACHE_BUDGET - one_block < cache.step_bytes <= simulate.CACHE_BUDGET
         assert arrays and not any(a.flags.writeable for a in arrays)
         assert all(a.base is None for a in arrays)
 
     # learning.fuse calls of each bundled study: one per block whose inputs
-    # the trie does not hold
+    # the cache does not hold
     @pytest.mark.parametrize("name, fuses", [("paper_chain41", 1651), ("paper_complete", 187),
                                              ("paper_star", 288), ("paper_random4", 279)])
     def test_bundled_study_reuses_block_inputs(self, name, fuses, built_tables, monkeypatch):
@@ -598,39 +599,42 @@ class TestStepTrie:
         config = cli.build_scenario(cli.load_config_file(name))
         assert config.runs == 100
         monte_carlo(config)
-        assert built_tables[-1].trie.hits > 0 and len(calls) == fuses
+        assert built_tables[-1].cache.hits > 0 and len(calls) == fuses
 
-    # action_table rows and trie hits of each bundled study in all four modes.
-    # obs_oracle's row adds action-table rows but no trie key, so three
-    # studies hit the trie as often as in their own three modes.  On
-    # paper_chain41 obs_oracle's rows are new in almost every run, so the
-    # memo passes TRIE_BUDGET and clears once, and the trie with it: 2286
-    # hits, where its three modes alone hit 2449
+    # action_table rows and cache hits of each bundled study in all four
+    # modes.  obs_oracle's rows take one action_table call per run, of all N
+    # rows, and stay out of the cache, so every study hits it as often as in
+    # its own three modes, and none clears it
     @pytest.mark.parametrize("name, rows, hits", [
-        ("paper_chain41", 4464, 2286), ("paper_complete", 1490, 113), ("paper_star", 1081, 112),
-        ("paper_random4", 967, 121)])
+        ("paper_chain41", 6015, 2449), ("paper_complete", 2816, 113), ("paper_star", 2963, 112),
+        ("paper_random4", 2587, 121)])
     def test_bundled_study_in_all_modes(self, name, rows, hits, built_tables, monkeypatch):
-        counted = []
-        table = learning.action_table
+        counted, cleared = [], []
+        table, clear = learning.action_table, simulate.StudyCache.clear
 
         def counted_table(pub, model):
             counted.append(pub.size // pub.shape[-1])
             return table(pub, model)
 
+        def counted_clear(cache):
+            cleared.append(1)
+            clear(cache)
+
         monkeypatch.setattr(learning, "action_table", counted_table)
+        monkeypatch.setattr(simulate.StudyCache, "clear", counted_clear)
         config = cli.build_scenario(cli.load_config_file(name))
         assert config.runs == 100
         monte_carlo(dataclasses.replace(config, modes=ALL_MODES))
-        assert sum(counted) == rows and built_tables[-1].trie.hits == hits
-        if name != "paper_chain41":
-            monte_carlo(config)
-            assert built_tables[-1].trie.hits == hits
+        assert sum(counted) == rows and built_tables[-1].cache.hits == hits
+        assert len(cleared) == 1  # the cache's first, from __init__
+        monte_carlo(config)
+        assert built_tables[-1].cache.hits == hits
 
     def test_each_study_starts_from_an_empty_trie(self, built_tables):
         config = cli.build_scenario(cli.load_config_file("paper_chain41"), runs=10)
         first, second = monte_carlo(config), monte_carlo(config)
-        assert len(built_tables) == 2 and built_tables[0].trie is not built_tables[1].trie
-        assert built_tables[0].trie.hits == built_tables[1].trie.hits > 0
+        assert len(built_tables) == 2 and built_tables[0].cache is not built_tables[1].cache
+        assert built_tables[0].cache.hits == built_tables[1].cache.hits > 0
         for mode in config.modes:
             assert np.array_equal(first.estimates[mode], second.estimates[mode])
 
@@ -640,22 +644,23 @@ class TestStepTrie:
         tables = simulate.run_tables(config, graph)
         assert_same_runs(shared_study(config, graph, tables, clobber=True),
                          uncached_study(config, graph))
-        assert tables.trie.hits > 0
+        assert tables.cache.hits > 0
 
 
-def memo_contents(memo):
-    """(keys, arrays) held by a RowMemo."""
-    return [*memo.ids, *memo.table_index], [memo.tables, memo.nus]
+def row_contents(cache):
+    """(keys, arrays) held by the rows of a StudyCache."""
+    return [*cache.ids, *cache.table_index], [cache.tables, cache.nus]
 
 
-def assert_memo_counted(memo):
-    keys, arrays = memo_contents(memo)
-    assert memo.nbytes == sum(map(len, keys)) + sum(a.nbytes for a in arrays)
+def assert_rows_counted(cache):
+    keys, arrays = row_contents(cache)
+    assert cache.row_bytes == sum(map(len, keys)) + sum(a.nbytes for a in arrays)
     assert not any(a.flags.writeable for a in arrays)
 
 
 class TestRowMemo:
-    """Action tables and likelihoods served by the row memo are the direct calls' bit for bit."""
+    """Action tables and likelihoods served by the rows of a StudyCache are
+    the direct calls' bit for bit."""
 
     @settings(max_examples=80, deadline=None)
     @given(data=st.data())
@@ -675,41 +680,42 @@ class TestRowMemo:
             else:
                 pub = normalize_log(rng.uniform(-60, 0, model.num_states))
             pool.append(pub)
-        memo, given = simulate.RowMemo(model), set()
+        cache, given = simulate.StudyCache(model), set()
         for _ in range(data.draw(st.integers(1, 10), label="stacks")):
             shape = (data.draw(st.integers(1, 4)), data.draw(st.integers(1, 4)))
             # rows drawn from the pool repeat within a stack and across stacks
             picks = rng.integers(len(pool), size=shape)
             pub = np.stack([pool[i] for i in picks.flat]).reshape(*shape, -1)
             given.update(pool[i].tobytes() for i in picks.flat)
-            ids = memo.table_ids(pub)
+            ids = cache.table_ids(pub)
             assert ids.shape == shape and (ids >= 0).all()
-            acts, expected = memo.tables[ids], action_table(pub, model)
+            acts, expected = cache.tables[ids], action_table(pub, model)
             assert acts.dtype == expected.dtype and np.array_equal(acts, expected)
             z = rng.integers(model.num_obs, size=(*shape, 1))
             a = np.take_along_axis(acts, z, axis=-1)[..., 0]
-            own = memo.nus[ids, a - 1]
+            own = cache.nus[ids, a - 1]
             assert own.tobytes() == action_likelihood(pub, a, model).tobytes()
-        assert set(memo.ids) == given  # every row is kept
-        assert_memo_counted(memo)
+        assert set(cache.ids) == given  # every row is kept
+        assert_rows_counted(cache)
 
     @pytest.mark.parametrize("name", BUNDLED)
     def test_small_budget_study_equals_uncached_runs(self, name, built_tables, monkeypatch):
         budget = 4096
-        monkeypatch.setattr(simulate, "TRIE_BUDGET", budget)
-        cleared = []  # the memo's bytes before each clear
-        clear, run = simulate.RowMemo.clear, simulate.run_once
+        monkeypatch.setattr(simulate, "CACHE_BUDGET", budget)
+        cleared = []  # the rows' bytes before each clear
+        clear, run = simulate.StudyCache.clear, simulate.run_once
 
-        def counted_clear(memo):
-            if hasattr(memo, "nbytes"):  # not the memo's first, from __init__
-                cleared.append(memo.nbytes)
-            clear(memo)
-            assert_memo_counted(memo)
-            assert memo.nbytes == 0 and not memo.ids
+        def counted_clear(cache):
+            if hasattr(cache, "row_bytes"):  # not the cache's first, from __init__
+                cleared.append(cache.row_bytes)
+            clear(cache)
+            assert_rows_counted(cache)
+            assert cache.row_bytes == cache.step_bytes == 0 and not cache.ids
+            assert not cache.steps and not cache.inputs
 
         def checked_run(config, graph, rng, tables):
-            memo, clears = tables.memo, len(cleared)
-            start = memo.nbytes
+            cache, clears = tables.cache, len(cleared)
+            start = cache.row_bytes
             trace = run(config, graph, rng, tables=tables)
             if len(cleared) > clears:
                 assert len(cleared) == clears + 1 and cleared[-1] == start > budget
@@ -717,12 +723,12 @@ class TestRowMemo:
             assert start <= budget
             # each of the run's rows adds at most its key, a table with its
             # key, and the table's likelihoods
-            row = trace.public[0, 0].nbytes + 2 * memo.tables[0].nbytes + memo.nus[0].nbytes
-            assert memo.nbytes <= budget + trace.actions.size * row
-            assert_memo_counted(memo)
+            row = trace.public[0, 0].nbytes + 2 * cache.tables[0].nbytes + cache.nus[0].nbytes
+            assert cache.row_bytes <= budget + trace.actions.size * row
+            assert_rows_counted(cache)
             return trace
 
-        monkeypatch.setattr(simulate.RowMemo, "clear", counted_clear)
+        monkeypatch.setattr(simulate.StudyCache, "clear", counted_clear)
         monkeypatch.setattr(simulate, "run_once", checked_run)
         config = cli.build_scenario(cli.load_config_file(name), runs=30)
         config = dataclasses.replace(config, modes=ALL_MODES)
@@ -733,21 +739,21 @@ class TestRowMemo:
         for k, mode in enumerate(config.modes):
             assert np.array_equal(metrics.actions[mode], [t.actions[k] for t in expected])
             assert np.array_equal(metrics.estimates[mode], [t.estimates[k] for t in expected])
-        assert cleared and built_tables[-1].trie.nbytes <= budget
+        assert cleared and built_tables[-1].cache.step_bytes <= budget
 
     def test_arrays_are_read_only(self, built_tables):
         monte_carlo(cli.build_scenario(cli.load_config_file("paper_star"), runs=10))
-        memo = built_tables[-1].memo
-        assert memo.ids and memo.table_ids and memo.nus.size
-        for arr in memo_contents(memo)[1]:
+        cache = built_tables[-1].cache
+        assert cache.ids and cache.table_index and cache.nus.size
+        for arr in row_contents(cache)[1]:
             with pytest.raises(ValueError, match="read-only"):
                 arr[0] = 0
 
     def test_paper_star_work(self, monkeypatch):
         # rows given to action_table and action_likelihoods, and calls of
-        # action_likelihood, in the bundled study; without the memo they were
-        # 5346 table rows and 396 likelihood calls, and with one that computed
-        # a missed row once per occurrence and likelihoods per (table, action),
+        # action_likelihood, in the bundled study; without cached rows they
+        # were 5346 table rows and 396 likelihood calls, and with a cache that
+        # computed a missed row once per occurrence and likelihoods per (table, action),
         # 1294 table rows and 33 likelihood calls
         counts = {"table rows": 0, "likelihood tables": 0, "likelihood calls": 0}
         table, likelihoods = learning.action_table, learning.action_likelihoods
