@@ -123,7 +123,8 @@ class TestClosure:
     @pytest.mark.parametrize("size", [63, 64, 65, 127, 128, 129, 150, 200])
     @pytest.mark.parametrize("edge_prob", [0.01, 0.05, 0.5])
     def test_matches_per_edge_reference_across_blocks(self, size, edge_prob):
-        # blocks of 64 nodes: sizes on, just before and just after a boundary
+        # sizes on, just before and just after a multiple of 64 bits, so the
+        # bit rows' last word and the unpacked bytes' padding bits are cut off
         rng = np.random.default_rng(size)
         for _ in range(3):
             a = random_dag(rng, size, edge_prob)
@@ -132,9 +133,36 @@ class TestClosure:
             assert np.array_equal(t, closure_by_edges(a))
 
     def test_long_chain(self):
-        # every path crosses many blocks; within a block it needs all squarings
+        # each row is its successor's row plus one bit: the last node's bit
+        # passes through all 699 ORs to reach the first row
         a = np.eye(700, k=1, dtype=np.int8)
         assert np.array_equal(transitive_closure(a), np.triu(np.ones((700, 700), dtype=np.int8)))
+
+    def test_matches_per_edge_reference_on_large_star(self):
+        # N = 2000: rows of 32 words, past every other graph of the suite
+        spec = TopologySpec(kind="star_delay", agents=10, epochs=200)
+        a = generate_topology(spec, topology_rng(3)).adjacency
+        t = transitive_closure(a)
+        assert t.shape == (2000, 2000) and t.dtype == np.int8 and t.flags.c_contiguous
+        assert np.array_equal(t, closure_by_edges(a))
+
+    def test_complete_dag(self):
+        # every pair an edge: each row ORs every later row
+        a = np.triu(np.ones((130, 130), dtype=np.int8), k=1)
+        assert np.array_equal(transitive_closure(a), np.triu(np.ones((130, 130), dtype=np.int8)))
+
+    def test_violations_payload_equals_validate_dag(self):
+        a = np.triu(np.ones((6, 6)), k=1)
+        a[4, 1] = a[3, 3] = a[5, 0] = 1
+        with pytest.raises(DagViolationError) as err:
+            transitive_closure(a)
+        assert err.value.violations == validate_dag(a) == [(4, 4), (5, 2), (6, 1)]
+
+    @pytest.mark.parametrize("a", [np.zeros((3, 4)), np.zeros(3), np.full((3, 3), 0.5),
+                                   np.triu(np.full((3, 3), 2), k=1)])
+    def test_bad_format_rejected(self, a):
+        with pytest.raises(GraphFormatError):
+            transitive_closure(a)
 
 
 class TestExtract:
