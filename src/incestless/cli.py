@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import contextlib
 import dataclasses
-import errno
 import importlib.resources
 import inspect
 import os
@@ -146,47 +145,9 @@ def _output_chunks(metrics: simulate.MetricsTable) -> dict[str, Iterator[str]]:
 
 
 def write_outputs(metrics: simulate.MetricsTable, out_dir: str) -> None:
-    """Emit the long-format CSVs and the constraint report (LF line endings).
-
-    Each file is written under a temporary name and renamed once all four
-    are written, so an OSError while making the directories or writing
-    leaves none of the files behind, nor any of the directories this call
-    created for them.  A directory in the way of one of the names is
-    refused before anything is written, since its rename would fail after
-    the others had been made.
-    """
-    chunks = _output_chunks(metrics)
-    created = _missing_dirs(out_dir)
-    final = {name: os.path.join(out_dir, name) for name in chunks}
-    temp = {name: os.path.join(out_dir, f".{name}.{os.getpid()}.tmp") for name in chunks}
-    try:
-        os.makedirs(out_dir, exist_ok=True)
-        for path in final.values():
-            if os.path.isdir(path):
-                raise IsADirectoryError(errno.EISDIR, "Is a directory", path)
-        for name, text in chunks.items():
-            with open(temp[name], "w", newline="\n") as f:
-                f.writelines(text)
-        for name in chunks:
-            os.replace(temp[name], final[name])
-    except OSError:
-        for path in temp.values():
-            with contextlib.suppress(OSError):
-                os.remove(path)
-        for path in created:
-            with contextlib.suppress(OSError):
-                os.rmdir(path)
-        raise
-
-
-def _missing_dirs(path: str) -> list[str]:
-    """The directories os.makedirs(path) would create, deepest first."""
-    missing = []
-    path = os.path.abspath(path)
-    while not os.path.isdir(path) and path != os.path.dirname(path):
-        missing.append(path)
-        path = os.path.dirname(path)
-    return missing
+    """Emit the long-format CSVs and the constraint report in out_dir
+    through graph.write_files: all four files or none of them."""
+    graphmod.write_files(out_dir, _output_chunks(metrics))
 
 
 @contextlib.contextmanager
@@ -266,7 +227,7 @@ def cmd_report_constraint(config, seed):
 
 @main.command("gen-graph")
 @click.argument("kind")
-@click.option("--seed", type=int, default=0)
+@click.option("--seed", type=click.IntRange(min=0), default=0)
 @click.option("--agents", type=int, default=TopologySpec.agents)
 @click.option("--epochs", type=int, default=TopologySpec.epochs)
 @click.option("--out", required=True, type=click.Path())

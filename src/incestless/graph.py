@@ -16,6 +16,8 @@ from __future__ import annotations
 
 import contextlib
 import copy
+import errno
+import itertools
 import os
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -46,16 +48,6 @@ def _back_edges(src: np.ndarray, dst: np.ndarray) -> list[tuple[int, int]]:
     """The (i, j) entries (1-based, row-major) on or below the diagonal."""
     back = src >= dst
     return list(zip((src[back] + 1).tolist(), (dst[back] + 1).tolist()))
-
-
-def validate_dag(adjacency: np.ndarray) -> list[tuple[int, int]]:
-    """Return the list of (i, j) entries (1-based) violating strict upper triangularity.
-
-    An empty list means the matrix is a valid DAG adjacency in causal order.
-    Raises GraphFormatError for non-square or non-binary input.
-    """
-    _, src, dst = _edges(adjacency)
-    return _back_edges(src, dst)
 
 
 # rows per block of the weight solves, which solve a block's own rows one at a time
@@ -472,27 +464,62 @@ def augment_for_constraint(graph: CommGraph) -> CommGraph:
 
 
 # ---------------------------------------------------------------------------
-# edge-list file format: header "N <size>", then one "<i> <j>" line per edge
+# files: write_files writes every output of the package (`incestless run`'s
+# four files and the graph file), whole or not at all; the edge-list graph
+# file has the header "N <size>", then one "<i> <j>" line per edge
+
+def write_files(directory, files) -> None:
+    """Write each file of `files`, a mapping of name to text chunks, in
+    `directory`, whole or not at all (LF line endings).
+
+    Each file is written under the temporary name .<name>.<pid>.tmp, and
+    all of them are renamed into place after the last one is written, so an
+    OSError while making the directory or writing leaves none of the files
+    behind, nor any of the directories this call made; a file at one of the
+    names keeps what it held before.  A directory standing at one of the
+    names is refused, by an IsADirectoryError naming that path, before
+    anything is written, since its rename would fail after the others.
+    """
+    final = {name: os.path.join(directory, name) for name in files}
+    for path in final.values():
+        if os.path.isdir(path):
+            raise IsADirectoryError(errno.EISDIR, "Is a directory", path)
+    temp = {name: os.path.join(directory, f".{name}.{os.getpid()}.tmp") for name in files}
+    created = _missing_dirs(directory)
+    try:
+        os.makedirs(directory or os.curdir, exist_ok=True)
+        for name, chunks in files.items():
+            with open(temp[name], "w", newline="\n") as f:
+                for chunk in chunks:
+                    f.write(chunk)
+        for name in files:
+            os.replace(temp[name], final[name])
+    except OSError:
+        for path in temp.values():
+            with contextlib.suppress(OSError):
+                os.remove(path)
+        for path in created:
+            with contextlib.suppress(OSError):
+                os.rmdir(path)
+        raise
+
+
+def _missing_dirs(path) -> list[str]:
+    """The directories os.makedirs(path) would create, deepest first."""
+    missing = []
+    path = os.path.abspath(path)
+    while not os.path.isdir(path) and path != os.path.dirname(path):
+        missing.append(path)
+        path = os.path.dirname(path)
+    return missing
+
 
 def save_graph(graph: CommGraph, path) -> None:
-    """Write the graph's edge-list file at `path`, whole or not at all.
-
-    The lines go to a new file in the same directory, which replaces `path`
-    after the last one; on an OSError that file is removed and the error
-    re-raised, so `path` keeps what it held before.
-    """
+    """Write the graph's edge-list file at `path` through write_files: whole
+    or not at all, in a directory made if it is missing."""
     head, name = os.path.split(os.fspath(path))
-    tmp = os.path.join(head, f".{name}.{os.getpid()}.tmp")
-    try:
-        with open(tmp, "w") as f:
-            f.write(f"N {graph.size}\n")
-            for i, j in np.argwhere(graph.adjacency):
-                f.write(f"{i + 1} {j + 1}\n")
-        os.replace(tmp, path)
-    except OSError:
-        with contextlib.suppress(OSError):
-            os.remove(tmp)
-        raise
+    edges = (f"{i + 1} {j + 1}\n" for i, j in np.argwhere(graph.adjacency))
+    write_files(head, {name: itertools.chain([f"N {graph.size}\n"], edges)})
 
 
 def load_graph(path) -> CommGraph:

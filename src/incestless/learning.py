@@ -269,25 +269,21 @@ def action_likelihoods(table: np.ndarray, model: StateModel) -> np.ndarray:
     return np.add.reduce(picked, axis=-2)
 
 
-def action_likelihood(pub: np.ndarray, a: int | np.ndarray, model: StateModel,
-                      table: np.ndarray | None = None) -> np.ndarray:
+def action_likelihood(pub: np.ndarray, a: int | np.ndarray, model: StateModel) -> np.ndarray:
     """Per-state log-likelihood of action a given the public belief.
 
     floored_log of row a-1 of action_likelihoods, with the action table of
-    pub (computed here unless the caller already has it).  pub may be one
-    belief (X,) with one action, or beliefs stacked along leading axes,
-    (M, X) or (M, L, X), with one action per belief, (M,) or (M, L); the
-    table and the result follow, (..., Z) and (..., X).  The log is
-    floored_log's, never -inf.
+    pub.  pub may be one belief (X,) with one action, or beliefs stacked
+    along leading axes, (M, X) or (M, L, X), with one action per belief,
+    (M,) or (M, L); the table and the result follow, (..., Z) and (..., X).
+    The log is floored_log's, never -inf.
     """
     a = np.asarray(a)
     if not ((1 <= a) & (a <= model.num_actions)).all():
         bad = int(a.flat[np.argmax((a < 1) | (a > model.num_actions))])
         raise ValueError(f"action {bad} out of range 1..{model.num_actions}")
-    if table is None:
-        table = action_table(pub, model)
-    lik = np.take_along_axis(action_likelihoods(table, model), a[..., None, None] - 1,
-                             axis=-2)[..., 0, :]
+    liks = action_likelihoods(action_table(pub, model), model)
+    lik = np.take_along_axis(liks, a[..., None, None] - 1, axis=-2)[..., 0, :]
     selectable = lik.any(axis=-1)
     if not selectable.all():
         bad = int(a.flat[np.argmin(selectable)])

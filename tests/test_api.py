@@ -55,7 +55,6 @@ PUBLIC = [
     "topology_rng",
     "transitive_closure",
     "triangular_likelihood",
-    "validate_dag",
     "weight_matrix",
 ]
 

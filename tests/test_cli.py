@@ -10,6 +10,7 @@ from click.testing import CliRunner
 
 from incestless import CommGraph, load_graph, save_graph
 from incestless import cli
+from incestless import graph as graphmod
 from incestless.cli import build_scenario, main
 from incestless.simulate import ScenarioConfig, build_graph
 
@@ -141,6 +142,32 @@ class TestGenGraph:
         assert res.stdout == ""
         assert len(res.stderr.splitlines()) == 1 and res.stderr.startswith("error: ")
         assert list(tmp_path.iterdir()) == []
+
+    def test_makes_missing_directories(self, runner, tmp_path):
+        outs = tmp_path / "g.txt", tmp_path / "new" / "dir" / "g.txt"
+        for out in outs:
+            res = runner.invoke(main, ["gen-graph", "random4", "--seed", "3", "--out", str(out)])
+            assert res.exit_code == 0, res.output
+        assert outs[1].read_bytes() == outs[0].read_bytes()
+
+    def test_over_long_name_leaves_no_directories(self, runner, tmp_path):
+        # the file's name is too long to make, after its parents were made
+        res = runner.invoke(main, ["gen-graph", "chain41", "--out",
+                                   str(tmp_path / "deep" / "er" / ("x" * 300))])
+        assert_input_error(res, "File name too long")
+        assert not (tmp_path / "deep").exists()
+
+    def test_directory_in_the_way_opens_no_file(self, runner, tmp_path, monkeypatch):
+        out = tmp_path / "g.txt"
+        out.mkdir()
+        opened = []
+        monkeypatch.setattr(graphmod, "open", lambda *args, **kwargs: opened.append(args),
+                            raising=False)
+        res = runner.invoke(main, ["gen-graph", "chain41", "--out", str(out)])
+        assert_input_error(res, f"Is a directory: '{out}'")
+        assert len(res.stderr.splitlines()) == 1
+        assert opened == []
+        assert os.listdir(tmp_path) == ["g.txt"] and os.listdir(out) == []
 
     def test_bad_kind(self, runner, tmp_path):
         res = runner.invoke(main, ["gen-graph", "mystery",
@@ -545,7 +572,7 @@ class TestRun:
                 raise OSError(28, "No space left on device")
             return open(path, *args, **kwargs)
 
-        monkeypatch.setattr(cli, "open", failing_open, raising=False)
+        monkeypatch.setattr(graphmod, "open", failing_open, raising=False)
         res = runner.invoke(main, ["run", str(cfg), "--output-dir", str(out)])
         assert res.exit_code == 1
         assert "No space left on device" in res.stderr
@@ -661,8 +688,10 @@ class TestUsageErrors:
         (["report-constraint", "paper_star", "--seed", "x"], "Invalid value for '--seed'"),
         (["gen-graph", "star_delay", "--agents", "many", "--out", "g.txt"],
          "Invalid value for '--agents'"),
+        (["gen-graph", "random4", "--seed", "-1", "--out", "g.txt"],
+         "Invalid value for '--seed'"),
         (["closure", "g.txt", "--bogus"], "No such option"),
-    ], ids=["run", "report-constraint", "gen-graph", "closure"])
+    ], ids=["run", "report-constraint", "gen-graph", "gen-graph-seed", "closure"])
     def test_exit_1_with_clicks_message(self, runner, tmp_path, args, message):
         with runner.isolated_filesystem(temp_dir=tmp_path) as cwd:
             res = runner.invoke(main, args)

@@ -387,18 +387,14 @@ class TestActionTable:
 
     def test_likelihood_equals_per_observation_loop(self):
         for m, pub in table_cases(np.random.default_rng(12)):
-            table = action_table(pub, m)
             for a in range(1, m.num_actions + 1):
                 try:
                     expected = reference_action_likelihood(pub, a, m)
                 except ZeroProbabilityActionError:
                     with pytest.raises(ZeroProbabilityActionError):
                         action_likelihood(pub, a, m)
-                    with pytest.raises(ZeroProbabilityActionError):
-                        action_likelihood(pub, a, m, table=table)
                     continue
                 assert np.array_equal(action_likelihood(pub, a, m), expected)
-                assert np.array_equal(action_likelihood(pub, a, m, table=table), expected)
 
     def test_stacked_equals_single_calls(self):
         m = default_model()
@@ -421,7 +417,6 @@ class TestActionTable:
             a = table[np.arange(len(group)), rng.integers(m.num_obs, size=len(group))]
             expected = np.stack([action_likelihood(p, int(ak), m) for p, ak in zip(group, a)])
             assert np.array_equal(action_likelihood(group, a, m), expected)
-            assert np.array_equal(action_likelihood(group, a, m, table=table), expected)
 
     def test_likelihoods_of_every_action_equal_single_calls(self):
         # the default model among table_cases, and its 1e-3-cost copy with
@@ -445,7 +440,7 @@ class TestActionTable:
                 assert np.array_equal(lik, action_likelihoods(table, m))
                 for a in range(1, m.num_actions + 1):
                     if a in table:
-                        expected = action_likelihood(pub, a, m, table=table)
+                        expected = action_likelihood(pub, a, m)
                         assert floored_log(lik[a - 1]).tobytes() == expected.tobytes()
                     else:
                         assert not lik[a - 1].any()
@@ -457,7 +452,7 @@ class TestActionTable:
         # row 1 takes action 1, which no observation induces under its point mass
         assert 1 not in table[1]
         with pytest.raises(ZeroProbabilityActionError, match="action 1 "):
-            action_likelihood(pubs, np.array([table[0, 0], 1]), m, table=table)
+            action_likelihood(pubs, np.array([table[0, 0], 1]), m)
         with pytest.raises(ValueError, match="action 11 out of range"):
             action_likelihood(pubs, np.array([1, 11]), m)
 
