@@ -184,6 +184,13 @@ def _usage_exits_1(call, *args, **kwargs):
         raise
 
 
+def _non_empty(ctx, param, value):
+    """Refuse an empty output path, which names no file or directory."""
+    if value == "":
+        raise click.BadParameter("the path is empty")
+    return value
+
+
 @click.group(cls=_Group)
 def main():
     """Bayesian social learning with optimal data-incest removal."""
@@ -195,7 +202,8 @@ def main():
 @click.option("--runs", type=int, default=None, help="Override the run count.")
 @click.option("--modes", default=None,
               help=f"Comma-separated mode list ({','.join(simulate.MODES)}).")
-@click.option("--output-dir", default=None, help="Output directory (default: out).")
+@click.option("--output-dir", default=None, callback=_non_empty,
+              help="Output directory (default: out).")
 @click.option("--force", is_flag=True, default=False,
               help="Run removal mode even if the topological constraint is violated.")
 def cmd_run(config, seed, runs, modes, output_dir, force):
@@ -230,7 +238,7 @@ def cmd_report_constraint(config, seed):
 @click.option("--seed", type=click.IntRange(min=0), default=0)
 @click.option("--agents", type=int, default=TopologySpec.agents)
 @click.option("--epochs", type=int, default=TopologySpec.epochs)
-@click.option("--out", required=True, type=click.Path())
+@click.option("--out", required=True, type=click.Path(), callback=_non_empty)
 def cmd_gen_graph(kind, seed, agents, epochs, out):
     """Generate a topology and write it as an edge-list file."""
     with _exit_on_error():

@@ -14,6 +14,7 @@ arrays are 0-based.
 
 from __future__ import annotations
 
+import bisect
 import contextlib
 import copy
 import errno
@@ -50,7 +51,7 @@ def _back_edges(src: np.ndarray, dst: np.ndarray) -> list[tuple[int, int]]:
     return list(zip((src[back] + 1).tolist(), (dst[back] + 1).tolist()))
 
 
-# rows per block of the weight solves, which solve a block's own rows one at a time
+# rows per block of the weight solves, which solve a block's own rows one run at a time
 _BLOCK = 64
 
 
@@ -162,12 +163,15 @@ def _float_inverse(closure: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
     Solved bottom-up in blocks of rows: the rows below a block enter by one
     GEMM per chunk of _BLOCK columns, which stops at the chunk's last row
     (the entries below it are zero), then the block's own rows are solved
-    one at a time.  Each entry is x[j, c] = delta_jc - (sum of a subset of
-    the x[k, c], k > j), as T is 0/1, and every partial sum on the way is a
-    signed subset sum of the same terms.  So while a column's sum of |x| stays below 2^53, all of
-    them are integers that float64 holds exactly: the first wrong entry in
-    solve order would have read only exact entries of its column, and so
-    could not be wrong.  The column sums are themselves sums of integers,
+    one run at a time, bottom-up, by one product each (`_block_runs`).  No
+    node of a run reaches another, so T is the identity on the run, and
+    each of its rows reads only the rows below the run.  Each entry is
+    x[j, c] = delta_jc - (sum of a subset of the x[k, c] solved before its
+    run), as T is 0/1, and every partial sum on the way is a signed subset
+    sum of the same terms.  So while a column's sum of |x| stays below
+    2^53, all of them are integers that float64 holds exactly: the first
+    wrong entry in solve order would have read only exact entries of its
+    column, and so could not be wrong.  The column sums are themselves sums of integers,
     and one below 2^53 is exact, whatever the order of its additions.
 
     A column reads only itself, so the proof holds column by column.  A
@@ -179,6 +183,7 @@ def _float_inverse(closure: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
     exact in every column.
     """
     rows = closure.shape[0]
+    starts = _run_starts(closure)
     x = np.eye(rows)
     sums = np.zeros(rows)
     unproven = np.zeros(rows, dtype=bool)
@@ -193,8 +198,10 @@ def _float_inverse(closure: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
         for c0 in range(r1, rows, _BLOCK):
             c1 = min(c0 + _BLOCK, rows)
             block[:, c0 - r0:c1 - r0] -= t[:, r1 - r0:c1 - r0] @ x[r1:c1, c0:c1]
-        for j in range(r1 - r0 - 2, -1, -1):
-            block[j] -= t[j, j + 1:r1 - r0] @ block[j + 1:]
+        # x[k, c] = 0 for k >= b > c, so a run's rows change only past it; the
+        # bottom run has no block rows below it
+        for a, b in _block_runs(starts, r0, r1)[1:]:
+            block[a:b, b:] -= t[a:b, b:r1 - r0] @ block[b:, b:]
         sums[r0:] += np.abs(block).sum(axis=0)
         failed = sums[r0:] >= 2.0**53
         if failed.any():
@@ -222,12 +229,16 @@ def _int64_weights(closure: np.ndarray, columns: np.ndarray | None = None,
     bottom-up in the blocks of _float_inverse (start is a block boundary):
     the rows below a block enter by one stacked GEMM per chunk of _BLOCK
     columns, up to the chunk's last row, then the block's rows are solved
-    one at a time, each with one stacked product over the block rows below
-    it.  A 0/1 row times a limb plane sums to less than N * 2^32 in
-    magnitude, below 2^53 for N < 2^21, so each limb sum, and every partial
-    sum of it in any order, is an exact integer in float64, and so is the
-    sum of the GEMM part and the in-block part.  The limb sums
-    recombine to t_j @ W mod 2^64, so each row equals, bit for bit, an
+    one run at a time, bottom-up, each run with one stacked product over
+    the block rows below it (`_block_runs`).  No node of a run reaches
+    another, so T is the identity on the run, its rows read only the rows
+    below it, and their entries at or left of the run's last column are 0:
+    the product covers only the columns past the run, and leaves those
+    entries at the zeros w starts with.  A 0/1 row times a limb plane sums
+    to less than N * 2^32 in magnitude, below 2^53 for N < 2^21, so each
+    limb sum, and every partial sum of it in any order, is an exact integer
+    in float64, and so is the sum of the GEMM part and the in-block part.
+    The limb sums recombine to t_j @ W mod 2^64, so each row equals, bit for bit, an
     int64 back substitution that wraps.
 
     The same limb sums, recombined in float64 instead, give t_j @ W with a
@@ -237,8 +248,9 @@ def _int64_weights(closure: np.ndarray, columns: np.ndarray | None = None,
     2^63 therefore marks a weight beyond int64, and WeightOverflowError
     names the first one, rows bottom-up and columns ascending; a row's
     check reads only its columns c > j.  The check is made once per block:
-    the rows solved before the first wrapped one are exact, so its row is
-    the last one in the block to show a wrap.
+    the rows solved before the first wrapped one are exact, and so are
+    the rows below its run that its run reads, so its row is the last one
+    in the block to show a wrap.
     """
     rows = closure.shape[0]
     cols = np.arange(rows) if columns is None else np.asarray(columns)
@@ -249,6 +261,7 @@ def _int64_weights(closure: np.ndarray, columns: np.ndarray | None = None,
         w[start:] = known
         limbs[:, start:] = known & 0xFFFFFFFF, known >> 32
     t_cols = closure[:, cols]
+    starts = _run_starts(closure)
     # past[j]: the first of the columns after node j+1, the ones row j solves
     past = np.searchsorted(cols, np.arange(rows), side="right").tolist()
     for r0 in range(((start - 1) // _BLOCK) * _BLOCK, -1, -_BLOCK):
@@ -262,14 +275,14 @@ def _int64_weights(closure: np.ndarray, columns: np.ndarray | None = None,
             q1 = min(q0 + _BLOCK, cols.size)
             stop = max(int(cols[q1 - 1]), r1)
             sums[:, :, q0 - k0:q1 - k0] = t[:, r1 - r0:stop - r0] @ limbs[:, r1:stop, q0:q1]
-        for j in range(r1 - 1, r0 - 1, -1):
-            i, k = j - r0, past[j]
-            row = sums[:, i, k - k0:]
-            row += t[i, i + 1:r1 - r0] @ limbs[:, j + 1:r1, k:]
-            exact = t_cols[j, k:] - ((row[1].astype(np.int64) << 32) + row[0].astype(np.int64))
-            w[j, k:] = exact
-            limbs[0, j, k:] = exact & 0xFFFFFFFF
-            limbs[1, j, k:] = exact >> 32
+        for a, b in _block_runs(starts, r0, r1):
+            j0, j1, k = r0 + a, r0 + b, past[r0 + b - 1]
+            run = sums[:, a:b, k - k0:]
+            run += t[a:b, b:r1 - r0] @ limbs[:, j1:r1, k:]
+            exact = t_cols[j0:j1, k:] - ((run[1].astype(np.int64) << 32) + run[0].astype(np.int64))
+            w[j0:j1, k:] = exact
+            limbs[0, j0:j1, k:] = exact & 0xFFFFFFFF
+            limbs[1, j0:j1, k:] = exact >> 32
         approx = t_cols[r0:r1, k0:] - (sums[1] * 2.0**32 + sums[0])
         wrapped = np.abs(approx - w[r0:r1, k0:]) > 2.0**63
         wrapped &= cols[k0:] > np.arange(r0, r1)[:, None]
@@ -278,6 +291,44 @@ def _int64_weights(closure: np.ndarray, columns: np.ndarray | None = None,
             c = k0 + np.flatnonzero(wrapped[i])[0]
             raise WeightOverflowError(node=int(cols[c]) + 1, index=r0 + int(i) + 1)
     return w
+
+
+def _run_starts(matrix: np.ndarray) -> list[int]:
+    """The first node (0-based) of each run of the nodes of an upper
+    triangular 0/1 matrix: the adjacency or the closure, whose diagonal is
+    not read.
+
+    Node m starts a new run when its latest strict ancestor lies in the
+    current run.  In the adjacency that is its latest in-neighbour; in the
+    closure it is the latest node that reaches it, which is the same node:
+    the last step of a path into m is an in-neighbour no earlier than the
+    path's first node.  The columns are read _BLOCK at a time, each down to
+    its chunk's last row only, which also keeps the copy small.
+    """
+    size = matrix.shape[0]
+    if size == 0:
+        return []
+    latest = []  # latest[m-1]: the last strict ancestor of node m, 0 if none
+    for c0 in range(0, size, _BLOCK):
+        c1 = min(c0 + _BLOCK, size)
+        reach = matrix[c1 - 1::-1, c0:c1].astype(bool)  # rows c1-1 .. 0
+        local = np.arange(c1 - c0)
+        reach[c1 - c0 - 1 - local, local] = False  # the diagonal
+        first = np.argmax(reach, axis=0)
+        latest += np.where(reach[first, local], c1 - first, 0).tolist()
+    starts = [0]
+    for m, last in enumerate(latest, start=1):
+        if last > starts[-1]:
+            starts.append(m - 1)
+    return starts
+
+
+def _block_runs(starts: list[int], r0: int, r1: int) -> list[tuple[int, int]]:
+    """The runs of `starts` cut at the edges of the block of rows r0..r1-1,
+    as block-local (a, b) for rows r0+a..r0+b-1, bottom run first."""
+    inner = starts[bisect.bisect_right(starts, r0):bisect.bisect_left(starts, r1)]
+    cuts = [0, *(s - r0 for s in inner), r1 - r0]
+    return list(zip(cuts[-2::-1], cuts[:0:-1]))
 
 
 def independent_blocks(graph: CommGraph) -> list[tuple[int, int]]:
@@ -289,18 +340,12 @@ def independent_blocks(graph: CommGraph) -> list[tuple[int, int]]:
     with an edge inside it.  Every node of a block hears only nodes before
     the block, so the whole block can update at once.  The runs are
     contiguous in node order, not topological levels, so a node's block
-    precedes every later node's.  Only the adjacency is read.
+    precedes every later node's.  Only the adjacency is read; the weight
+    solves take the same runs from the closure, by the same rule
+    (`_run_starts`), and solve each run's rows by one product.
     """
-    if graph.size == 0:
-        return []
-    edges = graph.adjacency.view(bool)[::-1]  # its entries are 0 or 1
-    # latest[m-1]: the last in-neighbour of node m, 0 if none
-    latest = np.where(edges.any(axis=0), graph.size - np.argmax(edges, axis=0), 0)
-    bounds = [0]
-    for m, last in enumerate(latest.tolist(), start=1):
-        if last > bounds[-1]:
-            bounds.append(m - 1)
-    return list(zip(bounds, bounds[1:] + [graph.size]))
+    starts = _run_starts(graph.adjacency)
+    return list(zip(starts, starts[1:] + [graph.size]))
 
 
 def compute_weights(graph: CommGraph, n: int) -> np.ndarray:
@@ -318,11 +363,17 @@ def compute_weights(graph: CommGraph, n: int) -> np.ndarray:
 def violations(weights: np.ndarray, adjacency: np.ndarray) -> dict[int, list[int]]:
     """Map node -> violating indices: the nonzero columns of (W != 0) & (A == 0)."""
     bad = (weights != 0) & (adjacency == 0)
-    # flat indices of the transpose are sorted by column, then row
-    col, row = np.divmod(np.flatnonzero(bad.T), bad.shape[0])
-    starts = np.flatnonzero(np.diff(col, prepend=-1)).tolist()
-    row = (row + 1).tolist()
-    return {int(col[i]) + 1: row[i:j] for i, j in zip(starts, starts[1:] + [len(row)])}
+    size = bad.shape[0]
+    # flat indices of the transpose are sorted by column, then row, so
+    # column c's end is the count of them below (c + 1) * size
+    flat = np.flatnonzero(bad.T)
+    ends = np.searchsorted(flat, np.arange(1, size + 1) * size).tolist()
+    # in place: two freed temporaries of this size left graph_sweep's peak
+    # resident set about 3 MB higher
+    flat %= size
+    flat += 1
+    rows = flat.tolist()
+    return {c + 1: rows[lo:hi] for c, (lo, hi) in enumerate(zip([0] + ends, ends)) if hi > lo}
 
 
 def constraint_report(graph: CommGraph) -> dict[int, list[int]]:

@@ -691,7 +691,10 @@ class TestUsageErrors:
         (["gen-graph", "random4", "--seed", "-1", "--out", "g.txt"],
          "Invalid value for '--seed'"),
         (["closure", "g.txt", "--bogus"], "No such option"),
-    ], ids=["run", "report-constraint", "gen-graph", "gen-graph-seed", "closure"])
+        (["gen-graph", "chain41", "--out", ""], "Invalid value for '--out'"),
+        (["run", "paper_star", "--output-dir", ""], "Invalid value for '--output-dir'"),
+    ], ids=["run", "report-constraint", "gen-graph", "gen-graph-seed", "closure",
+            "gen-graph-empty-out", "run-empty-output-dir"])
     def test_exit_1_with_clicks_message(self, runner, tmp_path, args, message):
         with runner.isolated_filesystem(temp_dir=tmp_path) as cwd:
             res = runner.invoke(main, args)

@@ -450,6 +450,100 @@ class TestResumedWeights:
         assert np.array_equal(w, int64_weights_by_rows(g.closure))
 
 
+
+def long_run_graph():
+    """200 nodes: 1..10 a chain that node 1 also broadcasts along, then
+    11..150, which hear only nodes 1..10 and so form one run of 140 nodes,
+    holding the whole block of rows 64..127, then 151..200, a chain in
+    which each node also hears three nodes of the run."""
+    edges = {(n - 1, n) for n in range(2, 11)} | {(1, n) for n in range(3, 11)}
+    edges |= {(src, n) for n in range(11, 151) for src in (10, n * 3 % 9 + 1)}
+    edges |= {(n - 1, n) for n in range(151, 201)}
+    edges |= {(11 + n * step % 140, n) for n in range(151, 201) for step in (7, 11, 13)}
+    return graph_from_edges(200, sorted(edges))
+
+
+class TestRunWiseSolves:
+    # both weight solves solve a block's own rows one run at a time, the
+    # runs of graph._run_starts cut at the _BLOCK-row block edges: they
+    # must give the row-by-row int64 solve's arrays and errors wherever
+    # the runs lie
+
+    def test_run_longer_than_a_block(self, limb_solves):
+        g = long_run_graph()
+        assert [(lo, hi) for lo, hi in independent_blocks(g) if hi - lo > 1] == [(10, 150)]
+        starts = graphmod._run_starts(g.closure)
+        assert graphmod._block_runs(starts, 0, 64)[0] == (10, 64)
+        assert graphmod._block_runs(starts, 64, 128) == [(0, 64)]
+        assert graphmod._block_runs(starts, 128, 192)[-1] == (0, 22)
+        expected = exact_weight_matrix(g)
+        assert np.array_equal(int64_weights_by_rows(g.closure), expected)
+        # the float solve proves every column
+        assert np.array_equal(weight_matrix(g), expected) and limb_solves == []
+        assert np.array_equal(graphmod._int64_weights(g.closure), expected)
+        # the limb solve resumed at row 64, 128 or 192 starts inside the run
+        # or just below it
+        for start in (64, 128, 192):
+            known = expected[start:].astype(np.int64)
+            solved = graphmod._int64_weights(g.closure, np.arange(g.size), known)
+            assert np.array_equal(solved, expected)
+
+    @pytest.mark.parametrize("epochs, seed", [(30, 0), (74, 0), (82, 1), (86, 0)])
+    def test_runs_across_block_edges(self, epochs, seed):
+        # with 7 agents the first epochs are one run of 7 rows each, and
+        # 64 = 9 * 7 + 1, so the runs of rows 63..69, 126..132 and 189..195
+        # (0-based) cross block edges; 7 x 74 and 7 x 82 fail the float64
+        # proof and stay in int64, and 7 x 86 at seed 0 leaves int64 at row
+        # 34, inside the run of rows 29..35 (1-based), whose last row does
+        # not wrap
+        spec = TopologySpec(kind="complete_delay", agents=7, epochs=epochs)
+        g = generate_topology(spec, topology_rng(seed))
+        assert {(63, 70), (126, 133), (189, 196)} <= set(independent_blocks(g))
+        assert graphmod._block_runs(graphmod._run_starts(g.closure), 0, 64)[0] == (63, 64)
+        try:
+            expected = int64_weights_by_rows(g.closure)
+        except WeightOverflowError as rows:
+            assert str(rows) == "node 600: weight w_600(34) exceeds the int64 range"
+            with pytest.raises(WeightOverflowError) as limbs:
+                graphmod._int64_weights(g.closure)
+            with pytest.raises(WeightOverflowError) as resumed:
+                weight_matrix(g)
+            for error in (limbs.value, resumed.value):
+                assert str(error) == str(rows) and error.node == rows.node
+        else:
+            assert np.array_equal(graphmod._int64_weights(g.closure), expected)
+            assert np.array_equal(weight_matrix(g), expected)
+
+    def test_resumed_inside_a_run(self, limb_solves):
+        # complete_delay 7 x 74 at seed 0 fails the float64 proof first in
+        # the block of rows 0..63, so the limb solve resumes at row 64, the
+        # second row of the run of rows 63..69
+        spec = TopologySpec(kind="complete_delay", agents=7, epochs=74)
+        g = generate_topology(spec, topology_rng(0))
+        w = weight_matrix(g)
+        [(columns, known)] = limb_solves
+        assert g.size - known.shape[0] == 64 and 0 < columns.size < g.size
+        assert (63, 70) in independent_blocks(g)
+        expected = int64_weights_by_rows(g.closure)
+        assert np.array_equal(w, expected)
+        every = graphmod._int64_weights(g.closure, np.arange(g.size), expected[64:])
+        assert np.array_equal(every, expected)
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_run_starts_from_adjacency_or_closure(self, data):
+        # a node's latest strict ancestor is its latest in-neighbour, so the
+        # closure, diagonal and all, gives the adjacency's runs
+        size = data.draw(st.integers(0, 150), label="size")
+        edge_prob = data.draw(st.sampled_from([0.005, 0.02, 0.1, 0.5]), label="edge_prob")
+        seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
+        g = CommGraph(random_dag(np.random.default_rng(seed), size, edge_prob))
+        starts = [lo for lo, _ in blocks_by_closure(g)]
+        assert [lo for lo, _ in independent_blocks(g)] == starts
+        assert graphmod._run_starts(g.adjacency) == starts
+        assert graphmod._run_starts(g.closure) == starts
+
+
 class TestConstraint:
     def test_diamond_a_satisfied(self, diamond_a):
         assert constraint_report(diamond_a) == {}
