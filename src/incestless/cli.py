@@ -11,9 +11,10 @@ paper_complete, paper_star, paper_random4) can be referenced by name.
 A config's keys are the fields of simulate.ScenarioConfig, its topology
 section's those of graph.TopologySpec and its model section's the
 parameters of learning.default_model; those hold every default and
-check, so this module writes none of them again.  The environment
-variable INCESTLESS_SEED overrides the config seed; the --seed option
-overrides both.
+check, so this module writes none of them again.  The seed of run and
+report-constraint is --seed, else the variable INCESTLESS_SEED (that
+option's click envvar, where an empty value counts as unset), else the
+config's; gen-graph's --seed does not read the variable.
 """
 
 from __future__ import annotations
@@ -74,11 +75,10 @@ def load_config_file(name_or_path: str) -> dict:
     return raw
 
 
-def build_scenario(raw: dict, seed_override: int | None = None,
-                   **overrides) -> simulate.ScenarioConfig:
+def build_scenario(raw: dict, **overrides) -> simulate.ScenarioConfig:
     """ScenarioConfig of the keys present in raw (it holds the defaults and
-    the checks), then the overrides that are not None; INCESTLESS_SEED, then
-    seed_override, replace the seed.  An overridden file value is still checked."""
+    the checks), then the overrides that are not None.  It reads nothing but
+    its arguments.  An overridden file value is still checked."""
     fields = dict(raw)
     if "output_dir" in fields:  # cmd_run's to read; checked here, before any run
         out_dir = fields.pop("output_dir")
@@ -93,14 +93,6 @@ def build_scenario(raw: dict, seed_override: int | None = None,
     scenario = simulate.ScenarioConfig(**fields)
 
     overrides = {k: v for k, v in overrides.items() if v is not None}
-    env_seed = os.environ.get("INCESTLESS_SEED")
-    if env_seed is not None:
-        try:
-            overrides["seed"] = int(env_seed)
-        except ValueError:
-            raise ConfigError(f"INCESTLESS_SEED must be an integer, got {env_seed!r}") from None
-    if seed_override is not None:
-        overrides["seed"] = seed_override
     return dataclasses.replace(scenario, **overrides) if overrides else scenario
 
 
@@ -198,7 +190,8 @@ def main():
 
 @main.command("run")
 @click.argument("config")
-@click.option("--seed", type=int, default=None, help="Override the config seed.")
+@click.option("--seed", type=int, default=None, envvar="INCESTLESS_SEED",
+              show_envvar=True, help="Override the config seed.")
 @click.option("--runs", type=int, default=None, help="Override the run count.")
 @click.option("--modes", default=None,
               help=f"Comma-separated mode list ({','.join(simulate.MODES)}).")
@@ -210,7 +203,7 @@ def cmd_run(config, seed, runs, modes, output_dir, force):
     """Run a scenario and write actions.csv, estimates.csv, mse.csv, constraint.txt."""
     with _exit_on_error():
         raw = load_config_file(config)
-        scenario = build_scenario(raw, seed_override=seed, runs=runs,
+        scenario = build_scenario(raw, seed=seed, runs=runs,
                                   force=True if force else None,
                                   modes=None if modes is None else tuple(modes.split(",")))
         out_dir = output_dir or raw.get("output_dir", "out")
@@ -220,12 +213,12 @@ def cmd_run(config, seed, runs, modes, output_dir, force):
 
 @main.command("report-constraint")
 @click.argument("config")
-@click.option("--seed", type=int, default=None, help="Override the config seed.")
+@click.option("--seed", type=int, default=None, envvar="INCESTLESS_SEED",
+              show_envvar=True, help="Override the config seed.")
 def cmd_report_constraint(config, seed):
     """Print the per-node topological constraint status for a config's graph."""
     with _exit_on_error():
-        graph = simulate.build_graph(build_scenario(load_config_file(config),
-                                                    seed_override=seed))
+        graph = simulate.build_graph(build_scenario(load_config_file(config), seed=seed))
         report = graphmod.constraint_report(graph)
     for n in range(2, graph.size + 1):
         click.echo(f"node {n}: {_violation(report[n]) if n in report else 'satisfied'}")

@@ -527,13 +527,14 @@ def write_files(directory, files) -> None:
     all of them are renamed into place after the last one is written, so an
     OSError while making the directory or writing leaves none of the files
     behind, nor any of the directories this call made; a file at one of the
-    names keeps what it held before.  A directory standing at one of the
-    names is refused, by an IsADirectoryError naming that path, before
-    anything is written, since its rename would fail after the others.
+    names keeps what it held before.  A name that is empty, . or .., and a
+    directory standing at one of the names, are refused by an
+    IsADirectoryError naming that path before anything is made or written,
+    since their rename would fail after the others.
     """
     final = {name: os.path.join(directory, name) for name in files}
-    for path in final.values():
-        if os.path.isdir(path):
+    for name, path in final.items():
+        if name in ("", os.curdir, os.pardir) or os.path.isdir(path):
             raise IsADirectoryError(errno.EISDIR, "Is a directory", path)
     temp = {name: os.path.join(directory, f".{name}.{os.getpid()}.tmp") for name in files}
     created = _missing_dirs(directory)

@@ -307,12 +307,6 @@ class LogBelief:
     log_prior: np.ndarray
     evidence: np.ndarray
 
-    def log_posterior(self) -> np.ndarray:
-        return self.log_prior + self.evidence
-
-    def belief(self) -> np.ndarray:
-        return normalize_log(self.log_posterior())
-
 
 def normalize_log(theta: np.ndarray) -> np.ndarray:
     """exp-normalize unnormalized log-probability vectors along the last axis;

@@ -129,7 +129,7 @@ class TestGenGraph:
             res = runner.invoke(main, ["gen-graph", "complete_delay", "--seed", str(seed),
                                        "--agents", "4", "--epochs", "3", "--out", str(out)])
             assert res.exit_code == 0, res.output
-            expected = build_graph(build_scenario({"topology": topology}, seed_override=seed))
+            expected = build_graph(build_scenario({"topology": topology}, seed=seed))
             assert (load_graph(out).adjacency == expected.adjacency).all()
             adjacencies.append(expected.adjacency)
         assert (adjacencies[0] != adjacencies[1]).any()
@@ -168,6 +168,24 @@ class TestGenGraph:
         assert len(res.stderr.splitlines()) == 1
         assert opened == []
         assert os.listdir(tmp_path) == ["g.txt"] and os.listdir(out) == []
+
+    @pytest.mark.parametrize("leaf", ["", ".", ".."])
+    def test_directory_path_exit_1_makes_nothing(self, runner, tmp_path, leaf):
+        # a path whose last component is empty, . or .. names a directory
+        out = f"{tmp_path / 'newdir'}{os.sep}{leaf}"
+        res = runner.invoke(main, ["gen-graph", "chain41", "--out", out])
+        assert_input_error(res, f"Is a directory: '{out}'")
+        assert len(res.stderr.splitlines()) == 1
+        assert os.listdir(tmp_path) == []
+
+    def test_ignores_env_seed(self, runner, tmp_path, monkeypatch):
+        outs = [tmp_path / name for name in ("unset.txt", "set.txt")]
+        monkeypatch.delenv("INCESTLESS_SEED", raising=False)
+        for out in outs:
+            res = runner.invoke(main, ["gen-graph", "random4", "--seed", "1", "--out", str(out)])
+            assert res.exit_code == 0, res.output
+            monkeypatch.setenv("INCESTLESS_SEED", "3")
+        assert outs[0].read_bytes() == outs[1].read_bytes()
 
     def test_bad_kind(self, runner, tmp_path):
         res = runner.invoke(main, ["gen-graph", "mystery",
@@ -325,12 +343,11 @@ class TestBuildScenario:
             default_model(states)
         assert str(library_error.value) == str(cli_error.value) == message
 
-    def test_malformed_env_seed_raises_config_error(self, monkeypatch):
-        from incestless import ConfigError
-
-        monkeypatch.setenv("INCESTLESS_SEED", "abc")
-        with pytest.raises(ConfigError, match="INCESTLESS_SEED must be an integer"):
-            build_scenario({"topology": {"kind": "chain41"}})
+    def test_reads_no_environment(self, monkeypatch):
+        # the CLI resolves INCESTLESS_SEED; build_scenario keeps the file's seed
+        monkeypatch.setenv("INCESTLESS_SEED", "7")
+        assert build_scenario({"topology": {"kind": "chain41"}, "seed": 2}).seed == 2
+        assert build_scenario({"topology": {"kind": "chain41"}, "seed": 2}, seed=5).seed == 5
 
     @pytest.mark.parametrize("fields, message", BAD_TOPOLOGIES)
     def test_bad_topology_field_raises_config_error(self, fields, message):
@@ -340,19 +357,13 @@ class TestBuildScenario:
         with pytest.raises(ConfigError, match=message):
             build_scenario({"topology": topology})
 
-    @pytest.mark.parametrize("env_seed, seed_override", [(None, 3), ("3", None)])
-    def test_overridden_file_seed_is_still_checked(self, monkeypatch, env_seed, seed_override):
+    def test_overridden_file_seed_is_still_checked(self):
         from incestless import ConfigError
 
-        monkeypatch.delenv("INCESTLESS_SEED", raising=False)
-        if env_seed is not None:
-            monkeypatch.setenv("INCESTLESS_SEED", env_seed)
         with pytest.raises(ConfigError, match="seed must be an integer, got 1.9"):
-            build_scenario({"topology": {"kind": "chain41"}, "seed": 1.9},
-                           seed_override=seed_override)
+            build_scenario({"topology": {"kind": "chain41"}, "seed": 1.9}, seed=3)
 
-    def test_defaults_come_from_scenario_config(self, monkeypatch):
-        monkeypatch.delenv("INCESTLESS_SEED", raising=False)
+    def test_defaults_come_from_scenario_config(self):
         scenario = build_scenario({"topology": {"kind": "chain41"}})
         for field in dataclasses.fields(ScenarioConfig):
             if field.name not in ("model", "topology"):
@@ -634,6 +645,28 @@ class TestRun:
         assert (out2 / "actions.csv").read_text() == (out3 / "actions.csv").read_text()
         assert (out1 / "actions.csv").read_text() != (out2 / "actions.csv").read_text()
 
+    def test_seed_option_wins_over_env_seed(self, runner, tmp_path, monkeypatch):
+        cfg = tiny_config(tmp_path, runs=2)
+        outs = [tmp_path / d for d in ("flag", "both")]
+        monkeypatch.delenv("INCESTLESS_SEED", raising=False)
+        runner.invoke(main, ["run", str(cfg), "--seed", "3", "--output-dir", str(outs[0])])
+        monkeypatch.setenv("INCESTLESS_SEED", "99")
+        runner.invoke(main, ["run", str(cfg), "--seed", "3", "--output-dir", str(outs[1])])
+        for name in OUTPUT_FILES:
+            assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+
+    def test_empty_env_seed_runs_with_the_file_seed(self, runner, tmp_path, monkeypatch):
+        # click counts an empty variable as unset
+        cfg = tiny_config(tmp_path, runs=2)
+        outs = [tmp_path / d for d in ("unset", "empty")]
+        monkeypatch.delenv("INCESTLESS_SEED", raising=False)
+        runner.invoke(main, ["run", str(cfg), "--output-dir", str(outs[0])])
+        monkeypatch.setenv("INCESTLESS_SEED", "")
+        res = runner.invoke(main, ["run", str(cfg), "--output-dir", str(outs[1])])
+        assert res.exit_code == 0, res.output
+        for name in OUTPUT_FILES:
+            assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+
     def test_byte_identical_reruns(self, runner, tmp_path):
         cfg = tiny_config(tmp_path, runs=3)
         out1, out2 = tmp_path / "r1", tmp_path / "r2"
@@ -678,6 +711,17 @@ class TestReportConstraint:
         res = runner.invoke(main, ["report-constraint", str(missing_graph_config(tmp_path))])
         assert_input_error(res, "no_such_graph.txt")
 
+    def test_env_seed_prints_what_the_seed_option_prints(self, runner, tmp_path, monkeypatch):
+        cfg = str(tiny_config(tmp_path, topology={"kind": "complete_delay", "agents": 6,
+                                                  "epochs": 4}, seed=0))
+        monkeypatch.delenv("INCESTLESS_SEED", raising=False)
+        file_seed = runner.invoke(main, ["report-constraint", cfg])
+        flag = runner.invoke(main, ["report-constraint", cfg, "--seed", "1"])
+        monkeypatch.setenv("INCESTLESS_SEED", "1")
+        env = runner.invoke(main, ["report-constraint", cfg])
+        assert (env.exit_code, env.output) == (flag.exit_code, flag.output)
+        assert env.output != file_seed.output
+
 
 class TestUsageErrors:
     """A usage error exits 1 with click's message; exit 2 is a constraint violation."""
@@ -702,3 +746,21 @@ class TestUsageErrors:
         assert res.exit_code == 1
         assert res.stdout == ""
         assert "Usage:" in res.stderr and f"Error: {message}" in res.stderr
+
+    @pytest.mark.parametrize("args", [["run", "paper_star", "--output-dir", "out"],
+                                      ["report-constraint", "paper_star"]],
+                             ids=["run", "report-constraint"])
+    def test_malformed_env_seed_exit_1_naming_it(self, runner, tmp_path, monkeypatch, args):
+        monkeypatch.setenv("INCESTLESS_SEED", "abc")
+        with runner.isolated_filesystem(temp_dir=tmp_path) as cwd:
+            res = runner.invoke(main, args)
+            assert os.listdir(cwd) == []
+        assert res.exit_code == 1
+        assert res.stdout == ""
+        assert ("Error: Invalid value for '--seed' (env var: 'INCESTLESS_SEED'): "
+                "'abc' is not a valid integer.") in res.stderr
+
+    def test_help_shows_the_seed_variable(self, runner):
+        for command in ("run", "report-constraint"):
+            assert "[env var: INCESTLESS_SEED]" in runner.invoke(main, [command, "--help"]).output
+        assert "INCESTLESS_SEED" not in runner.invoke(main, ["gen-graph", "--help"]).output

@@ -1,4 +1,6 @@
 import copy
+import os
+import re
 
 import numpy as np
 import pytest
@@ -876,6 +878,12 @@ class TestGraphFile:
             save_graph(graph, path)
         assert path.read_bytes() == b"N 2\n1 2\n"
         assert list(tmp_path.iterdir()) == [path]
+
+    def test_directory_path_is_refused_before_anything_is_made(self, tmp_path):
+        path = f"{tmp_path / 'd'}{os.sep}"
+        with pytest.raises(IsADirectoryError, match=re.escape(f"Is a directory: '{path}'")):
+            save_graph(graph_from_edges(3, [(1, 2)]), path)
+        assert list(tmp_path.iterdir()) == []
 
     def test_missing_header(self, tmp_path):
         p = tmp_path / "bad.txt"

@@ -682,7 +682,7 @@ class TestFullHistory:
         lp = np.log(np.full(3, 1 / 3))
         nu = np.array([0.2, -0.1, 0.0])
         out = full_history_belief({}, np.zeros(0), nu, lp)
-        assert np.allclose(out.log_posterior(), lp + nu)
+        assert np.allclose(out.log_prior + out.evidence, lp + nu)
 
     def test_chain(self):
         lp = np.log(np.full(3, 1 / 3))
@@ -715,7 +715,8 @@ class TestFullHistory:
             direct = prior * np.exp(nu)
             for i in np.flatnonzero(t):
                 direct = direct * np.exp(nus[int(i) + 1])
-            assert np.allclose(out.belief(), direct / direct.sum(), atol=1e-12)
+            assert np.allclose(normalize_log(out.log_prior + out.evidence), direct / direct.sum(),
+                               atol=1e-12)
 
 
 class TestEstimate:
