@@ -1,5 +1,7 @@
 import errno
 import os
+import subprocess
+import sys
 from types import SimpleNamespace
 
 import numpy as np
@@ -23,8 +25,18 @@ from incestless import graph as graphmod
 from incestless.graph import violations
 from incestless.learning import LIKELIHOOD_FLOOR, fuse_terms
 
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 DIAMOND_A_EDGES = [(1, 3), (1, 4), (2, 3), (2, 4), (3, 5), (4, 5), (1, 5), (2, 5)]
 DIAMOND_B_EDGES = [(1, 3), (1, 4), (2, 3), (2, 4), (3, 5), (4, 5), (1, 5)]
+
+
+def run_python(*args, **env):
+    """python -W error::RuntimeWarning *args in a fresh process, run from the
+    repository root with the package imported from src/ and env's variables
+    set."""
+    env = {**os.environ, **env, "PYTHONPATH": os.path.join(ROOT, "src")}
+    return subprocess.run([sys.executable, "-W", "error::RuntimeWarning", *args], cwd=ROOT,
+                          env=env, capture_output=True, text=True, timeout=120)
 
 
 @pytest.fixture

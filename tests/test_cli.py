@@ -1,20 +1,22 @@
 import dataclasses
 import hashlib
 import importlib.resources
+import inspect
 import os
+import re
 
 import numpy as np
 import pytest
 import yaml
 from click.testing import CliRunner
 
-from incestless import CommGraph, load_graph, save_graph
+from incestless import CommGraph, TopologySpec, default_model, load_graph, save_graph
 from incestless import cli
 from incestless import graph as graphmod
 from incestless.cli import build_scenario, main
 from incestless.simulate import ScenarioConfig, build_graph
 
-from conftest import DIAMOND_A_EDGES, DIAMOND_B_EDGES, layered, random_dag
+from conftest import DIAMOND_A_EDGES, DIAMOND_B_EDGES, ROOT, layered, random_dag, run_python
 
 # SHA-256 of `incestless run <scenario>` at each bundled seed, the digests in
 # bench/golden.json; the outputs must stay byte-identical
@@ -102,6 +104,20 @@ class TestGenGraph:
         res = runner.invoke(main, ["gen-graph", "chain41", "--out", str(out)])
         assert res.exit_code == 0
         assert out.read_text().splitlines()[0] == "N 41"
+
+    def test_chain41_digest_read_back_as_paper_chain41(self, runner, tmp_path):
+        # chain41 draws nothing, so its file has one digest, also in directories
+        # gen-graph makes, and as an explicit topology it is paper_chain41's graph
+        outs = tmp_path / "c41.txt", tmp_path / "nested" / "dir" / "c41.txt"
+        for out in outs:
+            assert runner.invoke(main, ["gen-graph", "chain41", "--out", str(out)]).exit_code == 0
+            assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+                "1ddec1132f95a1704ac58fcb6d953e2d6a75cb62d01872e0e0354002eed996c5")
+        assert runner.invoke(main, ["closure", str(outs[0])]).exit_code == 0
+        cfg = tiny_config(tmp_path, topology={"kind": "explicit", "path": str(outs[0])})
+        explicit = runner.invoke(main, ["report-constraint", str(cfg)])
+        bundled = runner.invoke(main, ["report-constraint", "paper_chain41"])
+        assert (explicit.exit_code, bundled.exit_code, explicit.output) == (0, 0, bundled.output)
 
     def test_star_24_nodes(self, runner, tmp_path):
         out = tmp_path / "star.txt"
@@ -234,6 +250,22 @@ class TestClosureCommand:
         res = runner.invoke(main, ["closure", str(path)])
         assert_input_error(res, f"{path}: 'utf-8' codec can't decode byte 0xff")
 
+    def test_complete_delay_digest_and_first_weight_past_int64(self, runner, tmp_path):
+        # 10 x 40 at seed 0 prints the output of known digest (W solved one run
+        # of rows per product, bit for bit as one row at a time); the weights of
+        # 10 x 60 at seed 3 leave int64, and the error names the first beyond it
+        for epochs, seed in (40, 0), (60, 3):
+            res = runner.invoke(main, ["gen-graph", "complete_delay", "--agents", "10",
+                                       "--epochs", str(epochs), "--seed", str(seed),
+                                       "--out", str(tmp_path / f"cd{epochs}.txt")])
+            assert res.exit_code == 0
+        res = runner.invoke(main, ["closure", str(tmp_path / "cd40.txt")])
+        assert res.exit_code == 0 and hashlib.sha256(res.stdout_bytes).hexdigest() == (
+            "4acf15753169448084b03c3993500f65722b557623c82cf2e6262621acdd0985")
+        res = runner.invoke(main, ["closure", str(tmp_path / "cd60.txt")])
+        assert (res.exit_code, res.stdout, res.stderr) == (
+            1, "", "error: node 596: weight w_596(20) exceeds the int64 range\n")
+
     def test_weight_overflow_exit_1(self, runner, tmp_path):
         res = runner.invoke(main, ["closure", str(overflow_graph_file(tmp_path))])
         assert res.exit_code == 1
@@ -293,6 +325,7 @@ BAD_FIELDS = [
      "model.kernel_width cannot be given beside model.likelihood"),
     ({"model": {"states": 2, "prior": [0.2, 0.3, 0.5]}}, "model.states is 2, but prior has shape"),
     ({"model": {"prior": [[0.5, 0.5]]}}, "invalid model: prior must be a vector"),
+    ({"floor_zero_likelihood": False}, "floor_zero_likelihood"),
 ]
 
 
@@ -532,6 +565,38 @@ class TestRun:
         assert_input_error(res, "unknown modes: ['']")
         assert not out.exists()
 
+    def test_obs_oracle_rows_stand_alone(self, runner, tmp_path):
+        # adding obs_oracle changes no other mode's rows, and obs_oracle alone,
+        # a study with no action-driven mode, writes the rows it adds; the
+        # four-mode study runs as `python -m incestless.cli`, a fresh process
+        # where every RuntimeWarning is an error from the start
+        args = ["run", "paper_chain41", "--runs", "5", "--output-dir"]
+        res = run_python("-m", "incestless.cli", *args, str(tmp_path / "four"),
+                         "--modes", "naive,obs_oracle,removal,idealized")
+        assert (res.returncode, res.stderr) == (0, "")
+        for name, modes in (("three", []), ("alone", ["--modes", "obs_oracle"])):
+            res = runner.invoke(main, [*args, str(tmp_path / name), *modes])
+            assert res.exit_code == 0, res.output
+        for name in ("actions.csv", "estimates.csv", "mse.csv"):
+            header, *rows = (tmp_path / "four" / name).read_bytes().splitlines(keepends=True)
+            oracle = [row for row in rows if b",obs_oracle," in row]
+            assert (tmp_path / "alone" / name).read_bytes() == b"".join([header, *oracle])
+            assert (tmp_path / "three" / name).read_bytes() == b"".join(
+                [header, *(row for row in rows if b",obs_oracle," not in row)])
+
+    def test_diamond_violation_exit_2_unless_forced(self, runner, tmp_path):
+        # the diamond without the 2 -> 5 edge violates the constraint at node 5
+        graph = write_diamond(tmp_path, DIAMOND_B_EDGES, "b.txt")
+        cfg = str(tiny_config(tmp_path, topology={"kind": "explicit", "path": str(graph)}))
+        out = tmp_path / "out"
+        res = runner.invoke(main, ["run", cfg, "--output-dir", str(out)])
+        assert res.exit_code == 2 and "use --force" in res.stderr
+        assert not out.exists()
+        res = runner.invoke(main, ["run", cfg, "--output-dir", str(out), "--force"])
+        assert res.exit_code == 0
+        assert (out / "constraint.txt").read_text() == "node 5: violation at 2\n"
+        assert runner.invoke(main, ["report-constraint", cfg]).exit_code == 2
+
     @pytest.mark.parametrize("scenario", sorted(BUNDLED_DIGESTS))
     def test_bundled_golden_digests(self, runner, tmp_path, monkeypatch, scenario):
         monkeypatch.delenv("INCESTLESS_SEED", raising=False)
@@ -642,7 +707,8 @@ class TestRun:
         monkeypatch.delenv("INCESTLESS_SEED")
         runner.invoke(main, ["run", str(cfg), "--seed", "99",
                              "--output-dir", str(out3)])
-        assert (out2 / "actions.csv").read_text() == (out3 / "actions.csv").read_text()
+        for name in OUTPUT_FILES:
+            assert (out2 / name).read_bytes() == (out3 / name).read_bytes()
         assert (out1 / "actions.csv").read_text() != (out2 / "actions.csv").read_text()
 
     def test_seed_option_wins_over_env_seed(self, runner, tmp_path, monkeypatch):
@@ -764,3 +830,14 @@ class TestUsageErrors:
         for command in ("run", "report-constraint"):
             assert "[env var: INCESTLESS_SEED]" in runner.invoke(main, [command, "--help"]).output
         assert "INCESTLESS_SEED" not in runner.invoke(main, ["gen-graph", "--help"]).output
+
+
+def test_readme_names_every_config_key_and_option(runner):
+    # in a code span or block: every config key, model key and CLI option
+    with open(os.path.join(ROOT, "README.md")) as f:
+        code = "".join(re.findall(r"```.*?```|`[^`\n]+`", f.read(), re.S))
+    names = [f.name for cls in (ScenarioConfig, TopologySpec) for f in dataclasses.fields(cls)]
+    names += inspect.signature(default_model).parameters
+    for command in [[], *([name] for name in main.commands)]:
+        names += re.findall(r"--[a-z][a-z-]*", runner.invoke(main, [*command, "--help"]).output)
+    assert [name for name in names if not re.search(rf"(?<![\w-]){name}(?![\w-])", code)] == []

@@ -2,12 +2,10 @@
 numpy RuntimeWarning an error, as it is under pytest."""
 
 import os
-import subprocess
-import sys
 
 import pytest
 
-ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+from conftest import ROOT, run_python
 
 
 @pytest.mark.parametrize("demo", [
@@ -17,8 +15,5 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     "04_constraint_repair.py",
 ])
 def test_demo_runs(demo):
-    env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
-    res = subprocess.run([sys.executable, "-W", "error::RuntimeWarning",
-                          os.path.join(ROOT, "demos", demo)],
-                         env=env, capture_output=True, text=True, timeout=120)
+    res = run_python(os.path.join(ROOT, "demos", demo))
     assert res.returncode == 0, res.stderr

@@ -42,6 +42,7 @@ from conftest import (
     layered,
     prefix,
     random_dag,
+    run_python,
     violations_by_column,
 )
 
@@ -156,6 +157,17 @@ class TestClosure:
         t = transitive_closure(a)
         assert t.shape == (2000, 2000) and t.dtype == np.int8 and t.flags.c_contiguous
         assert np.array_equal(t, closure_by_edges(a))
+
+    def test_peak_memory_at_ten_thousand_nodes(self):
+        # star_delay 10 x 1000 (1.8 edges per node) peaks near 335 MB with the
+        # closure built from the edges as bit-set rows; a closure over an N x N
+        # float32 working array, as the GEMM-and-squaring one was, peaks near 990 MB
+        res = run_python("-c", "import resource; from incestless import TopologySpec, "
+                         "generate_topology, topology_rng; generate_topology(TopologySpec("
+                         "kind='star_delay', agents=10, epochs=1000), topology_rng(3)); "
+                         "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024)")
+        assert res.returncode == 0, res.stderr
+        assert float(res.stdout) <= 600, f"peak RSS {float(res.stdout):.0f} MB"
 
     def test_complete_dag(self):
         # every pair an edge: each row ORs every later row

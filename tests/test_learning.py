@@ -30,7 +30,7 @@ from incestless import augment_for_constraint, cli, simulate
 from incestless.graph import TopologySpec
 from incestless.learning import action_likelihoods, floored_log, fuse, fuse_terms
 
-from conftest import after_action_update, fuse_by_reduce
+from conftest import after_action_update, fuse_by_reduce, run_python
 
 
 ALL_MODES = ("naive", "removal", "idealized", "obs_oracle")
@@ -675,6 +675,29 @@ class TestFuseIdentity:
             got = fuse(coeffs, evidence, node=lo + 1)
             assert_same_bits(got, fuse_by_reduce(coeffs, evidence))
             assert_same_bits(got, fused_by_terms(coeffs, evidence, node=lo + 1))
+
+
+# pytest on argv's selections, unless numpy still dispatches a CPU feature
+PYTEST_IF_NONE_DISPATCHED = """\
+import sys, pytest
+from numpy._core import _multiarray_umath as m
+still = [f for f in m.__cpu_dispatch__ if m.__cpu_features__.get(f)]
+sys.exit(f"still dispatched: {still}" if still else pytest.main(["-q", *sys.argv[1:]]))
+"""
+
+
+def test_fuse_order_at_the_baseline_simd_level():
+    # fuse must add in ascending order whatever kernel numpy dispatches: rerun
+    # the fuse identities, the whole-run references and the golden digests
+    # with every dispatched CPU feature disabled
+    from numpy._core import _multiarray_umath as m
+
+    dispatched = [f for f in m.__cpu_dispatch__ if m.__cpu_features__.get(f)]
+    res = run_python("-c", PYTEST_IF_NONE_DISPATCHED, "tests/test_learning.py::TestFuseIdentity",
+                     "tests/test_simulate.py::TestStackedRunMatchesReference",
+                     "tests/test_cli.py::TestRun::test_bundled_golden_digests",
+                     NPY_DISABLE_CPU_FEATURES=" ".join(dispatched))
+    assert res.returncode == 0, res.stdout + res.stderr
 
 
 class TestFullHistory:
