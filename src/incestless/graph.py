@@ -87,7 +87,11 @@ def transitive_closure(adjacency: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class CommGraph:
-    """Immutable communication graph: its adjacency, with cached closure and weights."""
+    """Immutable communication graph: its adjacency, with cached closure and weights.
+
+    Built from the adjacency alone, which is validated as given and kept as
+    a read-only int8 copy; the (agent, epoch) layout is TopologySpec's.
+    """
 
     adjacency: np.ndarray
     closure: np.ndarray = field(init=False)
@@ -110,11 +114,9 @@ class CommGraph:
 
     @cached_property
     def weights(self) -> np.ndarray:
-        """W = I - T^-1, read-only, solved by weight_matrix on first use.
-
-        A solve that raises WeightOverflowError is not kept, so every access
-        raises again.
-        """
+        """W = I - T^-1, read-only, solved by weight_matrix on first use and
+        then read by every user of the graph's weights.  A solve that raises
+        WeightOverflowError is not kept, so every access raises again."""
         w = weight_matrix(self)
         w.flags.writeable = False
         return w
@@ -129,7 +131,8 @@ class CommGraph:
 def weight_matrix(graph: CommGraph) -> np.ndarray:
     """W = I - T^-1, as int64; read it as graph.weights, which solves it once.
 
-    Column n holds w_n, the solution of T_{n-1} w_n = t_n.  X = T^-1 is
+    W[i, n] is minus the Moebius function of the reachability order, and
+    column n holds w_n, the solution of T_{n-1} w_n = t_n.  X = T^-1 is
     solved in float64 (`_float_inverse`), which proves column by column that
     the solve was exact: every proven column is used as it is.  The columns
     it cannot prove go through the exact back substitution modulo 2^64 in
@@ -340,7 +343,8 @@ def independent_blocks(graph: CommGraph) -> list[tuple[int, int]]:
     with an edge inside it.  Every node of a block hears only nodes before
     the block, so the whole block can update at once.  The runs are
     contiguous in node order, not topological levels, so a node's block
-    precedes every later node's.  Only the adjacency is read; the weight
+    precedes every later node's.  A block may be the agents of one epoch;
+    on chain41 each is one node.  Only the adjacency is read; the weight
     solves take the same runs from the closure, by the same rule
     (`_run_starts`), and solve each run's rows by one product.
     """
@@ -377,7 +381,8 @@ def violations(weights: np.ndarray, adjacency: np.ndarray) -> dict[int, list[int
 
 
 def constraint_report(graph: CommGraph) -> dict[int, list[int]]:
-    """Map node -> violating indices, for every node with a violation."""
+    """Map node -> violating indices, for every node with a violation of the
+    availability constraint: a nonzero weight w_n(j) needs the edge j -> n."""
     return violations(graph.weights, graph.adjacency)
 
 

@@ -210,12 +210,12 @@ def private_belief(pub: np.ndarray, z: int, model: StateModel) -> np.ndarray:
 def _cheapest_action(costs: np.ndarray) -> np.ndarray:
     """Action (1..A) of least expected cost along the last axis; ties -> lowest index.
 
-    The one action-choice rule.  Ties are detected with a small relative
-    tolerance: a symmetric belief under a symmetric cost produces exactly
-    tied expected costs, and the constrained and benchmark pipelines reach
-    that belief through different summation orders.  Without the
-    tolerance, float noise of order 1e-16 would break such ties differently
-    in the two pipelines.
+    The one action-choice rule.  Ties are detected with a relative
+    tolerance of 1e-9: a symmetric belief under a symmetric cost produces
+    exactly tied expected costs, and the constrained and benchmark
+    pipelines reach that belief through different summation orders.
+    Without the tolerance, float noise of order 1e-16 would break such ties
+    differently in the two pipelines.
     """
     cmin = costs.min(axis=-1, keepdims=True)
     tol = 1e-9 * np.maximum(1.0, np.abs(cmin))
@@ -354,8 +354,10 @@ def fuse_terms(coeffs: np.ndarray, evidence: np.ndarray, received: np.ndarray,
     """sum_i coeffs[i] * evidence[i], adding the nonzero terms one at a time in ascending i.
 
     Entry i belongs to node i+1; received[i] (bool) says whether its evidence
-    reaches the fusing node.  Zero coefficients are skipped, so a -inf row
-    never turns into NaN.  The fixed order keeps outputs bit for bit stable.
+    reaches the fusing node, or AvailabilityError names the node.  Zero
+    coefficients are skipped, so a -inf row never turns into NaN, and a
+    negative one on -inf evidence raises SignedInfinityError.  The fixed
+    order keeps outputs bit for bit stable.
     """
     terms = np.flatnonzero(coeffs)
     missing = terms[~received[terms]]

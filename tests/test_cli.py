@@ -1,4 +1,6 @@
+import ast
 import dataclasses
+import glob
 import hashlib
 import importlib.resources
 import inspect
@@ -11,7 +13,7 @@ import yaml
 from click.testing import CliRunner
 
 from incestless import CommGraph, TopologySpec, default_model, load_graph, save_graph
-from incestless import cli
+from incestless import cli, errors
 from incestless import graph as graphmod
 from incestless.cli import build_scenario, main
 from incestless.simulate import ScenarioConfig, build_graph
@@ -832,12 +834,56 @@ class TestUsageErrors:
         assert "INCESTLESS_SEED" not in runner.invoke(main, ["gen-graph", "--help"]).output
 
 
-def test_readme_names_every_config_key_and_option(runner):
-    # in a code span or block: every config key, model key and CLI option
+def _readme() -> str:
     with open(os.path.join(ROOT, "README.md")) as f:
-        code = "".join(re.findall(r"```.*?```|`[^`\n]+`", f.read(), re.S))
+        return f.read()
+
+
+def _private_names() -> set[str]:
+    """Every _-prefixed, non-dunder name a module under src/incestless defines."""
+    names = set()
+    for path in glob.glob(os.path.join(ROOT, "src", "incestless", "*.py")):
+        with open(path) as f:
+            for node in ast.walk(ast.parse(f.read())):
+                if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                    names.add(node.name)
+                elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+                    names.add(node.id)
+    return {name for name in names if re.fullmatch(r"_(?!_)\w+", name)}
+
+
+def test_readme_names_every_config_key_and_option(runner):
+    # in a code span or block: every config key, model key, CLI option and
+    # IncestlessError type; in the exit-code section, every exit code and --force
+    readme = _readme()
+    code = "".join(re.findall(r"```.*?```|`[^`\n]+`", readme, re.S))
     names = [f.name for cls in (ScenarioConfig, TopologySpec) for f in dataclasses.fields(cls)]
     names += inspect.signature(default_model).parameters
     for command in [[], *([name] for name in main.commands)]:
         names += re.findall(r"--[a-z][a-z-]*", runner.invoke(main, [*command, "--help"]).output)
+    names += [name for name, obj in vars(errors).items()
+              if isinstance(obj, type) and issubclass(obj, errors.IncestlessError)]
     assert [name for name in names if not re.search(rf"(?<![\w-]){name}(?![\w-])", code)] == []
+    exit_codes = re.search(r"^### Exit codes$(.*?)^#", readme, re.S | re.M).group(1)
+    assert {"0", "1", "2", "--force"} <= set(re.findall(r"`([^`\n]+)`", exit_codes))
+    # and no private name of the package, which the docstrings alone describe
+    assert sorted(name for name in _private_names()
+                  if re.search(rf"(?<!\w){name}(?!\w)", readme)) == []
+
+
+def test_readme_python_blocks_show_what_their_comments_say():
+    # each block runs in a fresh namespace; an expression statement followed
+    # by a comment must have the comment as its repr
+    shown = {}
+    for block in re.findall(r"```python\n(.*?)```", _readme(), re.S):
+        namespace, lines = {}, block.splitlines()
+        for stmt in ast.parse(block).body:
+            if not isinstance(stmt, ast.Expr):
+                exec(compile(ast.Module([stmt], []), "README.md", "exec"), namespace)
+                continue
+            value = eval(compile(ast.Expression(stmt.value), "README.md", "eval"), namespace)
+            comment = lines[stmt.end_lineno - 1][stmt.end_col_offset:].strip()
+            if comment.startswith("#"):
+                assert repr(value) == comment[1:].strip()
+                shown[ast.get_source_segment(block, stmt.value)] = value
+    assert shown["compute_weights(g, 5)"].tolist() == [-1, -1, 1, 1]
