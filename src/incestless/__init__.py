@@ -20,7 +20,6 @@ from .graph import (
     constraint_report,
     generate_topology,
     graph_from_edges,
-    independent_blocks,
     load_graph,
     save_graph,
     seed_rng,

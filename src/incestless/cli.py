@@ -157,15 +157,16 @@ def _exit_on_error() -> Iterator[None]:
 
 
 class _Group(click.Group):
-    """click's group, but a usage error (a bad option value, an unknown
-    option or command) exits 1 with click's message, not click's 2: exit 2
-    is a constraint violation."""
+    """click's group, but every command runs inside _exit_on_error, and a
+    usage error (a bad option value, an unknown option or command) exits 1
+    with click's message, not click's 2: exit 2 is a constraint violation."""
 
     def make_context(self, *args, **kwargs):
         return _usage_exits_1(super().make_context, *args, **kwargs)
 
     def invoke(self, ctx):
-        return _usage_exits_1(super().invoke, ctx)
+        with _exit_on_error():
+            return _usage_exits_1(super().invoke, ctx)
 
 
 def _usage_exits_1(call, *args, **kwargs):
@@ -201,13 +202,12 @@ def main():
               help="Run removal mode even if the topological constraint is violated.")
 def cmd_run(config, seed, runs, modes, output_dir, force):
     """Run a scenario and write actions.csv, estimates.csv, mse.csv, constraint.txt."""
-    with _exit_on_error():
-        raw = load_config_file(config)
-        scenario = build_scenario(raw, seed=seed, runs=runs,
-                                  force=True if force else None,
-                                  modes=None if modes is None else tuple(modes.split(",")))
-        out_dir = output_dir or raw.get("output_dir", "out")
-        write_outputs(simulate.monte_carlo(scenario), out_dir)
+    raw = load_config_file(config)
+    scenario = build_scenario(raw, seed=seed, runs=runs,
+                              force=True if force else None,
+                              modes=None if modes is None else tuple(modes.split(",")))
+    out_dir = output_dir or raw.get("output_dir", "out")
+    write_outputs(simulate.monte_carlo(scenario), out_dir)
     click.echo(f"wrote {out_dir}/actions.csv, estimates.csv, mse.csv, constraint.txt")
 
 
@@ -217,9 +217,8 @@ def cmd_run(config, seed, runs, modes, output_dir, force):
               show_envvar=True, help="Override the config seed.")
 def cmd_report_constraint(config, seed):
     """Print the per-node topological constraint status for a config's graph."""
-    with _exit_on_error():
-        graph = simulate.build_graph(build_scenario(load_config_file(config), seed=seed))
-        report = graphmod.constraint_report(graph)
+    graph = simulate.build_graph(build_scenario(load_config_file(config), seed=seed))
+    report = graphmod.constraint_report(graph)
     for n in range(2, graph.size + 1):
         click.echo(f"node {n}: {_violation(report[n]) if n in report else 'satisfied'}")
     if report:
@@ -234,10 +233,9 @@ def cmd_report_constraint(config, seed):
 @click.option("--out", required=True, type=click.Path(), callback=_non_empty)
 def cmd_gen_graph(kind, seed, agents, epochs, out):
     """Generate a topology and write it as an edge-list file."""
-    with _exit_on_error():
-        spec = TopologySpec(kind=kind, agents=agents, epochs=epochs)
-        graph = graphmod.generate_topology(spec, graphmod.topology_rng(seed))
-        graphmod.save_graph(graph, out)
+    spec = TopologySpec(kind=kind, agents=agents, epochs=epochs)
+    graph = graphmod.generate_topology(spec, graphmod.topology_rng(seed))
+    graphmod.save_graph(graph, out)
     click.echo(f"wrote {out} ({graph.size} nodes)")
 
 
@@ -245,9 +243,8 @@ def cmd_gen_graph(kind, seed, agents, epochs, out):
 @click.argument("graph_file", type=click.Path())
 def cmd_closure(graph_file):
     """Print the transitive closure and per-node t, b, w, constraint status."""
-    with _exit_on_error():
-        graph = graphmod.load_graph(graph_file)
-        report = graphmod.constraint_report(graph)
+    graph = graphmod.load_graph(graph_file)
+    report = graphmod.constraint_report(graph)
     click.echo("closure:")
     for row in graph.closure:
         click.echo(" ".join(str(int(v)) for v in row))

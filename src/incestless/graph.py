@@ -5,7 +5,7 @@ node order is causal order.  The adjacency matrix A has A[i-1, j-1] = 1
 iff the action of node i reaches node j (an edge i -> j); causality makes
 A strictly upper triangular.  The transitive closure T has T[i-1, j-1] = 1
 iff i == j or a directed path i -> j exists.  Nodes that update together
-form blocks (independent_blocks), each a maximal run of consecutive nodes
+form blocks (CommGraph.blocks), each a maximal run of consecutive nodes
 with no edge between them.
 
 All public node / agent / epoch indices are 1-based; the underlying numpy
@@ -22,6 +22,7 @@ import itertools
 import os
 from dataclasses import dataclass, field
 from functools import cached_property
+from operator import itemgetter
 
 import numpy as np
 
@@ -85,12 +86,13 @@ def transitive_closure(adjacency: np.ndarray) -> np.ndarray:
                          bitorder="little").view(np.int8)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CommGraph:
-    """Immutable communication graph: its adjacency, with cached closure and weights.
+    """Immutable communication graph: its adjacency, with cached closure, blocks and weights.
 
     Built from the adjacency alone, which is validated as given and kept as
-    a read-only int8 copy; the (agent, epoch) layout is TopologySpec's.
+    a read-only int8 copy; the (agent, epoch) layout is TopologySpec's.  A
+    graph equals only itself; equal edge sets have equal digests.
     """
 
     adjacency: np.ndarray
@@ -111,6 +113,32 @@ class CommGraph:
     @property
     def size(self) -> int:
         return self.adjacency.shape[0]
+
+    @cached_property
+    def blocks(self) -> tuple[tuple[int, int], ...]:
+        """The nodes 1..N cut into blocks lo+1..hi, as (lo, hi), each a
+        maximal run of consecutive nodes with no edge between them; derived
+        from the in-edges on first use, then read by every user of the
+        graph's blocks.
+
+        Node m starts a block when its latest in-neighbour lies in the
+        current block.  No node of a block reaches another: node order is
+        causal, so a path between two nodes of a run visits only nodes of
+        the run, and would end with an edge inside it.  Every node of a
+        block hears only nodes before the block, so the whole block can
+        update at once, and the weight solves solve its rows by one product.
+        The blocks are contiguous in node order, not topological levels, so
+        a node's block precedes every later node's.  A block may be the
+        agents of one epoch; on chain41 each is one node.
+        """
+        size, src, dst = _edges(self.adjacency)
+        latest = np.zeros(size, dtype=np.int64)  # node m+1's latest in-neighbour, 0 if none
+        np.maximum.at(latest, dst, src + 1)
+        starts = [0] if size else []
+        for m, last in enumerate(latest.tolist()):
+            if last > starts[-1]:
+                starts.append(m)
+        return tuple(zip(starts, starts[1:] + [size]))
 
     @cached_property
     def weights(self) -> np.ndarray:
@@ -145,20 +173,20 @@ def weight_matrix(graph: CommGraph) -> np.ndarray:
     columns ascending, so the first weight it finds beyond int64 is the
     first one of the whole matrix.
     """
-    x, unproven, start = _float_inverse(graph.closure)
+    x, unproven, start = _float_inverse(graph)
     # W = I - X in place: the diagonal of X is 1, so it becomes 0
     np.negative(x, out=x)
     np.fill_diagonal(x, 0)
     # the limb solve runs before the cast, so its planes and W never coexist
     if unproven.size:
-        solved = _int64_weights(graph.closure, unproven, x[start:, unproven].astype(np.int64))
+        solved = _int64_weights(graph, unproven, x[start:, unproven].astype(np.int64))
     w = x.astype(np.int64)
     if unproven.size:
         w[:, unproven] = solved
     return w
 
 
-def _float_inverse(closure: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
+def _float_inverse(graph: CommGraph) -> tuple[np.ndarray, np.ndarray, int]:
     """(X, unproven, start): X = T^-1 in float64, the columns of X that
     float64 cannot prove exact, and the first row from which every column
     is exact.
@@ -185,8 +213,7 @@ def _float_inverse(closure: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
     did): up to that block every column was proven, so rows >= start are
     exact in every column.
     """
-    rows = closure.shape[0]
-    starts = _run_starts(closure)
+    closure, rows, blocks = graph.closure, graph.size, graph.blocks
     x = np.eye(rows)
     sums = np.zeros(rows)
     unproven = np.zeros(rows, dtype=bool)
@@ -203,7 +230,7 @@ def _float_inverse(closure: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
             block[:, c0 - r0:c1 - r0] -= t[:, r1 - r0:c1 - r0] @ x[r1:c1, c0:c1]
         # x[k, c] = 0 for k >= b > c, so a run's rows change only past it; the
         # bottom run has no block rows below it
-        for a, b in _block_runs(starts, r0, r1)[1:]:
+        for a, b in _block_runs(blocks, r0, r1)[1:]:
             block[a:b, b:] -= t[a:b, b:r1 - r0] @ block[b:, b:]
         sums[r0:] += np.abs(block).sum(axis=0)
         failed = sums[r0:] >= 2.0**53
@@ -215,7 +242,7 @@ def _float_inverse(closure: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
     return x, np.flatnonzero(unproven), start
 
 
-def _int64_weights(closure: np.ndarray, columns: np.ndarray | None = None,
+def _int64_weights(graph: CommGraph, columns: np.ndarray | None = None,
                    known: np.ndarray | None = None) -> np.ndarray:
     """W[:, columns] (every column by default) by one exact back
     substitution modulo 2^64, in float64 limbs, resumed below `known`.
@@ -255,7 +282,7 @@ def _int64_weights(closure: np.ndarray, columns: np.ndarray | None = None,
     the rows below its run that its run reads, so its row is the last one
     in the block to show a wrap.
     """
-    rows = closure.shape[0]
+    closure, rows, blocks = graph.closure, graph.size, graph.blocks
     cols = np.arange(rows) if columns is None else np.asarray(columns)
     start = rows if known is None else rows - known.shape[0]
     w = np.zeros((rows, cols.size), dtype=np.int64)
@@ -264,7 +291,6 @@ def _int64_weights(closure: np.ndarray, columns: np.ndarray | None = None,
         w[start:] = known
         limbs[:, start:] = known & 0xFFFFFFFF, known >> 32
     t_cols = closure[:, cols]
-    starts = _run_starts(closure)
     # past[j]: the first of the columns after node j+1, the ones row j solves
     past = np.searchsorted(cols, np.arange(rows), side="right").tolist()
     for r0 in range(((start - 1) // _BLOCK) * _BLOCK, -1, -_BLOCK):
@@ -278,7 +304,7 @@ def _int64_weights(closure: np.ndarray, columns: np.ndarray | None = None,
             q1 = min(q0 + _BLOCK, cols.size)
             stop = max(int(cols[q1 - 1]), r1)
             sums[:, :, q0 - k0:q1 - k0] = t[:, r1 - r0:stop - r0] @ limbs[:, r1:stop, q0:q1]
-        for a, b in _block_runs(starts, r0, r1):
+        for a, b in _block_runs(blocks, r0, r1):
             j0, j1, k = r0 + a, r0 + b, past[r0 + b - 1]
             run = sums[:, a:b, k - k0:]
             run += t[a:b, b:r1 - r0] @ limbs[:, j1:r1, k:]
@@ -296,60 +322,13 @@ def _int64_weights(closure: np.ndarray, columns: np.ndarray | None = None,
     return w
 
 
-def _run_starts(matrix: np.ndarray) -> list[int]:
-    """The first node (0-based) of each run of the nodes of an upper
-    triangular 0/1 matrix: the adjacency or the closure, whose diagonal is
-    not read.
-
-    Node m starts a new run when its latest strict ancestor lies in the
-    current run.  In the adjacency that is its latest in-neighbour; in the
-    closure it is the latest node that reaches it, which is the same node:
-    the last step of a path into m is an in-neighbour no earlier than the
-    path's first node.  The columns are read _BLOCK at a time, each down to
-    its chunk's last row only, which also keeps the copy small.
-    """
-    size = matrix.shape[0]
-    if size == 0:
-        return []
-    latest = []  # latest[m-1]: the last strict ancestor of node m, 0 if none
-    for c0 in range(0, size, _BLOCK):
-        c1 = min(c0 + _BLOCK, size)
-        reach = matrix[c1 - 1::-1, c0:c1].astype(bool)  # rows c1-1 .. 0
-        local = np.arange(c1 - c0)
-        reach[c1 - c0 - 1 - local, local] = False  # the diagonal
-        first = np.argmax(reach, axis=0)
-        latest += np.where(reach[first, local], c1 - first, 0).tolist()
-    starts = [0]
-    for m, last in enumerate(latest, start=1):
-        if last > starts[-1]:
-            starts.append(m - 1)
-    return starts
-
-
-def _block_runs(starts: list[int], r0: int, r1: int) -> list[tuple[int, int]]:
-    """The runs of `starts` cut at the edges of the block of rows r0..r1-1,
-    as block-local (a, b) for rows r0+a..r0+b-1, bottom run first."""
-    inner = starts[bisect.bisect_right(starts, r0):bisect.bisect_left(starts, r1)]
-    cuts = [0, *(s - r0 for s in inner), r1 - r0]
-    return list(zip(cuts[-2::-1], cuts[:0:-1]))
-
-
-def independent_blocks(graph: CommGraph) -> list[tuple[int, int]]:
-    """The nodes 1..N cut into blocks lo+1..hi, as (lo, hi), each a maximal
-    run of consecutive nodes with no edge between them.
-
-    No node of such a run reaches another: node order is causal, so a path
-    between two nodes of a run visits only nodes of the run, and would end
-    with an edge inside it.  Every node of a block hears only nodes before
-    the block, so the whole block can update at once.  The runs are
-    contiguous in node order, not topological levels, so a node's block
-    precedes every later node's.  A block may be the agents of one epoch;
-    on chain41 each is one node.  Only the adjacency is read; the weight
-    solves take the same runs from the closure, by the same rule
-    (`_run_starts`), and solve each run's rows by one product.
-    """
-    starts = _run_starts(graph.adjacency)
-    return list(zip(starts, starts[1:] + [graph.size]))
+def _block_runs(blocks: tuple[tuple[int, int], ...], r0: int, r1: int) -> list[tuple[int, int]]:
+    """The runs of the rows r0..r1-1: the graph's blocks (CommGraph.blocks)
+    cut at their edges, as block-local (a, b) for rows r0+a..r0+b-1, bottom
+    run first."""
+    first = bisect.bisect_right(blocks, r0, key=itemgetter(0)) - 1  # the block holding r0
+    last = bisect.bisect_left(blocks, r1, key=itemgetter(0))
+    return [(max(lo, r0) - r0, min(hi, r1) - r0) for lo, hi in reversed(blocks[first:last])]
 
 
 def compute_weights(graph: CommGraph, n: int) -> np.ndarray:
@@ -503,8 +482,11 @@ def augment_for_constraint(graph: CommGraph) -> CommGraph:
     Every violation (n, j) has t_n(j) = 1 already (a nonzero weight implies
     reachability), so the added edge j -> n is redundant for the closure and
     leaves every weight vector unchanged; one pass makes the graph clean.
-    The new graph shares the input's closure and weights: that every added
-    edge is already in the closure is checked, and proves it unchanged.
+    The new graph shares the input's closure, and its weights and blocks,
+    which the weight solve derived: that every added edge is already in the
+    closure is checked, and proves the closure unchanged.  Neither are the
+    blocks: node n's latest in-neighbour is its latest strict ancestor, at
+    or after any j that reaches it.
     """
     needed = (graph.weights != 0) & (graph.adjacency == 0)
     if not needed.any():

@@ -36,7 +36,7 @@ def floored_log(p: np.ndarray) -> np.ndarray:
     return np.log(np.maximum(p, LIKELIHOOD_FLOOR))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class StateModel:
     """Prior, observation likelihood and action cost for one scenario.
 
@@ -56,10 +56,10 @@ class StateModel:
     prior: np.ndarray
     likelihood: np.ndarray
     cost: np.ndarray
-    likelihood_t: np.ndarray = field(init=False, compare=False, repr=False)
-    log_prior: np.ndarray = field(init=False, compare=False, repr=False)
-    prior_cdf: np.ndarray = field(init=False, compare=False, repr=False)
-    likelihood_cdf: np.ndarray = field(init=False, compare=False, repr=False)
+    likelihood_t: np.ndarray = field(init=False, repr=False)
+    log_prior: np.ndarray = field(init=False, repr=False)
+    prior_cdf: np.ndarray = field(init=False, repr=False)
+    likelihood_cdf: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         # copies, so freezing them leaves the caller's arrays writeable
@@ -296,7 +296,7 @@ def action_likelihood(pub: np.ndarray, a: int | np.ndarray, model: StateModel) -
 # ---------------------------------------------------------------------------
 # log-domain aggregation
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LogBelief:
     """After-action public belief in log domain, prior and evidence split.
 

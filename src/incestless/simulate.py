@@ -77,7 +77,7 @@ class ScenarioConfig:
             raise ConfigError(f"force must be true or false, got {self.force!r}")
 
 
-@dataclass
+@dataclass(eq=False)
 class RunTrace:
     """One run in every mode: row k of each per-mode array is modes[k], and
     entry n-1 along the node axis is node n."""
@@ -92,7 +92,7 @@ class RunTrace:
     estimates: np.ndarray     # (M, N)
 
 
-@dataclass
+@dataclass(eq=False)
 class MetricsTable:
     """Monte Carlo aggregates, plus the full per-run estimate/action arrays."""
 
@@ -238,7 +238,7 @@ class StudyCache:
         return ids
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RunTables:
     """What every run of a study shares; it depends on the graph and the config alone.
 
@@ -247,8 +247,8 @@ class RunTables:
     of coeffs, the read-only, C-contiguous (M, N, N) coefficient table;
     its last row is obs_oracle's, when that mode is configured.
     coeffs[k, n-1, i] weighs node i+1's stored row (obs_oracle: its
-    observation log-likelihood) in node n's fusion.  Block (lo, hi) fuses
-    only the rows stored before it, so it reads the view
+    observation log-likelihood) in node n's fusion.  Block (lo, hi) of
+    graph.blocks fuses only the rows stored before it, so it reads the view
     coeffs[:M', lo:hi, :lo], in which i keeps stride 1; obs_oracle's closed
     form fuses coeffs[M':].
     config and graph are the objects the tables were built from, and cache
@@ -257,12 +257,11 @@ class RunTables:
 
     coeffs: np.ndarray              # (M, N, N) float, C order; obs_oracle's row last
     stores_after: np.ndarray        # (M', 1, 1) bool: S[n] is the after-evidence, not the increment
-    blocks: list[tuple[int, int]]   # graph.independent_blocks
     digest: str
     constraint: dict[int, list[int]] | None  # None: W leaves int64, not checked
-    config: ScenarioConfig = field(compare=False, repr=False)
-    graph: CommGraph = field(compare=False, repr=False)
-    cache: StudyCache = field(compare=False, repr=False)
+    config: ScenarioConfig = field(repr=False)
+    graph: CommGraph = field(repr=False)
+    cache: StudyCache = field(repr=False)
 
 
 def run_tables(config: ScenarioConfig, graph: CommGraph) -> RunTables:
@@ -306,7 +305,7 @@ def run_tables(config: ScenarioConfig, graph: CommGraph) -> RunTables:
     return RunTables(
         coeffs=_frozen(coeffs),
         stores_after=np.array([after for _, after in driven], dtype=bool)[:, None, None],
-        blocks=graphmod.independent_blocks(graph), digest=graph.digest(),
+        digest=graph.digest(),
         constraint=constraint, config=config, graph=graph, cache=StudyCache(config.model))
 
 
@@ -317,9 +316,9 @@ def run_once(config: ScenarioConfig, graph: CommGraph, rng: np.random.Generator,
 
     The run draws its true state, then its N observations in one call
     (learning.sample_observation), which every mode shares.  A block
-    (graph.independent_blocks) is a maximal run of consecutive nodes with
-    no edge between them, so none of its nodes hears another, and it
-    updates in one step over arrays stacked by action-driven mode and node:
+    (CommGraph.blocks) is a maximal run of consecutive nodes with no edge
+    between them, so none of its nodes hears another, and it updates in
+    one step over arrays stacked by action-driven mode and node:
     one learning.fuse of the rows stored before it, one normalize_log for
     the public beliefs, and, through tables.cache, their action tables (the
     agents' actions, read at the drawn observations) and those tables' nu.
@@ -359,11 +358,11 @@ def run_once(config: ScenarioConfig, graph: CommGraph, rng: np.random.Generator,
     # done; the empty first entries give a graph without blocks (N = 0) its shapes
     pubs, after_evidences = [stored[:, :0]], [stored[:, :0]]
     acts = [np.empty((shape[0], 0), dtype=np.int64)]
-    blocks, cache = tables.blocks, tables.cache
+    cache = tables.cache
     cache.start_run()
 
     state, key = -1, b""  # the empty history; block 1 hears no actions
-    for lo, hi in blocks:
+    for lo, hi in graph.blocks:
         # nodes lo+1..hi, none of which hears another, in one row per (mode, node);
         # state is None once the run has left the steps, and never looks up a hit
         held = cache.steps.get((state, key))

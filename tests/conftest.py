@@ -30,12 +30,16 @@ DIAMOND_A_EDGES = [(1, 3), (1, 4), (2, 3), (2, 4), (3, 5), (4, 5), (1, 5), (2, 5
 DIAMOND_B_EDGES = [(1, 3), (1, 4), (2, 3), (2, 4), (3, 5), (4, 5), (1, 5)]
 
 
+WARNINGS_AS_ERRORS = ("-W", "error::RuntimeWarning", "-W", "error::DeprecationWarning",
+                      "-W", "error::FutureWarning")
+
+
 def run_python(*args, **env):
-    """python -W error::RuntimeWarning *args in a fresh process, run from the
-    repository root with the package imported from src/ and env's variables
-    set."""
+    """python *args in a fresh process, with the warnings pyproject.toml
+    makes errors (WARNINGS_AS_ERRORS), run from the repository root with
+    the package imported from src/ and env's variables set."""
     env = {**os.environ, **env, "PYTHONPATH": os.path.join(ROOT, "src")}
-    return subprocess.run([sys.executable, "-W", "error::RuntimeWarning", *args], cwd=ROOT,
+    return subprocess.run([sys.executable, *WARNINGS_AS_ERRORS, *args], cwd=ROOT,
                           env=env, capture_output=True, text=True, timeout=120)
 
 
@@ -102,9 +106,9 @@ def limb_solves(monkeypatch):
     calls = []
     solve = graphmod._int64_weights
 
-    def counted(closure, columns=None, known=None):
+    def counted(graph, columns=None, known=None):
         calls.append((columns, known))
-        return solve(closure, columns, known)
+        return solve(graph, columns, known)
 
     monkeypatch.setattr(graphmod, "_int64_weights", counted)
     return calls
@@ -160,21 +164,21 @@ def closure_by_edges(adjacency):
 
 
 def blocks_by_closure(graph):
-    """Reference for graph.independent_blocks: the closure scan it replaced.
+    """Reference for CommGraph.blocks: a scan of the closure, not the edges.
 
     A node starts a new block when the last node before it that reaches it,
     read from the strict upper triangle of the closure, lies in the current
     block.
     """
     if graph.size == 0:
-        return []
+        return ()
     reach = np.triu(graph.closure, 1)[::-1]
     latest = np.where(reach.any(axis=0), graph.size - np.argmax(reach, axis=0), 0)
     bounds = [0]
     for m, last in enumerate(latest.tolist(), start=1):
         if last > bounds[-1]:
             bounds.append(m - 1)
-    return list(zip(bounds, bounds[1:] + [graph.size]))
+    return tuple(zip(bounds, bounds[1:] + [graph.size]))
 
 
 def exact_weight_matrix(graph):

@@ -1,7 +1,9 @@
 """The package's public names and the graph's fields, so that adding or
-removing one is a one-line diff."""
+removing one is a one-line diff, and how the package's types compare."""
 
 import dataclasses
+
+import numpy as np
 
 import incestless
 from incestless import CommGraph
@@ -39,7 +41,6 @@ PUBLIC = [
     "generate_topology",
     "graph",
     "graph_from_edges",
-    "independent_blocks",
     "learning",
     "load_graph",
     "monte_carlo",
@@ -65,3 +66,27 @@ def test_public_names():
 
 def test_graph_fields():
     assert [f.name for f in dataclasses.fields(CommGraph)] == ["adjacency", "closure"]
+
+
+def test_array_holding_types_compare_by_identity():
+    # each type holds numpy arrays, which have no single truth value, so an
+    # object equals only itself and hashes as itself; a ScenarioConfig
+    # compares its fields, its model by identity
+    def config():
+        return incestless.ScenarioConfig(model=incestless.default_model(), runs=2,
+                                         topology=incestless.TopologySpec(kind="chain41"))
+
+    def build():
+        c = config()
+        graph = incestless.simulate.build_graph(c)
+        tables = incestless.run_tables(c, graph)
+        return [graph, c.model, tables,
+                incestless.run_once(c, graph, incestless.seed_rng(0, 1), tables=tables),
+                incestless.monte_carlo(c, graph),
+                incestless.LogBelief(c.model.log_prior, np.zeros(c.model.num_states)), c]
+
+    for first, second in zip(build(), build()):
+        assert first == first and first != second
+        assert hash(first) == hash(first)
+    same = config()
+    assert dataclasses.replace(same) == same and hash(dataclasses.replace(same)) == hash(same)

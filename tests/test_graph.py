@@ -1,6 +1,8 @@
 import copy
+import dataclasses
 import os
 import re
+from functools import cached_property
 
 import numpy as np
 import pytest
@@ -9,7 +11,7 @@ from hypothesis import strategies as st
 
 from incestless import cli
 from incestless import graph as graphmod
-from incestless.simulate import build_graph
+from incestless.simulate import build_graph, run_once, run_tables
 
 from incestless import (
     CommGraph,
@@ -23,7 +25,6 @@ from incestless import (
     constraint_report,
     generate_topology,
     graph_from_edges,
-    independent_blocks,
     load_graph,
     save_graph,
     topology_rng,
@@ -254,11 +255,11 @@ class TestWeights:
         # every column, so the limb solve is never called
         spec = TopologySpec(kind=kind, agents=10, epochs=40)
         g = generate_topology(spec, topology_rng(0))
-        _, unproven, start = graphmod._float_inverse(g.closure)
+        _, unproven, start = graphmod._float_inverse(g)
         assert unproven.size == 0 and start == 0
         w = weight_matrix(g)
         assert limb_solves == []
-        assert np.array_equal(w, graphmod._int64_weights(g.closure))
+        assert np.array_equal(w, graphmod._int64_weights(g))
 
     def test_prefix_consistency(self):
         rng = np.random.default_rng(5)
@@ -335,7 +336,7 @@ class TestWeightProofCheck:
     @pytest.mark.parametrize("layers, proven", [(27, True), (28, False)])
     def test_boundary(self, layers, proven, limb_solves):
         g = layered(5, layers)
-        _, unproven, _ = graphmod._float_inverse(g.closure)
+        _, unproven, _ = graphmod._float_inverse(g)
         assert (unproven.size == 0) == proven
         w = weight_matrix(g)
         assert len(limb_solves) == (0 if proven else 1)
@@ -347,16 +348,16 @@ class TestInt64Weights:
 
     @pytest.mark.parametrize("layers", range(28, 34))
     def test_equals_row_loop_on_layered(self, layers):
-        closure = layered(5, layers).closure
-        assert np.array_equal(graphmod._int64_weights(closure), int64_weights_by_rows(closure))
+        g = layered(5, layers)
+        assert np.array_equal(graphmod._int64_weights(g), int64_weights_by_rows(g.closure))
 
     def test_carry_between_limbs(self):
         # past the float64 proof check, with weights above 2^53 that are odd
         # or negative, so the low limbs carry into the high ones
         spec = TopologySpec(kind="complete_delay", agents=10, epochs=46)
         g = generate_topology(spec, topology_rng(1))
-        assert graphmod._float_inverse(g.closure)[1].size > 0
-        w = graphmod._int64_weights(g.closure)
+        assert graphmod._float_inverse(g)[1].size > 0
+        w = graphmod._int64_weights(g)
         assert np.array_equal(w, int64_weights_by_rows(g.closure))
         assert np.array_equal(weight_matrix(g), w)
         big = np.abs(w) > 2**53
@@ -385,7 +386,7 @@ class TestInt64Weights:
         with pytest.raises(WeightOverflowError) as rows:
             int64_weights_by_rows(closure)
         with pytest.raises(WeightOverflowError) as limbs:
-            graphmod._int64_weights(closure)
+            graphmod._int64_weights(g)
         assert message in str(rows.value)
         assert str(limbs.value) == str(rows.value) and limbs.value.node == rows.value.node
         # the limb solve resumed where the float solve's proof stops
@@ -401,7 +402,7 @@ class TestInt64Weights:
         seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
         a = random_dag(np.random.default_rng(seed), size, edge_prob)
         g = CommGraph(a)
-        assert np.array_equal(graphmod._int64_weights(g.closure), exact_weight_matrix(g))
+        assert np.array_equal(graphmod._int64_weights(g), exact_weight_matrix(g))
 
     @settings(max_examples=100, deadline=None)
     @given(data=st.data())
@@ -416,7 +417,7 @@ class TestInt64Weights:
         g = CommGraph(random_dag(np.random.default_rng(seed), size, edge_prob))
         exact = exact_weight_matrix(g)[:, columns]
         known = exact[start:].astype(np.int64)
-        assert np.array_equal(graphmod._int64_weights(g.closure, columns, known), exact)
+        assert np.array_equal(graphmod._int64_weights(g, columns, known), exact)
 
 
 class TestResumedWeights:
@@ -455,7 +456,7 @@ class TestResumedWeights:
             g = generate_topology(spec, topology_rng(1))
         else:
             g = layered(5, 28)
-        _, unproven, start = graphmod._float_inverse(g.closure)
+        _, unproven, start = graphmod._float_inverse(g)
         w = weight_matrix(g)
         [(columns, known)] = limb_solves
         assert np.array_equal(columns, unproven) and 0 < columns.size < g.size
@@ -479,27 +480,26 @@ def long_run_graph():
 
 class TestRunWiseSolves:
     # both weight solves solve a block's own rows one run at a time, the
-    # runs of graph._run_starts cut at the _BLOCK-row block edges: they
+    # graph's blocks cut at the _BLOCK-row block edges: they
     # must give the row-by-row int64 solve's arrays and errors wherever
     # the runs lie
 
     def test_run_longer_than_a_block(self, limb_solves):
         g = long_run_graph()
-        assert [(lo, hi) for lo, hi in independent_blocks(g) if hi - lo > 1] == [(10, 150)]
-        starts = graphmod._run_starts(g.closure)
-        assert graphmod._block_runs(starts, 0, 64)[0] == (10, 64)
-        assert graphmod._block_runs(starts, 64, 128) == [(0, 64)]
-        assert graphmod._block_runs(starts, 128, 192)[-1] == (0, 22)
+        assert [(lo, hi) for lo, hi in g.blocks if hi - lo > 1] == [(10, 150)]
+        assert graphmod._block_runs(g.blocks, 0, 64)[0] == (10, 64)
+        assert graphmod._block_runs(g.blocks, 64, 128) == [(0, 64)]
+        assert graphmod._block_runs(g.blocks, 128, 192)[-1] == (0, 22)
         expected = exact_weight_matrix(g)
         assert np.array_equal(int64_weights_by_rows(g.closure), expected)
         # the float solve proves every column
         assert np.array_equal(weight_matrix(g), expected) and limb_solves == []
-        assert np.array_equal(graphmod._int64_weights(g.closure), expected)
+        assert np.array_equal(graphmod._int64_weights(g), expected)
         # the limb solve resumed at row 64, 128 or 192 starts inside the run
         # or just below it
         for start in (64, 128, 192):
             known = expected[start:].astype(np.int64)
-            solved = graphmod._int64_weights(g.closure, np.arange(g.size), known)
+            solved = graphmod._int64_weights(g, np.arange(g.size), known)
             assert np.array_equal(solved, expected)
 
     @pytest.mark.parametrize("epochs, seed", [(30, 0), (74, 0), (82, 1), (86, 0)])
@@ -512,20 +512,20 @@ class TestRunWiseSolves:
         # not wrap
         spec = TopologySpec(kind="complete_delay", agents=7, epochs=epochs)
         g = generate_topology(spec, topology_rng(seed))
-        assert {(63, 70), (126, 133), (189, 196)} <= set(independent_blocks(g))
-        assert graphmod._block_runs(graphmod._run_starts(g.closure), 0, 64)[0] == (63, 64)
+        assert {(63, 70), (126, 133), (189, 196)} <= set(g.blocks)
+        assert graphmod._block_runs(g.blocks, 0, 64)[0] == (63, 64)
         try:
             expected = int64_weights_by_rows(g.closure)
         except WeightOverflowError as rows:
             assert str(rows) == "node 600: weight w_600(34) exceeds the int64 range"
             with pytest.raises(WeightOverflowError) as limbs:
-                graphmod._int64_weights(g.closure)
+                graphmod._int64_weights(g)
             with pytest.raises(WeightOverflowError) as resumed:
                 weight_matrix(g)
             for error in (limbs.value, resumed.value):
                 assert str(error) == str(rows) and error.node == rows.node
         else:
-            assert np.array_equal(graphmod._int64_weights(g.closure), expected)
+            assert np.array_equal(graphmod._int64_weights(g), expected)
             assert np.array_equal(weight_matrix(g), expected)
 
     def test_resumed_inside_a_run(self, limb_solves):
@@ -537,25 +537,11 @@ class TestRunWiseSolves:
         w = weight_matrix(g)
         [(columns, known)] = limb_solves
         assert g.size - known.shape[0] == 64 and 0 < columns.size < g.size
-        assert (63, 70) in independent_blocks(g)
+        assert (63, 70) in g.blocks
         expected = int64_weights_by_rows(g.closure)
         assert np.array_equal(w, expected)
-        every = graphmod._int64_weights(g.closure, np.arange(g.size), expected[64:])
+        every = graphmod._int64_weights(g, np.arange(g.size), expected[64:])
         assert np.array_equal(every, expected)
-
-    @settings(max_examples=150, deadline=None)
-    @given(data=st.data())
-    def test_run_starts_from_adjacency_or_closure(self, data):
-        # a node's latest strict ancestor is its latest in-neighbour, so the
-        # closure, diagonal and all, gives the adjacency's runs
-        size = data.draw(st.integers(0, 150), label="size")
-        edge_prob = data.draw(st.sampled_from([0.005, 0.02, 0.1, 0.5]), label="edge_prob")
-        seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
-        g = CommGraph(random_dag(np.random.default_rng(seed), size, edge_prob))
-        starts = [lo for lo, _ in blocks_by_closure(g)]
-        assert [lo for lo, _ in independent_blocks(g)] == starts
-        assert graphmod._run_starts(g.adjacency) == starts
-        assert graphmod._run_starts(g.closure) == starts
 
 
 class TestConstraint:
@@ -655,7 +641,7 @@ class TestConstraint:
 
 class TestIndependentBlocks:
     def assert_schedule(self, g):
-        blocks = independent_blocks(g)
+        blocks = g.blocks
         assert blocks == blocks_by_closure(g)
         assert [lo for lo, _ in blocks] == [0] + [hi for _, hi in blocks[:-1]]
         assert blocks[-1][1] == g.size
@@ -676,18 +662,18 @@ class TestIndependentBlocks:
             self.assert_schedule(CommGraph(a))
 
     def test_edgeless_and_empty(self):
-        assert independent_blocks(graph_from_edges(4, [])) == [(0, 4)]
-        assert independent_blocks(graph_from_edges(0, [])) == []
+        assert graph_from_edges(4, []).blocks == ((0, 4),)
+        assert graph_from_edges(0, []).blocks == ()
 
     def test_chain41_is_sequential(self):
         g = generate_topology(TopologySpec(kind="chain41"), np.random.default_rng(0))
-        assert self.assert_schedule(g) == [(n, n + 1) for n in range(41)]
+        assert self.assert_schedule(g) == tuple((n, n + 1) for n in range(41))
 
     @pytest.mark.parametrize("seed", range(3))
     def test_augmented_complete_delay_one_block_per_epoch(self, seed):
         spec = TopologySpec(kind="complete_delay", agents=10, epochs=20)
         g = augment_for_constraint(generate_topology(spec, topology_rng(seed)))
-        assert self.assert_schedule(g) == [(10 * k, 10 * k + 10) for k in range(20)]
+        assert self.assert_schedule(g) == tuple((10 * k, 10 * k + 10) for k in range(20))
 
     @settings(max_examples=150, deadline=None)
     @given(data=st.data())
@@ -699,7 +685,50 @@ class TestIndependentBlocks:
         # the rule reads the edges alone
         blind = copy.copy(g)
         object.__setattr__(blind, "closure", None)
-        assert independent_blocks(blind) == blocks_by_closure(g)
+        assert blind.blocks == blocks_by_closure(g)
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_from_in_edges_equal_closure_scan_and_survive_augmenting(self, data):
+        # a node's latest in-neighbour is its latest strict ancestor, so the
+        # in-edges give the closure's blocks; an added edge j -> n has j at
+        # or before that ancestor, so augmenting keeps them
+        size = data.draw(st.integers(0, 150), label="size")
+        edge_prob = data.draw(st.sampled_from([0.005, 0.02, 0.1, 0.5]), label="edge_prob")
+        seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
+        g = CommGraph(random_dag(np.random.default_rng(seed), size, edge_prob))
+        assert g.blocks == blocks_by_closure(g)
+        fixed = augment_for_constraint(g)
+        assert fixed.blocks == g.blocks == CommGraph(fixed.adjacency).blocks
+
+    @pytest.mark.parametrize("graph", ["complete_delay", "layered"])
+    def test_derived_once_per_graph(self, graph, monkeypatch, limb_solves):
+        # W (the float solve, and on layered(5, 28) the limb solve too), the
+        # constraint report, augmenting, and a run over the graph and over
+        # its augmented copy all read the blocks derived once
+        derived = []
+        derive = CommGraph.blocks.func
+
+        def counted(g):
+            derived.append(g)
+            return derive(g)
+
+        counting = cached_property(counted)
+        counting.__set_name__(CommGraph, "blocks")
+        monkeypatch.setattr(CommGraph, "blocks", counting)
+        config = dataclasses.replace(
+            cli.build_scenario(cli.load_config_file("paper_random4")), force=True)
+        if graph == "complete_delay":
+            g = generate_topology(TopologySpec(kind=graph, epochs=6), topology_rng(0))
+        else:
+            g = layered(5, 28)
+        assert g.weights is not None and len(limb_solves) == (graph == "layered")
+        constraint_report(g)
+        fixed = augment_for_constraint(g)
+        assert fixed is not g
+        for h in (g, fixed):
+            run_once(config, h, topology_rng(1), tables=run_tables(config, h))
+        assert derived == [g]
 
     @pytest.mark.parametrize("name", ["paper_chain41", "paper_complete", "paper_star",
                                       "paper_random4"])
@@ -714,7 +743,7 @@ class TestIndependentBlocks:
         for seed in range(10):
             g = generate_topology(spec, topology_rng(seed))
             fixed = augment_for_constraint(g)
-            assert independent_blocks(fixed) == independent_blocks(g) == blocks_by_closure(g)
+            assert CommGraph(fixed.adjacency).blocks == g.blocks == blocks_by_closure(g)
 
 
 class TestTopologies:

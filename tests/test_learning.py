@@ -668,7 +668,7 @@ class TestFuseIdentity:
         tables, states = block_slices(study)
         m = len(tables.stores_after)
         rng = np.random.default_rng(5)
-        for lo, hi in tables.blocks:
+        for lo, hi in tables.graph.blocks:
             coeffs = tables.coeffs[:m, lo:hi, :lo]
             assert coeffs.base is tables.coeffs and coeffs.strides[-1] == coeffs.itemsize
             evidence = rng.normal(scale=50.0, size=(m, lo, states))

@@ -19,7 +19,6 @@ from incestless import (
     cli,
     default_model,
     graph_from_edges,
-    independent_blocks,
     normalize_log,
 )
 from incestless import graph as graphmod
@@ -353,7 +352,7 @@ class TestRunTables:
         # reach run_tables, whose removal rows are W masked by A.
         graph = graph_from_edges(6, [(1, 3), (1, 4), (2, 3), (2, 4), (3, 5), (4, 5), (1, 5),
                                      (3, 6), (4, 6), (2, 6)])
-        assert independent_blocks(graph)[-1] == (4, 6)
+        assert graph.blocks[-1] == (4, 6)
         weights = graphmod.weight_matrix(graph)
         assert graphmod.violations(weights, graph.adjacency) == {5: [2], 6: [1]}
         config = scenario(model, modes=ALL_MODES, runs=3)
@@ -415,7 +414,7 @@ class TestRunTables:
         assert coeffs.shape == (len(modes), graph.size, graph.size)
         assert coeffs.dtype == np.float64 and coeffs.flags.c_contiguous
         assert not coeffs.flags.writeable
-        for lo, hi in tables.blocks:
+        for lo, hi in graph.blocks:
             corner = coeffs[:len(modes) - 1, lo:hi, :lo]
             assert not corner.flags.writeable and corner.strides[-1] == corner.itemsize
         history = graph.closure - np.eye(graph.size, dtype=np.int8)
@@ -630,7 +629,7 @@ class TestStepTrie:
         monte_carlo(config)
         assert built_tables[-1].cache.hits == hits
 
-    def test_each_study_starts_from_an_empty_trie(self, built_tables):
+    def test_each_study_starts_from_an_empty_cache(self, built_tables):
         config = cli.build_scenario(cli.load_config_file("paper_chain41"), runs=10)
         first, second = monte_carlo(config), monte_carlo(config)
         assert len(built_tables) == 2 and built_tables[0].cache is not built_tables[1].cache
