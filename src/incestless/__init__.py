@@ -28,7 +28,6 @@ from .graph import (
     weight_matrix,
 )
 from .learning import (
-    LogBelief,
     StateModel,
     action_likelihood,
     action_table,

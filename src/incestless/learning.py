@@ -4,10 +4,10 @@ States, observations and actions are 1-based integers externally
 (states 1..X, observations 1..Z, actions 1..A); beliefs are numpy
 probability vectors indexed 0..X-1.
 
-Log-domain beliefs keep the prior and the accumulated action evidence as
-two separate vectors.  The incest-removal weights apply only to the
-evidence part; the prior part is always exactly log(prior), so it can
-never be double counted no matter what the weights telescope to.
+In the log domain a node fuses evidence alone: weighted sums of action
+log-likelihoods (nu's), to which the log prior is added once, where a
+belief is read.  The incest-removal weights never touch the prior, so it
+can never be double counted no matter what the weights telescope to.
 """
 
 from __future__ import annotations
@@ -78,9 +78,9 @@ class StateModel:
         for name, arr in (("prior", p), ("likelihood", b), ("cost", c)):
             if not np.isfinite(arr).all():
                 raise ValueError(f"{name} has a non-finite entry")
-        if (b < 0).any() or not np.allclose(b.sum(axis=1), 1.0, atol=1e-12):
+        if (b < 0).any() or not np.allclose(b.sum(axis=1), 1.0, rtol=0, atol=1e-12):
             raise ValueError("likelihood rows must be distributions")
-        if (p < 0).any() or not np.isclose(p.sum(), 1.0, atol=1e-12):
+        if (p < 0).any() or not np.isclose(p.sum(), 1.0, rtol=0, atol=1e-12):
             raise ValueError("prior must be a distribution")
         b_t = np.ascontiguousarray(b.T)
         with np.errstate(divide="ignore"):
@@ -296,18 +296,6 @@ def action_likelihood(pub: np.ndarray, a: int | np.ndarray, model: StateModel) -
 # ---------------------------------------------------------------------------
 # log-domain aggregation
 
-@dataclass(frozen=True, eq=False)
-class LogBelief:
-    """After-action public belief in log domain, prior and evidence split.
-
-    log_prior + evidence is the unnormalized log posterior.  evidence is a
-    weighted sum of action log-likelihood vectors (nu's).
-    """
-
-    log_prior: np.ndarray
-    evidence: np.ndarray
-
-
 def normalize_log(theta: np.ndarray) -> np.ndarray:
     """exp-normalize unnormalized log-probability vectors along the last axis;
     ValueError if one of them has no finite maximum."""
@@ -373,30 +361,26 @@ def fuse_terms(coeffs: np.ndarray, evidence: np.ndarray, received: np.ndarray,
     return np.add.reduce(c[:, None] * rows, axis=0)
 
 
-def aggregate(received: dict[int, LogBelief], weights: np.ndarray,
-              nu: np.ndarray, log_prior: np.ndarray,
-              node: int | str = "?") -> LogBelief:
-    """Fuse received after-action log-beliefs with weights and add own nu.
+def aggregate(received: dict[int, np.ndarray], weights: np.ndarray,
+              nu: np.ndarray, node: int | str = "?") -> np.ndarray:
+    """Fuse received after-action evidence with weights and add own nu.
 
-    received maps sender node -> LogBelief; weights[i] (0-based entry for
-    node i+1) must have its nonzero support covered by received.  Only the
-    evidence parts are weighted; the prior part of the result is exactly
-    log_prior again, which is what makes the prior appear exactly once in
-    the fused posterior.
+    received maps sender node -> its evidence row (X,); weights[i] (0-based
+    entry for node i+1) must have its nonzero support covered by received.
+    The result is evidence too: the log prior is added once, by the reader.
     """
     w = np.asarray(weights, dtype=np.float64)
     evidence = np.zeros((w.size, np.size(nu)))
-    for i, belief in received.items():
+    for i, row in received.items():
         if i <= w.size:
-            evidence[i - 1] = belief.evidence
+            evidence[i - 1] = row
     has = np.isin(np.arange(1, w.size + 1), list(received))
-    return LogBelief(log_prior=log_prior,
-                     evidence=fuse_terms(w, evidence, has, node) + nu)
+    return fuse_terms(w, evidence, has, node) + nu
 
 
 def full_history_belief(nus: dict[int, np.ndarray], t_n: np.ndarray,
-                        nu: np.ndarray, log_prior: np.ndarray) -> LogBelief:
-    """Idealized benchmark: sum the nu of every node with a path in, plus own.
+                        nu: np.ndarray) -> np.ndarray:
+    """Idealized benchmark evidence: sum the nu of every node with a path in, plus own.
 
     nus maps node -> log action-likelihood vector; t_n[i] (0-based entry
     for node i+1) marks path existence.
@@ -404,7 +388,7 @@ def full_history_belief(nus: dict[int, np.ndarray], t_n: np.ndarray,
     evidence = nu.astype(np.float64).copy()
     for i in np.flatnonzero(t_n):
         evidence += nus[int(i) + 1]
-    return LogBelief(log_prior=log_prior, evidence=evidence)
+    return evidence
 
 
 def estimate_state(belief: np.ndarray, rule: str = "mean") -> float | np.ndarray:

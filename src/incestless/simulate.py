@@ -324,13 +324,15 @@ def run_once(config: ScenarioConfig, graph: CommGraph, rng: np.random.Generator,
     agents' actions, read at the drawn observations) and those tables' nu.
     The one call that can raise is fuse's check, before the block writes
     anything, so the step raises what the per-node, per-mode loop raises,
-    and gives its bits.  A block writes into the run's arrays only the rows
-    it stores; its public beliefs, after-evidence and actions are joined
-    once every block is done, and one normalize_log of the log prior plus
-    the after-evidence gives the after-beliefs.  obs_oracle hears no
-    action: its rows are one fuse of the observations' floored
+    and gives its bits.  The run's arrays are allocated once, in the row
+    layout of RunTables.coeffs: each block writes its public beliefs,
+    after-evidence and actions into its columns of rows :M'.  obs_oracle
+    hears no action: its row M' is one fuse of the observations' floored
     log-likelihoods with (T - I)^T, and one learning.action_table of its
-    public beliefs, gathered at the observations, for its actions.
+    public beliefs, gathered at the observations, for its actions; one
+    gather then puts that row at its place in config.modes.  The log prior
+    is added to every after-evidence row once, and one normalize_log gives
+    the after-beliefs.
 
     tables are run_tables(config, graph), built here unless given; tables
     built from another config or graph object raise ValueError.
@@ -347,17 +349,14 @@ def run_once(config: ScenarioConfig, graph: CommGraph, rng: np.random.Generator,
     else:
         x = int(config.true_state)
 
-    # the action-driven modes' rows; obs_oracle's is put in once the blocks are done
     m = len(tables.stores_after)
-    shape = (m, graph.size, model.num_states)
     observations = learning.sample_observation(x, model, rng, size=graph.size)
     obs_index = observations - 1
     log_prior = model.log_prior
-    stored = np.zeros(shape)
-    # each block's pub, after-evidence and actions, joined once the blocks are
-    # done; the empty first entries give a graph without blocks (N = 0) its shapes
-    pubs, after_evidences = [stored[:, :0]], [stored[:, :0]]
-    acts = [np.empty((shape[0], 0), dtype=np.int64)]
+    shape = (len(config.modes), graph.size, model.num_states)
+    public, after = np.empty(shape), np.empty(shape)  # after: the after-evidence, at first
+    actions = np.empty(shape[:2], dtype=np.int64)
+    stored = np.zeros((m,) + shape[1:])
     cache = tables.cache
     cache.start_run()
 
@@ -382,29 +381,25 @@ def run_once(config: ScenarioConfig, graph: CommGraph, rng: np.random.Generator,
         # an action ZeroProbabilityActionError refuses, one no z induces
         a = cache.tables[ids, obs_index[lo:hi]]
         own = cache.nus[ids, a - 1]
-        after_evidence = evidence + own
+        after_evidence = np.add(evidence, own, out=after[:m, lo:hi])
         stored[:, lo:hi] = np.where(tables.stores_after, after_evidence, own)
-        pubs.append(pub)
-        after_evidences.append(after_evidence)
-        acts.append(a)
+        public[:m, lo:hi] = pub
+        actions[:m, lo:hi] = a
         key = a.tobytes()
 
-    public = np.concatenate(pubs, axis=1)
-    after = log_prior + np.concatenate(after_evidences, axis=1)  # normalised below
-    actions = np.concatenate(acts, axis=1)
     if "obs_oracle" in config.modes:
         # this fuse cannot raise: a node sums at most N floored logs, each
         # >= log(LIKELIHOOD_FLOOR) > -691
         own = learning.floored_log(model.likelihood_t[obs_index])
         evidence = learning.fuse(tables.coeffs[m:], own[None], node=1)
-        pub = learning.normalize_log(log_prior + evidence)
+        public[m:] = learning.normalize_log(log_prior + evidence)
         # no later run reads these rows, so the cache does not keep them
-        table = learning.action_table(pub, model)
-        k = config.modes.index("obs_oracle")
-        actions = np.concatenate((actions[:k], table[:, np.arange(graph.size), obs_index],
-                                  actions[k:]))
-        public = np.concatenate((public[:k], pub, public[k:]))
-        after = np.concatenate((after[:k], log_prior + (evidence + own), after[k:]))
+        table = learning.action_table(public[m:], model)
+        actions[m:] = table[:, np.arange(graph.size), obs_index]
+        after[m:] = evidence + own
+        order = np.insert(np.arange(m), config.modes.index("obs_oracle"), m)
+        public, after, actions = public[order], after[order], actions[order]
+    after += log_prior
     after = learning.normalize_log(after)
     return RunTrace(true_state=x, graph_digest=tables.digest, modes=config.modes,
                     observations=observations, actions=actions, public=public, after=after,

@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 
 from incestless import (
     AvailabilityError,
+    ConfigError,
     DegenerateEvidenceError,
-    LogBelief,
     SignedInfinityError,
     StateModel,
     ZeroProbabilityActionError,
@@ -81,6 +81,18 @@ class TestModelConstruction:
     def test_invalid_prior_rejected(self):
         with pytest.raises(ValueError):
             StateModel(prior=[0.7, 0.7], likelihood=np.eye(2), cost=np.eye(2))
+
+    @pytest.mark.parametrize("key", ["prior", "likelihood"])
+    def test_sums_are_checked_to_1e12_absolute(self, key):
+        # numpy's default rtol=1e-5 alone would accept a sum of 1 + 1e-6
+        def model(excess):
+            arrays = {"prior": np.full(2, 0.5), "likelihood": np.eye(2)}
+            arrays[key].flat[0] += excess  # the prior, or row 1 of the likelihood
+            return default_model(states=2, actions=2, **arrays)
+
+        with pytest.raises(ConfigError, match=f"invalid model: {key}"):
+            model(1e-6)
+        assert model(1e-13).num_states == 2
 
     def test_caller_arrays_stay_writeable(self):
         prior, lik, cost = np.full(3, 1 / 3), np.eye(3), 1.0 - np.eye(3)
@@ -495,47 +507,34 @@ class TestAfterActionUpdate:
 
 
 class TestAggregation:
-    def log_prior(self, x):
-        return np.log(np.full(x, 1.0 / x))
-
     def test_chain_case(self):
-        lp = self.log_prior(3)
         nu1 = np.array([0.1, -0.2, 0.3])
-        theta1 = LogBelief(log_prior=lp, evidence=nu1)
         nu2 = np.array([-0.5, 0.4, 0.0])
-        out = aggregate({1: theta1}, np.array([1.0]), nu2, lp)
-        assert np.allclose(out.evidence, nu1 + nu2)
+        out = aggregate({1: nu1}, np.array([1.0]), nu2)
+        assert np.allclose(out, nu1 + nu2)
 
     def test_diamond_weights(self):
-        lp = self.log_prior(2)
         rng = np.random.default_rng(6)
-        thetas = {i: LogBelief(log_prior=lp, evidence=rng.normal(size=2))
-                  for i in range(1, 5)}
+        evidence = {i: rng.normal(size=2) for i in range(1, 5)}
         nu5 = rng.normal(size=2)
         w5 = np.array([-1.0, -1.0, 1.0, 1.0])
-        out = aggregate(thetas, w5, nu5, lp)
-        expected = (-thetas[1].evidence - thetas[2].evidence
-                    + thetas[3].evidence + thetas[4].evidence + nu5)
-        assert np.allclose(out.evidence, expected)
+        out = aggregate(evidence, w5, nu5)
+        expected = -evidence[1] - evidence[2] + evidence[3] + evidence[4] + nu5
+        assert np.allclose(out, expected)
 
     def test_missing_sender_raises(self):
-        lp = self.log_prior(2)
         with pytest.raises(AvailabilityError) as exc:
-            aggregate({}, np.array([1.0]), np.zeros(2), lp, node=7)
+            aggregate({}, np.array([1.0]), np.zeros(2), node=7)
         assert exc.value.missing == [1]
         assert exc.value.node == 7
 
     def test_negative_weight_on_neg_inf(self):
-        lp = self.log_prior(2)
-        theta = LogBelief(log_prior=lp, evidence=np.array([-np.inf, 0.0]))
         with pytest.raises(SignedInfinityError):
-            aggregate({1: theta}, np.array([-1.0]), np.zeros(2), lp)
+            aggregate({1: np.array([-np.inf, 0.0])}, np.array([-1.0]), np.zeros(2))
 
     def test_positive_weight_on_neg_inf_allowed(self):
-        lp = self.log_prior(2)
-        theta = LogBelief(log_prior=lp, evidence=np.array([-np.inf, 0.0]))
-        out = aggregate({1: theta}, np.array([2.0]), np.zeros(2), lp)
-        assert np.isneginf(out.evidence[0])
+        out = aggregate({1: np.array([-np.inf, 0.0])}, np.array([2.0]), np.zeros(2))
+        assert np.isneginf(out[0])
 
 
 def assert_same_bits(got, expected):
@@ -702,28 +701,25 @@ def test_fuse_order_at_the_baseline_simd_level():
 
 class TestFullHistory:
     def test_edgeless(self):
-        lp = np.log(np.full(3, 1 / 3))
         nu = np.array([0.2, -0.1, 0.0])
-        out = full_history_belief({}, np.zeros(0), nu, lp)
-        assert np.allclose(out.log_prior + out.evidence, lp + nu)
+        out = full_history_belief({}, np.zeros(0), nu)
+        assert np.allclose(out, nu)
 
     def test_chain(self):
-        lp = np.log(np.full(3, 1 / 3))
         rng = np.random.default_rng(9)
         nus = {1: rng.normal(size=3), 2: rng.normal(size=3)}
         nu3 = rng.normal(size=3)
-        out = full_history_belief(nus, np.array([1, 1]), nu3, lp)
-        assert np.allclose(out.evidence, nus[1] + nus[2] + nu3)
+        out = full_history_belief(nus, np.array([1, 1]), nu3)
+        assert np.allclose(out, nus[1] + nus[2] + nu3)
 
     def test_order_invariance(self):
-        lp = np.log(np.full(4, 0.25))
         rng = np.random.default_rng(10)
         nus = {i: rng.normal(size=4) for i in range(1, 6)}
         nu = rng.normal(size=4)
         t = np.array([1, 0, 1, 1, 1])
-        a = full_history_belief(nus, t, nu, lp)
-        b = full_history_belief(dict(reversed(nus.items())), t, nu, lp)
-        assert np.allclose(a.evidence, b.evidence)
+        a = full_history_belief(nus, t, nu)
+        b = full_history_belief(dict(reversed(nus.items())), t, nu)
+        assert np.allclose(a, b)
 
     def test_probability_domain_oracle(self):
         # product-form posterior computed directly in probability domain
@@ -734,11 +730,11 @@ class TestFullHistory:
             nus = {i: np.log(rng.random(x)) for i in range(1, 5)}
             nu = np.log(rng.random(x))
             t = (rng.random(4) < 0.5).astype(int)
-            out = full_history_belief(nus, t, nu, np.log(prior))
+            out = full_history_belief(nus, t, nu)
             direct = prior * np.exp(nu)
             for i in np.flatnonzero(t):
                 direct = direct * np.exp(nus[int(i) + 1])
-            assert np.allclose(normalize_log(out.log_prior + out.evidence), direct / direct.sum(),
+            assert np.allclose(normalize_log(np.log(prior) + out), direct / direct.sum(),
                                atol=1e-12)
 
 

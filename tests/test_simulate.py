@@ -172,6 +172,26 @@ class TestRunOnce:
         assert len(states) > 3
         assert all(1 <= x <= 20 for x in states)
 
+    @pytest.mark.parametrize("modes", [("naive", "removal", "idealized"), ("obs_oracle",),
+                                       ("naive", "obs_oracle", "idealized")])
+    def test_graph_without_nodes(self, model, modes, tmp_path):
+        graph = graph_from_edges(0, [])
+        config = scenario(model, modes=modes, runs=2)
+        trace = run_once(config, graph, np.random.default_rng(0))
+        m, x = len(modes), model.num_states
+        assert trace.observations.shape == (0,)
+        assert trace.actions.shape == trace.estimates.shape == (m, 0)
+        assert trace.public.shape == trace.after.shape == (m, 0, x)
+        metrics = monte_carlo(config, graph=graph)
+        assert all(metrics.estimates[mode].shape == metrics.actions[mode].shape == (2, 0)
+                   for mode in modes)
+        cli.write_outputs(metrics, str(tmp_path))
+        assert {f.name: f.read_text() for f in tmp_path.iterdir()} == {
+            "actions.csv": "node,mode,run,action\n",
+            "estimates.csv": "node,mode,mean_estimate\n",
+            "mse.csv": "node,mode,mse\n",
+            "constraint.txt": "all nodes satisfy the topological constraint\n"}
+
 
 def draw_dag(data):
     """A drawn DAG of 1-14 nodes, augmented for the constraint or not."""
