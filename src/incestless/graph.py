@@ -160,76 +160,80 @@ def weight_matrix(graph: CommGraph) -> np.ndarray:
     """W = I - T^-1, as int64; read it as graph.weights, which solves it once.
 
     W[i, n] is minus the Moebius function of the reachability order, and
-    column n holds w_n, the solution of T_{n-1} w_n = t_n.  X = T^-1 is
-    solved in float64 (`_float_inverse`), which proves column by column that
-    the solve was exact: every proven column is used as it is.  The columns
-    it cannot prove go through the exact back substitution modulo 2^64 in
-    float64 limbs (`_int64_weights`), which resumes from the float solve's
-    rows at and past `start`, exact in every column, and raises
-    WeightOverflowError for a weight beyond int64.  Both give the integers
-    of one back substitution over all of W, and the same error: a proven
-    column has every |entry| below 2^53, so it never wraps, and the limb
-    solve checks the other columns in the same order, rows bottom-up and
-    columns ascending, so the first weight it finds beyond int64 is the
-    first one of the whole matrix.
+    column n holds w_n, the solution of T_{n-1} w_n = t_n.  W is solved in
+    float64 (`_float_weights`), which proves column by column that the
+    solve was exact: every proven column is used as it is.  The columns it
+    cannot prove go through the exact solve modulo 2^64 in float64 limbs
+    (`_int64_weights`), which resumes from the float solve's rows at and
+    past `start`, exact in every column, and raises WeightOverflowError for
+    a weight beyond int64.  Both give the integers of one back substitution
+    over all of W, and the same error: a proven column has every |entry|
+    below 2^53, so it never wraps, and the limb solve checks the other
+    columns in the same order, rows bottom-up and columns ascending, so the
+    first weight it finds beyond int64 is the first one of the whole matrix.
     """
-    x, unproven, start = _float_inverse(graph)
-    # W = I - X in place: the diagonal of X is 1, so it becomes 0
-    np.negative(x, out=x)
-    np.fill_diagonal(x, 0)
-    # the limb solve runs before the cast, so its planes and W never coexist
+    w, unproven, start = _float_weights(graph)
+    # the limb solve runs before the cast, so its planes and the int64 W never coexist
     if unproven.size:
-        solved = _int64_weights(graph, unproven, x[start:, unproven].astype(np.int64))
-    w = x.astype(np.int64)
+        solved = _int64_weights(graph, unproven, w[start:, unproven].astype(np.int64))
+    w = w.astype(np.int64)
     if unproven.size:
         w[:, unproven] = solved
     return w
 
 
-def _float_inverse(graph: CommGraph) -> tuple[np.ndarray, np.ndarray, int]:
-    """(X, unproven, start): X = T^-1 in float64, the columns of X that
-    float64 cannot prove exact, and the first row from which every column
-    is exact.
+def _float_weights(graph: CommGraph) -> tuple[np.ndarray, np.ndarray, int]:
+    """(W, unproven, start): W in float64, the columns of W that float64
+    cannot prove exact, and the first row from which every column is exact.
 
-    Solved bottom-up in blocks of rows: the rows below a block enter by one
-    GEMM per chunk of _BLOCK columns, which stops at the chunk's last row
-    (the entries below it are zero), then the block's own rows are solved
-    one run at a time, bottom-up, by one product each (`_block_runs`).  No
-    node of a run reaches another, so T is the identity on the run, and
-    each of its rows reads only the rows below the run.  Each entry is
-    x[j, c] = delta_jc - (sum of a subset of the x[k, c] solved before its
-    run), as T is 0/1, and every partial sum on the way is a signed subset
-    sum of the same terms.  So while a column's sum of |x| stays below
-    2^53, all of them are integers that float64 holds exactly: the first
-    wrong entry in solve order would have read only exact entries of its
-    column, and so could not be wrong.  The column sums are themselves sums of integers,
-    and one below 2^53 is exact, whatever the order of its additions.
+    Row j (0-based) of W is w_j = t_j - t_j @ W[j+1:], where t_j =
+    closure[j, j+1:] is what node j+1 reaches past itself: it is both that
+    node's row of each T_{n-1} and its entry t_n(j+1) of each later column.
+    A column of W reads only itself, so any subset of columns can be solved
+    alone.  W starts at T - I, each row at its t_j, and is solved bottom-up
+    in blocks of _BLOCK rows: the rows below a block enter by one GEMM per
+    chunk of _BLOCK columns, which stops at the chunk's last row (the
+    entries below it are zero), then the block's own rows are solved one
+    run at a time, bottom-up, by one product each (`_block_runs`).  No node
+    of a run reaches another, so T is the identity on the run, each of its
+    rows reads only the rows below the run, and its entries at or left of
+    the run's last column stay 0: the product covers only the columns past
+    the run.
 
-    A column reads only itself, so the proof holds column by column.  A
-    column whose sum reaches 2^53 in a block is unproven: its rows in that
-    block and in every block above it are zeroed once solved, which keeps
-    it finite and changes no other column.  `start` is the first row of the
-    block solved before the first one in which a column failed (0 if none
-    did): up to that block every column was proven, so rows >= start are
-    exact in every column.
+    Each entry is w[j, c] = t_jc - (sum of a subset of the w[k, c] solved
+    before its run), as T is 0/1, and every partial sum on the way is a
+    signed subset sum of the same terms.  So while 1 plus a column's sum
+    of |w| (its sum of |T^-1|, whose diagonal is 1) stays below 2^53, all
+    of them are integers that float64 holds exactly: the first wrong entry
+    in solve order would have read only exact entries of its column, and
+    so could not be wrong.  The column sums are themselves
+    sums of integers, and one below 2^53 is exact, whatever the order of
+    its additions.
+
+    The proof holds column by column.  A column whose sum reaches 2^53 in
+    a block is unproven: its rows in that block and in every block above
+    it are zeroed once solved, which keeps it finite and changes no other
+    column.  `start` is the first row of the block solved before the first
+    one in which a column failed (0 if none did): up to that block every
+    column was proven, so rows >= start are exact in every column.
     """
     closure, rows, blocks = graph.closure, graph.size, graph.blocks
-    x = np.eye(rows)
-    sums = np.zeros(rows)
+    w = closure.astype(np.float64)  # T - I: each row starts at its t_j
+    np.fill_diagonal(w, 0)
+    sums = np.ones(rows)  # 1 + the sum of |w| solved so far, per column
     unproven = np.zeros(rows, dtype=bool)
     start = 0
     for r0 in range(((rows - 1) // _BLOCK) * _BLOCK, -1, -_BLOCK):
         r1 = min(r0 + _BLOCK, rows)
         t = closure[r0:r1, r0:].astype(np.float64)  # the block's rows, from column r0
         # columns of nodes before the block are zero on its rows and below, and
-        # x[k, c] = 0 for k > c, so each chunk of columns past the block reads
+        # w[k, c] = 0 for k >= c, so each chunk of columns past the block reads
         # the rows below the block only up to its last column
-        block = x[r0:r1, r0:]
+        block = w[r0:r1, r0:]
         for c0 in range(r1, rows, _BLOCK):
             c1 = min(c0 + _BLOCK, rows)
-            block[:, c0 - r0:c1 - r0] -= t[:, r1 - r0:c1 - r0] @ x[r1:c1, c0:c1]
-        # x[k, c] = 0 for k >= b > c, so a run's rows change only past it; the
-        # bottom run has no block rows below it
+            block[:, c0 - r0:c1 - r0] -= t[:, r1 - r0:c1 - r0] @ w[r1:c1, c0:c1]
+        # the bottom run has no block rows below it
         for a, b in _block_runs(blocks, r0, r1)[1:]:
             block[a:b, b:] -= t[a:b, b:r1 - r0] @ block[b:, b:]
         sums[r0:] += np.abs(block).sum(axis=0)
@@ -239,56 +243,40 @@ def _float_inverse(graph: CommGraph) -> tuple[np.ndarray, np.ndarray, int]:
                 start = r1
             unproven[r0:] = failed
             block[:, failed] = 0
-    return x, np.flatnonzero(unproven), start
+    return w, np.flatnonzero(unproven), start
 
 
 def _int64_weights(graph: CommGraph, columns: np.ndarray | None = None,
                    known: np.ndarray | None = None) -> np.ndarray:
-    """W[:, columns] (every column by default) by one exact back
-    substitution modulo 2^64, in float64 limbs, resumed below `known`.
+    """W[:, columns] (every column by default) by the recurrence and the
+    blocks of _float_weights, exactly modulo 2^64, resumed below `known`.
 
     `known` holds rows start.. of W[:, columns], exact and in int64 (none by
-    default, so start = N), and rows start-1 .. 0 are solved.  Row j
-    (0-based) is w_j = t_j - t_j @ W[j+1:], where t_j = closure[j, j+1:] is
-    what node j+1 reaches past itself: it is both that node's row of each
-    T_{n-1} and its entry t_n(j+1) of each later column.  A column of W
-    reads only itself, so any subset of columns can be solved alone.
-
-    The solved rows are held as two float64 planes, their low 32 bits
-    (unsigned) and their high 32 bits (signed).  The rows are solved
-    bottom-up in the blocks of _float_inverse (start is a block boundary):
-    the rows below a block enter by one stacked GEMM per chunk of _BLOCK
-    columns, up to the chunk's last row, then the block's rows are solved
-    one run at a time, bottom-up, each run with one stacked product over
-    the block rows below it (`_block_runs`).  No node of a run reaches
-    another, so T is the identity on the run, its rows read only the rows
-    below it, and their entries at or left of the run's last column are 0:
-    the product covers only the columns past the run, and leaves those
-    entries at the zeros w starts with.  A 0/1 row times a limb plane sums
-    to less than N * 2^32 in magnitude, below 2^53 for N < 2^21, so each
-    limb sum, and every partial sum of it in any order, is an exact integer
-    in float64, and so is the sum of the GEMM part and the in-block part.
-    The limb sums recombine to t_j @ W mod 2^64, so each row equals, bit for bit, an
-    int64 back substitution that wraps.
+    default, so start = N; start is a block boundary), and rows start-1 .. 0
+    are solved.  The rows are held only as two float64 planes, their low 32
+    bits (unsigned) and their high 32 bits (signed), recombined into int64
+    on return.  A 0/1 row times a limb plane sums to less than N * 2^32 in
+    magnitude, below 2^53 for N < 2^21, so each limb sum, and every partial
+    sum of it in any order, is an exact integer in float64, and so is the
+    sum of the GEMM part and the in-block part.  The limb sums recombine to
+    t_j @ W mod 2^64, so each row equals, bit for bit, an int64 back
+    substitution that wraps.
 
     The same limb sums, recombined in float64 instead, give t_j @ W with a
     relative error below 2^-51, so far less than 2^63 off.  Where the true
     weight lies in int64 the two rows agree to that error; where it does
     not, the int64 row wrapped by a multiple of 2^64.  A difference beyond
     2^63 therefore marks a weight beyond int64, and WeightOverflowError
-    names the first one, rows bottom-up and columns ascending; a row's
-    check reads only its columns c > j.  The check is made once per block:
-    the rows solved before the first wrapped one are exact, and so are
-    the rows below its run that its run reads, so its row is the last one
-    in the block to show a wrap.
+    names the first one, rows bottom-up and columns ascending.  Each run is
+    checked as soon as it is solved: no row of it reads another, and every
+    row below it is exact, so each of its rows is checked on exact input,
+    and its last row with a wrap holds the first weight beyond int64.
     """
     closure, rows, blocks = graph.closure, graph.size, graph.blocks
     cols = np.arange(rows) if columns is None else np.asarray(columns)
     start = rows if known is None else rows - known.shape[0]
-    w = np.zeros((rows, cols.size), dtype=np.int64)
     limbs = np.zeros((2, rows, cols.size))  # low 32 bits, high 32 bits
     if known is not None:
-        w[start:] = known
         limbs[:, start:] = known & 0xFFFFFFFF, known >> 32
     t_cols = closure[:, cols]
     # past[j]: the first of the columns after node j+1, the ones row j solves
@@ -297,8 +285,6 @@ def _int64_weights(graph: CommGraph, columns: np.ndarray | None = None,
         r1 = min(r0 + _BLOCK, start)
         t = closure[r0:r1, r0:].astype(np.float64)  # the block's rows, from column r0
         k0 = past[r0]
-        # W[k, c] = 0 for k >= c, so each chunk of columns reads the rows below
-        # the block only up to its last column
         sums = np.zeros((2, r1 - r0, cols.size - k0))
         for q0 in range(k0, cols.size, _BLOCK):
             q1 = min(q0 + _BLOCK, cols.size)
@@ -309,17 +295,16 @@ def _int64_weights(graph: CommGraph, columns: np.ndarray | None = None,
             run = sums[:, a:b, k - k0:]
             run += t[a:b, b:r1 - r0] @ limbs[:, j1:r1, k:]
             exact = t_cols[j0:j1, k:] - ((run[1].astype(np.int64) << 32) + run[0].astype(np.int64))
-            w[j0:j1, k:] = exact
-            limbs[0, j0:j1, k:] = exact & 0xFFFFFFFF
-            limbs[1, j0:j1, k:] = exact >> 32
-        approx = t_cols[r0:r1, k0:] - (sums[1] * 2.0**32 + sums[0])
-        wrapped = np.abs(approx - w[r0:r1, k0:]) > 2.0**63
-        wrapped &= cols[k0:] > np.arange(r0, r1)[:, None]
-        if wrapped.any():
-            i = np.flatnonzero(wrapped.any(axis=1))[-1]
-            c = k0 + np.flatnonzero(wrapped[i])[0]
-            raise WeightOverflowError(node=int(cols[c]) + 1, index=r0 + int(i) + 1)
-    return w
+            approx = t_cols[j0:j1, k:] - (run[1] * 2.0**32 + run[0])
+            wrapped = np.abs(approx - exact) > 2.0**63
+            if wrapped.any():
+                i = np.flatnonzero(wrapped.any(axis=1))[-1]
+                c = k + np.flatnonzero(wrapped[i])[0]
+                raise WeightOverflowError(node=int(cols[c]) + 1, index=j0 + int(i) + 1)
+            limbs[:, j0:j1, k:] = exact & 0xFFFFFFFF, exact >> 32
+    # W's one int64 plane; the low limbs are cast in the ufunc's buffer, not in a plane
+    w = np.left_shift(limbs[1], 32, dtype=np.int64, casting="unsafe")
+    return np.add(w, limbs[0], out=w, dtype=np.int64, casting="unsafe")
 
 
 def _block_runs(blocks: tuple[tuple[int, int], ...], r0: int, r1: int) -> list[tuple[int, int]]:
@@ -338,7 +323,7 @@ def compute_weights(graph: CommGraph, n: int) -> np.ndarray:
     Raises WeightOverflowError if any weight of the graph, not only one of
     w_n, lies beyond int64.
     """
-    if not 1 <= n <= graph.size:
+    if not (is_integer(n) and 1 <= n <= graph.size):
         raise ValueError(f"node {n} out of range 1..{graph.size}")
     return graph.weights[: n - 1, n - 1].copy()
 
@@ -600,7 +585,11 @@ def graph_from_edges(size: int, edges) -> CommGraph:
     if not is_integer(size) or size < 0:
         raise GraphFormatError(f"graph size must be an integer >= 0, got {size!r}")
     a = np.zeros((size, size), dtype=np.int8)
-    for i, j in edges:
+    for edge in edges:
+        try:
+            i, j = edge
+        except (TypeError, ValueError):
+            raise GraphFormatError(f"edge {edge!r} is not a pair (i, j)") from None
         if not (is_integer(i) and is_integer(j) and 1 <= i < j <= size):
             raise GraphFormatError(f"edge {i}->{j} requires 1 <= i < j <= {size}")
         a[i - 1, j - 1] = 1

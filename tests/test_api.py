@@ -1,7 +1,10 @@
 """The package's public names and the graph's fields, so that adding or
 removing one is a one-line diff, and how the package's types compare."""
 
+import ast
 import dataclasses
+import pathlib
+import sys
 
 import incestless
 from incestless import CommGraph
@@ -59,6 +62,22 @@ PUBLIC = [
 
 def test_public_names():
     assert sorted(incestless.__all__) == PUBLIC
+
+
+def test_imports_only_declared_dependencies():
+    # every import in the package, inline ones too, is relative, from the
+    # standard library, or of pyproject.toml's dependencies (pyyaml is yaml)
+    allowed = set(sys.stdlib_module_names) | {"numpy", "click", "yaml"}
+    imported = set()
+    for path in pathlib.Path(incestless.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                imported.update(alias.name.partition(".")[0] for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                imported.add(node.module.partition(".")[0])
+    assert imported - allowed == set()
+    # hashlib is imported only inside CommGraph.digest
+    assert {"numpy", "click", "yaml", "hashlib"} <= imported
 
 
 def test_graph_fields():

@@ -208,6 +208,11 @@ class TestWeights:
     def test_diamond_golden(self, diamond_a):
         assert list(compute_weights(diamond_a, 5)) == [-1, -1, 1, 1]
 
+    @pytest.mark.parametrize("n", [0, 6, True, 2.0])
+    def test_bad_node_raises(self, diamond_a, n):
+        with pytest.raises(ValueError, match=r"out of range 1\.\.5"):
+            compute_weights(diamond_a, n)
+
     def test_defining_system_exact(self):
         rng = np.random.default_rng(11)
         for _ in range(100):
@@ -255,7 +260,7 @@ class TestWeights:
         # every column, so the limb solve is never called
         spec = TopologySpec(kind=kind, agents=10, epochs=40)
         g = generate_topology(spec, topology_rng(0))
-        _, unproven, start = graphmod._float_inverse(g)
+        _, unproven, start = graphmod._float_weights(g)
         assert unproven.size == 0 and start == 0
         w = weight_matrix(g)
         assert limb_solves == []
@@ -336,7 +341,7 @@ class TestWeightProofCheck:
     @pytest.mark.parametrize("layers, proven", [(27, True), (28, False)])
     def test_boundary(self, layers, proven, limb_solves):
         g = layered(5, layers)
-        _, unproven, _ = graphmod._float_inverse(g)
+        _, unproven, _ = graphmod._float_weights(g)
         assert (unproven.size == 0) == proven
         w = weight_matrix(g)
         assert len(limb_solves) == (0 if proven else 1)
@@ -356,7 +361,7 @@ class TestInt64Weights:
         # or negative, so the low limbs carry into the high ones
         spec = TopologySpec(kind="complete_delay", agents=10, epochs=46)
         g = generate_topology(spec, topology_rng(1))
-        assert graphmod._float_inverse(g)[1].size > 0
+        assert graphmod._float_weights(g)[1].size > 0
         w = graphmod._int64_weights(g)
         assert np.array_equal(w, int64_weights_by_rows(g.closure))
         assert np.array_equal(weight_matrix(g), w)
@@ -456,7 +461,7 @@ class TestResumedWeights:
             g = generate_topology(spec, topology_rng(1))
         else:
             g = layered(5, 28)
-        _, unproven, start = graphmod._float_inverse(g)
+        _, unproven, start = graphmod._float_weights(g)
         w = weight_matrix(g)
         [(columns, known)] = limb_solves
         assert np.array_equal(columns, unproven) and 0 < columns.size < g.size
@@ -872,6 +877,11 @@ class TestGraphFromEdges:
                                       (1, 2.0), (True, 2)])
     def test_bad_edge_raises(self, edge):
         with pytest.raises(GraphFormatError, match="requires 1 <= i < j <= 3"):
+            graph_from_edges(3, [edge])
+
+    @pytest.mark.parametrize("edge", [(1, 2, 3), (1,), 5])
+    def test_edge_not_a_pair_raises(self, edge):
+        with pytest.raises(GraphFormatError, match=rf"edge {re.escape(repr(edge))} is not a pair"):
             graph_from_edges(3, [edge])
 
     @pytest.mark.parametrize("size", [-1, 2.0, "3", None])

@@ -18,6 +18,7 @@ from incestless import (
     augment_for_constraint,
     cli,
     default_model,
+    generate_topology,
     graph_from_edges,
     normalize_log,
 )
@@ -826,12 +827,9 @@ class TestMonteCarlo:
     def test_runs_one_wraps_run_once(self, model):
         cfg = scenario(model, topology=TopologySpec(kind="chain41"), runs=1)
         mt = monte_carlo(cfg)
-        g = graph_from_edges(41, [])  # placeholder sizes only
         assert mt.num_nodes == 41
         ss = np.random.SeedSequence(cfg.seed)
         children = ss.spawn(2)
-        from incestless.graph import generate_topology
-
         graph = generate_topology(cfg.topology, np.random.default_rng(children[0]))
         trace = run_once(cfg, graph, np.random.default_rng(children[1]))
         for m in cfg.modes:
