@@ -6,6 +6,7 @@ from .errors import (
     ConstraintViolationError,
     DagViolationError,
     DegenerateEvidenceError,
+    EvidenceOverflowError,
     GraphFormatError,
     IncestlessError,
     SignedInfinityError,

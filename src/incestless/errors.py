@@ -64,6 +64,13 @@ class WeightOverflowError(IncestlessError):
         super().__init__(f"node {node}: weight w_{node}({index}) exceeds the int64 range")
 
 
+class EvidenceOverflowError(IncestlessError, ValueError):
+    """A node's fused evidence left the float64 range.
+
+    Also a ValueError, which learning.fuse raised before this type existed.
+    """
+
+
 class SignedInfinityError(IncestlessError):
     """A negative weight was applied to a -inf log-likelihood entry."""
 

@@ -88,11 +88,13 @@ def transitive_closure(adjacency: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class CommGraph:
-    """Immutable communication graph: its adjacency, with cached closure, blocks and weights.
+    """Immutable communication graph: its adjacency and closure, and cached blocks and weights.
 
     Built from the adjacency alone, which is validated as given and kept as
-    a read-only int8 copy; the (agent, epoch) layout is TopologySpec's.  A
-    graph equals only itself; equal edge sets have equal digests.
+    a read-only int8 copy; the closure is built at construction, and only
+    blocks and weights are derived, on first use.  The (agent, epoch)
+    layout is TopologySpec's.  A graph equals only itself; equal edge sets
+    have equal digests.
     """
 
     adjacency: np.ndarray
@@ -328,9 +330,14 @@ def compute_weights(graph: CommGraph, n: int) -> np.ndarray:
     return graph.weights[: n - 1, n - 1].copy()
 
 
-def violations(weights: np.ndarray, adjacency: np.ndarray) -> dict[int, list[int]]:
-    """Map node -> violating indices: the nonzero columns of (W != 0) & (A == 0)."""
-    bad = (weights != 0) & (adjacency == 0)
+def constraint_report(graph: CommGraph) -> dict[int, list[int]]:
+    """Map node -> violating indices, for every node with a violation of the
+    availability constraint: a nonzero weight w_n(j) needs the edge j -> n.
+
+    The nonzero columns of (W != 0) & (A == 0), each listing its rows in
+    ascending order; raises WeightOverflowError where graph.weights does.
+    """
+    bad = (graph.weights != 0) & (graph.adjacency == 0)
     size = bad.shape[0]
     # flat indices of the transpose are sorted by column, then row, so
     # column c's end is the count of them below (c + 1) * size
@@ -342,12 +349,6 @@ def violations(weights: np.ndarray, adjacency: np.ndarray) -> dict[int, list[int
     flat += 1
     rows = flat.tolist()
     return {c + 1: rows[lo:hi] for c, (lo, hi) in enumerate(zip([0] + ends, ends)) if hi > lo}
-
-
-def constraint_report(graph: CommGraph) -> dict[int, list[int]]:
-    """Map node -> violating indices, for every node with a violation of the
-    availability constraint: a nonzero weight w_n(j) needs the edge j -> n."""
-    return violations(graph.weights, graph.adjacency)
 
 
 # ---------------------------------------------------------------------------

@@ -20,8 +20,10 @@ from .errors import (
     AvailabilityError,
     ConfigError,
     DegenerateEvidenceError,
+    EvidenceOverflowError,
     SignedInfinityError,
     ZeroProbabilityActionError,
+    is_integer,
     require_integer,
 )
 
@@ -211,11 +213,19 @@ def _cheapest_action(costs: np.ndarray) -> np.ndarray:
     """Action (1..A) of least expected cost along the last axis; ties -> lowest index.
 
     The one action-choice rule.  Ties are detected with a relative
-    tolerance of 1e-9: a symmetric belief under a symmetric cost produces
-    exactly tied expected costs, and the constrained and benchmark
-    pipelines reach that belief through different summation orders.
-    Without the tolerance, float noise of order 1e-16 would break such ties
-    differently in the two pipelines.
+    tolerance of 1e-9, for two reasons.  A symmetric belief under a
+    symmetric cost produces exactly tied expected costs, and the
+    constrained and benchmark pipelines reach that belief through different
+    summation orders; without the tolerance, float noise of order 1e-16
+    would break such ties differently in the two pipelines.  It also
+    settles exact ties within one pipeline.  In the binary model (two
+    states, two actions, likelihood [[p, 1-p], [1-p, p]]), a node whose
+    public belief leans one signal toward state 2 and whose own signal is 1
+    holds the uniform private belief, so it is exactly indifferent and its
+    computed costs differ by rounding alone; the tolerance gives it action
+    1.  With a strict comparison, up to 277 actions in 30 runs on small
+    graphs departed from that model's exact integer counts, which
+    tests/test_oracle.py checks.
     """
     cmin = costs.min(axis=-1, keepdims=True)
     tol = 1e-9 * np.maximum(1.0, np.abs(cmin))
@@ -259,8 +269,8 @@ def action_likelihoods(table: np.ndarray, model: StateModel) -> np.ndarray:
     added one observation at a time in ascending j.  A row is zero for an
     action no observation induces.  The administrator's likelihood of an
     action is read from here alone: simulate.StudyCache keeps these rows for
-    every action table a block step meets, and action_likelihood, the one-call
-    form for library callers, reads them too.
+    every action table a block step meets, and action_likelihood, the
+    one-node form for library callers, reads them too.
     """
     actions = np.arange(1, model.num_actions + 1)[:, None]
     # the masked terms are +0.0 and leave the sum unchanged; the C-ordered
@@ -269,27 +279,22 @@ def action_likelihoods(table: np.ndarray, model: StateModel) -> np.ndarray:
     return np.add.reduce(picked, axis=-2)
 
 
-def action_likelihood(pub: np.ndarray, a: int | np.ndarray, model: StateModel) -> np.ndarray:
-    """Per-state log-likelihood of action a given the public belief.
+def action_likelihood(pub: np.ndarray, a: int, model: StateModel) -> np.ndarray:
+    """Per-state log-likelihood of action a, an integer in 1..A, given one
+    public belief pub (X,).
 
     floored_log of row a-1 of action_likelihoods, with the action table of
-    pub.  pub may be one belief (X,) with one action, or beliefs stacked
-    along leading axes, (M, X) or (M, L, X), with one action per belief,
-    (M,) or (M, L); the table and the result follow, (..., Z) and (..., X).
-    The log is floored_log's, never -inf.
+    pub, so never -inf.  ValueError for a pub that is not one belief or an
+    a that is not an integer in 1..A; ZeroProbabilityActionError for an
+    action that no observation induces under pub.
     """
-    a = np.asarray(a)
-    if not ((1 <= a) & (a <= model.num_actions)).all():
-        bad = int(a.flat[np.argmax((a < 1) | (a > model.num_actions))])
-        raise ValueError(f"action {bad} out of range 1..{model.num_actions}")
-    liks = action_likelihoods(action_table(pub, model), model)
-    lik = np.take_along_axis(liks, a[..., None, None] - 1, axis=-2)[..., 0, :]
-    selectable = lik.any(axis=-1)
-    if not selectable.all():
-        bad = int(a.flat[np.argmin(selectable)])
-        raise ZeroProbabilityActionError(
-            f"action {bad} is not selectable under any observation"
-        )
+    if np.ndim(pub) != 1:
+        raise ValueError(f"public belief must be one vector (X,), got shape {np.shape(pub)}")
+    if not (is_integer(a) and 1 <= a <= model.num_actions):
+        raise ValueError(f"action {a} out of range 1..{model.num_actions}")
+    lik = action_likelihoods(action_table(pub, model), model)[a - 1]
+    if not lik.any():
+        raise ZeroProbabilityActionError(f"action {a} is not selectable under any observation")
     return floored_log(lik)
 
 
@@ -325,15 +330,16 @@ def fuse(coeffs: np.ndarray, evidence: np.ndarray, node: int) -> np.ndarray:
     finite, as every floored log-likelihood is, so a zero coefficient adds
     +-0.0, which leaves the sum unchanged.  A sum can still leave the
     float64 range (naive evidence counts paths, which pass about 1e305 on
-    large dense graphs): a row that is not finite raises ValueError naming
-    the lowest such node.  einsum raises no floating-point warning, so an
-    overflow or an inf - inf shows only in the check of the result.
+    large dense graphs): a row that is not finite raises
+    EvidenceOverflowError naming the lowest such node.  einsum raises no
+    floating-point warning, so an overflow or an inf - inf shows only in
+    the check of the result.
     """
     total = np.einsum("mlk,mkx->mlx", coeffs, evidence)
     if not np.isfinite(total).all():
         bad = ~np.isfinite(total).all(axis=(0, 2))
-        raise ValueError(f"node {node + int(np.argmax(bad))}: "
-                         "fused evidence left the float64 range")
+        raise EvidenceOverflowError(f"node {node + int(np.argmax(bad))}: "
+                                    "fused evidence left the float64 range")
     return total
 
 

@@ -5,14 +5,16 @@ nodes, evidence_n = sum_i F[i, n] * S[i], then adds its own increment:
 
   mode        F      S[n] stores     own increment
   naive       A      after-evidence  nu   unit weights: data incest occurs
-  removal     W      after-evidence  nu   optimal incest-removal weights
+  removal     W * A  after-evidence  nu   optimal incest-removal weights
   idealized   T - I  own increment   nu   full-action-history benchmark
   obs_oracle  T - I  own increment   obs  raw-observation posterior (for scale)
 
-A is the adjacency, T the closure, W = I - T^-1 (graph.CommGraph.weights)
-and nu the action log-likelihood (learning.action_likelihoods).  naive,
-removal and idealized are action-driven: what a node stores depends on the
-actions heard before it.  Each mechanism is described where it lives:
+A is the adjacency, T the closure, W = I - T^-1 (graph.CommGraph.weights),
+W * A their entrywise product, which is W where the availability
+constraint holds (graph.constraint_report), and nu the action
+log-likelihood (learning.action_likelihoods).  naive, removal and
+idealized are action-driven: what a node stores depends on the actions
+heard before it.  Each mechanism is described where it lives:
 
   run_tables   each mode's masked coefficients, and which modes read W
   RunTables    the coefficient table's layout and the views a block fuses
@@ -282,7 +284,7 @@ def run_tables(config: ScenarioConfig, graph: CommGraph) -> RunTables:
     removal = "removal" in config.modes
     adjacency = graph.adjacency
     try:
-        constraint = graphmod.violations(graph.weights, adjacency)
+        constraint = graphmod.constraint_report(graph)
     except WeightOverflowError:
         if removal:
             raise

@@ -22,7 +22,6 @@ from incestless import (
     weight_matrix,
 )
 from incestless import graph as graphmod
-from incestless.graph import violations
 from incestless.learning import LIKELIHOOD_FLOOR, fuse_terms
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -194,6 +193,52 @@ def exact_weight_matrix(graph):
     return w
 
 
+def multiplicity_matrix(graph, mode):
+    """M[j, n]: how many times node j's action evidence counts in node n's
+    fused evidence, in Python ints, for an action-driven mode.
+
+    naive and removal fuse after-evidence with coefficients F (A, and the
+    exact W * A), so node n's evidence is sum_j F[j, n] * (evidence_j +
+    nu_j), and M = (I - F)^-1 - I: for naive, the path counts.  idealized
+    fuses each increment once along the history, so M = T - I.
+    """
+    if mode == "idealized":
+        m = graph.closure.astype(object)
+        np.fill_diagonal(m, 0)
+        return m
+    f = graph.adjacency.astype(object)
+    if mode == "removal":
+        f = exact_weight_matrix(graph) * f
+    m = np.zeros(f.shape, dtype=object)
+    for n in range(graph.size):
+        m[:, n] = f[:, n] + m[:, :n].dot(f[:n, n])
+    return m
+
+
+def binary_oracle(multiplicity, observations):
+    """(actions, k) of one run in the binary model, from integers alone.
+
+    The model has 2 states, 2 actions, a uniform prior, 0-1 cost and
+    likelihood [[p, 1-p], [1-p, p]] (Bikhchandani, Hirshleifer and Welch
+    1992).  Node n's public log-odds is k_n * log(p / (1-p)), with
+    k_n = sum_j M[j, n] * d_j (multiplicity_matrix's M).  A node with k_n
+    >= 1 takes action 1 and one with k_n <= -2 action 2, whatever it
+    observes, so its action carries no evidence (d_n = 0); otherwise it
+    takes its observation as its action, and d_n is +1 for action 1 and -1
+    for action 2.  At k_n = -1 an observation of 1 leaves the agent exactly
+    indifferent, and the lowest action, 1, wins the tie.
+    """
+    columns = multiplicity.T.tolist()
+    actions, k, d = [], [], []
+    for n, z in enumerate(observations.tolist()):
+        k_n = sum(m * d_j for m, d_j in zip(columns[n][:n], d))
+        a = 1 if k_n >= 1 else 2 if k_n <= -2 else z
+        actions.append(a)
+        k.append(k_n)
+        d.append((1 if a == 1 else -1) if k_n in (0, -1) else 0)
+    return actions, k
+
+
 def int64_weights_by_rows(closure):
     """Reference for graph._int64_weights: W by an int64 back substitution,
     one row at a time, with a float shadow.
@@ -330,7 +375,7 @@ def reference_run_once(config, graph, rng):
     # only removal reads W, so a study without it runs where W leaves int64
     if "removal" in modes:
         weights = weight_matrix(graph)
-        constraint = violations(weights, adjacency)
+        constraint = violations_by_column(weights, adjacency)
         if constraint and not config.force:
             raise ConstraintViolationError(constraint)
         table["removal"] = (weights * adjacency if config.force else weights, True, False)

@@ -16,6 +16,7 @@ PUBLIC = [
     "ConstraintViolationError",
     "DagViolationError",
     "DegenerateEvidenceError",
+    "EvidenceOverflowError",
     "GraphFormatError",
     "IncestlessError",
     "MetricsTable",

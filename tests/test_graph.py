@@ -601,15 +601,14 @@ class TestConstraint:
         for _ in range(50):
             size = int(rng.integers(0, 30))
             g = CommGraph(random_dag(rng, size, edge_prob=float(rng.uniform(0.0, 0.5))))
-            w = weight_matrix(g)
-            report = graphmod.violations(w, g.adjacency)
-            assert list(report.items()) == list(violations_by_column(w, g.adjacency).items())
+            expected = violations_by_column(g.weights, g.adjacency)
+            assert list(constraint_report(g).items()) == list(expected.items())
         # many violations: hundreds of nodes, tens of thousands of indices
         g = generate_topology(TopologySpec(kind="random4", agents=10, epochs=60), topology_rng(0))
-        w = weight_matrix(g)
-        report = graphmod.violations(w, g.adjacency)
+        report = constraint_report(g)
         assert len(report) > 500
-        assert list(report.items()) == list(violations_by_column(w, g.adjacency).items())
+        expected = violations_by_column(g.weights, g.adjacency)
+        assert list(report.items()) == list(expected.items())
 
     def test_augment_makes_clean(self):
         rng = np.random.default_rng(23)

@@ -417,19 +417,6 @@ class TestActionTable:
             assert table.shape == (len(group), m.num_obs)
             assert np.array_equal(table, np.stack([action_table(p, m) for p in group]))
 
-
-    def test_stacked_likelihood_equals_single_calls(self):
-        m = default_model()
-        pubs = np.stack([pub for case, pub in table_cases(np.random.default_rng(14))
-                         if case.num_states == m.num_states])
-        rng = np.random.default_rng(15)
-        for group in np.array_split(pubs, len(pubs) // 4):
-            table = action_table(group, m)
-            # actions some observation induces, so no row raises
-            a = table[np.arange(len(group)), rng.integers(m.num_obs, size=len(group))]
-            expected = np.stack([action_likelihood(p, int(ak), m) for p, ak in zip(group, a)])
-            assert np.array_equal(action_likelihood(group, a, m), expected)
-
     def test_likelihoods_of_every_action_equal_single_calls(self):
         # the default model among table_cases, and its 1e-3-cost copy with
         # subnormal normalisers among the first 60 subnormal_cases
@@ -457,16 +444,21 @@ class TestActionTable:
                     else:
                         assert not lik[a - 1].any()
 
-    def test_stacked_likelihood_raises_for_an_unselectable_row(self):
+    def test_likelihood_raises_for_an_unselectable_action_or_a_bad_input(self):
         m = default_model()
-        pubs = np.stack([np.eye(m.num_states)[0], np.eye(m.num_states)[-1]])
-        table = action_table(pubs, m)
-        # row 1 takes action 1, which no observation induces under its point mass
-        assert 1 not in table[1]
-        with pytest.raises(ZeroProbabilityActionError, match="action 1 "):
-            action_likelihood(pubs, np.array([table[0, 0], 1]), m)
-        with pytest.raises(ValueError, match="action 11 out of range"):
-            action_likelihood(pubs, np.array([1, 11]), m)
+        point = np.eye(m.num_states)[-1]
+        # action 1, which no observation induces under the point mass on state X
+        assert 1 not in action_table(point, m)
+        with pytest.raises(ZeroProbabilityActionError,
+                           match="^action 1 is not selectable under any observation$"):
+            action_likelihood(point, 1, m)
+        for a in (0, 11, True, 2.0):
+            with pytest.raises(ValueError, match=f"^action {a} out of range 1..10$"):
+                action_likelihood(point, a, m)
+        # one belief only: a stack of them, or a scalar, is not one
+        for pub in (np.stack([point, point]), np.float64(1.0)):
+            with pytest.raises(ValueError, match="public belief must be one vector"):
+                action_likelihood(pub, 1, m)
 
 
 class TestAfterActionUpdate:

@@ -9,6 +9,7 @@ from incestless import (
     CommGraph,
     ConfigError,
     ConstraintViolationError,
+    EvidenceOverflowError,
     IncestlessError,
     StateModel,
     TopologySpec,
@@ -283,7 +284,7 @@ class TestStackedRunMatchesReference:
     def test_missed_violation_runs_as_forced(self, model, diamond_b, monkeypatch):
         # a constraint report that misses the violation lets the run reach node 5,
         # which fuses only the rows it receives, as under force
-        monkeypatch.setattr(graphmod, "violations", lambda weights, adjacency: {})
+        monkeypatch.setattr(graphmod, "constraint_report", lambda graph: {})
         config = scenario(model, modes=ALL_MODES)
         forced = dataclasses.replace(config, force=True)
         for seed in range(3):
@@ -357,10 +358,13 @@ class TestEvidenceOverflow:
         config = scenario(model, modes=modes, runs=2)
         graph = complete_dag(1030)
         message = "node 1016: fused evidence left the float64 range"
-        with pytest.raises(ValueError, match=message):
+        # a typed IncestlessError that is still the ValueError it was
+        with pytest.raises(ValueError, match=message) as err:
             run_once(config, graph, np.random.default_rng(0))
-        with pytest.raises(ValueError, match=message):
+        assert type(err.value) is EvidenceOverflowError
+        with pytest.raises(ValueError, match=message) as err:
             monte_carlo(config, graph=graph)
+        assert type(err.value) is EvidenceOverflowError
         if modes == ("naive",):
             assert str(assert_same_as_reference(config, graph, 0)) == message
 
@@ -375,10 +379,10 @@ class TestRunTables:
                                      (3, 6), (4, 6), (2, 6)])
         assert graph.blocks[-1] == (4, 6)
         weights = graphmod.weight_matrix(graph)
-        assert graphmod.violations(weights, graph.adjacency) == {5: [2], 6: [1]}
+        assert graphmod.constraint_report(graph) == {5: [2], 6: [1]}
         config = scenario(model, modes=ALL_MODES, runs=3)
         forced = monte_carlo(dataclasses.replace(config, force=True), graph=graph)
-        monkeypatch.setattr(graphmod, "violations", lambda weights, adjacency: {})
+        monkeypatch.setattr(graphmod, "constraint_report", lambda graph: {})
         tables = simulate.run_tables(config, graph)
         removal = coefficient_table(tables)[ALL_MODES.index("removal")]
         assert np.array_equal(removal, (weights * graph.adjacency).T)
@@ -389,6 +393,19 @@ class TestRunTables:
         for mode in ALL_MODES:
             assert np.array_equal(metrics.estimates[mode], forced.estimates[mode]), mode
             assert np.array_equal(metrics.actions[mode], forced.actions[mode]), mode
+
+    @pytest.mark.parametrize("modes", [ALL_MODES, ("naive", "idealized")])
+    def test_one_constraint_report_per_study(self, model, modes, monkeypatch):
+        # run_tables decides the condition through graph.constraint_report alone
+        reported = []
+        report = graphmod.constraint_report
+        monkeypatch.setattr(graphmod, "constraint_report",
+                            lambda graph: reported.append(graph) or report(graph))
+        config = scenario(model, modes=modes, runs=3)
+        graph = build_graph(config)
+        metrics = monte_carlo(config, graph=graph)
+        assert reported == [graph]
+        assert metrics.constraint == report(graph)
 
     def test_forced_diamond_coefficients(self, model, diamond_b):
         # node 5 hears 1, 3 and 4; w_5 = [-1, -1, 1, 1] loses row 2 to the mask
@@ -404,7 +421,7 @@ class TestRunTables:
         graph = draw_dag(data)
         modes = tuple(data.draw(st.permutations(ALL_MODES), label="modes"))
         config = scenario(model, modes=modes, force=data.draw(st.booleans(), label="force"))
-        clean = not graphmod.violations(graph.weights, graph.adjacency)
+        clean = not graphmod.constraint_report(graph)
         if not (clean or config.force):
             with pytest.raises(ConstraintViolationError):
                 simulate.run_tables(config, graph)
@@ -714,7 +731,9 @@ class TestRowMemo:
             z = rng.integers(model.num_obs, size=(*shape, 1))
             a = np.take_along_axis(acts, z, axis=-1)[..., 0]
             own = cache.nus[ids, a - 1]
-            assert own.tobytes() == action_likelihood(pub, a, model).tobytes()
+            expected = [action_likelihood(row, int(ak), model)
+                        for row, ak in zip(pub.reshape(-1, pub.shape[-1]), a.flat)]
+            assert own.tobytes() == np.stack(expected).tobytes()
         assert set(cache.ids) == given  # every row is kept
         assert_rows_counted(cache)
 
