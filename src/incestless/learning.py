@@ -210,11 +210,14 @@ def private_belief(pub: np.ndarray, z: int, model: StateModel) -> np.ndarray:
 
 
 def _cheapest_action(costs: np.ndarray) -> np.ndarray:
-    """Action (1..A) of least expected cost along the last axis; ties -> lowest index.
+    """Action (1..A) of least expected cost along the leading axis; ties -> lowest index.
 
-    The one action-choice rule.  Ties are detected with a relative
-    tolerance of 1e-9, for two reasons.  A symmetric belief under a
-    symmetric cost produces exactly tied expected costs, and the
+    costs is (A,) for one belief, or (A, ...) with the actions on the
+    leading axis: the minimum and the tolerance test then run over whole
+    slices of costs, one per action, and the result has the shape of
+    costs[0].  The one action-choice rule.  Ties are detected with a
+    relative tolerance of 1e-9, for two reasons.  A symmetric belief under
+    a symmetric cost produces exactly tied expected costs, and the
     constrained and benchmark pipelines reach that belief through different
     summation orders; without the tolerance, float noise of order 1e-16
     would break such ties differently in the two pipelines.  It also
@@ -227,9 +230,15 @@ def _cheapest_action(costs: np.ndarray) -> np.ndarray:
     graphs departed from that model's exact integer counts, which
     tests/test_oracle.py checks.
     """
-    cmin = costs.min(axis=-1, keepdims=True)
-    tol = 1e-9 * np.maximum(1.0, np.abs(cmin))
-    return np.argmax(costs <= cmin + tol, axis=-1) + 1
+    cmin = np.minimum.reduce(costs, keepdims=True)
+    # cmin + 1e-9 * max(1, |cmin|), in place
+    bound = np.abs(cmin)
+    np.maximum(bound, 1.0, out=bound)
+    bound *= 1e-9
+    bound += cmin
+    best = (costs <= bound).argmax(axis=0)
+    best += 1
+    return best
 
 
 def choose_action(mu: np.ndarray, model: StateModel) -> int:
@@ -243,22 +252,47 @@ def action_table(pub: np.ndarray, model: StateModel) -> np.ndarray:
     pub is one belief (X,) or beliefs stacked along leading axes, such as
     (M, X) over modes or (M, L, X) over modes and the nodes of a block; the
     result is (Z,) or (M, Z) or (M, L, Z), entry j-1 of a row the action of
-    an agent observing j.  Each
-    private belief is normalised as in private_belief; an observation
-    impossible under pub leaves the public belief itself (the limit of the
-    private belief).  Each action is _cheapest_action's, as in
-    choose_action, row by row.  The agent's action and the administrator's
-    likelihood of it are both read from this table.
+    an agent observing j.  Each private belief is normalised as in
+    private_belief; an observation impossible under pub leaves the public
+    belief itself (the limit of the private belief).  Each action is
+    _cheapest_action's, as in choose_action, row by row.  The agent's
+    action and the administrator's likelihood of it are both read from
+    this table.
+
+    A call works on its live states alone: [lo, hi), the shortest range of
+    states that holds every nonzero entry of pub, one range for all its
+    rows.  Public beliefs concentrate as actions accumulate (on dense_scale
+    most rows hold 2-4 of the 20 states), and the range gives the table of
+    all X states, because a state outside it adds only zeros:
+    - each normaliser is added in ascending state order, as a reduce over
+      the outer axis of a (states, rows, Z) array, and a state outside the
+      range adds 0 * B = +0.0 to it, so the normalisers and the private
+      beliefs are bit for bit those of all X states;
+    - a private belief is 0 at such a state, so it adds only +-0.0 terms
+      to each expected cost;
+    - a minimum is exact in any order.
+    The costs are one BLAS product, cost[lo:hi].T @ (private beliefs), with
+    the actions on the leading axis.  Where the kernel adds each cost's
+    terms in ascending state order, as the OpenBLAS x86-64 kernels Katmai,
+    Sandybridge, Haswell and SkylakeX were measured to at the default
+    model's shapes, the costs equal those over all X states bit for bit;
+    other kernels and shapes round some costs differently, by far less
+    than _cheapest_action's tie tolerance.  tests/conftest.py keeps the
+    full-width kernel as action_table_full_width.
     """
-    # the transposed view, not likelihood_t: the layout fixes the order in
-    # which total sums over states
-    unnorm = pub[..., None, :] * model.likelihood.T
-    total = unnorm.sum(axis=-1, keepdims=True)
-    impossible = total == 0
-    if impossible.any():
-        unnorm = np.where(impossible, pub[..., None, :], unnorm)
-        total = np.where(impossible, 1.0, total)
-    return _cheapest_action((unnorm / total) @ model.cost)
+    rows = pub.reshape(-1, pub.shape[-1])
+    live = np.logical_or.reduce(rows, axis=0).nonzero()[0]
+    lo, hi = (int(live[0]), int(live[-1]) + 1) if live.size else (0, 0)
+    p = rows[:, lo:hi].T[:, :, None]  # (states, rows, 1): states on the outer axis
+    unnorm = p * model.likelihood[lo:hi, None, :]
+    total = np.add.reduce(unnorm, axis=0)
+    if not total.all():
+        impossible = total == 0
+        np.copyto(unnorm, p, where=impossible)
+        np.copyto(total, 1.0, where=impossible)
+    unnorm /= total
+    costs = model.cost[lo:hi].T @ unnorm.reshape(hi - lo, total.size)
+    return _cheapest_action(costs).reshape(pub.shape[:-1] + (model.num_obs,))
 
 
 def action_likelihoods(table: np.ndarray, model: StateModel) -> np.ndarray:

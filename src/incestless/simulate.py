@@ -166,12 +166,16 @@ class StudyCache:
     table id.  Every array is read-only; tables and nus are replaced when
     they grow.
 
-    Measured at commit 1884124 on the bundled studies (100 runs each): on
+    Measured at commit 717e674 on the bundled studies (100 runs each): on
     paper_chain41, 1915 of 12 300 public-belief rows are distinct and 2449
     of 4100 blocks read held inputs; a study meets 28-57 distinct action
     tables; in their own modes or in all four, the rows peak at 404 KiB
     (413 920 B, paper_chain41), so the cache never clears; and in their
-    own modes action_table computes 4081 rows, one per distinct belief.
+    own modes action_table computes 4081 rows, one per distinct belief, in
+    1873 calls, of which 1859 have a live state range of 2-10 of the 20
+    states.  On dense_scale's four seed-1 studies it computes 4578 rows in
+    308 calls: 4491 rows hold 2-4 states, and 288 calls have a live range
+    of 2-4 states.
     """
 
     def __init__(self, model: StateModel):

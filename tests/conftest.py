@@ -6,6 +6,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from incestless import (
     CommGraph,
@@ -15,6 +16,7 @@ from incestless import (
     ZeroProbabilityActionError,
     action_likelihood,
     action_table,
+    augment_for_constraint,
     default_model,
     graph_from_edges,
     normalize_log,
@@ -119,6 +121,19 @@ def random_dag(rng, size, edge_prob=0.25):
     return np.triu(a, k=1)
 
 
+def draw_dag(data, max_size=14):
+    """A drawn DAG of 1..max_size nodes, augmented for the constraint or not."""
+    size = data.draw(st.integers(1, max_size), label="size")
+    bits = data.draw(st.lists(st.booleans(), min_size=size * (size - 1) // 2,
+                              max_size=size * (size - 1) // 2), label="edges")
+    a = np.zeros((size, size), dtype=np.int8)
+    a[np.triu_indices(size, 1)] = bits
+    graph = CommGraph(a)
+    if data.draw(st.booleans(), label="augment"):
+        graph = augment_for_constraint(graph)
+    return graph
+
+
 def bfs_closure(adjacency):
     """Independent reachability oracle: explicit BFS from every node."""
     a = np.asarray(adjacency)
@@ -213,6 +228,12 @@ def multiplicity_matrix(graph, mode):
     for n in range(graph.size):
         m[:, n] = f[:, n] + m[:, :n].dot(f[:n, n])
     return m
+
+
+def binary_model(q):
+    """The binary cascade model: two states, two actions, a uniform prior,
+    0-1 cost and likelihood [[1-q, q], [q, 1-q]]."""
+    return default_model(states=2, actions=2, likelihood=[[1 - q, q], [q, 1 - q]])
 
 
 def binary_oracle(multiplicity, observations):
@@ -335,6 +356,27 @@ def fuse_by_reduce(coeffs, evidence):
     fixes the order fuse must match.
     """
     return np.add.reduce(coeffs[..., None] * evidence[:, None], axis=2)
+
+
+def action_table_full_width(pub, model):
+    """Reference for learning.action_table: every private belief and every
+    expected cost over all X states, the actions on the last axis of the
+    costs.
+
+    The normaliser sums over the outer axis of the (..., Z, X) product, so
+    in ascending state order; action_table must give the same table from
+    its live states alone.
+    """
+    unnorm = pub[..., None, :] * model.likelihood.T
+    total = unnorm.sum(axis=-1, keepdims=True)
+    impossible = total == 0
+    if impossible.any():
+        unnorm = np.where(impossible, pub[..., None, :], unnorm)
+        total = np.where(impossible, 1.0, total)
+    costs = (unnorm / total) @ model.cost
+    cmin = costs.min(axis=-1, keepdims=True)
+    tol = 1e-9 * np.maximum(1.0, np.abs(cmin))
+    return np.argmax(costs <= cmin + tol, axis=-1) + 1
 
 
 def coefficient_table(tables):

@@ -1,4 +1,5 @@
 import dataclasses
+import platform
 import warnings
 
 import numpy as np
@@ -30,7 +31,8 @@ from incestless import augment_for_constraint, cli, simulate
 from incestless.graph import TopologySpec
 from incestless.learning import action_likelihoods, floored_log, fuse, fuse_terms
 
-from conftest import after_action_update, fuse_by_reduce, run_python
+from conftest import (action_table_full_width, after_action_update, binary_model, fuse_by_reduce,
+                      run_python)
 
 
 ALL_MODES = ("naive", "removal", "idealized", "obs_oracle")
@@ -459,6 +461,123 @@ class TestActionTable:
         for pub in (np.stack([point, point]), np.float64(1.0)):
             with pytest.raises(ValueError, match="public belief must be one vector"):
                 action_likelihood(pub, 1, m)
+
+
+def draw_model(data):
+    """The default model, a binary model, or a random one of 1-8 states,
+    1-6 observations and 1-5 actions whose likelihood has zeros and whose
+    costs have either sign."""
+    kind = data.draw(st.sampled_from(["default", "binary", "random"]), label="model")
+    if kind == "default":
+        return default_model()
+    if kind == "binary":
+        # at q = 1e-200 some products pub * B are subnormal or 0
+        return binary_model(data.draw(st.sampled_from([0.4, 0.3, 0.1, 1e-200]), label="q"))
+    x, z, a = (data.draw(st.integers(1, top), label=name)
+               for name, top in (("states", 8), ("observations", 6), ("actions", 5)))
+    weights = np.array(data.draw(st.lists(st.sampled_from([0.0, 0.5, 1.0, 3.0]),
+                                          min_size=x * z, max_size=x * z), label="likelihood"))
+    weights = weights.reshape(x, z)
+    weights[:, 0] += weights.sum(axis=1) == 0
+    cost = data.draw(st.lists(st.floats(-10, 10), min_size=x * a, max_size=x * a), label="cost")
+    return StateModel(prior=np.full(x, 1.0 / x), likelihood=weights / weights.sum(axis=1, keepdims=True),
+                      cost=np.reshape(cost, (x, a)))
+
+
+def draw_beliefs(data, model):
+    """0-6 beliefs over the model's states, as one belief (X,), a stack (R, X)
+    or a block (1, R, X) as obs_oracle passes.  Each row is the uniform
+    prior, a point mass, or exp of log-weights drawn on a drawn set of
+    states, down to e^-745 of the largest, so some entries are subnormal."""
+    x = model.num_states
+    rows = []
+    for _ in range(data.draw(st.integers(0, 6), label="rows")):
+        kind = data.draw(st.sampled_from(["uniform", "point", "drawn"]), label="kind")
+        if kind == "uniform":
+            rows.append(np.full(x, 1.0 / x))
+        elif kind == "point":
+            rows.append(np.eye(x)[data.draw(st.integers(0, x - 1), label="state")])
+        else:
+            states = sorted(data.draw(st.sets(st.integers(0, x - 1), min_size=1), label="states"))
+            theta = np.full(x, -np.inf)
+            theta[states] = data.draw(st.lists(st.floats(-745, 0), min_size=len(states),
+                                               max_size=len(states)), label="theta")
+            rows.append(normalize_log(theta))
+    pub = np.reshape(rows, (-1, x))
+    layout = data.draw(st.sampled_from(["stack", "one", "block"]), label="layout")
+    if layout == "one" and len(pub) == 1:
+        return pub[0]
+    return pub[None] if layout == "block" else pub
+
+
+class TestLiveStateRange:
+    """action_table over the live states of a call equals the full-width kernel."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_equals_the_full_width_kernel(self, data):
+        model = draw_model(data)
+        pub = draw_beliefs(data, model)
+        table = action_table(pub, model)
+        assert table.shape == pub.shape[:-1] + (model.num_obs,)
+        assert np.array_equal(table, action_table_full_width(pub, model))
+
+    def test_the_cases_a_range_must_keep(self):
+        m = default_model()
+        e = np.eye(m.num_states)
+        subnormal = e[[4, 0]]
+        subnormal[0, 5] = subnormal[1, 17:] = 5e-324
+        cases = {
+            # the union range spans states 2-19; states 3-17 are zero in every row
+            "disjoint supports": np.stack([e[1], (e[17] + e[18]) / 2]),
+            "uniform prior and point masses": np.stack([m.prior, e[0], e[19], e[9]]),
+            "subnormal entries": subnormal,
+            # observations 4-20 have probability 0 under a point mass on state 1
+            "impossible observations": e[0],
+            "empty stack": np.empty((0, m.num_states)),
+            "empty block of an N = 0 graph": np.empty((1, 0, m.num_states)),
+        }
+        assert not (e[0] @ m.likelihood).all()
+        for name, pub in cases.items():
+            table = action_table(pub, m)
+            assert table.shape == pub.shape[:-1] + (m.num_obs,), name
+            assert np.array_equal(table, action_table_full_width(pub, m)), name
+
+    @pytest.mark.parametrize("q", [0.4, 0.3, 0.1, 1e-200])
+    def test_the_binary_models_exact_tie(self, q):
+        # a public belief one signal toward state 2: observing 1 leaves the agent
+        # exactly indifferent, and the lowest action wins the tie
+        m = binary_model(q)
+        pub = np.array([q, 1 - q])
+        assert action_table(pub, m).tolist() == action_table_full_width(pub, m).tolist() == [1, 2]
+
+
+def openblas_with_kernel_choice():
+    """True where numpy's BLAS is an x86-64 OpenBLAS built with DYNAMIC_ARCH,
+    whose kernel OPENBLAS_CORETYPE selects."""
+    if platform.machine().lower() not in ("x86_64", "amd64"):
+        return False
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except (TypeError, KeyError):  # numpy before 1.25 prints its configuration only
+        return False
+    return ("openblas" in blas.get("name", "").lower()
+            and "DYNAMIC_ARCH" in blas.get("openblas configuration", ""))
+
+
+@pytest.mark.skipif(not openblas_with_kernel_choice(),
+                    reason="numpy's BLAS is not an x86-64 OpenBLAS with a selectable kernel")
+@pytest.mark.parametrize("core", ["Prescott", "Haswell"])
+def test_action_tables_under_other_blas_kernels(core):
+    # the action tables' products run in BLAS: rerun the range identities, the
+    # table tests and the golden digests under a kernel without FMA (Prescott)
+    # and one with it (Haswell)
+    res = run_python("-m", "pytest", "-q", "-p", "no:cacheprovider",
+                     "tests/test_learning.py::TestActionTable",
+                     "tests/test_learning.py::TestLiveStateRange",
+                     "tests/test_cli.py::TestRun::test_bundled_golden_digests",
+                     OPENBLAS_CORETYPE=core)
+    assert res.returncode == 0, res.stdout + res.stderr
 
 
 class TestAfterActionUpdate:

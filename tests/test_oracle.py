@@ -5,12 +5,14 @@ rule or fusion."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from incestless import (ScenarioConfig, TopologySpec, augment_for_constraint, constraint_report,
                         default_model, generate_topology, run_once, run_tables, seed_rng,
                         topology_rng)
 
-from conftest import binary_oracle, multiplicity_matrix
+from conftest import binary_model, binary_oracle, draw_dag, multiplicity_matrix
 
 MODES = ("naive", "removal", "idealized")
 RUNS = 20
@@ -73,3 +75,41 @@ def test_every_action_and_public_belief_follows_the_oracle(graphs, name, p):
             counts["log-odds checked"] += int(both.sum())
     # the runs reach both kinds of node, and the log-odds check is not vacuous
     assert all(counts.values()), counts
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_drawn_dags_follow_the_oracle(data):
+    # every action of every mode on a drawn DAG of up to 12 nodes, forced where
+    # it violates the constraint (on a graph that satisfies it, forcing changes
+    # no coefficient)
+    graph = draw_dag(data, max_size=12)
+    model = binary_model(data.draw(st.sampled_from([0.4, 0.3, 0.1, 1e-200]), label="q"))
+    config = ScenarioConfig(model=model, topology=TopologySpec(kind="chain41"), modes=MODES,
+                            runs=3, seed=data.draw(st.integers(0, 2**16), label="seed"),
+                            force=True)
+    tables = run_tables(config, graph)
+    multiplicity = {mode: multiplicity_matrix(graph, mode) for mode in MODES}
+    for r in range(1, config.runs + 1):
+        trace = run_once(config, graph, seed_rng(config.seed, r), tables=tables)
+        for row, mode in enumerate(MODES):
+            actions, _ = binary_oracle(multiplicity[mode], trace.observations)
+            assert trace.actions[row].tolist() == actions, (mode, r)
+
+
+def test_point_mass_beliefs_follow_the_oracle(graphs):
+    # at q = 1e-200 a public belief two net signals toward state 2 holds
+    # e^-921 on state 1, which is 0.0: each of its action tables is built from
+    # a one-state live range
+    graph, _, multiplicity = graphs["chain41"]
+    config = ScenarioConfig(model=binary_model(1e-200), topology=TopologySpec(kind="chain41"),
+                            modes=MODES, runs=RUNS, seed=1)
+    tables = run_tables(config, graph)
+    point_masses = 0
+    for r in range(1, RUNS + 1):
+        trace = run_once(config, graph, seed_rng(config.seed, r), tables=tables)
+        for row, mode in enumerate(MODES):
+            actions, _ = binary_oracle(multiplicity[mode], trace.observations)
+            assert trace.actions[row].tolist() == actions, (mode, r)
+        point_masses += int((trace.public == 0).any(axis=-1).sum())
+    assert point_masses > 0

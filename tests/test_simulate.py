@@ -27,7 +27,7 @@ from incestless import graph as graphmod
 from incestless import learning, simulate
 from incestless.simulate import ScenarioConfig, build_graph, monte_carlo, run_once
 
-from conftest import DIAMOND_A_EDGES, coefficient_table, reference_run_once
+from conftest import DIAMOND_A_EDGES, coefficient_table, draw_dag, reference_run_once
 
 ALL_MODES = ("naive", "removal", "idealized", "obs_oracle")
 BUNDLED = ("paper_chain41", "paper_complete", "paper_star", "paper_random4")
@@ -195,19 +195,6 @@ class TestRunOnce:
             "constraint.txt": "all nodes satisfy the topological constraint\n"}
 
 
-def draw_dag(data):
-    """A drawn DAG of 1-14 nodes, augmented for the constraint or not."""
-    size = data.draw(st.integers(1, 14), label="size")
-    bits = data.draw(st.lists(st.booleans(), min_size=size * (size - 1) // 2,
-                              max_size=size * (size - 1) // 2), label="edges")
-    a = np.zeros((size, size), dtype=np.int8)
-    a[np.triu_indices(size, 1)] = bits
-    graph = CommGraph(a)
-    if data.draw(st.booleans(), label="augment"):
-        graph = augment_for_constraint(graph)
-    return graph
-
-
 def assert_same_as_reference(config, graph, seed):
     """run_once equals reference_run_once bit for bit, or raises the same
     error.  Returns the error the reference raised, or None."""
@@ -297,14 +284,7 @@ class TestStackedRunMatchesReference:
     @settings(max_examples=150, deadline=None)
     @given(data=st.data())
     def test_random_dags(self, model, data):
-        size = data.draw(st.integers(1, 14), label="size")
-        bits = data.draw(st.lists(st.booleans(), min_size=size * (size - 1) // 2,
-                                  max_size=size * (size - 1) // 2), label="edges")
-        a = np.zeros((size, size), dtype=np.int8)
-        a[np.triu_indices(size, 1)] = bits
-        graph = CommGraph(a)
-        if data.draw(st.booleans(), label="augment"):
-            graph = augment_for_constraint(graph)
+        graph = draw_dag(data)
         config = scenario(model, modes=ALL_MODES, true_state="random",
                           force=data.draw(st.booleans(), label="force"),
                           estimate_rule=data.draw(st.sampled_from(["mean", "map"]), label="rule"))
