@@ -193,46 +193,68 @@ def _float_weights(graph: CommGraph) -> tuple[np.ndarray, np.ndarray, int]:
     node's row of each T_{n-1} and its entry t_n(j+1) of each later column.
     A column of W reads only itself, so any subset of columns can be solved
     alone.  W starts at T - I, each row at its t_j, and is solved bottom-up
-    in blocks of _BLOCK rows: the rows below a block enter by one GEMM per
-    chunk of _BLOCK columns, which stops at the chunk's last row (the
-    entries below it are zero), then the block's own rows are solved one
-    run at a time, bottom-up, by one product each (`_block_runs`).  No node
-    of a run reaches another, so T is the identity on the run, each of its
-    rows reads only the rows below the run, and its entries at or left of
-    the run's last column stay 0: the product covers only the columns past
-    the run.
+    in blocks of _BLOCK rows r0..r1-1.  The rows below a block enter by one
+    GEMM per chunk of _BLOCK columns, which stops at the chunk's last row
+    (the entries below it are zero), up to `stop`: 1 plus the last column
+    past the block that some row of the block does not reach (`_reach_stop`,
+    r1 if none).  Every row of the block reaches every node from stop on,
+    so (1 - t) is zero there, and on the columns from the first chunk at or
+    past stop one thin product takes the place of the rest of the chunks:
+
+        t @ W[r1:] = below - (1 - t)[:, r1:stop] @ W[r1:stop],
+
+    where `below` holds the per-column sums of the rows solved so far,
+    updated once per block.  On the generated topologies each node reaches
+    almost every later node, so stop lies a few dozen columns past the
+    block.  Then the block's own rows are solved one run at a time,
+    bottom-up, by one product each (`_block_runs`).  No node of a run
+    reaches another, so T is the identity on the run, each of its rows
+    reads only the rows below the run, and its entries at or left of the
+    run's last column stay 0: the product covers only the columns past the
+    run.
 
     Each entry is w[j, c] = t_jc - (sum of a subset of the w[k, c] solved
     before its run), as T is 0/1, and every partial sum on the way is a
-    signed subset sum of the same terms.  So while 1 plus a column's sum
-    of |w| (its sum of |T^-1|, whose diagonal is 1) stays below 2^53, all
-    of them are integers that float64 holds exactly: the first wrong entry
-    in solve order would have read only exact entries of its column, and
-    so could not be wrong.  The column sums are themselves
-    sums of integers, and one below 2^53 is exact, whatever the order of
-    its additions.
+    signed subset sum of the same terms.  The suffix form is no exception:
+    `below`, each partial sum of the thin product and their difference are
+    sums over subsets of the column's rows below the block.  So while 1
+    plus a column's sum of |w| (its sum of |T^-1|, whose diagonal is 1)
+    stays below 2^53, all of them are integers that float64 holds exactly:
+    the first wrong entry in solve order would have read only exact entries
+    of its column, and so could not be wrong.  The column sums are
+    themselves sums of integers, and one below 2^53 is exact, whatever the
+    order of its additions.  Either form of the product thus gives the same
+    bits wherever the column is proven.
 
     The proof holds column by column.  A column whose sum reaches 2^53 in
     a block is unproven: its rows in that block and in every block above
-    it are zeroed once solved, which keeps it finite and changes no other
-    column.  `start` is the first row of the block solved before the first
-    one in which a column failed (0 if none did): up to that block every
-    column was proven, so rows >= start are exact in every column.
+    it are zeroed once solved, before they enter `below`, which keeps it
+    finite and changes no other column; its rows that do enter `below` are
+    exact.  `start` is the first row of the block solved before the first
+    one in which a column failed (0 if none did), so it is a block boundary,
+    a multiple of _BLOCK or N: up to that block every column was proven, so
+    rows >= start are exact in every column.
     """
     closure, rows, blocks = graph.closure, graph.size, graph.blocks
     w = closure.astype(np.float64)  # T - I: each row starts at its t_j
     np.fill_diagonal(w, 0)
     sums = np.ones(rows)  # 1 + the sum of |w| solved so far, per column
+    below = np.zeros(rows)  # the sum of the rows solved so far, per column
     unproven = np.zeros(rows, dtype=bool)
     start = 0
     for r0 in range(((rows - 1) // _BLOCK) * _BLOCK, -1, -_BLOCK):
         r1 = min(r0 + _BLOCK, rows)
         t = closure[r0:r1, r0:].astype(np.float64)  # the block's rows, from column r0
+        stop = _reach_stop(closure, r0, r1)
         # columns of nodes before the block are zero on its rows and below, and
         # w[k, c] = 0 for k >= c, so each chunk of columns past the block reads
         # the rows below the block only up to its last column
         block = w[r0:r1, r0:]
         for c0 in range(r1, rows, _BLOCK):
+            if c0 >= stop:
+                # the block's rows reach every row from stop on
+                block[:, c0 - r0:] -= below[c0:] - (1 - t[:, r1 - r0:stop - r0]) @ w[r1:stop, c0:]
+                break
             c1 = min(c0 + _BLOCK, rows)
             block[:, c0 - r0:c1 - r0] -= t[:, r1 - r0:c1 - r0] @ w[r1:c1, c0:c1]
         # the bottom run has no block rows below it
@@ -245,6 +267,7 @@ def _float_weights(graph: CommGraph) -> tuple[np.ndarray, np.ndarray, int]:
                 start = r1
             unproven[r0:] = failed
             block[:, failed] = 0
+        below[r0:] += block.sum(axis=0)
     return w, np.flatnonzero(unproven), start
 
 
@@ -254,15 +277,20 @@ def _int64_weights(graph: CommGraph, columns: np.ndarray | None = None,
     blocks of _float_weights, exactly modulo 2^64, resumed below `known`.
 
     `known` holds rows start.. of W[:, columns], exact and in int64 (none by
-    default, so start = N; start is a block boundary), and rows start-1 .. 0
-    are solved.  The rows are held only as two float64 planes, their low 32
-    bits (unsigned) and their high 32 bits (signed), recombined into int64
-    on return.  A 0/1 row times a limb plane sums to less than N * 2^32 in
-    magnitude, below 2^53 for N < 2^21, so each limb sum, and every partial
-    sum of it in any order, is an exact integer in float64, and so is the
-    sum of the GEMM part and the in-block part.  The limb sums recombine to
-    t_j @ W mod 2^64, so each row equals, bit for bit, an int64 back
-    substitution that wraps.
+    default, so start = N), and rows start-1 .. 0 are solved.  start is a
+    block boundary, a multiple of _BLOCK or N, as _float_weights returns
+    it, so the blocks here are the float solve's.  The rows are held only
+    as two float64 planes, their low 32 bits (unsigned) and their high 32
+    bits (signed), recombined into int64 on return.  A 0/1 row times a limb
+    plane sums to less than N * 2^32 in magnitude, below 2^53 for N < 2^21,
+    so each limb sum, and every partial sum of it in any order, is an exact
+    integer in float64, and so is the sum of the GEMM part and the in-block
+    part.  The suffix form of _float_weights holds per plane: `below` sums
+    each plane's rows solved so far, and it, the thin product and their
+    difference are signed sums over subsets of a column's rows, each also
+    below N * 2^32 in magnitude, so the form gives the GEMM part's bits.
+    The limb sums recombine to t_j @ W mod 2^64, so each row equals, bit
+    for bit, an int64 back substitution that wraps.
 
     The same limb sums, recombined in float64 instead, give t_j @ W with a
     relative error below 2^-51, so far less than 2^63 off.  Where the true
@@ -281,17 +309,24 @@ def _int64_weights(graph: CommGraph, columns: np.ndarray | None = None,
     if known is not None:
         limbs[:, start:] = known & 0xFFFFFFFF, known >> 32
     t_cols = closure[:, cols]
+    below = limbs[:, start:].sum(axis=1)  # the sum of the rows solved so far, per limb and column
     # past[j]: the first of the columns after node j+1, the ones row j solves
     past = np.searchsorted(cols, np.arange(rows), side="right").tolist()
     for r0 in range(((start - 1) // _BLOCK) * _BLOCK, -1, -_BLOCK):
         r1 = min(r0 + _BLOCK, start)
         t = closure[r0:r1, r0:].astype(np.float64)  # the block's rows, from column r0
+        stop = _reach_stop(closure, r0, r1)
         k0 = past[r0]
         sums = np.zeros((2, r1 - r0, cols.size - k0))
         for q0 in range(k0, cols.size, _BLOCK):
+            if cols[q0] >= stop:
+                # the block's rows reach every row from stop on
+                sums[:, :, q0 - k0:] = (below[:, None, q0:]
+                                        - (1 - t[:, r1 - r0:stop - r0]) @ limbs[:, r1:stop, q0:])
+                break
             q1 = min(q0 + _BLOCK, cols.size)
-            stop = max(int(cols[q1 - 1]), r1)
-            sums[:, :, q0 - k0:q1 - k0] = t[:, r1 - r0:stop - r0] @ limbs[:, r1:stop, q0:q1]
+            last = max(int(cols[q1 - 1]), r1)
+            sums[:, :, q0 - k0:q1 - k0] = t[:, r1 - r0:last - r0] @ limbs[:, r1:last, q0:q1]
         for a, b in _block_runs(blocks, r0, r1):
             j0, j1, k = r0 + a, r0 + b, past[r0 + b - 1]
             run = sums[:, a:b, k - k0:]
@@ -304,6 +339,7 @@ def _int64_weights(graph: CommGraph, columns: np.ndarray | None = None,
                 c = k + np.flatnonzero(wrapped[i])[0]
                 raise WeightOverflowError(node=int(cols[c]) + 1, index=j0 + int(i) + 1)
             limbs[:, j0:j1, k:] = exact & 0xFFFFFFFF, exact >> 32
+        below += limbs[:, r0:r1].sum(axis=1)
     # W's one int64 plane; the low limbs are cast in the ufunc's buffer, not in a plane
     w = np.left_shift(limbs[1], 32, dtype=np.int64, casting="unsafe")
     return np.add(w, limbs[0], out=w, dtype=np.int64, casting="unsafe")
@@ -316,6 +352,13 @@ def _block_runs(blocks: tuple[tuple[int, int], ...], r0: int, r1: int) -> list[t
     first = bisect.bisect_right(blocks, r0, key=itemgetter(0)) - 1  # the block holding r0
     last = bisect.bisect_left(blocks, r1, key=itemgetter(0))
     return [(max(lo, r0) - r0, min(hi, r1) - r0) for lo, hi in reversed(blocks[first:last])]
+
+
+def _reach_stop(closure: np.ndarray, r0: int, r1: int) -> int:
+    """1 plus the last column past row r1-1 that some row r0..r1-1 of the
+    closure does not reach; r1 if every one of them reaches every later node."""
+    unreached = np.flatnonzero(closure[r0:r1, r1:].min(axis=0) == 0)
+    return r1 + 1 + int(unreached[-1]) if unreached.size else r1
 
 
 def compute_weights(graph: CommGraph, n: int) -> np.ndarray:
@@ -337,18 +380,22 @@ def constraint_report(graph: CommGraph) -> dict[int, list[int]]:
     The nonzero columns of (W != 0) & (A == 0), each listing its rows in
     ascending order; raises WeightOverflowError where graph.weights does.
     """
-    bad = (graph.weights != 0) & (graph.adjacency == 0)
-    size = bad.shape[0]
-    # flat indices of the transpose are sorted by column, then row, so
-    # column c's end is the count of them below (c + 1) * size
-    flat = np.flatnonzero(bad.T)
-    ends = np.searchsorted(flat, np.arange(1, size + 1) * size).tolist()
-    # in place: two freed temporaries of this size left graph_sweep's peak
-    # resident set about 3 MB higher
-    flat %= size
-    flat += 1
-    rows = flat.tolist()
-    return {c + 1: rows[lo:hi] for c, (lo, hi) in enumerate(zip([0] + ends, ends)) if hi > lo}
+    weights, adjacency = graph.weights, graph.adjacency
+    size = weights.shape[0]
+    # the mask, transposed in C order, so row c is column c of the mask; it
+    # is built 256 rows at a time, a strip whose transpose stays in cache (a
+    # transposed copy of the whole mask, read column-major, was 4x slower
+    # at N = 5000)
+    by_column = np.empty((size, size), dtype=bool)
+    for r0 in range(0, size, 256):
+        strip = slice(r0, r0 + 256)
+        bad = weights[strip] != 0
+        bad &= adjacency[strip] == 0
+        by_column[:, strip] = bad.T
+    # every list holds the same int objects, one per node label
+    labels = np.arange(1, size + 1).astype(object)
+    return {c + 1: labels[by_column[c]].tolist()
+            for c in np.flatnonzero(by_column.any(axis=1)).tolist()}
 
 
 # ---------------------------------------------------------------------------
@@ -477,10 +524,11 @@ def augment_for_constraint(graph: CommGraph) -> CommGraph:
     needed = (graph.weights != 0) & (graph.adjacency == 0)
     if not needed.any():
         return graph
-    if not graph.closure[needed].all():
+    added = needed.view(np.int8)  # the needed edges as 0/1
+    if (added > graph.closure).any():  # a needed edge the closure lacks
         j, n = np.argwhere(needed & (graph.closure == 0))[0] + 1
         raise IncestlessError(f"added edge {j}->{n} would change the transitive closure")
-    adjacency = graph.adjacency | needed.astype(np.int8)
+    adjacency = graph.adjacency | added
     adjacency.flags.writeable = False
     fixed = copy.copy(graph)
     object.__setattr__(fixed, "adjacency", adjacency)

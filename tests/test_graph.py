@@ -246,12 +246,12 @@ class TestWeights:
     @settings(max_examples=150, deadline=None)
     @given(data=st.data())
     def test_equals_exact_solve_on_random_dags(self, data):
-        size = data.draw(st.integers(0, 40), label="size")
-        bits = data.draw(st.lists(st.booleans(), min_size=size * (size - 1) // 2,
-                                  max_size=size * (size - 1) // 2), label="edges")
-        a = np.zeros((size, size), dtype=np.int8)
-        a[np.triu_indices(size, 1)] = bits
-        g = CommGraph(a)
+        # up to 150 nodes, so up to three blocks of rows, each of which can
+        # reach `stop` and take the suffix form
+        size = data.draw(st.integers(0, 150), label="size")
+        edge_prob = data.draw(st.sampled_from([0.02, 0.1, 0.3, 0.7]), label="edge_prob")
+        seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
+        g = CommGraph(random_dag(np.random.default_rng(seed), size, edge_prob))
         assert np.array_equal(weight_matrix(g), exact_weight_matrix(g))
 
     @pytest.mark.parametrize("kind", ["random4", "complete_delay", "star_delay"])
@@ -547,6 +547,58 @@ class TestRunWiseSolves:
         assert np.array_equal(w, expected)
         every = graphmod._int64_weights(g, np.arange(g.size), expected[64:])
         assert np.array_equal(every, expected)
+
+
+def suffix_regime(g):
+    """How the blocks of the weight solves meet `stop`, 1 plus the last
+    column past a block that some row of the block does not reach: "reach
+    all" if stop is the block's end in every block, "thin" if it lies less
+    than _BLOCK columns past the end in every block, so that every block
+    with two chunks of columns past it takes the suffix form, else "wide"."""
+    rows, step = g.size, graphmod._BLOCK
+    past = [graphmod._reach_stop(g.closure, r0, min(r0 + step, rows)) - min(r0 + step, rows)
+            for r0 in range(0, rows, step)]
+    return "reach all" if not any(past) else "thin" if max(past) < step else "wide"
+
+
+class TestSuffixForm:
+    # past `stop`, both weight solves take t @ W as the running sum of the
+    # rows below a block minus one thin product: they must give the
+    # row-by-row int64 solve's arrays and errors in each regime
+
+    @pytest.mark.parametrize("graph, regime", [
+        ("chain41", "reach all"),
+        ("chain", "reach all"),
+        ("random4", "thin"),
+        ("star_delay", "wide"),
+        ("complete_delay", "thin"),
+    ])
+    def test_equals_row_loop(self, graph, regime):
+        # chain41 is one block; a chain of 300 nodes has five, each of
+        # which reaches every later node, so the thin product is empty;
+        # random4, star_delay and complete_delay are 10 x 60 at seed 0, and
+        # complete_delay leaves int64
+        if graph == "chain41":
+            g = generate_topology(TopologySpec(kind="chain41"), topology_rng(0))
+        elif graph == "chain":
+            g = graph_from_edges(300, [(n, n + 1) for n in range(1, 300)])
+        else:
+            g = generate_topology(TopologySpec(kind=graph, agents=10, epochs=60), topology_rng(0))
+        assert suffix_regime(g) == regime
+        try:
+            expected = int64_weights_by_rows(g.closure)
+        except WeightOverflowError as by_rows:
+            assert graph == "complete_delay" and "w_581(58)" in str(by_rows)
+            for solve in (weight_matrix, graphmod._int64_weights):
+                with pytest.raises(WeightOverflowError) as error:
+                    solve(g)
+                assert str(error.value) == str(by_rows) and error.value.node == by_rows.node
+        else:
+            assert graph != "complete_delay"
+            assert np.array_equal(weight_matrix(g), expected)
+            assert np.array_equal(graphmod._int64_weights(g), expected)
+            if graph == "chain41":
+                assert np.array_equal(expected, exact_weight_matrix(g))
 
 
 class TestConstraint:
