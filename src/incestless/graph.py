@@ -162,44 +162,47 @@ def weight_matrix(graph: CommGraph) -> np.ndarray:
     """W = I - T^-1, as int64; read it as graph.weights, which solves it once.
 
     W[i, n] is minus the Moebius function of the reachability order, and
-    column n holds w_n, the solution of T_{n-1} w_n = t_n.  W is solved in
-    float64 (`_float_weights`), which proves column by column that the
-    solve was exact: every proven column is used as it is.  The columns it
-    cannot prove go through the exact solve modulo 2^64 in float64 limbs
-    (`_int64_weights`), which resumes from the float solve's rows at and
-    past `start`, exact in every column, and raises WeightOverflowError for
-    a weight beyond int64.  Both give the integers of one back substitution
-    over all of W, and the same error: a proven column has every |entry|
-    below 2^53, so it never wraps, and the limb solve checks the other
-    columns in the same order, rows bottom-up and columns ascending, so the
-    first weight it finds beyond int64 is the first one of the whole matrix.
+    column n holds w_n, the solution of T_{n-1} w_n = t_n.  A column of W
+    reads only itself, so the two solves meet at one column, `first`.  The
+    float64 solve (`_float_weights`) proves every column before `first`
+    exact, and those are used as they are.  The exact solve modulo 2^64 in
+    float64 limbs (`_int64_weights`) solves the columns from `first` on: it
+    resumes from the float solve's rows at and past `start`, exact in every
+    column, does no work when every column is proven (first = N), and
+    raises WeightOverflowError for a weight beyond int64.  Both give the
+    integers of one back substitution over all of W, and the same error: a
+    proven column has every |entry| below 2^53, so it never wraps, and one
+    at or past `first` comes out of the limb solve as the same integers;
+    the limb solve checks its columns in the same order, rows bottom-up and
+    columns ascending, so the first weight it finds beyond int64 is the
+    first one of the whole matrix.
     """
-    w, unproven, start = _float_weights(graph)
+    w, first, start = _float_weights(graph)
     # the limb solve runs before the cast, so its planes and the int64 W never coexist
-    if unproven.size:
-        solved = _int64_weights(graph, unproven, w[start:, unproven].astype(np.int64))
+    solved = _int64_weights(graph, first, w[start:, first:].astype(np.int64))
     w = w.astype(np.int64)
-    if unproven.size:
-        w[:, unproven] = solved
+    w[:, first:] = solved
     return w
 
 
-def _float_weights(graph: CommGraph) -> tuple[np.ndarray, np.ndarray, int]:
-    """(W, unproven, start): W in float64, the columns of W that float64
-    cannot prove exact, and the first row from which every column is exact.
+def _float_weights(graph: CommGraph) -> tuple[np.ndarray, int, int]:
+    """(W, first, start): W in float64, the least column that float64
+    cannot prove exact (N if it proves every one), and the first row from
+    which every column is exact.
 
     Row j (0-based) of W is w_j = t_j - t_j @ W[j+1:], where t_j =
     closure[j, j+1:] is what node j+1 reaches past itself: it is both that
     node's row of each T_{n-1} and its entry t_n(j+1) of each later column.
-    A column of W reads only itself, so any subset of columns can be solved
-    alone.  W starts at T - I, each row at its t_j, and is solved bottom-up
-    in blocks of _BLOCK rows r0..r1-1.  The rows below a block enter by one
-    GEMM per chunk of _BLOCK columns, which stops at the chunk's last row
-    (the entries below it are zero), up to `stop`: 1 plus the last column
-    past the block that some row of the block does not reach (`_reach_stop`,
-    r1 if none).  Every row of the block reaches every node from stop on,
-    so (1 - t) is zero there, and on the columns from the first chunk at or
-    past stop one thin product takes the place of the rest of the chunks:
+    A column of W reads only itself, so the columns before any one can be
+    solved alone.  W starts at T - I, each row at its t_j, and is solved
+    bottom-up in blocks of _BLOCK rows r0..r1-1, on the columns before
+    `first`.  The rows below a block enter by one GEMM per chunk of _BLOCK
+    columns, which stops at the chunk's last row (the entries below it are
+    zero), up to `stop`: 1 plus the last column past the block that some
+    row of the block does not reach (`_reach_stop`, r1 if none).  Every
+    row of the block reaches every node from stop on, so (1 - t) is zero
+    there, and on the columns from the first chunk at or past stop one
+    thin product takes the place of the rest of the chunks:
 
         t @ W[r1:] = below - (1 - t)[:, r1:stop] @ W[r1:stop],
 
@@ -226,67 +229,68 @@ def _float_weights(graph: CommGraph) -> tuple[np.ndarray, np.ndarray, int]:
     order of its additions.  Either form of the product thus gives the same
     bits wherever the column is proven.
 
-    The proof holds column by column.  A column whose sum reaches 2^53 in
-    a block is unproven: its rows in that block and in every block above
-    it are zeroed once solved, before they enter `below`, which keeps it
-    finite and changes no other column; its rows that do enter `below` are
-    exact.  `start` is the first row of the block solved before the first
-    one in which a column failed (0 if none did), so it is a block boundary,
-    a multiple of _BLOCK or N: up to that block every column was proven, so
-    rows >= start are exact in every column.
+    The proof holds column by column, and the solve keeps one boundary:
+    `first`, the least column whose sum has reached 2^53 (N while none
+    has).  Each block solves only the columns before `first`, then lowers
+    it to the least of them that failed, so nothing is zeroed: every column
+    before the final `first` was solved in every block and is proven, so it
+    holds the integers of a solve of every column.  `start` is the first
+    row of the block solved before the first one in which a column failed
+    (0 if none did), so it is a block boundary, a multiple of _BLOCK or N:
+    up to that block every column was solved and proven, so rows >= start
+    are exact in every column.  The entries at or past `first` of the rows
+    above `start` are left unsolved or inexact, for the limb solve.
     """
     closure, rows, blocks = graph.closure, graph.size, graph.blocks
     w = closure.astype(np.float64)  # T - I: each row starts at its t_j
     np.fill_diagonal(w, 0)
     sums = np.ones(rows)  # 1 + the sum of |w| solved so far, per column
     below = np.zeros(rows)  # the sum of the rows solved so far, per column
-    unproven = np.zeros(rows, dtype=bool)
-    start = 0
+    first, start = rows, 0
     for r0 in range(((rows - 1) // _BLOCK) * _BLOCK, -1, -_BLOCK):
         r1 = min(r0 + _BLOCK, rows)
-        t = closure[r0:r1, r0:].astype(np.float64)  # the block's rows, from column r0
+        t = closure[r0:r1, r0:first].astype(np.float64)  # the block's rows, from column r0
         stop = _reach_stop(closure, r0, r1)
         # columns of nodes before the block are zero on its rows and below, and
         # w[k, c] = 0 for k >= c, so each chunk of columns past the block reads
         # the rows below the block only up to its last column
-        block = w[r0:r1, r0:]
-        for c0 in range(r1, rows, _BLOCK):
+        block = w[r0:r1, r0:first]
+        for c0 in range(r1, first, _BLOCK):
             if c0 >= stop:
                 # the block's rows reach every row from stop on
-                block[:, c0 - r0:] -= below[c0:] - (1 - t[:, r1 - r0:stop - r0]) @ w[r1:stop, c0:]
+                block[:, c0 - r0:] -= (below[c0:first]
+                                       - (1 - t[:, r1 - r0:stop - r0]) @ w[r1:stop, c0:first])
                 break
-            c1 = min(c0 + _BLOCK, rows)
+            c1 = min(c0 + _BLOCK, first)
             block[:, c0 - r0:c1 - r0] -= t[:, r1 - r0:c1 - r0] @ w[r1:c1, c0:c1]
         # the bottom run has no block rows below it
         for a, b in _block_runs(blocks, r0, r1)[1:]:
             block[a:b, b:] -= t[a:b, b:r1 - r0] @ block[b:, b:]
-        sums[r0:] += np.abs(block).sum(axis=0)
-        failed = sums[r0:] >= 2.0**53
-        if failed.any():
-            if not unproven.any():
-                start = r1
-            unproven[r0:] = failed
-            block[:, failed] = 0
-        below[r0:] += block.sum(axis=0)
-    return w, np.flatnonzero(unproven), start
+        sums[r0:first] += np.abs(block).sum(axis=0)
+        below[r0:first] += block.sum(axis=0)
+        failed = np.flatnonzero(sums[r0:first] >= 2.0**53)
+        if failed.size:
+            start = r1 if first == rows else start
+            first = r0 + int(failed[0])
+    return w, first, start
 
 
-def _int64_weights(graph: CommGraph, columns: np.ndarray | None = None,
-                   known: np.ndarray | None = None) -> np.ndarray:
-    """W[:, columns] (every column by default) by the recurrence and the
-    blocks of _float_weights, exactly modulo 2^64, resumed below `known`.
+def _int64_weights(graph: CommGraph, first: int = 0, known: np.ndarray | None = None) -> np.ndarray:
+    """W[:, first:] (all of W by default) by the recurrence and the blocks
+    of _float_weights, exactly modulo 2^64, resumed below `known`.
 
-    `known` holds rows start.. of W[:, columns], exact and in int64 (none by
+    `known` holds rows start.. of W[:, first:], exact and in int64 (none by
     default, so start = N), and rows start-1 .. 0 are solved.  start is a
     block boundary, a multiple of _BLOCK or N, as _float_weights returns
     it, so the blocks here are the float solve's.  The rows are held only
-    as two float64 planes, their low 32 bits (unsigned) and their high 32
-    bits (signed), recombined into int64 on return.  A 0/1 row times a limb
-    plane sums to less than N * 2^32 in magnitude, below 2^53 for N < 2^21,
-    so each limb sum, and every partial sum of it in any order, is an exact
-    integer in float64, and so is the sum of the GEMM part and the in-block
-    part.  The suffix form of _float_weights holds per plane: `below` sums
-    each plane's rows solved so far, and it, the thin product and their
+    as two float64 planes of shape (N, N - first), column first + q at
+    offset q: their low 32 bits (unsigned) and their high 32 bits (signed),
+    recombined into int64 on return.  A 0/1 row times a limb plane sums to
+    less than N * 2^32 in magnitude, below 2^53 for N < 2^21, so each limb
+    sum, and every partial sum of it in any order, is an exact integer in
+    float64, and so is the sum of the GEMM part and the in-block part.  The
+    suffix form of _float_weights holds per plane: `below` sums each
+    plane's rows solved so far, and it, the thin product and their
     difference are signed sums over subsets of a column's rows, each also
     below N * 2^32 in magnitude, so the form gives the GEMM part's bits.
     The limb sums recombine to t_j @ W mod 2^64, so each row equals, bit
@@ -303,41 +307,39 @@ def _int64_weights(graph: CommGraph, columns: np.ndarray | None = None,
     and its last row with a wrap holds the first weight beyond int64.
     """
     closure, rows, blocks = graph.closure, graph.size, graph.blocks
-    cols = np.arange(rows) if columns is None else np.asarray(columns)
     start = rows if known is None else rows - known.shape[0]
-    limbs = np.zeros((2, rows, cols.size))  # low 32 bits, high 32 bits
+    limbs = np.zeros((2, rows, rows - first))  # low 32 bits, high 32 bits
     if known is not None:
         limbs[:, start:] = known & 0xFFFFFFFF, known >> 32
-    t_cols = closure[:, cols]
     below = limbs[:, start:].sum(axis=1)  # the sum of the rows solved so far, per limb and column
-    # past[j]: the first of the columns after node j+1, the ones row j solves
-    past = np.searchsorted(cols, np.arange(rows), side="right").tolist()
     for r0 in range(((start - 1) // _BLOCK) * _BLOCK, -1, -_BLOCK):
         r1 = min(r0 + _BLOCK, start)
         t = closure[r0:r1, r0:].astype(np.float64)  # the block's rows, from column r0
         stop = _reach_stop(closure, r0, r1)
-        k0 = past[r0]
-        sums = np.zeros((2, r1 - r0, cols.size - k0))
-        for q0 in range(k0, cols.size, _BLOCK):
-            if cols[q0] >= stop:
+        k0 = max(r0 + 1 - first, 0)  # the offset of the first column past row r0
+        sums = np.zeros((2, r1 - r0, rows - first - k0))
+        for q0 in range(k0, rows - first, _BLOCK):
+            if first + q0 >= stop:
                 # the block's rows reach every row from stop on
                 sums[:, :, q0 - k0:] = (below[:, None, q0:]
                                         - (1 - t[:, r1 - r0:stop - r0]) @ limbs[:, r1:stop, q0:])
                 break
-            q1 = min(q0 + _BLOCK, cols.size)
-            last = max(int(cols[q1 - 1]), r1)
+            q1 = min(q0 + _BLOCK, rows - first)
+            last = max(first + q1 - 1, r1)
             sums[:, :, q0 - k0:q1 - k0] = t[:, r1 - r0:last - r0] @ limbs[:, r1:last, q0:q1]
         for a, b in _block_runs(blocks, r0, r1):
-            j0, j1, k = r0 + a, r0 + b, past[r0 + b - 1]
+            j0, j1 = r0 + a, r0 + b
+            k = max(j1 - first, 0)  # the offset of the first column past the run
             run = sums[:, a:b, k - k0:]
             run += t[a:b, b:r1 - r0] @ limbs[:, j1:r1, k:]
-            exact = t_cols[j0:j1, k:] - ((run[1].astype(np.int64) << 32) + run[0].astype(np.int64))
-            approx = t_cols[j0:j1, k:] - (run[1] * 2.0**32 + run[0])
+            t_run = closure[j0:j1, first + k:]
+            exact = t_run - ((run[1].astype(np.int64) << 32) + run[0].astype(np.int64))
+            approx = t_run - (run[1] * 2.0**32 + run[0])
             wrapped = np.abs(approx - exact) > 2.0**63
             if wrapped.any():
                 i = np.flatnonzero(wrapped.any(axis=1))[-1]
-                c = k + np.flatnonzero(wrapped[i])[0]
-                raise WeightOverflowError(node=int(cols[c]) + 1, index=j0 + int(i) + 1)
+                c = first + k + np.flatnonzero(wrapped[i])[0]
+                raise WeightOverflowError(node=int(c) + 1, index=j0 + int(i) + 1)
             limbs[:, j0:j1, k:] = exact & 0xFFFFFFFF, exact >> 32
         below += limbs[:, r0:r1].sum(axis=1)
     # W's one int64 plane; the low limbs are cast in the ufunc's buffer, not in a plane

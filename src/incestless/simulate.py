@@ -176,6 +176,19 @@ class StudyCache:
     states.  On dense_scale's four seed-1 studies it computes 4578 rows in
     308 calls: 4491 rows hold 2-4 states, and 288 calls have a live range
     of 2-4 states.
+
+    Measured at commit 02278de on the benchmark studies: the steps fill
+    CACHE_BUDGET in every one (paper_chain41 with 520 steps, 524 136 B;
+    paper_complete and paper_star 86 steps each, paper_random4 104, and
+    dense_scale's studies at seeds 1000-1003 52 each), yet outside
+    paper_chain41 they serve little more than block 1 of each run:
+    paper_complete, paper_star and paper_random4 get 113, 112 and 121
+    hits in 300, 400 and 400 blocks of 100 runs, and dense_scale 3 hits in
+    80 blocks, against 2449 hits in 4100 blocks on paper_chain41.  At 1000
+    runs the rows pass CACHE_BUDGET and the cache clears on paper_chain41
+    (6 times, at up to 529 120 B) and on paper_complete (once, at
+    525 280 B); on paper_star and paper_random4 they peak at 371 360 and
+    423 360 B and never clear.
     """
 
     def __init__(self, model: StateModel):

@@ -103,13 +103,13 @@ def weight_solves(monkeypatch):
 
 @pytest.fixture
 def limb_solves(monkeypatch):
-    """(columns, known) of each call of graph._int64_weights during the test."""
+    """(first, known) of each call of graph._int64_weights during the test."""
     calls = []
     solve = graphmod._int64_weights
 
-    def counted(graph, columns=None, known=None):
-        calls.append((columns, known))
-        return solve(graph, columns, known)
+    def counted(graph, first=0, known=None):
+        calls.append((first, known))
+        return solve(graph, first, known)
 
     monkeypatch.setattr(graphmod, "_int64_weights", counted)
     return calls

@@ -247,8 +247,10 @@ class TestWeights:
     @given(data=st.data())
     def test_equals_exact_solve_on_random_dags(self, data):
         # up to 150 nodes, so up to three blocks of rows, each of which can
-        # reach `stop` and take the suffix form
-        size = data.draw(st.integers(0, 150), label="size")
+        # reach `stop` and take the suffix form; about half of the sizes lie
+        # past 128, where the bottom block has two chunks of columns past it,
+        # and so takes the suffix form on most dense draws
+        size = data.draw(st.one_of(st.integers(0, 128), st.integers(129, 150)), label="size")
         edge_prob = data.draw(st.sampled_from([0.02, 0.1, 0.3, 0.7]), label="edge_prob")
         seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
         g = CommGraph(random_dag(np.random.default_rng(seed), size, edge_prob))
@@ -257,13 +259,14 @@ class TestWeights:
     @pytest.mark.parametrize("kind", ["random4", "complete_delay", "star_delay"])
     def test_float_solve_equals_int64_solve(self, kind, limb_solves):
         # the N = 400 graphs of these kinds pass the float64 proof check in
-        # every column, so the limb solve is never called
+        # every column, so the limb solve gets no column to solve
         spec = TopologySpec(kind=kind, agents=10, epochs=40)
         g = generate_topology(spec, topology_rng(0))
-        _, unproven, start = graphmod._float_weights(g)
-        assert unproven.size == 0 and start == 0
+        _, first, start = graphmod._float_weights(g)
+        assert first == g.size and start == 0
         w = weight_matrix(g)
-        assert limb_solves == []
+        [(first, known)] = limb_solves
+        assert first == g.size and known.shape == (g.size, 0)
         assert np.array_equal(w, graphmod._int64_weights(g))
 
     def test_prefix_consistency(self):
@@ -341,10 +344,10 @@ class TestWeightProofCheck:
     @pytest.mark.parametrize("layers, proven", [(27, True), (28, False)])
     def test_boundary(self, layers, proven, limb_solves):
         g = layered(5, layers)
-        _, unproven, _ = graphmod._float_weights(g)
-        assert (unproven.size == 0) == proven
+        _, first, _ = graphmod._float_weights(g)
+        assert (first == g.size) == proven
         w = weight_matrix(g)
-        assert len(limb_solves) == (0 if proven else 1)
+        assert [called for called, _ in limb_solves] == [first]
         assert np.array_equal(w, exact_weight_matrix(g))
 
 
@@ -361,7 +364,7 @@ class TestInt64Weights:
         # or negative, so the low limbs carry into the high ones
         spec = TopologySpec(kind="complete_delay", agents=10, epochs=46)
         g = generate_topology(spec, topology_rng(1))
-        assert graphmod._float_weights(g)[1].size > 0
+        assert graphmod._float_weights(g)[1] < g.size
         w = graphmod._int64_weights(g)
         assert np.array_equal(w, int64_weights_by_rows(g.closure))
         assert np.array_equal(weight_matrix(g), w)
@@ -412,25 +415,25 @@ class TestInt64Weights:
     @settings(max_examples=100, deadline=None)
     @given(data=st.data())
     def test_resumed_solve_equals_exact_solve(self, data):
-        # any block boundary as the first solved row, any subset of columns
+        # any block boundary as the first solved row, any first column
         size = data.draw(st.integers(0, 150), label="size")
         edge_prob = data.draw(st.sampled_from([0.02, 0.1, 0.3, 0.7]), label="edge_prob")
         seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
         start = data.draw(st.sampled_from(sorted({*range(0, size, 64), size})), label="start")
-        columns = np.flatnonzero(data.draw(
-            st.lists(st.booleans(), min_size=size, max_size=size), label="columns"))
+        first = data.draw(st.integers(0, size), label="first")
         g = CommGraph(random_dag(np.random.default_rng(seed), size, edge_prob))
-        exact = exact_weight_matrix(g)[:, columns]
+        exact = exact_weight_matrix(g)[:, first:]
         known = exact[start:].astype(np.int64)
-        assert np.array_equal(graphmod._int64_weights(g, columns, known), exact)
+        assert np.array_equal(graphmod._int64_weights(g, first, known), exact)
 
 
 class TestResumedWeights:
-    # weight_matrix takes the float solve's proven columns and resumes the
-    # limb solve on the others: it must give the row-by-row int64 solve's
-    # arrays and errors.  On layered(a, L) the float64 proof first fails at
-    # L = 53, 34, 28, 24 and int64 first overflows at L = 66, 42, 34, 30 for
-    # a = 3, 4, 5, 6; each L below sits on one side of one boundary.
+    # weight_matrix takes the columns before the float solve's first
+    # unproven one, and resumes the limb solve on every column from there
+    # on: it must give the row-by-row int64 solve's arrays and errors.  On
+    # layered(a, L) the float64 proof first fails at L = 53, 34, 28, 24 and
+    # int64 first overflows at L = 66, 42, 34, 30 for a = 3, 4, 5, 6; each L
+    # below sits on one side of one boundary.
 
     @pytest.mark.parametrize("kind, a, b", [
         ("layered", agents, layers)
@@ -454,19 +457,27 @@ class TestResumedWeights:
         else:
             assert np.array_equal(weight_matrix(g), expected)
 
-    @pytest.mark.parametrize("graph", ["complete_delay", "layered"])
-    def test_limb_solve_only_on_unproven_columns(self, graph, limb_solves):
+    @pytest.mark.parametrize("graph, epochs, seed", [
+        ("complete_delay", 46, 1), ("complete_delay", 50, 2), ("layered", 28, None)])
+    def test_limb_solve_from_the_first_unproven_column(self, graph, epochs, seed, limb_solves):
+        # complete_delay with 10 agents, or layered(5, 28); in both
+        # complete_delay graphs some proven columns lie past `first` (3 of
+        # 30 at 10 x 46, 7 of 29 at 10 x 50), and the limb solve solves
+        # them again, to the same integers
         if graph == "complete_delay":
-            spec = TopologySpec(kind="complete_delay", agents=10, epochs=46)
-            g = generate_topology(spec, topology_rng(1))
+            spec = TopologySpec(kind=graph, agents=10, epochs=epochs)
+            g = generate_topology(spec, topology_rng(seed))
         else:
-            g = layered(5, 28)
-        _, unproven, start = graphmod._float_weights(g)
+            g = layered(5, epochs)
+        _, first, start = graphmod._float_weights(g)
+        sums = 1 + np.abs(exact_weight_matrix(g)).sum(axis=0)
+        unproven = np.flatnonzero(sums >= 2**53)
         w = weight_matrix(g)
-        [(columns, known)] = limb_solves
-        assert np.array_equal(columns, unproven) and 0 < columns.size < g.size
-        assert known.shape == (g.size - start, columns.size) and start < g.size
+        [(called, known)] = limb_solves
+        assert called == first == unproven[0] and 0 < first < g.size
+        assert known.shape == (g.size - start, g.size - first) and 0 < start < g.size
         assert start % graphmod._BLOCK == 0
+        assert (unproven.size < g.size - first) == (graph == "complete_delay")
         assert np.array_equal(w, int64_weights_by_rows(g.closure))
 
 
@@ -498,13 +509,14 @@ class TestRunWiseSolves:
         expected = exact_weight_matrix(g)
         assert np.array_equal(int64_weights_by_rows(g.closure), expected)
         # the float solve proves every column
-        assert np.array_equal(weight_matrix(g), expected) and limb_solves == []
+        assert np.array_equal(weight_matrix(g), expected)
+        assert [first for first, _ in limb_solves] == [g.size]
         assert np.array_equal(graphmod._int64_weights(g), expected)
         # the limb solve resumed at row 64, 128 or 192 starts inside the run
         # or just below it
         for start in (64, 128, 192):
             known = expected[start:].astype(np.int64)
-            solved = graphmod._int64_weights(g, np.arange(g.size), known)
+            solved = graphmod._int64_weights(g, 0, known)
             assert np.array_equal(solved, expected)
 
     @pytest.mark.parametrize("epochs, seed", [(30, 0), (74, 0), (82, 1), (86, 0)])
@@ -540,12 +552,12 @@ class TestRunWiseSolves:
         spec = TopologySpec(kind="complete_delay", agents=7, epochs=74)
         g = generate_topology(spec, topology_rng(0))
         w = weight_matrix(g)
-        [(columns, known)] = limb_solves
-        assert g.size - known.shape[0] == 64 and 0 < columns.size < g.size
+        [(first, known)] = limb_solves
+        assert g.size - known.shape[0] == 64 and 0 < first < g.size
         assert (63, 70) in g.blocks
         expected = int64_weights_by_rows(g.closure)
         assert np.array_equal(w, expected)
-        every = graphmod._int64_weights(g, np.arange(g.size), expected[64:])
+        every = graphmod._int64_weights(g, 0, expected[64:])
         assert np.array_equal(every, expected)
 
 
@@ -778,7 +790,9 @@ class TestIndependentBlocks:
             g = generate_topology(TopologySpec(kind=graph, epochs=6), topology_rng(0))
         else:
             g = layered(5, 28)
-        assert g.weights is not None and len(limb_solves) == (graph == "layered")
+        assert g.weights is not None
+        [(first, _)] = limb_solves
+        assert (first < g.size) == (graph == "layered")
         constraint_report(g)
         fixed = augment_for_constraint(g)
         assert fixed is not g

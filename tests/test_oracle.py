@@ -9,8 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from incestless import (ScenarioConfig, TopologySpec, augment_for_constraint, constraint_report,
-                        default_model, generate_topology, run_once, run_tables, seed_rng,
-                        topology_rng)
+                        default_model, generate_topology, monte_carlo, run_once, run_tables,
+                        seed_rng, topology_rng)
 
 from conftest import binary_model, binary_oracle, draw_dag, multiplicity_matrix
 
@@ -29,6 +29,7 @@ GRAPHS = {
     "chain41": (lambda: build("chain41"), False),
     "augmented random4 5x6 seed 7": (lambda: build("random4", 5, 6, 7), False),
     "augmented star_delay 6x8 seed 2": (lambda: build("star_delay", 6, 8, 2), False),
+    "augmented complete_delay 4x6 seed 3": (lambda: build("complete_delay", 4, 6, 3), False),
     "forced random4 6x8 seed 1": (lambda: build("random4", 6, 8, 1, augment=False), True),
 }
 
@@ -113,3 +114,39 @@ def test_point_mass_beliefs_follow_the_oracle(graphs):
             assert trace.actions[row].tolist() == actions, (mode, r)
         point_masses += int((trace.public == 0).any(axis=-1).sum())
     assert point_masses > 0
+
+
+def chain_action_probabilities(p, size):
+    """P(a_n = 1), n = 1..size, in the binary model with true state 1 and
+    P(z = 1) = p, on a graph whose closure is a total order.
+
+    Every node then hears every earlier one, so idealized's M = T - I gives
+    k_n = d_1 + ... + d_{n-1}: k moves by +-1 while it is 0 or -1 and stops
+    at 1 or -2, a four-state Markov chain from k_1 = 0.  A node takes action
+    1 at k = 1, and at k = 0 or -1 exactly when it observes 1.
+    """
+    k = {-2: 0.0, -1: 0.0, 0: 1.0, 1: 0.0}
+    probabilities = []
+    for _ in range(size):
+        probabilities.append(k[1] + p * (k[0] + k[-1]))
+        k = {-2: k[-2] + (1 - p) * k[-1], -1: (1 - p) * k[0],
+             0: p * k[-1], 1: k[1] + p * k[0]}
+    return np.array(probabilities)
+
+
+def test_chain41_action_frequencies_follow_the_markov_chain(graphs):
+    # on chain41 removal's M is idealized's, T - I; each node's frequency of
+    # action 1 over R runs lies within 4 standard errors of the chain's value
+    # (largest z 1.22 at seed 5)
+    graph, _, multiplicity = graphs["chain41"]
+    assert (multiplicity["removal"] == multiplicity["idealized"]).all()
+    runs, p = 2000, 0.7
+    exact = chain_action_probabilities(p, graph.size)
+    assert exact[-1] == pytest.approx(0.886076, abs=1e-6)
+    config = ScenarioConfig(model=binary_model(1 - p), topology=TopologySpec(kind="chain41"),
+                            true_state=1, modes=("removal", "idealized"), runs=runs, seed=5)
+    table = monte_carlo(config, graph)
+    error = np.sqrt(exact * (1 - exact) / runs)
+    for mode in config.modes:
+        frequency = (table.actions[mode] == 1).mean(axis=0)
+        assert (np.abs(frequency - exact) <= 4 * error).all(), mode
