@@ -26,7 +26,6 @@ from .graph import (
     seed_rng,
     topology_rng,
     transitive_closure,
-    weight_matrix,
 )
 from .learning import (
     StateModel,

@@ -144,10 +144,31 @@ class CommGraph:
 
     @cached_property
     def weights(self) -> np.ndarray:
-        """W = I - T^-1, read-only, solved by weight_matrix on first use and
-        then read by every user of the graph's weights.  A solve that raises
-        WeightOverflowError is not kept, so every access raises again."""
-        w = weight_matrix(self)
+        """W = I - T^-1, as read-only int64, solved on first use and then
+        read by every user of the graph's weights.  A solve that raises
+        WeightOverflowError is not kept, so every access raises again.
+
+        W[i, n] is minus the Moebius function of the reachability order, and
+        column n holds w_n, the solution of T_{n-1} w_n = t_n.  A column of W
+        reads only itself, so the two solves meet at one column, `first`.  The
+        float64 solve (`_float_weights`) proves every column before `first`
+        exact, and those are used as they are.  The exact solve modulo 2^64 in
+        float64 limbs (`_int64_weights`) solves the columns from `first` on: it
+        resumes from the float solve's rows at and past `start`, exact in every
+        column, does no work when every column is proven (first = N), and
+        raises WeightOverflowError for a weight beyond int64.  Both give the
+        integers of one back substitution over all of W, and the same error: a
+        proven column has every |entry| below 2^53, so it never wraps, and one
+        at or past `first` comes out of the limb solve as the same integers;
+        the limb solve checks its columns in the same order, rows bottom-up and
+        columns ascending, so the first weight it finds beyond int64 is the
+        first one of the whole matrix.
+        """
+        w, first, start = _float_weights(self)
+        # the limb solve runs before the cast, so its planes and the int64 W never coexist
+        solved = _int64_weights(self, first, w[start:, first:].astype(np.int64))
+        w = w.astype(np.int64)
+        w[:, first:] = solved
         w.flags.writeable = False
         return w
 
@@ -156,33 +177,6 @@ class CommGraph:
         import hashlib
 
         return hashlib.sha256(self.adjacency.tobytes()).hexdigest()[:16]
-
-
-def weight_matrix(graph: CommGraph) -> np.ndarray:
-    """W = I - T^-1, as int64; read it as graph.weights, which solves it once.
-
-    W[i, n] is minus the Moebius function of the reachability order, and
-    column n holds w_n, the solution of T_{n-1} w_n = t_n.  A column of W
-    reads only itself, so the two solves meet at one column, `first`.  The
-    float64 solve (`_float_weights`) proves every column before `first`
-    exact, and those are used as they are.  The exact solve modulo 2^64 in
-    float64 limbs (`_int64_weights`) solves the columns from `first` on: it
-    resumes from the float solve's rows at and past `start`, exact in every
-    column, does no work when every column is proven (first = N), and
-    raises WeightOverflowError for a weight beyond int64.  Both give the
-    integers of one back substitution over all of W, and the same error: a
-    proven column has every |entry| below 2^53, so it never wraps, and one
-    at or past `first` comes out of the limb solve as the same integers;
-    the limb solve checks its columns in the same order, rows bottom-up and
-    columns ascending, so the first weight it finds beyond int64 is the
-    first one of the whole matrix.
-    """
-    w, first, start = _float_weights(graph)
-    # the limb solve runs before the cast, so its planes and the int64 W never coexist
-    solved = _int64_weights(graph, first, w[start:, first:].astype(np.int64))
-    w = w.astype(np.int64)
-    w[:, first:] = solved
-    return w
 
 
 def _float_weights(graph: CommGraph) -> tuple[np.ndarray, int, int]:
@@ -275,14 +269,14 @@ def _float_weights(graph: CommGraph) -> tuple[np.ndarray, int, int]:
     return w, first, start
 
 
-def _int64_weights(graph: CommGraph, first: int = 0, known: np.ndarray | None = None) -> np.ndarray:
-    """W[:, first:] (all of W by default) by the recurrence and the blocks
-    of _float_weights, exactly modulo 2^64, resumed below `known`.
+def _int64_weights(graph: CommGraph, first: int, known: np.ndarray) -> np.ndarray:
+    """W[:, first:] by the recurrence and the blocks of _float_weights,
+    exactly modulo 2^64, resumed below `known`.
 
-    `known` holds rows start.. of W[:, first:], exact and in int64 (none by
-    default, so start = N), and rows start-1 .. 0 are solved.  start is a
-    block boundary, a multiple of _BLOCK or N, as _float_weights returns
-    it, so the blocks here are the float solve's.  The rows are held only
+    `known` holds rows start.. of W[:, first:], exact and in int64, and
+    rows start-1 .. 0 are solved.  start is a block boundary, a multiple of
+    _BLOCK or N, as _float_weights returns it, so the blocks here are the
+    float solve's.  The rows are held only
     as two float64 planes of shape (N, N - first), column first + q at
     offset q: their low 32 bits (unsigned) and their high 32 bits (signed),
     recombined into int64 on return.  A 0/1 row times a limb plane sums to
@@ -307,10 +301,9 @@ def _int64_weights(graph: CommGraph, first: int = 0, known: np.ndarray | None = 
     and its last row with a wrap holds the first weight beyond int64.
     """
     closure, rows, blocks = graph.closure, graph.size, graph.blocks
-    start = rows if known is None else rows - known.shape[0]
+    start = rows - known.shape[0]
     limbs = np.zeros((2, rows, rows - first))  # low 32 bits, high 32 bits
-    if known is not None:
-        limbs[:, start:] = known & 0xFFFFFFFF, known >> 32
+    limbs[:, start:] = known & 0xFFFFFFFF, known >> 32
     below = limbs[:, start:].sum(axis=1)  # the sum of the rows solved so far, per limb and column
     for r0 in range(((start - 1) // _BLOCK) * _BLOCK, -1, -_BLOCK):
         r1 = min(r0 + _BLOCK, start)

@@ -85,7 +85,6 @@ class RunTrace:
     entry n-1 along the node axis is node n."""
 
     true_state: int
-    graph_digest: str
     modes: tuple[str, ...]
     observations: np.ndarray  # (N,) int, shared by every mode
     actions: np.ndarray       # (M, N) int
@@ -148,8 +147,7 @@ class StudyCache:
     which hears nothing); steps[(state, key)] is the state the path extends
     to, and inputs[state] the inputs of the block that path leads into.
     The rows a block fuses follow from the key path alone, so held inputs
-    are the ones the block would compute, bit for bit.  hits counts the
-    blocks whose inputs it served.
+    are the ones the block would compute, bit for bit.
     Rows: ids maps a public-belief row's bytes to its table id, and
     tables[id] is the row's action table; each distinct table is kept once,
     and table_index maps its bytes to its id.  A call takes the keys of all
@@ -196,7 +194,6 @@ class StudyCache:
         # a row's key is its bytes: X float64 for a belief, Z int64 for a table
         self.row_key = np.dtype((np.void, 8 * model.num_states))
         self.table_key = np.dtype((np.void, 8 * model.num_obs))
-        self.hits = 0
         self.clear()
 
     def clear(self):
@@ -276,7 +273,6 @@ class RunTables:
 
     coeffs: np.ndarray              # (M, N, N) float, C order; obs_oracle's row last
     stores_after: np.ndarray        # (M', 1, 1) bool: S[n] is the after-evidence, not the increment
-    digest: str
     constraint: dict[int, list[int]] | None  # None: W leaves int64, not checked
     config: ScenarioConfig = field(repr=False)
     graph: CommGraph = field(repr=False)
@@ -324,7 +320,6 @@ def run_tables(config: ScenarioConfig, graph: CommGraph) -> RunTables:
     return RunTables(
         coeffs=_frozen(coeffs),
         stores_after=np.array([after for _, after in driven], dtype=bool)[:, None, None],
-        digest=graph.digest(),
         constraint=constraint, config=config, graph=graph, cache=StudyCache(config.model))
 
 
@@ -387,7 +382,6 @@ def run_once(config: ScenarioConfig, graph: CommGraph, rng: np.random.Generator,
         if held is not None:
             state = held
             evidence, pub, ids = cache.inputs[state]
-            cache.hits += 1
         else:
             # the one call in a block step that can raise, before the block writes
             # anything: with every row finite, no later call can
@@ -420,8 +414,8 @@ def run_once(config: ScenarioConfig, graph: CommGraph, rng: np.random.Generator,
         public, after, actions = public[order], after[order], actions[order]
     after += log_prior
     after = learning.normalize_log(after)
-    return RunTrace(true_state=x, graph_digest=tables.digest, modes=config.modes,
-                    observations=observations, actions=actions, public=public, after=after,
+    return RunTrace(true_state=x, modes=config.modes, observations=observations,
+                    actions=actions, public=public, after=after,
                     estimates=learning.estimate_state(after, config.estimate_rule))
 
 

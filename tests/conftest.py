@@ -21,7 +21,6 @@ from incestless import (
     graph_from_edges,
     normalize_log,
     sample_observation,
-    weight_matrix,
 )
 from incestless import graph as graphmod
 from incestless.learning import LIKELIHOOD_FLOOR, fuse_terms
@@ -89,15 +88,16 @@ def model():
 
 @pytest.fixture
 def weight_solves(monkeypatch):
-    """The graphs graph.weight_matrix is called on during the test, one entry per call."""
+    """The graphs whose W is solved during the test, one entry per solve,
+    counted at graph._float_weights, the first step of CommGraph.weights."""
     solved = []
-    solve = graphmod.weight_matrix
+    solve = graphmod._float_weights
 
     def counted(graph):
         solved.append(graph)
         return solve(graph)
 
-    monkeypatch.setattr(graphmod, "weight_matrix", counted)
+    monkeypatch.setattr(graphmod, "_float_weights", counted)
     return solved
 
 
@@ -107,12 +107,18 @@ def limb_solves(monkeypatch):
     calls = []
     solve = graphmod._int64_weights
 
-    def counted(graph, first=0, known=None):
+    def counted(graph, first, known):
         calls.append((first, known))
         return solve(graph, first, known)
 
     monkeypatch.setattr(graphmod, "_int64_weights", counted)
     return calls
+
+
+def limb_weights(graph):
+    """W by graph._int64_weights alone: the limb solve of every row and
+    every column, from first = 0 and nothing known, of shape (0, N)."""
+    return graphmod._int64_weights(graph, 0, np.zeros((0, graph.size), dtype=np.int64))
 
 
 def random_dag(rng, size, edge_prob=0.25):
@@ -199,7 +205,7 @@ def exact_weight_matrix(graph):
     """Reference W = I - T^-1, in Python ints.
 
     One back substitution per row over object arrays: it cannot overflow
-    or round, so weight_matrix must equal it wherever it returns.
+    or round, so CommGraph.weights must equal it wherever it returns.
     """
     t = graph.closure.astype(object)
     w = np.zeros(t.shape, dtype=object)
@@ -416,7 +422,7 @@ def reference_run_once(config, graph, rng):
     }
     # only removal reads W, so a study without it runs where W leaves int64
     if "removal" in modes:
-        weights = weight_matrix(graph)
+        weights = graph.weights
         constraint = violations_by_column(weights, adjacency)
         if constraint and not config.force:
             raise ConstraintViolationError(constraint)

@@ -146,6 +146,10 @@ def test_7a_removal_tracks_idealized_mean_curve(model):
                              runs=100, seed=seed)
         mt = monte_carlo(cfg)
         assert mt.constraint == {}, f"{name}: expected constraint-clean realization"
+        # removal matches the full-history benchmark in every run, at every node
+        gap = np.abs(mt.estimates["removal"] - mt.estimates["idealized"]).max()
+        assert gap <= 1e-12, f"{name}: estimate gap {gap}"
+        assert np.array_equal(mt.actions["removal"], mt.actions["idealized"]), name
         dev = np.abs(mt.mean_estimate["removal"] - mt.mean_estimate["idealized"]).max()
         worst[name] = dev
         assert dev < 0.01, f"{name}: mean-estimate deviation {dev}"

@@ -57,7 +57,6 @@ PUBLIC = [
     "topology_rng",
     "transitive_closure",
     "triangular_likelihood",
-    "weight_matrix",
 ]
 
 

@@ -21,14 +21,23 @@ def load_tracer():
 
 
 def wrapped_names():
+    """Each (module, attribute) the tracer wraps, once, in order: the
+    calibration points are also layer spans."""
     tracer = load_tracer()
-    return ([(m, attr) for m, attr, _ in tracer.COARSE + tracer.LAYER]
-            + list(tracer.CALIBRATION_POINTS))
+    return list(dict.fromkeys([(m, attr) for m, attr, _ in tracer.COARSE + tracer.LAYER]
+                              + list(tracer.CALIBRATION_POINTS)))
 
 
 @pytest.mark.parametrize("module, attr", wrapped_names())
 def test_wrapped_attribute_resolves(module, attr):
     assert callable(getattr(MODULES[module], attr))
+
+
+@pytest.mark.parametrize("module, attr", load_tracer().CALIBRATION_POINTS)
+def test_calibration_point_is_a_layer_span(module, attr):
+    # a traced run installs COARSE + LAYER without CALIBRATION_POINTS
+    # (run_bench.py), so it calibrates at these calls only as span boundaries
+    assert (module, attr) in [(m, a) for m, a, _ in load_tracer().LAYER]
 
 
 def test_monte_carlo_calls_run_once_once_per_run(monkeypatch):

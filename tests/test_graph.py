@@ -29,7 +29,6 @@ from incestless import (
     save_graph,
     topology_rng,
     transitive_closure,
-    weight_matrix,
 )
 
 from conftest import (
@@ -41,6 +40,7 @@ from conftest import (
     generate_topology_by_pairs,
     int64_weights_by_rows,
     layered,
+    limb_weights,
     prefix,
     random_dag,
     run_python,
@@ -237,7 +237,7 @@ class TestWeights:
         for _ in range(50):
             size = int(rng.integers(1, 30))
             g = CommGraph(random_dag(rng, size))
-            w = weight_matrix(g)
+            w = g.weights
             t = g.closure.astype(np.int64)
             assert (t @ w == t - np.eye(size, dtype=np.int64)).all()
             n = int(rng.integers(1, size + 1))
@@ -254,7 +254,7 @@ class TestWeights:
         edge_prob = data.draw(st.sampled_from([0.02, 0.1, 0.3, 0.7]), label="edge_prob")
         seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
         g = CommGraph(random_dag(np.random.default_rng(seed), size, edge_prob))
-        assert np.array_equal(weight_matrix(g), exact_weight_matrix(g))
+        assert np.array_equal(g.weights, exact_weight_matrix(g))
 
     @pytest.mark.parametrize("kind", ["random4", "complete_delay", "star_delay"])
     def test_float_solve_equals_int64_solve(self, kind, limb_solves):
@@ -264,10 +264,10 @@ class TestWeights:
         g = generate_topology(spec, topology_rng(0))
         _, first, start = graphmod._float_weights(g)
         assert first == g.size and start == 0
-        w = weight_matrix(g)
+        w = g.weights
         [(first, known)] = limb_solves
         assert first == g.size and known.shape == (g.size, 0)
-        assert np.array_equal(w, graphmod._int64_weights(g))
+        assert np.array_equal(w, limb_weights(g))
 
     def test_prefix_consistency(self):
         rng = np.random.default_rng(5)
@@ -288,7 +288,7 @@ class TestWeightOverflow:
         # first weight beyond int64 in solve order, not one of w_170
         g = layered(5, 34)
         with pytest.raises(WeightOverflowError) as exc:
-            weight_matrix(g)
+            g.weights
         assert exc.value.node == 166
         assert str(exc.value) == "node 166: weight w_166(5) exceeds the int64 range"
         with pytest.raises(WeightOverflowError) as column:
@@ -309,7 +309,7 @@ class TestWeightOverflow:
         # every column: T W = T - I in Python ints
         t_obj = g.closure.astype(object)
         identity = np.eye(n, dtype=np.int8).astype(object)
-        assert (t_obj.dot(weight_matrix(g).astype(object)) == t_obj - identity).all()
+        assert (t_obj.dot(g.weights.astype(object)) == t_obj - identity).all()
 
 
 class TestGraphWeights:
@@ -346,7 +346,7 @@ class TestWeightProofCheck:
         g = layered(5, layers)
         _, first, _ = graphmod._float_weights(g)
         assert (first == g.size) == proven
-        w = weight_matrix(g)
+        w = g.weights
         assert [called for called, _ in limb_solves] == [first]
         assert np.array_equal(w, exact_weight_matrix(g))
 
@@ -357,7 +357,7 @@ class TestInt64Weights:
     @pytest.mark.parametrize("layers", range(28, 34))
     def test_equals_row_loop_on_layered(self, layers):
         g = layered(5, layers)
-        assert np.array_equal(graphmod._int64_weights(g), int64_weights_by_rows(g.closure))
+        assert np.array_equal(limb_weights(g), int64_weights_by_rows(g.closure))
 
     def test_carry_between_limbs(self):
         # past the float64 proof check, with weights above 2^53 that are odd
@@ -365,9 +365,9 @@ class TestInt64Weights:
         spec = TopologySpec(kind="complete_delay", agents=10, epochs=46)
         g = generate_topology(spec, topology_rng(1))
         assert graphmod._float_weights(g)[1] < g.size
-        w = graphmod._int64_weights(g)
+        w = limb_weights(g)
         assert np.array_equal(w, int64_weights_by_rows(g.closure))
-        assert np.array_equal(weight_matrix(g), w)
+        assert np.array_equal(g.weights, w)
         big = np.abs(w) > 2**53
         assert (big & (w % 2 == 1)).sum() == 19 and (big & (w < 0)).sum() == 29
         t = g.closure.astype(np.int64)
@@ -394,12 +394,12 @@ class TestInt64Weights:
         with pytest.raises(WeightOverflowError) as rows:
             int64_weights_by_rows(closure)
         with pytest.raises(WeightOverflowError) as limbs:
-            graphmod._int64_weights(g)
+            limb_weights(g)
         assert message in str(rows.value)
         assert str(limbs.value) == str(rows.value) and limbs.value.node == rows.value.node
         # the limb solve resumed where the float solve's proof stops
         with pytest.raises(WeightOverflowError) as resumed:
-            weight_matrix(g)
+            g.weights
         assert str(resumed.value) == str(rows.value) and resumed.value.node == rows.value.node
 
     @settings(max_examples=100, deadline=None)
@@ -410,7 +410,7 @@ class TestInt64Weights:
         seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
         a = random_dag(np.random.default_rng(seed), size, edge_prob)
         g = CommGraph(a)
-        assert np.array_equal(graphmod._int64_weights(g), exact_weight_matrix(g))
+        assert np.array_equal(limb_weights(g), exact_weight_matrix(g))
 
     @settings(max_examples=100, deadline=None)
     @given(data=st.data())
@@ -428,7 +428,7 @@ class TestInt64Weights:
 
 
 class TestResumedWeights:
-    # weight_matrix takes the columns before the float solve's first
+    # CommGraph.weights takes the columns before the float solve's first
     # unproven one, and resumes the limb solve on every column from there
     # on: it must give the row-by-row int64 solve's arrays and errors.  On
     # layered(a, L) the float64 proof first fails at L = 53, 34, 28, 24 and
@@ -452,10 +452,10 @@ class TestResumedWeights:
             expected = int64_weights_by_rows(g.closure)
         except WeightOverflowError as rows:
             with pytest.raises(WeightOverflowError) as resumed:
-                weight_matrix(g)
+                g.weights
             assert str(resumed.value) == str(rows) and resumed.value.node == rows.node
         else:
-            assert np.array_equal(weight_matrix(g), expected)
+            assert np.array_equal(g.weights, expected)
 
     @pytest.mark.parametrize("graph, epochs, seed", [
         ("complete_delay", 46, 1), ("complete_delay", 50, 2), ("layered", 28, None)])
@@ -472,7 +472,7 @@ class TestResumedWeights:
         _, first, start = graphmod._float_weights(g)
         sums = 1 + np.abs(exact_weight_matrix(g)).sum(axis=0)
         unproven = np.flatnonzero(sums >= 2**53)
-        w = weight_matrix(g)
+        w = g.weights
         [(called, known)] = limb_solves
         assert called == first == unproven[0] and 0 < first < g.size
         assert known.shape == (g.size - start, g.size - first) and 0 < start < g.size
@@ -509,9 +509,9 @@ class TestRunWiseSolves:
         expected = exact_weight_matrix(g)
         assert np.array_equal(int64_weights_by_rows(g.closure), expected)
         # the float solve proves every column
-        assert np.array_equal(weight_matrix(g), expected)
+        assert np.array_equal(g.weights, expected)
         assert [first for first, _ in limb_solves] == [g.size]
-        assert np.array_equal(graphmod._int64_weights(g), expected)
+        assert np.array_equal(limb_weights(g), expected)
         # the limb solve resumed at row 64, 128 or 192 starts inside the run
         # or just below it
         for start in (64, 128, 192):
@@ -536,14 +536,14 @@ class TestRunWiseSolves:
         except WeightOverflowError as rows:
             assert str(rows) == "node 600: weight w_600(34) exceeds the int64 range"
             with pytest.raises(WeightOverflowError) as limbs:
-                graphmod._int64_weights(g)
+                limb_weights(g)
             with pytest.raises(WeightOverflowError) as resumed:
-                weight_matrix(g)
+                g.weights
             for error in (limbs.value, resumed.value):
                 assert str(error) == str(rows) and error.node == rows.node
         else:
-            assert np.array_equal(graphmod._int64_weights(g), expected)
-            assert np.array_equal(weight_matrix(g), expected)
+            assert np.array_equal(limb_weights(g), expected)
+            assert np.array_equal(g.weights, expected)
 
     def test_resumed_inside_a_run(self, limb_solves):
         # complete_delay 7 x 74 at seed 0 fails the float64 proof first in
@@ -551,7 +551,7 @@ class TestRunWiseSolves:
         # second row of the run of rows 63..69
         spec = TopologySpec(kind="complete_delay", agents=7, epochs=74)
         g = generate_topology(spec, topology_rng(0))
-        w = weight_matrix(g)
+        w = g.weights
         [(first, known)] = limb_solves
         assert g.size - known.shape[0] == 64 and 0 < first < g.size
         assert (63, 70) in g.blocks
@@ -601,14 +601,14 @@ class TestSuffixForm:
             expected = int64_weights_by_rows(g.closure)
         except WeightOverflowError as by_rows:
             assert graph == "complete_delay" and "w_581(58)" in str(by_rows)
-            for solve in (weight_matrix, graphmod._int64_weights):
+            for solve in (lambda graph: graph.weights, limb_weights):
                 with pytest.raises(WeightOverflowError) as error:
                     solve(g)
                 assert str(error.value) == str(by_rows) and error.value.node == by_rows.node
         else:
             assert graph != "complete_delay"
-            assert np.array_equal(weight_matrix(g), expected)
-            assert np.array_equal(graphmod._int64_weights(g), expected)
+            assert np.array_equal(g.weights, expected)
+            assert np.array_equal(limb_weights(g), expected)
             if graph == "chain41":
                 assert np.array_equal(expected, exact_weight_matrix(g))
 
@@ -700,9 +700,9 @@ class TestConstraint:
     def test_augment_rejects_an_edge_that_changes_the_closure(self, monkeypatch):
         # weights claiming that node 5 needs node 4 of a graph where 4 does not reach 5
         g = graph_from_edges(5, [(1, 3), (2, 3), (3, 5), (1, 4)])
-        weights = weight_matrix(g)
+        weights = g.weights.copy()
         weights[3, 4] = 1
-        monkeypatch.setattr(graphmod, "weight_matrix", lambda graph: weights)
+        monkeypatch.setitem(g.__dict__, "weights", weights)  # the cached W of g
         with pytest.raises(IncestlessError, match="4->5"):
             augment_for_constraint(g)
 

@@ -265,7 +265,7 @@ class TestStackedRunMatchesReference:
                           seed=3, modes=("naive", "idealized"))
         graph = build_graph(config)
         with pytest.raises(WeightOverflowError, match="node 596"):
-            graphmod.weight_matrix(graph)
+            graph.weights
         assert assert_same_as_reference(config, graph, config.seed) is None
 
     def test_missed_violation_runs_as_forced(self, model, diamond_b, monkeypatch):
@@ -358,7 +358,7 @@ class TestRunTables:
         graph = graph_from_edges(6, [(1, 3), (1, 4), (2, 3), (2, 4), (3, 5), (4, 5), (1, 5),
                                      (3, 6), (4, 6), (2, 6)])
         assert graph.blocks[-1] == (4, 6)
-        weights = graphmod.weight_matrix(graph)
+        weights = graph.weights
         assert graphmod.constraint_report(graph) == {5: [2], 6: [1]}
         config = scenario(model, modes=ALL_MODES, runs=3)
         forced = monte_carlo(dataclasses.replace(config, force=True), graph=graph)
@@ -492,21 +492,44 @@ def built_tables(monkeypatch):
     return built
 
 
+@pytest.fixture
+def fuse_calls(monkeypatch):
+    """The learning.fuse calls made during the test, one entry per call."""
+    calls = []
+    fuse = learning.fuse
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return fuse(*args, **kwargs)
+
+    monkeypatch.setattr(learning, "fuse", counted)
+    return calls
+
+
+def held_blocks(config, graph, runs, fuses):
+    """The blocks of `runs` whole runs of config over graph that read
+    inputs the StudyCache held, given the learning.fuse calls the runs
+    made: every other block fuses once, and obs_oracle once per run."""
+    return runs * (len(graph.blocks) + ("obs_oracle" in config.modes)) - fuses
+
+
 class TestStepTrie:
     """Block steps reused across the runs of a study, through the steps of
     its StudyCache, give the uncached runs bit for bit."""
 
     @pytest.mark.parametrize("name", BUNDLED)
-    def test_bundled_study_equals_uncached_runs(self, name, built_tables):
+    def test_bundled_study_equals_uncached_runs(self, name, fuse_calls):
         base = cli.build_scenario(cli.load_config_file(name), runs=20)
         graph = build_graph(base)
-        hits = 0
+        held = 0
         for modes in (ALL_MODES, base.modes):
             for rule in ("mean", "map"):
                 config = dataclasses.replace(base, modes=modes, estimate_rule=rule)
                 expected = uncached_study(config, graph)
+                fuse_calls.clear()
                 metrics = monte_carlo(config, graph=graph)
-                hits += built_tables[-1].cache.hits
+                fuses = len(fuse_calls)
+                held += held_blocks(config, graph, config.runs, fuses)
                 for k, mode in enumerate(modes):
                     assert np.array_equal(metrics.actions[mode],
                                           [t.actions[k] for t in expected])
@@ -514,29 +537,33 @@ class TestStepTrie:
                                           [t.estimates[k] for t in expected])
                 # every run's beliefs, through the same calls monte_carlo makes
                 tables = simulate.run_tables(config, graph)
+                fuse_calls.clear()
                 assert_same_runs(shared_study(config, graph, tables), expected)
-                assert tables.cache.hits == built_tables[-2].cache.hits
+                assert len(fuse_calls) == fuses
         if name == "paper_chain41":
-            assert hits > 0
+            assert held > 0
 
-    def test_study_that_raises_in_a_later_run(self):
+    def test_study_that_raises_in_a_later_run(self, fuse_calls):
         # On a complete DAG of 1018 nodes, naive evidence leaves the float64
         # range at node 1017 in some runs of this model and past node 1018 in
         # others.  The runs before the failing one fill the cache's steps, and
-        # one of them hits them.
+        # some block of them reads inputs the steps hold.
         config = scenario(default_model(6, 6, 5), modes=ALL_MODES, true_state="random",
                           runs=40)
         graph = complete_dag(1018)
         tables = simulate.run_tables(config, graph)
+        held = 0
         for r in range(1, config.runs + 1):
             try:
                 reference = run_once(config, graph, graphmod.seed_rng(config.seed, r))
             except ValueError as exc:
                 expected = exc
                 break
+            fuse_calls.clear()
             assert_same_runs([run_once(config, graph, graphmod.seed_rng(config.seed, r),
                                        tables=tables)], [reference])
-        assert r > 2 and tables.cache.hits > 0
+            held += held_blocks(config, graph, 1, len(fuse_calls))
+        assert r > 2 and held > 0
         assert str(expected) == "node 1017: fused evidence left the float64 range"
         with pytest.raises(ValueError) as got:
             run_once(config, graph, graphmod.seed_rng(config.seed, r), tables=tables)
@@ -576,14 +603,14 @@ class TestStepTrie:
                       dataclasses.replace(config, force=True), dataclasses.replace(config)):
             with pytest.raises(ValueError, match="built for another config or graph"):
                 run_once(other, graph, np.random.default_rng(0), tables=tables)
-        assert tables.cache.hits == tables.cache.step_bytes == 0
+        assert tables.cache.step_bytes == 0
 
     def test_tables_for_another_graph_raise(self):
         config = cli.build_scenario(cli.load_config_file("paper_chain41"), runs=2)
         tables = simulate.run_tables(config, build_graph(config))
         with pytest.raises(ValueError, match="built for another config or graph"):
             run_once(config, build_graph(config), np.random.default_rng(0), tables=tables)
-        assert tables.cache.hits == tables.cache.step_bytes == 0
+        assert tables.cache.step_bytes == 0
 
     def test_budget_counts_keys_and_held_inputs(self, built_tables):
         # complete_delay's blocks of six nodes fill the budget within 45 runs
@@ -604,28 +631,21 @@ class TestStepTrie:
     # the cache does not hold
     @pytest.mark.parametrize("name, fuses", [("paper_chain41", 1651), ("paper_complete", 187),
                                              ("paper_star", 288), ("paper_random4", 279)])
-    def test_bundled_study_reuses_block_inputs(self, name, fuses, built_tables, monkeypatch):
-        calls = []
-        fuse = learning.fuse
-
-        def counted(*args, **kwargs):
-            calls.append(1)
-            return fuse(*args, **kwargs)
-
-        monkeypatch.setattr(learning, "fuse", counted)
+    def test_bundled_study_reuses_block_inputs(self, name, fuses, fuse_calls):
         config = cli.build_scenario(cli.load_config_file(name))
         assert config.runs == 100
         monte_carlo(config)
-        assert built_tables[-1].cache.hits > 0 and len(calls) == fuses
+        assert len(fuse_calls) == fuses
+        assert held_blocks(config, build_graph(config), config.runs, fuses) > 0
 
-    # action_table rows and cache hits of each bundled study in all four
+    # action_table rows and held blocks of each bundled study in all four
     # modes.  obs_oracle's rows take one action_table call per run, of all N
-    # rows, and stay out of the cache, so every study hits it as often as in
-    # its own three modes, and none clears it
-    @pytest.mark.parametrize("name, rows, hits", [
+    # rows, and stay out of the cache, so every study holds as many blocks as
+    # in its own three modes, and none clears it
+    @pytest.mark.parametrize("name, rows, held", [
         ("paper_chain41", 6015, 2449), ("paper_complete", 2816, 113), ("paper_star", 2963, 112),
         ("paper_random4", 2587, 121)])
-    def test_bundled_study_in_all_modes(self, name, rows, hits, built_tables, monkeypatch):
+    def test_bundled_study_in_all_modes(self, name, rows, held, fuse_calls, monkeypatch):
         counted, cleared = [], []
         table, clear = learning.action_table, simulate.StudyCache.clear
 
@@ -640,28 +660,36 @@ class TestStepTrie:
         monkeypatch.setattr(learning, "action_table", counted_table)
         monkeypatch.setattr(simulate.StudyCache, "clear", counted_clear)
         config = cli.build_scenario(cli.load_config_file(name))
+        graph = build_graph(config)
         assert config.runs == 100
-        monte_carlo(dataclasses.replace(config, modes=ALL_MODES))
-        assert sum(counted) == rows and built_tables[-1].cache.hits == hits
+        every = dataclasses.replace(config, modes=ALL_MODES)
+        monte_carlo(every, graph=graph)
+        assert sum(counted) == rows
+        assert held_blocks(every, graph, config.runs, len(fuse_calls)) == held
         assert len(cleared) == 1  # the cache's first, from __init__
-        monte_carlo(config)
-        assert built_tables[-1].cache.hits == hits
+        fuse_calls.clear()
+        monte_carlo(config, graph=graph)
+        assert held_blocks(config, graph, config.runs, len(fuse_calls)) == held
 
-    def test_each_study_starts_from_an_empty_cache(self, built_tables):
+    def test_each_study_starts_from_an_empty_cache(self, built_tables, fuse_calls):
         config = cli.build_scenario(cli.load_config_file("paper_chain41"), runs=10)
-        first, second = monte_carlo(config), monte_carlo(config)
+        first = monte_carlo(config)
+        fuses = len(fuse_calls)
+        fuse_calls.clear()
+        second = monte_carlo(config)
         assert len(built_tables) == 2 and built_tables[0].cache is not built_tables[1].cache
-        assert built_tables[0].cache.hits == built_tables[1].cache.hits > 0
+        assert len(fuse_calls) == fuses
+        assert held_blocks(config, build_graph(config), config.runs, fuses) > 0
         for mode in config.modes:
             assert np.array_equal(first.estimates[mode], second.estimates[mode])
 
-    def test_writing_into_a_trace_leaves_later_runs_unchanged(self):
+    def test_writing_into_a_trace_leaves_later_runs_unchanged(self, fuse_calls):
         config = cli.build_scenario(cli.load_config_file("paper_chain41"), runs=15)
         graph = build_graph(config)
         tables = simulate.run_tables(config, graph)
-        assert_same_runs(shared_study(config, graph, tables, clobber=True),
-                         uncached_study(config, graph))
-        assert tables.cache.hits > 0
+        shared = shared_study(config, graph, tables, clobber=True)
+        assert held_blocks(config, graph, config.runs, len(fuse_calls)) > 0
+        assert_same_runs(shared, uncached_study(config, graph))
 
 
 def row_contents(cache):
